@@ -3,9 +3,10 @@
 //! sizes, for the cumulative optimization ladder
 //! reference → +parallel basis → +fusion/redundancy → +decoupling.
 //!
-//! Kernels = tape nodes executed (forward + backward); memory = peak live
-//! tape bytes, including the retained first-order gradient graph of the
-//! derivative-based levels (see DESIGN.md §2.2).
+//! Kernels = tape nodes executed (forward + the final backward sweep the
+//! training step runs); memory = peak live tape bytes, including the
+//! first-order gradient graph the derivative-based levels build in their
+//! forward (see DESIGN.md §2.2).
 //!
 //! Run: `figures fig8`
 

@@ -32,7 +32,8 @@ pub struct Iteration {
 /// Train a fresh `level` model on one collated batch of `samples` for
 /// `iters` timed iterations after one warm-up. Each iteration runs under
 /// an `iter_<level>` span with profiled `forward`/`backward` and an
-/// `optimizer` span.
+/// `optimizer` span. The backward is the final sweep the cluster's
+/// training step runs, which frees each buffer after its last use.
 pub fn measure_iteration(
     level: OptLevel,
     samples: &[&Sample],
@@ -66,7 +67,7 @@ pub fn measure_iteration(
         store.zero_grads();
         let gm = {
             let _bwd = fc_telemetry::bridge::profiled_span("backward", tape.profiler());
-            tape.backward(loss.total)
+            tape.backward_final(loss.total)
         };
         {
             let _opt = fc_telemetry::span("optimizer");

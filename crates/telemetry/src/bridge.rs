@@ -28,13 +28,11 @@ pub fn record_profile(prefix: &str, snap: &ProfileSnapshot) {
     crate::counter_add(&format!("{prefix}.bytes_moved"), snap.bytes_moved);
     crate::gauge_max(&format!("{prefix}.bytes_peak"), snap.bytes_peak as f64);
     crate::gauge_set(&format!("{prefix}.bytes_live"), snap.bytes_live as f64);
-    // Memory-planner observability: pool recycling counters plus the
-    // planner's counterfactual peak (what an unplanned run would hold).
+    // Buffer-pool recycling counters.
     crate::counter_add(&format!("{prefix}.pool_hits"), snap.pool_hits);
     crate::counter_add(&format!("{prefix}.pool_misses"), snap.pool_misses);
     crate::counter_add(&format!("{prefix}.bytes_recycled"), snap.bytes_recycled);
     crate::gauge_set(&format!("{prefix}.bytes_pooled"), snap.bytes_pooled as f64);
-    crate::gauge_max(&format!("{prefix}.bytes_peak_naive"), snap.bytes_peak_naive as f64);
     if snap.bytes_moved > 0 {
         crate::gauge_set(&format!("{prefix}.intensity_flop_per_byte"), snap.arithmetic_intensity());
     }
@@ -145,7 +143,7 @@ mod tests {
         let p = Profiler::new();
         p.record_pool(6, 2, 1024, 4096);
         p.alloc(100);
-        p.free_planned(60); // planner frees early: naive ledger keeps 100
+        p.free(60);
         record_profile("tensor.step", &p.snapshot());
         let snap = crate::snapshot();
         crate::set_enabled(false);
@@ -154,7 +152,6 @@ mod tests {
         assert_eq!(snap.counters["tensor.step.bytes_recycled"], 1024);
         assert_eq!(snap.gauges["tensor.step.bytes_pooled"], 4096.0);
         assert_eq!(snap.gauges["tensor.step.bytes_peak"], 100.0);
-        assert_eq!(snap.gauges["tensor.step.bytes_peak_naive"], 100.0);
         assert_eq!(snap.gauges["tensor.step.bytes_live"], 40.0);
     }
 

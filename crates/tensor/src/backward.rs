@@ -39,59 +39,38 @@ impl Tape {
     /// second-order training, keep building on the returned gradient `Var`s
     /// (PyTorch's `create_graph=True` semantics).
     pub fn backward(&self, output: Var) -> GradMap {
-        let shape = self.shape(output);
-        self.backward_seeded(output, Tensor::ones(shape.rows, shape.cols))
+        self.sweep(output, self.ones_like(output), false)
     }
 
-    /// Reverse-mode sweep from `output` with an explicit seed cotangent.
-    pub fn backward_seeded(&self, output: Var, seed: Tensor) -> GradMap {
-        assert_eq!(self.shape(output), seed.shape(), "seed shape mismatch");
-        let n = output.id() as usize + 1;
-        let mut grads: Vec<Option<Var>> = vec![None; n];
-        if !self.requires_grad(output) {
-            return GradMap { grads };
-        }
-        grads[output.id() as usize] = Some(self.constant(seed));
-
-        for i in (0..n).rev() {
-            let Some(g) = grads[i] else { continue };
-            let (op, rg) = {
-                let nodes = self.nodes.borrow();
-                (nodes[i].op.clone(), nodes[i].rg)
-            };
-            if !rg {
-                continue;
-            }
-            let launch = launch_cotangents(&op, i, &grads);
-            let sink = &mut |t, e| self.accum(&mut grads, t, e);
-            self.vjp(Var(i as u32), &op, (g, launch), false, sink);
-        }
-        GradMap { grads }
-    }
-
-    /// Reverse-mode sweep from `output`, seeded with ones, honouring the
-    /// tape's [`crate::tape::MemoryPlan`]: forward activations are released
-    /// as soon as their last gradient consumer has executed, intermediate
-    /// gradient buffers are merged in place and released, and every freed
-    /// buffer returns to the thread-local pool for the next step.
+    /// Reverse-mode sweep from `output`, seeded with ones, that frees as it
+    /// goes: forward activations are released as soon as their last
+    /// gradient consumer has executed, intermediate gradient buffers are
+    /// merged in place and released, and every freed buffer returns to the
+    /// thread-local pool for the next step. Its LayerNorm, gate and linear
+    /// VJPs are one fused launch each. The gradients are bitwise those of
+    /// [`Tape::backward`].
     ///
-    /// Unlike [`Tape::backward`], this is a *final* sweep: afterwards only
-    /// the output's value and the gradients of leaf nodes (inputs,
-    /// constants and params) are guaranteed readable. Read any metric you
-    /// need from the forward graph *before* calling this, and `reset()` or
-    /// `truncate()` the tape before building further graph on it. Use
-    /// `backward` when the gradient graph must stay live (create_graph /
-    /// double backward); with `MemoryPlan::naive()` this method emits the
-    /// exact node sequence `backward` does and frees nothing.
+    /// This is a *final* sweep: afterwards only the output's value and the
+    /// gradients of leaf nodes (inputs, constants and params) are
+    /// guaranteed readable. Read any metric you need from the forward graph
+    /// *before* calling this, and `reset()` or `truncate()` the tape before
+    /// building further graph on it. Use `backward` when the gradient graph
+    /// must stay live (create_graph / double backward).
     pub fn backward_final(&self, output: Var) -> GradMap {
-        let shape = self.shape(output);
-        self.backward_seeded_final(output, Tensor::ones(shape.rows, shape.cols))
+        self.sweep(output, self.ones_like(output), true)
     }
 
-    /// [`Tape::backward_final`] with an explicit seed cotangent.
-    pub fn backward_seeded_final(&self, output: Var, seed: Tensor) -> GradMap {
+    fn ones_like(&self, v: Var) -> Tensor {
+        let shape = self.shape(v);
+        Tensor::ones(shape.rows, shape.cols)
+    }
+
+    /// The reverse sweep from `output` seeded with `seed`. With `last` (the
+    /// final sweep) it launches the fused VJPs, frees each buffer after
+    /// its last use and accumulates repeated contributions in place;
+    /// without it, it keeps every node and emits the composed chains.
+    fn sweep(&self, output: Var, seed: Tensor, last: bool) -> GradMap {
         assert_eq!(self.shape(output), seed.shape(), "seed shape mismatch");
-        let planned = self.plan().is_planned();
         let out_id = output.id() as usize;
         let n = out_id + 1;
         let mut grads: Vec<Option<Var>> = vec![None; n];
@@ -99,7 +78,7 @@ impl Tape {
             return GradMap { grads };
         }
         // owned[i] == the buffer behind grads[i] is referenced by that slot
-        // alone, so the planner may mutate or free it.
+        // alone, so the final sweep may mutate or free it.
         let mut owned = vec![false; n];
         grads[out_id] = Some(self.constant(seed));
         owned[out_id] = true;
@@ -118,14 +97,14 @@ impl Tape {
                     let mark = self.len();
                     touched.clear();
                     let gs = (g, launch_cotangents(&op, i, &grads));
-                    self.vjp(Var(i as u32), &op, gs, planned, &mut |t, e| {
+                    self.vjp(Var(i as u32), &op, gs, last, &mut |t, e| {
                         touched.push(t);
-                        self.accum_planned(&mut grads, &mut owned, t, e, g, i as u32, mark, planned)
+                        self.accum(&mut grads, &mut owned, t, e, g, i as u32, mark, last)
                     });
                     // vjp(i) was g's last read; interior gradients are not
                     // part of the caller-facing result.
                     let interior = !matches!(op, Op::Leaf | Op::DiffLeaf | Op::Param(_));
-                    if planned && owned[i] && interior {
+                    if last && owned[i] && interior {
                         self.release_node_buffer(g);
                         owned[i] = false;
                     }
@@ -133,7 +112,7 @@ impl Tape {
                     // up in a gradient slot: intermediates only feed other
                     // nodes of the same VJP, and later sweep iterations read
                     // only pre-`mark` ids and slot values.
-                    if planned {
+                    if last {
                         let end = self.len();
                         let kept: Vec<u32> = touched
                             .iter()
@@ -153,7 +132,7 @@ impl Tape {
             // already run its VJP, and vjp(i) itself only reads ids <= i —
             // the forward activation of i is dead from here on. The output
             // stays pinned for the caller.
-            if planned && i != out_id {
+            if last && i != out_id {
                 self.release_node_buffer(Var(i as u32));
             }
         }
@@ -178,7 +157,7 @@ impl Tape {
         for j in 0..out_len {
             let mut seed = Tensor::zeros(out_shape.rows, out_shape.cols);
             seed.data_mut()[j] = 1.0;
-            let gm = self.backward_seeded(output, seed);
+            let gm = self.sweep(output, seed, false);
             if let Some(g) = gm.get(input) {
                 let row = self.value(g);
                 jac.data_mut()[j * in_len..(j + 1) * in_len].copy_from_slice(row.data());
@@ -188,20 +167,9 @@ impl Tape {
         jac
     }
 
-    /// Accumulate `extra` into `grads[target]`.
-    fn accum(&self, grads: &mut [Option<Var>], target: u32, extra: Var) {
-        if !self.requires_grad(Var(target)) {
-            return;
-        }
-        let slot = &mut grads[target as usize];
-        *slot = Some(match *slot {
-            Some(existing) => self.add(existing, extra),
-            None => extra,
-        });
-    }
-
-    /// Accumulate `extra` into `grads[target]`, in place and freeing
-    /// consumed buffers when `planned`.
+    /// Accumulate `extra` into `grads[target]`: in place, freeing consumed
+    /// buffers, in the final sweep (`last`), with a new `add` node
+    /// otherwise.
     ///
     /// `g` is the cotangent of the node whose VJP is running (`cur`) and
     /// `mark` is the tape length captured just before that VJP: a
@@ -212,7 +180,7 @@ impl Tape {
     /// buffers are marked unowned on *both* slots so neither frees memory
     /// the other still references.
     #[allow(clippy::too_many_arguments)]
-    fn accum_planned(
+    fn accum(
         &self,
         grads: &mut [Option<Var>],
         owned: &mut [bool],
@@ -221,7 +189,7 @@ impl Tape {
         g: Var,
         cur: u32,
         mark: usize,
-        planned: bool,
+        last: bool,
     ) {
         if !self.requires_grad(Var(target)) {
             return;
@@ -238,7 +206,7 @@ impl Tape {
                 }
             }
             Some(existing) => {
-                if planned && owned[t] {
+                if last && owned[t] {
                     // `existing` is uniquely referenced (owned) and its
                     // intermediate value is never read again before the
                     // next contribution, so accumulating in place is safe.
@@ -247,9 +215,10 @@ impl Tape {
                         self.release_node_buffer(extra);
                     }
                 } else {
-                    // Planned, `existing` is shared here and must survive.
+                    // `existing` is shared here (or the graph is retained)
+                    // and must survive.
                     let merged = self.add(existing, extra);
-                    if planned && fresh {
+                    if last && fresh {
                         self.release_node_buffer(extra);
                     }
                     grads[t] = Some(merged);
@@ -262,7 +231,7 @@ impl Tape {
     /// `existing += extra` without allocating: axpy straight into the
     /// existing gradient buffer. Bitwise identical to the `add` kernel
     /// (`1.0 * b == b` in IEEE 754, same element order) and charged the
-    /// same FLOP/byte cost so profiles stay comparable across plans.
+    /// same FLOP/byte cost so profiles stay comparable across sweeps.
     fn accum_inplace(&self, existing: Var, extra: Var) {
         let len;
         self.profiler().start_kernel();
@@ -299,11 +268,11 @@ impl Tape {
     /// the cotangents of every output of a multi-output launch
     /// ([`launch_cotangents`]).
     ///
-    /// With `fused` (the planned final sweep), a LayerNorm, gate or linear
-    /// VJP is one fused launch and a weight gradient `aᵀ @ g` one GEMM
-    /// without a transpose, each bitwise the composed chain emitted
-    /// otherwise. Those fused nodes have no VJP of their own, so `backward`
-    /// (create_graph) and the naive final sweep keep the composed chains.
+    /// With `fused` (the final sweep), a LayerNorm, gate or linear VJP is
+    /// one fused launch and a weight gradient `aᵀ @ g` one GEMM without a
+    /// transpose, each bitwise the composed chain emitted otherwise. Those
+    /// fused nodes have no VJP of their own, so `backward` (create_graph)
+    /// keeps the composed chains.
     /// Every sweep computes a lazy node (the LayerNorm outputs of
     /// [`Tape::fused_ln_gate`], the gathers and products of
     /// [`Tape::weighted_segment_sum`]) where a VJP reads it.
@@ -523,8 +492,7 @@ impl Tape {
                     if self.requires_grad(Var(blk.src)) {
                         match &blk.idx {
                             None => sink(blk.src, self.slice_cols(g, off, src.cols)),
-                            // The planned final sweep reads the window in
-                            // place.
+                            // The final sweep reads the window in place.
                             Some(_) if fused => gathered.push((blk, off, None)),
                             Some(_) => {
                                 gathered.push((blk, off, Some(self.slice_cols(g, off, src.cols))))
@@ -919,53 +887,40 @@ mod tests {
 
     #[test]
     fn planned_final_backward_is_bitwise_identical() {
-        use crate::tape::MemoryPlan;
-        let grads_of = |plan: MemoryPlan, final_sweep: bool| -> Vec<u32> {
-            let tape = Tape::with_plan(plan);
+        let grads_of = |final_sweep: bool| -> Vec<u32> {
+            let tape = Tape::new();
             let (loss, r) = force_style_loss(&tape);
             let gm = if final_sweep { tape.backward_final(loss) } else { tape.backward(loss) };
             tape.value(gm.get(r).unwrap()).data().iter().map(|x| x.to_bits()).collect()
         };
-        let retained = grads_of(MemoryPlan::naive(), false);
-        let naive_final = grads_of(MemoryPlan::naive(), true);
-        let planned = grads_of(MemoryPlan::default(), true);
-        assert_eq!(retained, naive_final, "plan-off final sweep diverges from backward");
-        assert_eq!(retained, planned, "planned sweep diverges from backward");
+        assert_eq!(grads_of(false), grads_of(true), "final sweep diverges from backward");
     }
 
     /// Gradient bits of `leaves` after seeding `out` (built by `graph` on a
-    /// fresh tape of `plan`) with `seed`, by `backward` or the final sweep.
+    /// fresh tape) with `seed`, by `backward` or the final sweep.
     fn seeded_grads(
-        plan: crate::tape::MemoryPlan,
         final_sweep: bool,
         seed: &Tensor,
         graph: &dyn Fn(&Tape) -> (Var, Vec<Var>),
     ) -> Vec<Option<Vec<u32>>> {
-        let tape = Tape::with_plan(plan);
+        let tape = Tape::new();
         let (out, leaves) = graph(&tape);
-        let gm = if final_sweep {
-            tape.backward_seeded_final(out, seed.clone())
-        } else {
-            tape.backward_seeded(out, seed.clone())
-        };
+        let gm = tape.sweep(out, seed.clone(), final_sweep);
         leaves
             .iter()
             .map(|&v| gm.get(v).map(|g| crate::kernels::bits(tape.value(g).data())))
             .collect()
     }
 
-    /// The planned final sweep (fused VJPs) against `backward` (the
-    /// composed chains) and the naive final sweep, bit for bit.
+    /// The final sweep (fused VJPs) against `backward` (the composed
+    /// chains), bit for bit.
     fn assert_fused_vjp_is_composed(
         what: &str,
         seed: &Tensor,
         graph: &dyn Fn(&Tape) -> (Var, Vec<Var>),
     ) {
-        use crate::tape::MemoryPlan;
-        let composed = seeded_grads(MemoryPlan::Planned, false, seed, graph);
-        let naive_final = seeded_grads(MemoryPlan::naive(), true, seed, graph);
-        let fused = seeded_grads(MemoryPlan::Planned, true, seed, graph);
-        assert_eq!(naive_final, composed, "naive final sweep: {what}");
+        let composed = seeded_grads(false, seed, graph);
+        let fused = seeded_grads(true, seed, graph);
         for (i, (f, c)) in fused.iter().zip(&composed).enumerate() {
             assert_eq!(f, c, "fused VJP, leaf {i}: {what}");
         }
@@ -1156,13 +1111,12 @@ mod tests {
 
     /// [`view_graph`] with `message_chain`, built as `want` and as `got`
     /// (`[views, launches]` each), against each other bit for bit: the
-    /// loss and every leaf's gradient from `backward`, the planned final
-    /// sweep and the naive one, first and second order, at widths 1 and 2.
+    /// loss and every leaf's gradient from `backward` and the final sweep,
+    /// first and second order, at widths 1 and 2.
     fn assert_view_graphs_agree(message_chain: bool, want: [bool; 2], got: [bool; 2]) {
-        use crate::tape::MemoryPlan;
         let bits = |t: &Tape, v: Var| crate::kernels::bits(t.value(v).data());
-        let run = |c: &ViewCase, [views, launches]: [bool; 2], second_order, plan, final_sweep| {
-            let t = Tape::with_plan(plan);
+        let run = |c: &ViewCase, [views, launches]: [bool; 2], second_order, final_sweep| {
+            let t = Tape::new();
             let (loss, leaves) = view_graph(&t, c, views, [message_chain, launches], second_order);
             let value = bits(&t, loss);
             let gm = if final_sweep { t.backward_final(loss) } else { t.backward(loss) };
@@ -1175,17 +1129,13 @@ mod tests {
             let c = view_case(seed, atoms, bonds, angles, fea);
             for width in [1, 2] {
                 for second_order in [false, true] {
-                    for (plan, final_sweep) in [
-                        (MemoryPlan::Planned, false),
-                        (MemoryPlan::Planned, true),
-                        (MemoryPlan::Naive, true),
-                    ] {
+                    for final_sweep in [false, true] {
                         let what = format!(
-                            "seed {seed}, width {width}, second order {second_order}, {plan:?}, final {final_sweep}"
+                            "seed {seed}, width {width}, second order {second_order}, final {final_sweep}"
                         );
                         let [want, got] = [want, got].map(|path| {
                             crate::par::with_width(width, || {
-                                run(&c, path, second_order, plan, final_sweep)
+                                run(&c, path, second_order, final_sweep)
                             })
                         });
                         assert_eq!(got.0, want.0, "loss: {what}");
@@ -1206,7 +1156,7 @@ mod tests {
     #[test]
     fn fused_message_path_is_bitwise_the_composed_chains() {
         assert_view_graphs_agree(true, [false, false], [true, true]);
-        // The fused forward writes only the launches' outputs; the planned
+        // The fused forward writes only the launches' outputs; the final
         // sweep computes the lazy LayerNorm outputs and `e^b` gathers where
         // its VJPs read them.
         let c = view_case(1, 5, 12, 30, 3);
@@ -1274,21 +1224,22 @@ mod tests {
     fn planned_peak_is_well_below_full_tape_residency() {
         // Deep elementwise chain: backward emits ~5 nodes per SiLU, so
         // full-tape residency is several times the forward footprint.
-        let tape = Tape::new();
-        let x = tape.input(Tensor::ones(64, 64));
-        let mut y = x;
-        for _ in 0..20 {
-            y = tape.silu(y);
-        }
-        let loss = tape.sum_all(tape.square(y));
-        let gm = tape.backward_final(loss);
-        assert!(gm.get(x).is_some());
-        let s = tape.profiler().snapshot();
+        let peak = |final_sweep: bool| {
+            let tape = Tape::new();
+            let x = tape.input(Tensor::ones(64, 64));
+            let mut y = x;
+            for _ in 0..20 {
+                y = tape.silu(y);
+            }
+            let loss = tape.sum_all(tape.square(y));
+            let gm = if final_sweep { tape.backward_final(loss) } else { tape.backward(loss) };
+            assert!(gm.get(x).is_some());
+            tape.profiler().snapshot().bytes_peak
+        };
+        let (last, retained) = (peak(true), peak(false));
         assert!(
-            s.bytes_peak * 10 <= s.bytes_peak_naive * 7,
-            "planned peak {} not ≤ 70% of naive peak {}",
-            s.bytes_peak,
-            s.bytes_peak_naive
+            last * 10 <= retained * 7,
+            "final-sweep peak {last} not ≤ 70% of the retained sweep's {retained}"
         );
     }
 

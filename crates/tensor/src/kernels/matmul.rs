@@ -105,7 +105,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// of each row of `a`), so every output element keeps its sum; long sums
 /// run in passes that keep their rows of `a` and `b` in cache, each
 /// resuming exactly where the last stopped. This is the weight gradient
-/// `xᵀ @ g` of the planned final backward sweep.
+/// `xᵀ @ g` of the final backward sweep.
 ///
 /// # Panics
 /// Panics when `a` and `b` have different row counts.

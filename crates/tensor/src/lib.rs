@@ -56,7 +56,7 @@ pub use param::{ParamEntry, ParamId, ParamStore};
 pub use pool::{PoolCore, PoolStats};
 pub use profiler::{OpTotals, ProfileSnapshot, Profiler};
 pub use shape::{Bcast, Shape};
-pub use tape::{MemoryPlan, Tape};
+pub use tape::Tape;
 pub use tensor::Tensor;
 
 /// Run `f` with this thread's `key` set to `value`, restoring the previous

@@ -99,7 +99,7 @@ pub enum Op {
     /// Fused row-wise LayerNorm with affine parameters.
     FusedLayerNorm { a: VarId, gamma: VarId, beta: VarId, eps: f32 },
     /// `aᵀ @ b` without a transpose: the weight-gradient GEMM of the
-    /// planned final backward sweep. Final-sweep only, like the fused VJPs
+    /// final backward sweep. Final-sweep only, like the fused VJPs
     /// below: nothing differentiates it.
     MatmulAt { a: VarId, b: VarId },
     /// Output `out` of one fused LayerNorm VJP launch for input `a`, scale

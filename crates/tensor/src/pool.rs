@@ -5,10 +5,9 @@
 //! recycle iteration N's buffers for iteration N+1 instead of hitting the
 //! allocator thousands of times per step. Kernels *acquire* through this
 //! pool unconditionally ([`zeroed`] / [`from_slice`] / [`with_capacity`]);
-//! buffers are *released* back only by planner-gated call sites
-//! (`Tape::truncate`, the planner-aware backward sweep, batch recycling),
-//! so with the planner off the pool stays empty and every acquire is a
-//! plain allocation — bit-for-bit the old behaviour.
+//! buffers are *released* back by `Tape::truncate`, the final backward
+//! sweep's frees at last use and batch recycling. On a fresh pool every
+//! acquire is a plain allocation.
 //!
 //! Contents never affect numerics: [`zeroed`] returns an all-zero buffer
 //! exactly like `vec![0.0; n]`, and [`from_slice`] an exact copy.
@@ -123,8 +122,7 @@ pub fn with_capacity(n: usize) -> Vec<f32> {
 }
 
 /// Return a buffer to this thread's pool (or drop it past the retention
-/// cap). Callers gate this on their `MemoryPlan`; un-released buffers are
-/// simply garbage-collected by Rust as before.
+/// cap). Un-released buffers are simply dropped.
 pub fn release(v: Vec<f32>) {
     let cap = v.capacity();
     if cap == 0 {

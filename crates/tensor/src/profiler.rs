@@ -43,13 +43,6 @@ pub struct Profiler {
     fused_kernels: Cell<u64>,
     flops: Cell<u64>,
     bytes_moved: Cell<u64>,
-    // What the live/peak levels would be WITHOUT the memory planner's
-    // early frees: every alloc/free moves both ledgers, but the planner's
-    // `free_planned` moves only the real one. The gap is the planner's
-    // measured saving (a conservative lower bound: in-place accumulation
-    // also avoids allocations the naive ledger never sees).
-    bytes_live_naive: Cell<u64>,
-    bytes_peak_naive: Cell<u64>,
     pool_hits: Cell<u64>,
     pool_misses: Cell<u64>,
     bytes_recycled: Cell<u64>,
@@ -88,10 +81,6 @@ pub struct ProfileSnapshot {
     pub flops: u64,
     /// Total bytes moved (minimum kernel traffic, see [`crate::cost`]).
     pub bytes_moved: u64,
-    /// Live bytes had the planner performed no early frees (level).
-    pub bytes_live_naive: u64,
-    /// Peak of the naive live ledger (level).
-    pub bytes_peak_naive: u64,
     /// Buffer-pool acquires served from a free list.
     pub pool_hits: u64,
     /// Buffer-pool acquires that fell through to the allocator.
@@ -142,8 +131,7 @@ impl Profiler {
         t.nanos += nanos;
     }
 
-    /// Record allocation of a node buffer (charged to both the real and
-    /// the naive ledger).
+    /// Record allocation of a node buffer.
     #[inline]
     pub fn alloc(&self, bytes: u64) {
         let live = self.bytes_live.get() + bytes;
@@ -151,35 +139,12 @@ impl Profiler {
         if live > self.bytes_peak.get() {
             self.bytes_peak.set(live);
         }
-        let naive = self.bytes_live_naive.get() + bytes;
-        self.bytes_live_naive.set(naive);
-        if naive > self.bytes_peak_naive.get() {
-            self.bytes_peak_naive.set(naive);
-        }
     }
 
-    /// Record release of a node buffer (both ledgers — the structural free
-    /// an unplanned tape would also perform at this point).
+    /// Record release of a node buffer.
     #[inline]
     pub fn free(&self, bytes: u64) {
         self.bytes_live.set(self.bytes_live.get().saturating_sub(bytes));
-        self.bytes_live_naive.set(self.bytes_live_naive.get().saturating_sub(bytes));
-    }
-
-    /// Record an *early* release by the memory planner: real live bytes
-    /// drop, the naive ledger (what an unplanned run would still hold)
-    /// does not.
-    #[inline]
-    pub fn free_planned(&self, bytes: u64) {
-        self.bytes_live.set(self.bytes_live.get().saturating_sub(bytes));
-    }
-
-    /// Settle the naive ledger for a buffer the planner already freed
-    /// early: the structural free point (truncate) where the unplanned
-    /// tape would have released it.
-    #[inline]
-    pub fn free_naive(&self, bytes: u64) {
-        self.bytes_live_naive.set(self.bytes_live_naive.get().saturating_sub(bytes));
     }
 
     /// Fold a buffer-pool activity delta (counters) and the current pooled
@@ -202,8 +167,6 @@ impl Profiler {
             bytes_peak: self.bytes_peak.get(),
             flops: self.flops.get(),
             bytes_moved: self.bytes_moved.get(),
-            bytes_live_naive: self.bytes_live_naive.get(),
-            bytes_peak_naive: self.bytes_peak_naive.get(),
             pool_hits: self.pool_hits.get(),
             pool_misses: self.pool_misses.get(),
             bytes_recycled: self.bytes_recycled.get(),
@@ -232,8 +195,6 @@ impl Profiler {
         self.bytes_moved.set(self.bytes_moved.get() + s.bytes_moved);
         self.bytes_live.set(self.bytes_live.get() + s.bytes_live);
         self.bytes_peak.set(self.bytes_peak.get() + s.bytes_peak);
-        self.bytes_live_naive.set(self.bytes_live_naive.get() + s.bytes_live_naive);
-        self.bytes_peak_naive.set(self.bytes_peak_naive.get() + s.bytes_peak_naive);
         self.pool_hits.set(self.pool_hits.get() + s.pool_hits);
         self.pool_misses.set(self.pool_misses.get() + s.pool_misses);
         self.bytes_recycled.set(self.bytes_recycled.get() + s.bytes_recycled);
@@ -252,7 +213,6 @@ impl Profiler {
     /// of an iteration) without touching kernel counts.
     pub fn reset_peak(&self) {
         self.bytes_peak.set(self.bytes_live.get());
-        self.bytes_peak_naive.set(self.bytes_live_naive.get());
     }
 
     /// Zero every counter.
@@ -263,8 +223,6 @@ impl Profiler {
         self.bytes_peak.set(0);
         self.flops.set(0);
         self.bytes_moved.set(0);
-        self.bytes_live_naive.set(0);
-        self.bytes_peak_naive.set(0);
         self.pool_hits.set(0);
         self.pool_misses.set(0);
         self.bytes_recycled.set(0);
@@ -292,8 +250,6 @@ impl ProfileSnapshot {
             bytes_peak: self.bytes_peak,
             flops: self.flops - earlier.flops,
             bytes_moved: self.bytes_moved - earlier.bytes_moved,
-            bytes_live_naive: self.bytes_live_naive,
-            bytes_peak_naive: self.bytes_peak_naive,
             pool_hits: self.pool_hits - earlier.pool_hits,
             pool_misses: self.pool_misses - earlier.pool_misses,
             bytes_recycled: self.bytes_recycled - earlier.bytes_recycled,
@@ -439,30 +395,6 @@ mod tests {
         assert_eq!(mm, OpTotals { count: 2, flops: 15, bytes: 6, nanos: 0 });
         let ex = per_op.iter().find(|(k, _)| *k == "un.exp").unwrap().1;
         assert_eq!(ex, OpTotals { count: 1, flops: 8, bytes: 8, nanos: 0 });
-    }
-
-    #[test]
-    fn planned_frees_split_live_from_naive() {
-        let p = Profiler::new();
-        p.alloc(100);
-        p.alloc(100);
-        assert_eq!(p.snapshot().bytes_peak, 200);
-        assert_eq!(p.snapshot().bytes_peak_naive, 200);
-        // Planner frees one buffer early: real live drops, naive holds.
-        p.free_planned(100);
-        p.alloc(50);
-        let s = p.snapshot();
-        assert_eq!(s.bytes_live, 150);
-        assert_eq!(s.bytes_live_naive, 250);
-        assert_eq!(s.bytes_peak, 200, "real peak untouched by the smaller alloc");
-        assert_eq!(s.bytes_peak_naive, 250, "naive peak keeps growing");
-        // Structural teardown: the planner-freed buffer settles only the
-        // naive ledger; normal buffers settle both.
-        p.free_naive(100);
-        p.free(150);
-        let s = p.snapshot();
-        assert_eq!(s.bytes_live, 0);
-        assert_eq!(s.bytes_live_naive, 0);
     }
 
     #[test]

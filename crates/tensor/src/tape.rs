@@ -31,42 +31,12 @@ pub(crate) struct Node {
     pub lazy: bool,
 }
 
-/// Memory-planner configuration for one tape. Both plans are bitwise
-/// equivalent (verified by `fc_verify`'s planner equivalence check at
-/// tolerance 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoryPlan {
-    /// The default. Node buffers return to the thread's [`crate::pool`] on
-    /// truncate/reset and on planner frees; `backward_final` releases each
-    /// forward activation and each consumed intermediate gradient buffer
-    /// after its last reverse-sweep use, and accumulates repeated gradient
-    /// contributions in place (`axpy` into the uniquely-owned slot buffer).
-    #[default]
-    Planned,
-    /// The reference path: fresh allocation per node, full-tape residency
-    /// through backward, alloc-then-add accumulation.
-    Naive,
-}
-
-impl MemoryPlan {
-    /// The reference plan, [`MemoryPlan::Naive`].
-    pub fn naive() -> Self {
-        MemoryPlan::Naive
-    }
-
-    /// Whether the planner is on.
-    pub fn is_planned(self) -> bool {
-        self == MemoryPlan::Planned
-    }
-}
-
 /// The autodiff tape.
 pub struct Tape {
     pub(crate) nodes: RefCell<Vec<Node>>,
     profiler: Profiler,
     /// Cache of param-id -> injected Var for the current iteration.
     param_cache: RefCell<Vec<Option<Var>>>,
-    plan: MemoryPlan,
     /// Thread-pool counters at the last sync, so pool activity between
     /// syncs is attributed to this tape's profiler (and to no other tape
     /// sharing the thread).
@@ -75,30 +45,19 @@ pub struct Tape {
 
 impl Default for Tape {
     fn default() -> Self {
-        Self::with_plan(MemoryPlan::default())
-    }
-}
-
-impl Tape {
-    /// Fresh empty tape with the default (planned) memory plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fresh empty tape with an explicit memory plan.
-    pub fn with_plan(plan: MemoryPlan) -> Self {
         Tape {
             nodes: RefCell::new(Vec::new()),
             profiler: Profiler::default(),
             param_cache: RefCell::new(Vec::new()),
-            plan,
             pool_base: Cell::new(pool::stats()),
         }
     }
+}
 
-    /// This tape's memory plan.
-    pub fn plan(&self) -> MemoryPlan {
-        self.plan
+impl Tape {
+    /// Fresh empty tape.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Fold pool activity since the last sync into the profiler. Must run
@@ -115,10 +74,10 @@ impl Tape {
         self.pool_base.set(now);
     }
 
-    /// Release one node's value buffer early (memory-planner path): the
-    /// profiler's real live ledger drops now, the naive ledger settles at
-    /// the structural free in [`Tape::truncate`]. No-op on nodes already
-    /// released. The node's shape stays readable.
+    /// Release one node's value buffer early ([`Tape::backward_final`]):
+    /// the profiler's live bytes drop and the buffer returns to the
+    /// thread's pool. No-op on nodes already released. The node's shape
+    /// stays readable.
     pub(crate) fn release_node_buffer(&self, v: Var) {
         let data = {
             let mut nodes = self.nodes.borrow_mut();
@@ -127,10 +86,8 @@ impl Tape {
         if data.capacity() == 0 {
             return;
         }
-        self.profiler.free_planned(data.len() as u64 * 4);
-        if self.plan.is_planned() {
-            pool::release(data);
-        }
+        self.profiler.free(data.len() as u64 * 4);
+        pool::release(data);
     }
 
     /// Number of nodes currently on the tape.
@@ -262,24 +219,15 @@ impl Tape {
         self.nodes.borrow()[v.0 as usize].rg
     }
 
-    /// Drop all nodes after `len` (releasing their buffers from the memory
-    /// accounting, and — with a pooled plan — back into the thread's
-    /// buffer pool). Used to discard an ephemeral backward sub-graph.
+    /// Drop all nodes after `len`, releasing what their buffers still hold
+    /// from the memory accounting and back into the thread's buffer pool.
+    /// Used to discard an ephemeral backward sub-graph.
     pub fn truncate(&self, len: usize) {
         let mut nodes = self.nodes.borrow_mut();
         while nodes.len() > len {
-            let mut n = nodes.pop().expect("truncate underflow");
-            let data = n.value.release_data();
-            // Real ledger: only what is still held. Naive ledger: the full
-            // node size — an unplanned tape would free it here whether or
-            // not the planner already released it early.
-            self.profiler.free_planned(data.len() as u64 * 4);
-            if !is_view(&n) && !n.lazy {
-                self.profiler.free_naive(n.value.shape().len() as u64 * 4);
-            }
-            if self.plan.is_planned() && data.capacity() > 0 {
-                pool::release(data);
-            }
+            let data = nodes.pop().expect("truncate underflow").value.release_data();
+            self.profiler.free(data.len() as u64 * 4);
+            pool::release(data);
         }
         drop(nodes);
         self.sync_pool_stats();
@@ -998,8 +946,8 @@ impl Tape {
 
     // ------------------------------------------- final-sweep VJP launches
 
-    // The planned final backward sweep's fused kernels. Nothing
-    // differentiates a final sweep's nodes, so their ops have no VJP.
+    // The final backward sweep's fused kernels. Nothing differentiates a
+    // final sweep's nodes, so their ops have no VJP.
 
     /// `aᵀ @ b` in one GEMM, bitwise `matmul(transpose(a), b)`.
     pub(crate) fn matmul_at(&self, a: Var, b: Var) -> Var {
@@ -1033,7 +981,7 @@ impl Tape {
     ///
     /// The launch's temporaries, `wᵀ` and (for two or three outputs) the
     /// packed cotangent `dh`, live beside its outputs until it ends, so
-    /// they are charged to the live-byte ledgers for that long: the peak
+    /// they are charged to the live-byte ledger for that long: the peak
     /// counts them as it counted the chain's nodes that held them.
     pub(crate) fn linear_vjp(&self, x: Var, w: Var, g: &[Option<Var>], need_dx: bool) -> Vec<Var> {
         self.materialise(x);
@@ -1229,7 +1177,6 @@ mod tests {
         let outputs = 4 * (4 * 3 + 3 * 8 + 8);
         assert_eq!(s.bytes_live, before + outputs);
         assert_eq!(s.bytes_peak, before + outputs + 4 * (4 * 8 + 8 * 3));
-        assert_eq!(s.bytes_live_naive, s.bytes_live);
     }
 
     #[test]

@@ -127,10 +127,9 @@ impl Tensor {
     }
 
     /// Take the data buffer out, leaving the tensor empty but keeping its
-    /// shape. Used by the memory planner to release a tape node's storage
-    /// early while `Tape::shape` (and truncate's naive-byte accounting,
-    /// which goes by shape) keep working. Idempotent: a second call
-    /// returns an empty `Vec`.
+    /// shape. Used to release a tape node's storage early while
+    /// `Tape::shape` keeps working. Idempotent: a second call returns an
+    /// empty `Vec`.
     pub(crate) fn release_data(&mut self) -> Vec<f32> {
         std::mem::take(&mut self.data)
     }

@@ -1,67 +1,5 @@
-//! Gradient all-reduce: a real ring algorithm over simulated devices plus
-//! the α-β communication cost model used by the cluster clock.
-
-/// Ring all-reduce over `p` equally-shaped buffers: after the call every
-/// buffer holds the elementwise **sum**. This is the textbook
-/// reduce-scatter + all-gather ring executed faithfully (p-1 + p-1 steps
-/// over p chunks), time-multiplexed onto the host.
-pub fn ring_all_reduce(buffers: &mut [Vec<f32>]) {
-    let p = buffers.len();
-    if p <= 1 {
-        return;
-    }
-    let n = buffers[0].len();
-    assert!(buffers.iter().all(|b| b.len() == n), "ragged all-reduce buffers");
-    if n == 0 {
-        return;
-    }
-    // Chunk boundaries: chunk c covers [bounds[c], bounds[c+1]).
-    let bounds: Vec<usize> = (0..=p).map(|c| c * n / p).collect();
-
-    // Reduce-scatter: at step s, device d sends chunk (d - s) to d+1.
-    for s in 0..p - 1 {
-        for d in 0..p {
-            let src = d;
-            let dst = (d + 1) % p;
-            let c = (d + p - s) % p;
-            let (lo, hi) = (bounds[c], bounds[c + 1]);
-            // dst += src over the chunk. Split borrows via split_at_mut on
-            // the outer slice.
-            let (a, b) = if src < dst {
-                let (l, r) = buffers.split_at_mut(dst);
-                (&l[src][lo..hi], &mut r[0][lo..hi])
-            } else {
-                let (l, r) = buffers.split_at_mut(src);
-                let dst_ref = &mut l[dst];
-                // Need src immutable from r[0].
-                (&r[0][lo..hi], &mut dst_ref[lo..hi])
-            };
-            for (y, &x) in b.iter_mut().zip(a) {
-                *y += x;
-            }
-        }
-    }
-    // All-gather: chunk c is now complete on device (c + p - 1) % p... After
-    // p-1 reduce-scatter steps, device d owns the full sum of chunk
-    // (d + 1) % p. Circulate the owned chunks around the ring.
-    for s in 0..p - 1 {
-        for d in 0..p {
-            let src = d;
-            let dst = (d + 1) % p;
-            let c = (d + 1 + p - s) % p;
-            let (lo, hi) = (bounds[c], bounds[c + 1]);
-            let (a, b) = if src < dst {
-                let (l, r) = buffers.split_at_mut(dst);
-                (&l[src][lo..hi], &mut r[0][lo..hi])
-            } else {
-                let (l, r) = buffers.split_at_mut(src);
-                let dst_ref = &mut l[dst];
-                (&r[0][lo..hi], &mut dst_ref[lo..hi])
-            };
-            b.copy_from_slice(a);
-        }
-    }
-}
+//! Gradient all-reduce: a deterministic tree over simulated devices plus
+//! the α-β ring cost model used by the cluster clock.
 
 /// Deterministic tree all-reduce over `p` equally-shaped buffers: after the
 /// call every buffer holds the elementwise **sum**. The reduction order is a
@@ -185,43 +123,6 @@ mod tests {
     fn random_buffers(p: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..p).map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect()
-    }
-
-    fn check_allreduce(p: usize, n: usize) {
-        let mut bufs = random_buffers(p, n, p as u64 * 31 + n as u64);
-        let expect: Vec<f32> = (0..n).map(|i| bufs.iter().map(|b| b[i]).sum::<f32>()).collect();
-        ring_all_reduce(&mut bufs);
-        for (d, b) in bufs.iter().enumerate() {
-            for i in 0..n {
-                assert!(
-                    (b[i] - expect[i]).abs() < 1e-4,
-                    "p={p} n={n} device {d} elem {i}: {} vs {}",
-                    b[i],
-                    expect[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ring_matches_naive_sum() {
-        for p in [2, 3, 4, 7, 8] {
-            for n in [1, 5, 16, 97, 1024] {
-                check_allreduce(p, n);
-            }
-        }
-    }
-
-    #[test]
-    fn single_device_is_noop() {
-        let mut bufs = vec![vec![1.0, 2.0]];
-        ring_all_reduce(&mut bufs);
-        assert_eq!(bufs[0], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn chunk_smaller_than_devices() {
-        check_allreduce(8, 3);
     }
 
     #[test]

@@ -3,10 +3,7 @@
 //! Data parallelism here is *numerically real*: the global batch is
 //! partitioned by the sampler, each simulated device computes real
 //! gradients over its shard, and the shards are combined by a
-//! deterministic tree all-reduce
-//! ([`crate::allreduce::tree_all_reduce`]; the textbook ring of
-//! [`crate::allreduce::ring_all_reduce`] is kept for the communication
-//! study).
+//! deterministic tree all-reduce ([`crate::allreduce::tree_all_reduce`]).
 //!
 //! One runner executes the rank work of every step: ranks are strided over
 //! the [`ExecutionMode::Threaded`] scoped worker threads (rank `d` on
@@ -31,7 +28,7 @@ use crate::optim::{clip_grad_norm, Adam};
 use crate::sampler::{device_loads, load_cov, partition, SamplerKind};
 use fc_core::{Chgnet, ModelConfig};
 use fc_crystal::{GraphBatch, Sample};
-use fc_tensor::{par, pool, MemoryPlan, ParamStore, PoolCore, ProfileSnapshot, Profiler, Tape};
+use fc_tensor::{par, pool, ParamStore, PoolCore, ProfileSnapshot, Profiler, Tape};
 use std::borrow::Cow;
 #[cfg(test)]
 use std::sync::atomic::Ordering;
@@ -73,9 +70,6 @@ pub struct ClusterConfig {
     pub grad_clip: Option<f64>,
     /// Host execution strategy for rank work.
     pub execution: ExecutionMode,
-    /// Memory plan applied to every rank tape. Defaults to planned;
-    /// [`MemoryPlan::naive`] reproduces the unplanned allocator bitwise.
-    pub memory_plan: MemoryPlan,
 }
 
 impl Default for ClusterConfig {
@@ -86,7 +80,6 @@ impl Default for ClusterConfig {
             comm: CommModel::a100_fat_tree(),
             grad_clip: Some(10.0),
             execution: ExecutionMode::default(),
-            memory_plan: MemoryPlan::default(),
         }
     }
 }
@@ -160,25 +153,24 @@ fn rank_work(
     loss_weights: &LossWeights,
     batch: &GraphBatch,
     inv_dev: f32,
-    plan: MemoryPlan,
 ) -> RankOutput {
     let bl = batch.labels.as_ref().expect("collated batch must carry labels");
-    let tape = Tape::with_plan(plan);
+    let tape = Tape::new();
     let loss: LossParts = {
         let _fwd = fc_telemetry::bridge::profiled_span("forward", tape.profiler());
         let pred = model.forward(&tape, store, batch);
         composite_loss(&tape, &pred, bl, loss_weights)
     };
-    // Read every scalar the caller needs *before* the final backward: the
-    // planner frees forward activations during the sweep.
+    // Read every scalar the caller needs *before* the final backward: it
+    // frees forward activations during the sweep.
     let loss_val = tape.with_value(loss.total, |t| t.item()) as f64;
     let mut components = [0.0f64; 4];
     for (k, part) in [loss.energy, loss.force, loss.stress, loss.magmom].into_iter().enumerate() {
         components[k] = tape.with_value(part, |t| t.item()) as f64;
     }
     // Backward (second-order when the model derives forces). The final
-    // sweep honours the memory plan: activations and intermediate grad
-    // buffers return to this thread's pool for the next step's forward.
+    // sweep returns activations and intermediate grad buffers to this
+    // thread's pool for the next step's forward.
     {
         let _bwd = fc_telemetry::bridge::profiled_span("backward", tape.profiler());
         store.zero_grads();
@@ -402,7 +394,6 @@ impl Cluster {
         let n_ranks = shards.n_ranks();
         let workers = self.replicas.len().min(n_ranks);
         let n_scalars = self.store.n_scalars();
-        let plan = self.cfg.memory_plan;
         for rep in &mut self.replicas[..workers] {
             rep.copy_values_from(&self.store);
         }
@@ -446,14 +437,12 @@ impl Cluster {
                                         }
                                         Shards::Collated(batch) => Cow::Borrowed(batch),
                                     };
-                                    let out = rank_work(model, store, lw, &batch, inv_dev, plan);
+                                    let out = rank_work(model, store, lw, &batch, inv_dev);
                                     outs.push((d, out, start.elapsed().as_secs_f64()));
                                     // Hand the shard's storage back, or the next
                                     // collation drains buffers the tapes reuse.
                                     if let Cow::Owned(batch) = batch {
-                                        if plan.is_planned() {
-                                            batch.recycle();
-                                        }
+                                        batch.recycle();
                                     }
                                 }
                                 *core = pool::take_core();

@@ -6,8 +6,8 @@
 //! * Adam + cosine annealing + the Eq. 14 large-batch LR scaling rule,
 //! * the default and Load-Balance batch samplers with the
 //!   coefficient-of-variance imbalance metric (Fig. 9),
-//! * a real ring all-reduce over replica gradients plus an α-β
-//!   interconnect cost model with communication overlap,
+//! * a deterministic tree all-reduce over replica gradients plus an α-β
+//!   ring interconnect cost model with communication overlap,
 //! * the simulated multi-GPU [`Cluster`] (numerically exact data
 //!   parallelism, simulated step clock),
 //! * an asynchronous data [`Prefetcher`],
@@ -28,7 +28,7 @@ pub mod scaling;
 pub mod sched;
 pub mod trainer;
 
-pub use allreduce::{ring_all_reduce, tree_all_reduce, tree_all_reduce_chunked, CommModel};
+pub use allreduce::{tree_all_reduce, tree_all_reduce_chunked, CommModel};
 pub use checkpoint::{load_checkpoint, save_checkpoint};
 pub use cluster::{Cluster, ClusterConfig, ExecutionMode, StepStats};
 pub use dataloader::{epoch_batches, Prefetcher};

@@ -11,12 +11,15 @@
 //!   value and the derivative path.
 //! * **N-device vs single-device cluster step** — data parallelism with
 //!   gradient averaging must track the one-big-device step, and the
-//!   simulated ring all-reduce must be bitwise deterministic (fixed
-//!   reduction order), so repeated N-device steps from the same state
-//!   produce bit-identical parameters.
+//!   tree all-reduce must be bitwise deterministic (fixed reduction
+//!   order), so repeated N-device steps from the same state produce
+//!   bit-identical parameters.
 //! * **Worker-count independence** — running the ranks on 1, 2 or `n`
 //!   worker threads (with the chunked tree all-reduce) must give
 //!   bit-identical parameters.
+//! * **Final vs retained backward** — the training step's freeing,
+//!   fused final sweep against the retained `backward` on a fresh pool
+//!   must give bit-identical parameters.
 //! * **Column-block views vs the materialised chain** — a GatedMLP linear
 //!   reading a shared view in place must give bit-identical values and
 //!   gradients to gathers + `concat_cols` + `linear` + `slice_cols`.
@@ -26,8 +29,11 @@ use fc_core::{compute_basis, Chgnet, ModelConfig, OptLevel};
 use fc_crystal::{
     CrystalGraph, DatasetConfig, Element, GraphBatch, Lattice, Sample, Structure, SynthMPtrj,
 };
-use fc_tensor::{MemoryPlan, ParamStore, Tape, Tensor, Var};
-use fc_train::{ring_all_reduce, tree_all_reduce_chunked, Cluster, ClusterConfig, ExecutionMode};
+use fc_tensor::{par, pool, ParamStore, PoolCore, Tape, Tensor, Var};
+use fc_train::{
+    clip_grad_norm, composite_loss, partition, tree_all_reduce_chunked, Adam, Cluster,
+    ClusterConfig, ExecutionMode,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Max absolute element difference between two equal-shape tensors.
@@ -337,30 +343,53 @@ pub fn check_worker_count_bitwise(n_devices: usize) -> CheckResult {
     )
 }
 
-/// The tape memory planner (pooled buffers, liveness-based activation
-/// freeing, in-place gradient accumulation) vs the naive
-/// allocate-everything path: two same-seed clusters stepped twice on the
-/// same batch must end with bit-identical parameters. The second step
-/// matters — it runs against a warm buffer pool, so recycled (cleared)
-/// buffers feed every kernel.
-pub fn check_memory_plan_bitwise(level: OptLevel) -> CheckResult {
+/// The final backward sweep (fused VJPs, frees at last use, in-place
+/// accumulation, pooled buffers) against the retained `backward`, at
+/// tolerance 0: two `Cluster::train_step`s against the same two steps built
+/// by hand — sampler shard, forward, composite loss, retained `backward`,
+/// clip, Adam. Each reference step runs on a fresh buffer pool and the
+/// retained sweep frees nothing before the tape's reset, so every reference
+/// acquire is a plain allocation. The cluster's second step runs against a
+/// warm pool, so recycled buffers feed every kernel there.
+pub fn check_final_sweep_bitwise(level: OptLevel) -> CheckResult {
     let data = cluster_dataset(53);
     let samples: Vec<&Sample> = data.samples.iter().collect();
-    let steps_with = |plan: MemoryPlan| {
-        let mut c = Cluster::new(
-            ModelConfig::tiny(level),
-            17,
-            ClusterConfig { memory_plan: plan, ..Default::default() },
-            CLUSTER_LR as f32,
-        );
-        c.train_step(&samples);
-        c.train_step(&samples);
-        c.store
-    };
+    let cfg = ClusterConfig::default();
+    let mut cluster = Cluster::new(ModelConfig::tiny(level), 17, cfg, CLUSTER_LR as f32);
+    cluster.train_step(&samples);
+    cluster.train_step(&samples);
+
+    let mut store = ParamStore::new();
+    let model = Chgnet::new(ModelConfig::tiny(level), &mut store, 17);
+    let mut opt = Adam::new(&store, CLUSTER_LR as f32);
+    let features: Vec<usize> = samples.iter().map(|s| s.graph.feature_number()).collect();
+    let shard = &partition(&features, 1, cfg.sampler)[0];
+    let graphs: Vec<_> = shard.iter().map(|&i| &samples[i].graph).collect();
+    let labels: Vec<_> = shard.iter().map(|&i| &samples[i].labels).collect();
+    let batch = GraphBatch::collate(&graphs, Some(&labels));
+    let outer_pool = pool::take_core();
+    par::with_width(1, || {
+        for _ in 0..2 {
+            pool::install_core(PoolCore::default());
+            let tape = Tape::new();
+            let pred = model.forward(&tape, &store, &batch);
+            let bl = batch.labels.as_ref().expect("collated with labels");
+            let loss = composite_loss(&tape, &pred, bl, &cluster.loss_weights);
+            store.zero_grads();
+            let gm = tape.backward(loss.total);
+            store.accumulate_grads(&tape, &gm);
+            tape.reset();
+            if let Some(max) = cfg.grad_clip {
+                clip_grad_norm(&mut store, max);
+            }
+            opt.step(&mut store);
+        }
+    });
+    pool::install_core(outer_pool);
     bitwise_params_check(
-        format!("memory_plan_bitwise_{level:?}"),
-        &steps_with(MemoryPlan::default()),
-        &[("naive".into(), steps_with(MemoryPlan::naive()))],
+        format!("final_sweep_bitwise_{level:?}"),
+        &store,
+        &[("final sweep".into(), cluster.store)],
     )
 }
 
@@ -610,48 +639,6 @@ pub fn check_tree_allreduce_determinism(n_ranks: usize, len: usize) -> CheckResu
     }
 }
 
-/// Bitwise determinism of the ring all-reduce itself: reducing cloned
-/// buffer sets twice must produce bit-identical results on every rank.
-pub fn check_allreduce_determinism(n_ranks: usize, len: usize) -> CheckResult {
-    let mut rng = StdRng::seed_from_u64(17);
-    let buffers: Vec<Vec<f32>> =
-        (0..n_ranks).map(|_| (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
-    let mut a = buffers.clone();
-    let mut b = buffers;
-    ring_all_reduce(&mut a);
-    ring_all_reduce(&mut b);
-
-    let mut mismatches = 0u64;
-    let mut detail = String::from("bit-identical");
-    for (r, (ba, bb)) in a.iter().zip(&b).enumerate() {
-        for (k, (x, y)) in ba.iter().zip(bb).enumerate() {
-            if x.to_bits() != y.to_bits() {
-                if mismatches == 0 {
-                    detail = format!("first mismatch: rank {r} element {k}");
-                }
-                mismatches += 1;
-            }
-        }
-    }
-    // Ranks must also agree with each other after the reduce.
-    for (r, ba) in a.iter().enumerate().skip(1) {
-        for (k, (x, y)) in a[0].iter().zip(ba).enumerate() {
-            if x.to_bits() != y.to_bits() {
-                if mismatches == 0 {
-                    detail = format!("rank 0 vs rank {r} diverge at element {k}");
-                }
-                mismatches += 1;
-            }
-        }
-    }
-    CheckResult {
-        name: "allreduce_determinism".into(),
-        max_err: mismatches as f64,
-        tol: 0.0,
-        detail,
-    }
-}
-
 /// The full equivalence suite with default tolerances.
 pub fn run_suite(seed: u64) -> Vec<CheckResult> {
     let mut out = vec![
@@ -664,12 +651,11 @@ pub fn run_suite(seed: u64) -> Vec<CheckResult> {
     out.extend(check_cluster_one_vs_n(4));
     out.push(check_cluster_determinism(4));
     out.push(check_worker_count_bitwise(4));
-    out.push(check_allreduce_determinism(4, 257));
     out.push(check_tree_allreduce_determinism(4, 257));
     for level in
         [OptLevel::Reference, OptLevel::ParallelBasis, OptLevel::Fusion, OptLevel::Decoupled]
     {
-        out.push(check_memory_plan_bitwise(level));
+        out.push(check_final_sweep_bitwise(level));
     }
     for level in [OptLevel::Fusion, OptLevel::Decoupled] {
         out.push(check_column_block_linear_bitwise(level));

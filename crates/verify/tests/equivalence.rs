@@ -1,11 +1,11 @@
 //! Equivalence suite: fused vs unfused, batched vs serial, 1 vs N
-//! devices, and bitwise determinism of the simulated all-reduce.
+//! devices, and the final backward sweep vs the retained one.
 
 use fc_verify::equivalence::{
-    check_allreduce_determinism, check_batched_vs_serial_model, check_cluster_determinism,
-    check_cluster_one_vs_n, check_column_block_linear_bitwise, check_fused_basis_values,
+    check_batched_vs_serial_model, check_cluster_determinism, check_cluster_one_vs_n,
+    check_column_block_linear_bitwise, check_final_sweep_bitwise, check_fused_basis_values,
     check_fused_gate, check_fused_layer_norm, check_fused_message_path_bitwise,
-    check_fusion_vs_parallel_model, check_memory_plan_bitwise, run_suite,
+    check_fusion_vs_parallel_model, run_suite,
 };
 
 #[test]
@@ -39,18 +39,12 @@ fn cluster_step_is_bitwise_deterministic() {
 }
 
 #[test]
-fn allreduce_is_bitwise_deterministic() {
-    check_allreduce_determinism(4, 257).assert_ok();
-    check_allreduce_determinism(3, 64).assert_ok();
-}
-
-#[test]
-fn memory_planner_is_bitwise_identical_to_naive_path() {
+fn final_sweep_is_bitwise_the_retained_backward() {
     use fc_core::OptLevel;
     for level in
         [OptLevel::Reference, OptLevel::ParallelBasis, OptLevel::Fusion, OptLevel::Decoupled]
     {
-        check_memory_plan_bitwise(level).assert_ok();
+        check_final_sweep_bitwise(level).assert_ok();
     }
 }
 

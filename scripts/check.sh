@@ -72,8 +72,8 @@ cargo test --release -q -p fastchgnet-crystal --lib neighbor::tests
 cargo test --release -q -p fastchgnet-tensor --lib -- \
   first_block_partials bases_are_bitwise high_orders_match_the_f64_leibniz_sum
 
-echo "== memory-planner equivalence smoke (planned vs naive bitwise, release) =="
-cargo test --release -q -p fc_verify --test equivalence memory_planner_is_bitwise_identical_to_naive_path
+echo "== final-sweep equivalence smoke (final sweep vs retained backward bitwise, release) =="
+cargo test --release -q -p fc_verify --test equivalence final_sweep_is_bitwise_the_retained_backward
 
 echo "== memory-planner steady-state allocation smoke (release) =="
 cargo test --release -q -p fastchgnet-train steady_state_cluster_steps_allocate_nothing_new
