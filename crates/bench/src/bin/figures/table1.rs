@@ -30,19 +30,13 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
 
     let variants = [ModelVariant::Reference, ModelVariant::FastNoHead, ModelVariant::FastHead];
     let mut rows = Vec::new();
-    let mut tsv = String::from(
-        "model\tparams\te_mae_meV_atom\tf_mae_meV_A\ts_mae_GPa\tm_mae_mmuB\tsim_hours\n",
-    );
+    let mut tsv =
+        String::from("model\tparams\te_mae_meV_atom\tf_mae_meV_A\ts_mae_GPa\tm_mae_mmuB\n");
     for (variant, paper_row) in variants.iter().zip(&paper) {
         println!("training {} ...", variant.label());
         let (_, report) = train_model(&data, &scale.train_config(*variant));
         let m = report.test;
-        println!(
-            "  -> {} | params {} | sim time {:.2} s",
-            m.summary(),
-            report.n_params,
-            report.sim_time_total
-        );
+        println!("  -> {} | params {}", m.summary(), report.n_params);
         rows.push(vec![
             variant.label().to_string(),
             format!("{:.1}K", report.n_params as f64 / 1e3),
@@ -52,14 +46,13 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
             format!("{:.1} (paper {:.0})", m.m_mae * 1e3, paper_row.5),
         ]);
         tsv.push_str(&format!(
-            "{}\t{}\t{:.3}\t{:.3}\t{:.4}\t{:.3}\t{:.6}\n",
+            "{}\t{}\t{:.3}\t{:.3}\t{:.4}\t{:.3}\n",
             variant.label(),
             report.n_params,
             m.e_mae * 1e3,
             m.f_mae * 1e3,
             m.s_mae,
             m.m_mae * 1e3,
-            report.sim_time_total / 3600.0
         ));
     }
 

@@ -299,6 +299,26 @@ mod tests {
         }
     }
 
+    /// The nine pooled f32 buffers of a labelled batch, in `recycle` order,
+    /// as bit patterns.
+    fn pooled_bits(b: &GraphBatch) -> Vec<Vec<u32>> {
+        let l = b.labels.as_ref().expect("labelled batch");
+        [
+            &b.positions,
+            &b.bond_image,
+            &b.bond_r,
+            &b.lattices,
+            &l.energy,
+            &l.n_atoms,
+            &l.forces,
+            &l.stress,
+            &l.magmoms,
+        ]
+        .iter()
+        .map(|t| t.data().iter().map(|x| x.to_bits()).collect())
+        .collect()
+    }
+
     #[test]
     fn recycled_buffers_feed_the_next_collate() {
         // Fresh thread => fresh thread-local pool, so the hit counts
@@ -308,8 +328,12 @@ mod tests {
             let g2 = graph(4.4, 25);
             let l1 = evaluate(&g1.structure);
             let l2 = evaluate(&g2.structure);
-            let b1 = GraphBatch::collate(&[&g1, &g2], Some(&[&l1, &l2]));
-            let reference = b1.positions.data().to_vec();
+            let reference = pooled_bits(&GraphBatch::collate(&[&g1, &g2], Some(&[&l1, &l2])));
+            // The same graphs in the other order: every buffer has the
+            // reference's length but other contents, which the next
+            // collate must overwrite.
+            let b1 = GraphBatch::collate(&[&g2, &g1], Some(&[&l2, &l1]));
+            let stale = pooled_bits(&b1);
             let before = fc_tensor::pool::stats();
             b1.recycle();
             let b2 = GraphBatch::collate(&[&g1, &g2], Some(&[&l1, &l2]));
@@ -318,7 +342,10 @@ mod tests {
             assert_eq!(after.hits - before.hits, 9, "expected every buffer to be reused");
             assert_eq!(after.misses, before.misses);
             // Reuse must not change the collated contents.
-            assert_eq!(b2.positions.data(), reference.as_slice());
+            for (k, (got, want)) in pooled_bits(&b2).iter().zip(&reference).enumerate() {
+                assert_eq!(got, want, "recycled buffer {k} differs from a fresh collate");
+            }
+            assert_ne!(stale, reference, "the recycled batch must hold other values");
         })
         .join()
         .unwrap();

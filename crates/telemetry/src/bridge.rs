@@ -38,21 +38,6 @@ pub fn record_profile(prefix: &str, snap: &ProfileSnapshot) {
     }
 }
 
-/// Record the profiler's per-op-kind accounting table under
-/// `tensor.op.<kind>.{count,flops,bytes}` counters. Call once per run
-/// (the table is cumulative) — per-op rows make fusion's traffic savings
-/// visible next to the chains they replace.
-pub fn record_per_op(profiler: &Profiler) {
-    if !crate::enabled() {
-        return;
-    }
-    for (kind, totals) in profiler.per_op() {
-        crate::counter_add(&format!("tensor.op.{kind}.count"), totals.count);
-        crate::counter_add(&format!("tensor.op.{kind}.flops"), totals.flops);
-        crate::counter_add(&format!("tensor.op.{kind}.bytes"), totals.bytes);
-    }
-}
-
 /// A span that also bridges the profiler counters accumulated while it
 /// was open: on drop, records the kernel/FLOP/byte delta and byte levels
 /// under `tensor.<name>.*`, derives achieved GFLOP/s from the span's own
@@ -156,24 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn per_op_table_lands_under_tensor_op() {
-        let _l = crate::tests::test_lock();
-        crate::reset();
-        crate::set_enabled(true);
-        let p = Profiler::new();
-        p.record_cost(OpCost { kind: "matmul", flops: 64, bytes: 32 });
-        p.record_cost(OpCost { kind: "fused.gate", flops: 28, bytes: 12 });
-        p.record_cost(OpCost { kind: "fused.gate", flops: 28, bytes: 12 });
-        record_per_op(&p);
-        let snap = crate::snapshot();
-        crate::set_enabled(false);
-        assert_eq!(snap.counters["tensor.op.matmul.count"], 1);
-        assert_eq!(snap.counters["tensor.op.matmul.flops"], 64);
-        assert_eq!(snap.counters["tensor.op.fused.gate.count"], 2);
-        assert_eq!(snap.counters["tensor.op.fused.gate.bytes"], 24);
-    }
-
-    #[test]
     fn profiled_span_samples_memory_timeline_when_tracing() {
         let _l = crate::tests::test_lock();
         crate::reset();
@@ -213,7 +180,6 @@ mod tests {
             p.record_kernel(false);
         }
         record_profile("tensor.x", &p.snapshot());
-        record_per_op(&p);
         let snap = crate::snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.spans.is_empty());

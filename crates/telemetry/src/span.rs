@@ -2,8 +2,8 @@
 //!
 //! Each thread keeps its own stack of open span names; opening a span
 //! pushes onto the stack and records the full `/`-joined path, so the
-//! training loop's `epoch` → `forward` nesting and a prefetch worker's
-//! independent `dataloader_wait` both land under honest paths without any
+//! training loop's `epoch` → `forward` nesting and a cluster rank worker's
+//! independent `rank_step` both land under honest paths without any
 //! cross-thread locking on the hot open path.
 
 use std::cell::RefCell;

@@ -108,18 +108,10 @@ pub fn slice_rows(a: &Tensor, start: usize, len: usize) -> Tensor {
     Tensor::from_vec(Shape::new(len, cols), out)
 }
 
-/// Scatter-add rows of `grad` into a zero tensor of `rows` rows:
-/// `out[idx[r], :] += grad[r, :]`. The VJP of [`gather_rows`].
-///
-/// # Panics
-/// Panics when `idx.len() != grad.rows()` or an index is `>= rows`.
-pub fn scatter_add_rows(grad: &Tensor, idx: &[u32], rows: usize) -> Tensor {
-    crate::kernels::segment::segment_sum(grad, idx, rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::segment::segment_sum;
 
     fn t23() -> Tensor {
         Tensor::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]])
@@ -194,7 +186,7 @@ mod tests {
             vec![1.0, 1.0, 1.0],
         ]);
         let ga = gather_rows(&a, &idx);
-        let sg = scatter_add_rows(&g, &idx, a.rows());
+        let sg = segment_sum(&g, &idx, a.rows());
         let lhs: f32 = ga.data().iter().zip(g.data()).map(|(x, y)| x * y).sum();
         let rhs: f32 = a.data().iter().zip(sg.data()).map(|(x, y)| x * y).sum();
         assert!((lhs - rhs).abs() < 1e-5);
@@ -203,7 +195,7 @@ mod tests {
     #[test]
     fn scatter_accumulates() {
         let g = Tensor::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
-        let out = scatter_add_rows(&g, &[0, 0, 1], 2);
+        let out = segment_sum(&g, &[0, 0, 1], 2);
         assert_eq!(out.data(), &[3.0, 3.0]);
     }
 }

@@ -115,16 +115,6 @@ fn weight_row<'a>(w: &Block<'a>, r: usize, m: usize) -> &'a [f32] {
     &w.src.data()[i * m..(i + 1) * m]
 }
 
-/// Per-segment row counts as an `(nseg, 1)` tensor. Useful for segment
-/// means (e.g. per-atom energy normalisation).
-pub fn segment_counts(seg: &[u32], nseg: usize) -> Tensor {
-    let mut out = crate::pool::zeroed(nseg);
-    for &s in seg {
-        out[s as usize] += 1.0;
-    }
-    Tensor::from_vec(Shape::new(nseg, 1), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,12 +135,6 @@ mod tests {
         let a = Tensor::from_rows(&[vec![5.0]]);
         let out = segment_sum(&a, &[2], 4);
         assert_eq!(out.data(), &[0.0, 0.0, 5.0, 0.0]);
-    }
-
-    #[test]
-    fn counts() {
-        let c = segment_counts(&[0, 0, 2, 2, 2], 3);
-        assert_eq!(c.data(), &[2.0, 0.0, 3.0]);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! * **Width** is a thread-scoped budget ([`with_width`]), not a global
 //!   knob: a thread may use at most [`width`] threads per kernel, itself
-//!   included. Cluster rank workers, the prefetch thread and the helpers
-//!   themselves run at width 1.
+//!   included. Cluster rank workers and the helpers themselves run at
+//!   width 1.
 //! * **Helpers.** `available_parallelism() - 1` helper threads start on the
 //!   first split and live for the process. There is one job slot: a caller
 //!   that finds it taken (another thread is splitting) runs its kernel
@@ -614,7 +614,6 @@ mod tests {
                     }
                 }),
             ),
-            ("scatter_add_rows", Box::new(move || gk::scatter_add_rows(&b, &seg, 301))),
         ]
     }
 

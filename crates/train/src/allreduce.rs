@@ -1,5 +1,6 @@
-//! Gradient all-reduce: a deterministic tree over simulated devices plus
-//! the α-β ring cost model used by the cluster clock.
+//! Gradient all-reduce: the deterministic tree the cluster combines rank
+//! gradients with, plus the α-β ring cost model ([`CommModel`]) that
+//! [`crate::ScalingModel`] adds to projected step times.
 
 /// Deterministic tree all-reduce over `p` equally-shaped buffers: after the
 /// call every buffer holds the elementwise **sum**. The reduction order is a

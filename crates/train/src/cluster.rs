@@ -14,22 +14,19 @@
 //! the replica, and the gradient combine order is fixed by the tree, not
 //! by thread arrival.
 //!
-//! Two clocks are reported per step: `sim_time`, the modelled cluster
-//! duration `max_d(compute_d) + exposed_allreduce_time` under the α-β
-//! [`CommModel`], and `wall_time`, the measured host duration of the step
-//! — which is what threading actually improves. The simulated clock
-//! preserves exactly the phenomena the paper measures: stragglers from
-//! load imbalance (Fig. 9) and falling scaling efficiency from
-//! communication overhead (Fig. 10).
+//! A step reports what it measured: each rank's compute seconds and the
+//! sampler's per-rank loads, the inputs of the straggler picture (Fig. 9).
+//! The cluster keeps no clock of its own; the projection to 32 A100s
+//! (Fig. 10) is [`crate::ScalingModel`]'s, the one place that adds the α-β
+//! all-reduce time.
 
-use crate::allreduce::{tree_all_reduce_chunked, CommModel};
+use crate::allreduce::tree_all_reduce_chunked;
 use crate::loss::{composite_loss, LossParts, LossWeights};
 use crate::optim::{clip_grad_norm, Adam};
 use crate::sampler::{device_loads, load_cov, partition, SamplerKind};
 use fc_core::{Chgnet, ModelConfig};
 use fc_crystal::{GraphBatch, Sample};
 use fc_tensor::{par, pool, ParamStore, PoolCore, ProfileSnapshot, Profiler, Tape};
-use std::borrow::Cow;
 #[cfg(test)]
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -64,8 +61,6 @@ pub struct ClusterConfig {
     pub n_devices: usize,
     /// Batch partitioning strategy.
     pub sampler: SamplerKind,
-    /// Interconnect model.
-    pub comm: CommModel,
     /// Optional global gradient-norm clip.
     pub grad_clip: Option<f64>,
     /// Host execution strategy for rank work.
@@ -77,7 +72,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             n_devices: 1,
             sampler: SamplerKind::LoadBalance,
-            comm: CommModel::a100_fat_tree(),
             grad_clip: Some(10.0),
             execution: ExecutionMode::default(),
         }
@@ -97,12 +91,6 @@ pub struct StepStats {
     pub device_loads: Vec<f64>,
     /// Coefficient of variance of the loads.
     pub load_cov: f64,
-    /// Exposed all-reduce time (seconds, simulated).
-    pub comm_time: f64,
-    /// Simulated step duration: max compute + exposed comm.
-    pub sim_time: f64,
-    /// Measured wall-clock duration of the whole step on the host.
-    pub wall_time: f64,
     /// Pre-clip gradient norm.
     pub grad_norm: f64,
 }
@@ -118,9 +106,6 @@ pub struct Cluster {
     /// Loss prefactors.
     pub loss_weights: LossWeights,
     cfg: ClusterConfig,
-    grad_bytes: usize,
-    sim_time_total: f64,
-    wall_time_total: f64,
     /// One parameter replica per worker thread; the ranks of a worker run
     /// one after another against it. Values are copied from `store` every
     /// step.
@@ -197,26 +182,6 @@ fn write_flat_grads(store: &mut ParamStore, flat: &[f32]) {
     }
 }
 
-/// Where each rank's collated batch comes from.
-#[derive(Clone, Copy)]
-enum Shards<'a> {
-    /// Rank `d` collates `parts[d]` of the global batch on its worker and
-    /// records `loads[d]` on its trace lane; a rank with an empty part sits
-    /// the step out.
-    Global { samples: &'a [&'a Sample], parts: &'a [Vec<usize>], loads: &'a [f64] },
-    /// One pre-collated batch for a single rank (the prefetch path).
-    Collated(&'a GraphBatch),
-}
-
-impl Shards<'_> {
-    fn n_ranks(&self) -> usize {
-        match self {
-            Shards::Global { parts, .. } => parts.len(),
-            Shards::Collated(_) => 1,
-        }
-    }
-}
-
 /// Accumulated per-rank results of the sharded phase of a step, in rank
 /// order.
 struct RankSet {
@@ -234,7 +199,6 @@ impl Cluster {
         let mut store = ParamStore::new();
         let model = Chgnet::new(model_cfg, &mut store, seed);
         let opt = Adam::new(&store, lr);
-        let grad_bytes = store.n_scalars() * 4;
         let workers = cluster_cfg.execution.workers(cluster_cfg.n_devices);
         let replicas = (0..workers).map(|_| store.clone()).collect();
         let pools = (0..workers).map(|_| PoolCore::default()).collect();
@@ -244,28 +208,10 @@ impl Cluster {
             opt,
             loss_weights: LossWeights::default(),
             cfg: cluster_cfg,
-            grad_bytes,
-            sim_time_total: 0.0,
-            wall_time_total: 0.0,
             replicas,
             pools,
             profiler: Profiler::new(),
         }
-    }
-
-    /// Cluster configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
-    /// Total simulated training seconds so far.
-    pub fn sim_time_total(&self) -> f64 {
-        self.sim_time_total
-    }
-
-    /// Total measured host seconds spent in steps so far.
-    pub fn wall_time_total(&self) -> f64 {
-        self.wall_time_total
     }
 
     /// Cluster-wide profiler counters, aggregated across every rank tape
@@ -284,31 +230,9 @@ impl Cluster {
         self.opt.lr = lr;
     }
 
-    /// Single-device step over a pre-collated batch — the consumer side
-    /// of the paper's data-prefetch pipeline ([`crate::Prefetcher`]
-    /// prepares batches on a background thread while the device computes).
-    /// The forward/backward runs as rank 0 on worker 0. Returns the total
-    /// weighted loss.
-    pub fn train_collated_step(&mut self, batch: &GraphBatch) -> f64 {
-        assert!(batch.labels.is_some(), "prefetched batch must carry labels");
-        let wall_start = Instant::now();
-        let ranks = self.run_ranks(Shards::Collated(batch), 1.0);
-        write_flat_grads(&mut self.store, &ranks.buffers[0]);
-        if let Some(max) = self.cfg.grad_clip {
-            clip_grad_norm(&mut self.store, max);
-        }
-        self.opt.step(&mut self.store);
-        self.store.zero_grads();
-        let elapsed = wall_start.elapsed().as_secs_f64();
-        self.sim_time_total += elapsed;
-        self.wall_time_total += elapsed;
-        ranks.loss_sum
-    }
-
     /// Execute one data-parallel training step over a global batch.
     pub fn train_step(&mut self, global_batch: &[&Sample]) -> StepStats {
         assert!(!global_batch.is_empty(), "empty global batch");
-        let wall_start = Instant::now();
         let _step_span = fc_telemetry::span("train_step");
         let features: Vec<usize> = global_batch.iter().map(|s| s.graph.feature_number()).collect();
         let parts = partition(&features, self.cfg.n_devices, self.cfg.sampler);
@@ -333,9 +257,7 @@ impl Cluster {
             }
         }
 
-        let inv_dev = 1.0 / self.cfg.n_devices as f32;
-        let shards = Shards::Global { samples: global_batch, parts: &parts, loads: &loads };
-        let mut ranks = self.run_ranks(shards, inv_dev);
+        let mut ranks = self.run_ranks(global_batch, &parts, &loads);
 
         // Combine replica gradients with the deterministic tree all-reduce:
         // the reduction order is fixed by rank index, so every worker count
@@ -357,14 +279,7 @@ impl Cluster {
         self.store.zero_grads();
         drop(_opt_span);
 
-        let comm_time = self.cfg.comm.exposed_time(self.grad_bytes, self.cfg.n_devices);
-        fc_telemetry::gauge_set("cluster.comm_exposed_s", comm_time);
         fc_telemetry::gauge_set("cluster.grad_norm", grad_norm);
-        let max_compute = ranks.device_compute.iter().copied().fold(0.0f64, f64::max);
-        let sim_time = max_compute + comm_time;
-        self.sim_time_total += sim_time;
-        let wall_time = wall_start.elapsed().as_secs_f64();
-        self.wall_time_total += wall_time;
 
         let active = ranks.active.max(1) as f64;
         StepStats {
@@ -378,20 +293,20 @@ impl Cluster {
             device_compute: ranks.device_compute,
             device_loads: loads,
             load_cov: cov,
-            comm_time,
-            sim_time,
-            wall_time,
             grad_norm,
         }
     }
 
-    /// Run every rank's work: rank `d` on scoped worker `d % workers`, one
-    /// rank after another, against that worker's value-synced replica and
-    /// with that worker's buffer pool installed. Results are gathered back
-    /// in rank order, so downstream combination is independent of which
-    /// thread finished first.
-    fn run_ranks(&mut self, shards: Shards<'_>, inv_dev: f32) -> RankSet {
-        let n_ranks = shards.n_ranks();
+    /// Run every rank's work: rank `d` collates `parts[d]` of the global
+    /// batch on scoped worker `d % workers`, one rank after another, against
+    /// that worker's value-synced replica and with that worker's buffer pool
+    /// installed, and records `loads[d]` on its trace lane; a rank with an
+    /// empty part sits the step out. Results are gathered back in rank
+    /// order, so downstream combination is independent of which thread
+    /// finished first.
+    fn run_ranks(&mut self, samples: &[&Sample], parts: &[Vec<usize>], loads: &[f64]) -> RankSet {
+        let n_ranks = parts.len();
+        let inv_dev = 1.0 / n_ranks as f32;
         let workers = self.replicas.len().min(n_ranks);
         let n_scalars = self.store.n_scalars();
         for rep in &mut self.replicas[..workers] {
@@ -420,30 +335,21 @@ impl Cluster {
                                     // workers; attribution is by lane id, not by
                                     // wall-clock disjointness.
                                     let _lane = fc_telemetry::trace::lane_scope(d as u32);
-                                    if let Shards::Global { parts, loads, .. } = shards {
-                                        fc_telemetry::trace::counter(
-                                            fc_telemetry::analysis::RANK_LOAD_COUNTER,
-                                            loads[d],
-                                        );
-                                        if parts[d].is_empty() {
-                                            continue;
-                                        }
+                                    fc_telemetry::trace::counter(
+                                        fc_telemetry::analysis::RANK_LOAD_COUNTER,
+                                        loads[d],
+                                    );
+                                    if parts[d].is_empty() {
+                                        continue;
                                     }
                                     let _rank_span = fc_telemetry::span("rank_step");
                                     let start = Instant::now();
-                                    let batch = match shards {
-                                        Shards::Global { samples, parts, .. } => {
-                                            Cow::Owned(collate_shard(samples, &parts[d]))
-                                        }
-                                        Shards::Collated(batch) => Cow::Borrowed(batch),
-                                    };
+                                    let batch = collate_shard(samples, &parts[d]);
                                     let out = rank_work(model, store, lw, &batch, inv_dev);
                                     outs.push((d, out, start.elapsed().as_secs_f64()));
                                     // Hand the shard's storage back, or the next
                                     // collation drains buffers the tapes reuse.
-                                    if let Cow::Owned(batch) = batch {
-                                        batch.recycle();
-                                    }
+                                    batch.recycle();
                                 }
                                 *core = pool::take_core();
                                 outs
@@ -551,11 +457,6 @@ mod tests {
         let stats = cluster.train_step(&samples);
         assert_eq!(stats.device_compute.len(), 4);
         assert_eq!(stats.device_loads.len(), 4);
-        assert!(stats.comm_time > 0.0);
-        assert!(stats.sim_time >= stats.comm_time);
-        assert!(stats.wall_time > 0.0);
-        assert!(cluster.sim_time_total() >= stats.sim_time);
-        assert!(cluster.wall_time_total() >= stats.wall_time);
     }
 
     #[test]
@@ -631,31 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn collated_step_matches_one_device_train_step_bitwise() {
-        // Both entry points share one rank runner: a pre-collated batch of
-        // the whole global batch is exactly what a one-device train_step
-        // collates for its only rank (the Default sampler keeps order).
-        let data = dataset();
-        let samples: Vec<&Sample> = data.samples.iter().collect();
-        let graphs: Vec<_> = data.samples.iter().map(|s| &s.graph).collect();
-        let labels: Vec<_> = data.samples.iter().map(|s| &s.labels).collect();
-        let batch = GraphBatch::collate(&graphs, Some(&labels));
-        let mk = || {
-            Cluster::new(
-                ModelConfig::tiny(OptLevel::Decoupled),
-                9,
-                ClusterConfig { sampler: SamplerKind::Default, ..Default::default() },
-                1e-3,
-            )
-        };
-        let (mut stepped, mut collated) = (mk(), mk());
-        let s = stepped.train_step(&samples);
-        let l = collated.train_collated_step(&batch);
-        assert_eq!(s.loss, l, "collated loss diverged");
-        assert!(param_bits(&stepped) == param_bits(&collated), "collated params diverged");
-    }
-
-    #[test]
     fn ranks_without_samples_sit_the_step_out() {
         // 5 samples on 8 ranks: the Default sampler gives ranks 0..5 one
         // sample each and leaves ranks 5..8 empty.
@@ -721,35 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetched_training_pipeline_learns() {
-        use crate::dataloader::{epoch_batches, Prefetcher};
-        use std::sync::Arc;
-        let data = dataset();
-        let samples = Arc::new(data.samples.clone());
-        let mut cluster =
-            Cluster::new(ModelConfig::tiny(OptLevel::Decoupled), 3, ClusterConfig::default(), 1e-2);
-        // Compare mean epoch loss, not single noisy batches.
-        let mut epoch_means = Vec::new();
-        for epoch in 0..4 {
-            let batches = epoch_batches(samples.len(), 6, epoch);
-            let mut pf = Prefetcher::new(samples.clone(), batches, 2);
-            let mut acc = 0.0;
-            let mut n = 0;
-            while let Some(batch) = pf.next_batch() {
-                acc += cluster.train_collated_step(&batch);
-                n += 1;
-                // Hand spent collation buffers back to the prefetch thread.
-                pf.recycle(batch);
-            }
-            epoch_means.push(acc / n.max(1) as f64);
-        }
-        assert!(
-            epoch_means.last().unwrap() < epoch_means.first().unwrap(),
-            "epoch losses {epoch_means:?}"
-        );
-    }
-
-    #[test]
     fn steady_state_cluster_steps_allocate_nothing_new() {
         // Allocation-regression guard: after a 2-step warm-up the worker
         // pools must serve every tape/grad buffer of a repeated step — zero
@@ -758,31 +605,23 @@ mod tests {
         // rank tape whichever worker thread ran it.
         let data = dataset();
         let samples: Vec<&Sample> = data.samples.iter().collect();
-        let graphs: Vec<_> = data.samples.iter().map(|s| &s.graph).collect();
-        let labels: Vec<_> = data.samples.iter().map(|s| &s.labels).collect();
-        let batch = GraphBatch::collate(&graphs, Some(&labels));
-        let misses_per_step = |cfg: ClusterConfig, step: &dyn Fn(&mut Cluster)| {
+        let misses_per_step = |cfg: ClusterConfig| {
             let mut cluster = Cluster::new(ModelConfig::tiny(OptLevel::Decoupled), 3, cfg, 1e-3);
             let mut misses = Vec::new();
             for _ in 0..4 {
                 let before = cluster.profile().pool_misses;
-                step(&mut cluster);
+                cluster.train_step(&samples);
                 misses.push(cluster.profile().pool_misses - before);
             }
             misses
         };
-        let collated = misses_per_step(ClusterConfig::default(), &|c| {
-            c.train_collated_step(&batch);
-        });
-        let four_ranks = ClusterConfig {
+        let one_rank = misses_per_step(ClusterConfig::default());
+        let four_ranks = misses_per_step(ClusterConfig {
             n_devices: 4,
             execution: ExecutionMode::Threaded(2),
             ..Default::default()
-        };
-        let sharded = misses_per_step(four_ranks, &|c| {
-            c.train_step(&samples);
         });
-        for misses in [collated, sharded] {
+        for misses in [one_rank, four_ranks] {
             assert!(misses[0] > 0, "cold start must fall through to the allocator");
             assert_eq!(misses[2..], [0, 0], "steady-state step still allocating: {misses:?}");
         }
@@ -844,7 +683,6 @@ mod tests {
                 assert!(snap.counters[&format!("cluster.rank{d}.atoms")] > 0);
             }
             assert!(snap.gauges["cluster.load_imbalance"] >= 1.0);
-            assert!(snap.gauges["cluster.comm_exposed_s"] >= 0.0);
             assert!(snap.histograms["cluster.rank_load_features"].count >= 4);
         }
     }

@@ -1,16 +1,9 @@
-//! Epoch batching and asynchronous data prefetch.
-//!
-//! The paper's "Data Prefetch" optimization overlaps host-side batch
-//! preparation with device compute. Here a background thread collates the
-//! next global batches into [`GraphBatch`]es behind a bounded channel
-//! while the trainer consumes the current one.
+//! Epoch batching: the seeded shuffle that splits a split's indices into
+//! global batches. Each rank collates its own shard of a global batch on
+//! its worker thread ([`crate::Cluster::train_step`]).
 
-use fc_crystal::{GraphBatch, Sample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Deterministically shuffled index batches for one epoch.
 pub fn epoch_batches(n: usize, batch_size: usize, seed: u64) -> Vec<Vec<usize>> {
@@ -24,79 +17,9 @@ pub fn epoch_batches(n: usize, batch_size: usize, seed: u64) -> Vec<Vec<usize>> 
     order.chunks(batch_size).map(<[usize]>::to_vec).collect()
 }
 
-/// Background collation pipeline. Sends pre-collated labelled batches
-/// through a bounded channel of depth `depth`.
-pub struct Prefetcher {
-    rx: Option<Receiver<GraphBatch>>,
-    recycle_tx: SyncSender<GraphBatch>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Prefetcher {
-    /// Spawn the prefetch thread over `batches` of indices into `samples`.
-    pub fn new(samples: Arc<Vec<Sample>>, batches: Vec<Vec<usize>>, depth: usize) -> Self {
-        let (tx, rx) = sync_channel(depth.max(1));
-        // Sized to hold every batch of the epoch, so `recycle` can never
-        // block the consumer and the Drop shutdown path stays
-        // deadlock-free even if the producer has already exited.
-        let (recycle_tx, recycle_rx) = sync_channel::<GraphBatch>(batches.len().max(1));
-        // Collation kernels stay on the prefetch thread (width 1): it runs
-        // beside the training thread, which owns the helper pool's width.
-        let handle = std::thread::spawn(move || {
-            fc_tensor::par::with_width(1, || {
-                for idxs in batches {
-                    if idxs.is_empty() {
-                        continue;
-                    }
-                    // Return any spent batches to this thread's buffer pool
-                    // before collating, so the collation below reuses their
-                    // storage instead of allocating.
-                    while let Ok(spent) = recycle_rx.try_recv() {
-                        spent.recycle();
-                    }
-                    let graphs: Vec<_> = idxs.iter().map(|&i| &samples[i].graph).collect();
-                    let labels: Vec<_> = idxs.iter().map(|&i| &samples[i].labels).collect();
-                    let batch = GraphBatch::collate(&graphs, Some(&labels));
-                    if tx.send(batch).is_err() {
-                        return; // consumer dropped
-                    }
-                }
-            })
-        });
-        Prefetcher { rx: Some(rx), recycle_tx, handle: Some(handle) }
-    }
-
-    /// Blocking receive of the next prepared batch; `None` when the epoch
-    /// is exhausted.
-    pub fn next_batch(&mut self) -> Option<GraphBatch> {
-        self.rx.as_ref().and_then(|rx| rx.recv().ok())
-    }
-
-    /// Hand a consumed batch back to the producer, which releases its
-    /// tensor buffers into the collation thread's pool before preparing
-    /// the next batch. Batches recycled after the epoch ends (or after
-    /// the producer exits) are simply dropped.
-    pub fn recycle(&self, batch: GraphBatch) {
-        let _ = self.recycle_tx.send(batch);
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        // Closing the channel first makes any in-flight producer `send`
-        // fail immediately, so the join below cannot deadlock on a full
-        // channel.
-        drop(self.rx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fc_crystal::{DatasetConfig, SynthMPtrj};
 
     #[test]
     fn batches_cover_all_indices() {
@@ -111,98 +34,5 @@ mod tests {
     fn shuffling_is_seeded() {
         assert_eq!(epoch_batches(20, 4, 7), epoch_batches(20, 4, 7));
         assert_ne!(epoch_batches(20, 4, 7), epoch_batches(20, 4, 8));
-    }
-
-    #[test]
-    fn prefetcher_delivers_all_batches() {
-        let data = SynthMPtrj::generate(&DatasetConfig {
-            n_structures: 8,
-            max_atoms: 6,
-            ..Default::default()
-        });
-        let samples = Arc::new(data.samples);
-        let batches = epoch_batches(samples.len(), 3, 0);
-        let expect = batches.len();
-        let mut pf = Prefetcher::new(samples.clone(), batches, 2);
-        let mut seen = 0;
-        let mut total_graphs = 0;
-        while let Some(b) = pf.next_batch() {
-            seen += 1;
-            total_graphs += b.n_graphs;
-            assert!(b.labels.is_some());
-        }
-        assert_eq!(seen, expect);
-        assert_eq!(total_graphs, samples.len());
-    }
-
-    #[test]
-    fn recycling_consumer_receives_identical_batches() {
-        let data = SynthMPtrj::generate(&DatasetConfig {
-            n_structures: 9,
-            max_atoms: 6,
-            ..Default::default()
-        });
-        let samples = Arc::new(data.samples);
-        let batches = epoch_batches(samples.len(), 3, 4);
-
-        // Reference run: no recycling.
-        let mut plain = Vec::new();
-        let mut pf = Prefetcher::new(samples.clone(), batches.clone(), 1);
-        while let Some(b) = pf.next_batch() {
-            plain.push(b);
-        }
-
-        // Recycling run over the same batches must deliver bitwise the
-        // same tensors even though buffers are being reused.
-        let mut pf = Prefetcher::new(samples.clone(), batches, 1);
-        let mut i = 0;
-        while let Some(b) = pf.next_batch() {
-            assert_eq!(b.positions.data(), plain[i].positions.data());
-            assert_eq!(b.bond_r.data(), plain[i].bond_r.data());
-            let (bl, pl) = (b.labels.as_ref().unwrap(), plain[i].labels.as_ref().unwrap());
-            assert_eq!(bl.forces.data(), pl.forces.data());
-            assert_eq!(bl.energy.data(), pl.energy.data());
-            pf.recycle(b);
-            i += 1;
-        }
-        assert_eq!(i, plain.len());
-    }
-
-    #[test]
-    fn prefetcher_drop_mid_stream_is_clean() {
-        let data = SynthMPtrj::generate(&DatasetConfig {
-            n_structures: 10,
-            max_atoms: 6,
-            ..Default::default()
-        });
-        let samples = Arc::new(data.samples);
-        let batches = epoch_batches(samples.len(), 2, 0);
-        let mut pf = Prefetcher::new(samples, batches, 1);
-        let _ = pf.next_batch();
-        drop(pf); // must not deadlock or panic
-    }
-
-    #[test]
-    fn prefetcher_shutdown_when_consumer_never_reads() {
-        // Hardest shutdown case: the consumer drops before taking a
-        // single batch, while the producer is blocked on a full bounded
-        // channel. Drop must join the thread promptly, not hang.
-        let data = SynthMPtrj::generate(&DatasetConfig {
-            n_structures: 12,
-            max_atoms: 6,
-            ..Default::default()
-        });
-        let samples = Arc::new(data.samples);
-        let batches = epoch_batches(samples.len(), 1, 0);
-        let pf = Prefetcher::new(samples, batches, 1);
-        // Give the producer time to fill the channel and block on send.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let t0 = std::time::Instant::now();
-        drop(pf);
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(5),
-            "prefetcher drop hung for {:?}",
-            t0.elapsed()
-        );
     }
 }

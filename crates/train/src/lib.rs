@@ -6,13 +6,14 @@
 //! * Adam + cosine annealing + the Eq. 14 large-batch LR scaling rule,
 //! * the default and Load-Balance batch samplers with the
 //!   coefficient-of-variance imbalance metric (Fig. 9),
-//! * a deterministic tree all-reduce over replica gradients plus an α-β
-//!   ring interconnect cost model with communication overlap,
-//! * the simulated multi-GPU [`Cluster`] (numerically exact data
-//!   parallelism, simulated step clock),
-//! * an asynchronous data [`Prefetcher`],
+//! * a deterministic tree all-reduce over replica gradients,
+//! * the simulated multi-GPU [`Cluster`]: numerically exact data
+//!   parallelism, one [`Cluster::train_step`] per global batch, measured
+//!   per-rank compute time,
+//! * seeded epoch batching ([`epoch_batches`]),
 //! * the calibratable [`ScalingModel`] behind the Fig. 10 strong/weak
-//!   scaling curves,
+//!   scaling curves — the only time model, with the α-β ring
+//!   interconnect cost ([`CommModel`]) and communication overlap,
 //! * metrics (MAE in the paper's units, parity R²) and checkpointing.
 
 pub mod allreduce;
@@ -31,7 +32,7 @@ pub mod trainer;
 pub use allreduce::{tree_all_reduce, tree_all_reduce_chunked, CommModel};
 pub use checkpoint::{load_checkpoint, save_checkpoint};
 pub use cluster::{Cluster, ClusterConfig, ExecutionMode, StepStats};
-pub use dataloader::{epoch_batches, Prefetcher};
+pub use dataloader::epoch_batches;
 pub use loss::{composite_loss, LossParts, LossWeights};
 pub use metrics::{evaluate, evaluate_with_scatter, r2, EvalMetrics, ScatterData};
 pub use optim::{clip_grad_norm, Adam};

@@ -1,7 +1,6 @@
 //! Evaluation metrics: per-property MAE (the Table I numbers) and R²
 //! (the Fig. 7 parity plots).
 
-use crate::loss::LossWeights;
 use fc_core::Chgnet;
 use fc_crystal::{GraphBatch, Sample};
 use fc_tensor::{ParamStore, Tape};
@@ -146,15 +145,6 @@ pub fn evaluate(
     evaluate_with_scatter(model, store, samples, batch_size).0
 }
 
-/// A weighted scalar "validation loss" proxy from MAE metrics, using the
-/// training prefactors. Handy for early stopping and convergence plots.
-pub fn weighted_mae(m: &EvalMetrics, w: &LossWeights) -> f64 {
-    w.energy as f64 * m.e_mae
-        + w.force as f64 * m.f_mae
-        + w.stress as f64 * m.s_mae
-        + w.magmom as f64 * m.m_mae
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +175,5 @@ mod tests {
         assert!(m.f_mae.is_finite());
         assert_eq!(scatter.energy.len(), 6);
         assert!(!scatter.force.is_empty());
-        let w = weighted_mae(&m, &LossWeights::default());
-        assert!(w > 0.0);
     }
 }

@@ -1,11 +1,13 @@
 //! Analytic strong/weak scaling model (Fig. 10).
 //!
-//! The paper's scaling experiments need 4-32 physical GPUs; this host has
-//! one CPU core, so wall-clock thread scaling is meaningless here.
-//! Instead, the model below is calibrated against *measured* per-step
-//! compute times of the simulated device (time vs. workload regression)
-//! and combined with the ring all-reduce cost model and a straggler term,
-//! reproducing the paper's efficiency curves structurally:
+//! The paper's scaling experiments need 4-32 physical GPUs, which a CPU
+//! host cannot stand in for by wall-clock thread scaling. Instead, the
+//! model below is calibrated against *measured* per-step compute times of
+//! the simulated device (time vs. workload regression) and combined with
+//! the ring all-reduce cost model and a straggler term, reproducing the
+//! paper's efficiency curves structurally. It is the crate's only time
+//! model ([`crate::Cluster`] steps report measured compute, never a
+//! modelled clock):
 //!
 //! `T_step(p) = t_fix + c · load_max(p) + allreduce(bytes, p) · (1 − overlap)`
 //!

@@ -79,8 +79,6 @@ pub struct EpochLog {
     pub lr: f32,
     /// Validation metrics.
     pub val: EvalMetrics,
-    /// Simulated epoch duration (seconds).
-    pub sim_time: f64,
     /// Host wall-clock spent (seconds).
     pub wall_time: f64,
 }
@@ -94,8 +92,6 @@ pub struct TrainReport {
     pub test: EvalMetrics,
     /// Trainable scalar count.
     pub n_params: usize,
-    /// Total simulated training time (seconds).
-    pub sim_time_total: f64,
 }
 
 impl TrainReport {
@@ -119,8 +115,7 @@ impl TrainReport {
             .set_meta("test_e_mae", self.test.e_mae)
             .set_meta("test_f_mae", self.test.f_mae)
             .set_meta("test_s_mae", self.test.s_mae)
-            .set_meta("test_m_mae", self.test.m_mae)
-            .set_timing("sim_time_total_s", self.sim_time_total);
+            .set_meta("test_m_mae", self.test.m_mae);
         for l in &self.epochs {
             let mut row = std::collections::BTreeMap::new();
             row.insert("epoch".to_string(), Value::from(l.epoch));
@@ -130,7 +125,6 @@ impl TrainReport {
             row.insert("f_mae".to_string(), Value::from(l.val.f_mae));
             row.insert("s_mae".to_string(), Value::from(l.val.s_mae));
             row.insert("m_mae".to_string(), Value::from(l.val.m_mae));
-            row.insert("sim_time_s".to_string(), Value::from(l.sim_time));
             row.insert("wall_time_s".to_string(), Value::from(l.wall_time));
             report.push_epoch(row);
         }
@@ -140,7 +134,7 @@ impl TrainReport {
     /// Render the report as a TSV table (one row per epoch).
     pub fn to_tsv(&self) -> String {
         let mut out = String::from(
-            "epoch\ttrain_loss\tlr\te_mae_meV\tf_mae_meV\ts_mae_GPa\tm_mae_mmuB\tsim_time_s\n",
+            "epoch\ttrain_loss\tlr\te_mae_meV\tf_mae_meV\ts_mae_GPa\tm_mae_mmuB\twall_time_s\n",
         );
         for l in &self.epochs {
             out.push_str(&format!(
@@ -152,7 +146,7 @@ impl TrainReport {
                 l.val.f_mae * 1e3,
                 l.val.s_mae,
                 l.val.m_mae * 1e3,
-                l.sim_time
+                l.wall_time
             ));
         }
         out
@@ -182,7 +176,6 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
     for epoch in 0..cfg.epochs {
         let _epoch_span = fc_telemetry::span("epoch");
         let start = Instant::now();
-        let sim_before = cluster.sim_time_total();
         let batches = {
             let _wait = fc_telemetry::span("dataloader_wait");
             epoch_batches(train.len(), cfg.global_batch, cfg.seed ^ (epoch as u64))
@@ -215,7 +208,6 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
             train_loss,
             lr: epoch_lr,
             val: val_metrics,
-            sim_time: cluster.sim_time_total() - sim_before,
             wall_time: start.elapsed().as_secs_f64(),
         });
     }
@@ -225,8 +217,7 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
     } else {
         evaluate(&cluster.model, &cluster.store, &test, cfg.eval_batch)
     };
-    let sim_time_total = cluster.sim_time_total();
-    (cluster, TrainReport { epochs: logs, test: test_metrics, n_params, sim_time_total })
+    (cluster, TrainReport { epochs: logs, test: test_metrics, n_params })
 }
 
 #[cfg(test)]
@@ -266,7 +257,6 @@ mod tests {
         let final_val = report.epochs.last().unwrap().val;
         assert!(final_val.e_mae.is_finite() && final_val.e_mae < 100.0);
         assert!(report.n_params > 0);
-        assert!(report.sim_time_total > 0.0);
     }
 
     #[test]
@@ -283,11 +273,10 @@ mod tests {
                 train_loss: 1.0 / (epoch + 1) as f64,
                 lr: 1e-3,
                 val: EvalMetrics::default(),
-                sim_time: 0.5,
                 wall_time: 0.1,
             })
             .collect();
-        TrainReport { epochs, test: EvalMetrics::default(), n_params: 42, sim_time_total: 1.0 }
+        TrainReport { epochs, test: EvalMetrics::default(), n_params: 42 }
     }
 
     #[test]
@@ -315,7 +304,6 @@ mod tests {
         assert_eq!(run.schema_version, fc_telemetry::SCHEMA_VERSION);
         assert_eq!(run.epochs.len(), 2);
         assert_eq!(run.meta["n_params"], fc_telemetry::Value::from(42usize));
-        assert!(run.timing_s.contains_key("sim_time_total_s"));
         // Every epoch row serializes cleanly into the JSONL stream.
         let jsonl = fc_telemetry::render_jsonl(&run);
         assert_eq!(jsonl.lines().filter(|l| l.contains("\"event\":\"epoch\"")).count(), 2);

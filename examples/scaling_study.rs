@@ -25,7 +25,7 @@ fn main() {
 
     // --- real steps on simulated clusters of 1..4 devices ---------------
     println!("real data-parallel steps (32-sample global batch):\n");
-    println!("devices | sampler      | load CoV | max compute | comm (sim) | step (sim)");
+    println!("devices | sampler      | load CoV | max compute");
     for &devices in &[1usize, 2, 4] {
         for sampler in [SamplerKind::Default, SamplerKind::LoadBalance] {
             let mut cluster = Cluster::new(
@@ -39,13 +39,11 @@ fn main() {
             let stats = cluster.train_step(&batch);
             let max_c = stats.device_compute.iter().copied().fold(0.0f64, f64::max);
             println!(
-                "{:>7} | {:<12} | {:>8.3} | {:>9.3} s | {:>8.2e} s | {:>8.3} s",
+                "{:>7} | {:<12} | {:>8.3} | {:>9.3} s",
                 devices,
                 format!("{sampler:?}"),
                 stats.load_cov,
-                max_c,
-                stats.comm_time,
-                stats.sim_time
+                max_c
             );
         }
     }

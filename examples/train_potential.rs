@@ -47,7 +47,7 @@ fn main() {
 
     let (cluster, report) = fastchgnet::train::train_model(&data, &cfg);
 
-    println!("epoch | train loss | val E (meV/atom) | val F (meV/Å) | sim time");
+    println!("epoch | train loss | val E (meV/atom) | val F (meV/Å) | wall time");
     for l in &report.epochs {
         println!(
             "{:>5} | {:>10.4} | {:>16.1} | {:>13.1} | {:>7.2} s",
@@ -55,11 +55,10 @@ fn main() {
             l.train_loss,
             l.val.e_mae * 1e3,
             l.val.f_mae * 1e3,
-            l.sim_time
+            l.wall_time
         );
     }
     println!("\ntest metrics: {}", report.test.summary());
-    println!("total simulated training time: {:.1} s", report.sim_time_total);
 
     // Save a checkpoint and reload it.
     let path = std::env::temp_dir().join("fastchgnet_example.ckpt");

@@ -92,6 +92,12 @@ for fig in fig5 fig9 headline; do
 done
 rm -rf "$r1" "$r2"
 
+# Every table1 column is a parameter count or a test-set MAE (no timing),
+# so a fresh run must reproduce the committed table byte for byte.
+echo "== table1 reproduces reports/table1.tsv (figures table1, byte for byte) =="
+FASTCHGNET_SCALE=quick FASTCHGNET_REPORTS="$out" ./target/release/figures table1 > /dev/null
+diff "$out/table1.tsv" reports/table1.tsv
+
 echo "== trace smoke test (figures headline, flight recorder on) =="
 cargo build --release -q --bin trace-report
 FASTCHGNET_TRACE=1 FASTCHGNET_REPORTS="$out" ./target/release/figures headline > /dev/null
