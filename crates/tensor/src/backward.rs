@@ -928,7 +928,7 @@ mod tests {
 
     #[test]
     fn fused_final_sweep_vjps_are_bitwise_the_composed_chains() {
-        use crate::kernels::{test_rows, TEST_COLS, TEST_ROWS};
+        use crate::kernels::{test_param, test_rows, TEST_COLS, TEST_ROWS};
         use rand::{rngs::StdRng, SeedableRng};
         let leaf = |t: &Tape, x: &Tensor, rg: bool| {
             if rg {
@@ -944,7 +944,7 @@ mod tests {
                 let rng = &mut StdRng::seed_from_u64(case);
                 let (x, y, g) =
                     (test_rows(rng, rows, m), test_rows(rng, rows, m), test_rows(rng, rows, m));
-                let (gamma, beta) = (test_rows(rng, 1, m), test_rows(rng, 1, m));
+                let (gamma, beta) = (test_param(rng, m), test_param(rng, m));
                 let w = test_rows(rng, m, 5);
                 // γ and β with and without requires_grad.
                 for (rg_gamma, rg_beta) in

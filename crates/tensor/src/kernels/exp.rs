@@ -1,5 +1,6 @@
 //! `exp`, the logistic sigmoid, SiLU and the fused gate, 8 lanes at a
-//! time on hosts with AVX2 and FMA, with libm's bits.
+//! time on hosts with AVX2 and FMA and 16 on hosts with AVX-512F, with
+//! libm's bits.
 //!
 //! The vector body is a port of glibc's `expf` (glibc ≥ 2.27,
 //! `sysdeps/ieee754/flt-32/e_expf.c`) as GCC compiles it into
@@ -19,11 +20,18 @@
 //! * `x > 0x1.62e42ep6` gives `+inf`, `x < -0x1.9fe368p6` and `-inf` give
 //!   `+0`, and NaN gives `x + x`, by selects rather than branches.
 //!
-//! The port equals `f32::exp` at all 2³² inputs on an AVX2+FMA host
+//! [`ExpTier::Avx2Fma`] runs these steps on two halves of 4 `f64` lanes
+//! and reads `T` with `vpgatherqq`; [`ExpTier::Avx512`] runs them on two
+//! halves of 8 `f64` lanes with the same FMAs, holds `T` in four `zmm`
+//! registers and reads it with two `vpermt2q` and a blend, and masks off
+//! the lanes past a slice's end instead of finishing it in scalar code.
+//!
+//! Both ports equal `f32::exp` at all 2³² inputs on a host that runs them
 //! (`tests::port_is_libm_at_every_input`, run by `scripts/check.sh`);
-//! [`ExpTier::host`] picks it only after it matched the host's libm on a
-//! fixed probe set. Elsewhere everything runs the scalar [`sigmoid`] and
-//! `f32::exp`, which stay the reference the port is tested against.
+//! [`ExpTier::host`] picks the widest one only after it matched the host's
+//! libm on a fixed probe set, and falls back to the narrower one, then to
+//! libm. Elsewhere everything runs the scalar [`sigmoid`] and `f32::exp`,
+//! which stay the reference the ports are tested against.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -31,7 +39,7 @@ use std::sync::OnceLock;
 use crate::kernels::elementwise::{sigmoid, UnKind};
 use crate::par::{self, Rows};
 
-/// The instruction sets the kernels of this module run on. Both give the
+/// The instruction sets the kernels of this module run on. All give the
 /// same bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExpTier {
@@ -40,6 +48,10 @@ pub enum ExpTier {
     /// The 8-lane port of glibc's `__expf_fma`, on x86-64 with AVX2 and
     /// FMA.
     Avx2Fma,
+    /// The same port 16 lanes wide, on x86-64 with AVX-512F (and AVX2 and
+    /// FMA): two halves of 8 `f64` lanes, the table held in four registers
+    /// and read by `vpermt2q` instead of a gather.
+    Avx512,
 }
 
 /// What an [`ExpTier`] kernel writes per element `x` (and `y`).
@@ -104,8 +116,8 @@ pub(crate) fn gate_rows(a: &[f32], b: &[f32], out: &mut Rows<'_>) {
 /// using it: ordinary values, `0xc27c65d9` and `0x4202422f` (the only two
 /// inputs where a build without the FMAs on `kd0` and `r` is off), `±0`,
 /// subnormals, `±inf`, NaNs, and both range edges with a neighbour outside
-/// and the start of the subnormal results. A multiple of 8 long, so every
-/// input runs in a vector.
+/// and the start of the subnormal results. A multiple of 16 long, so every
+/// input runs in a vector lane on every tier.
 const PROBE: [u32; 32] = [
     0x3f80_0000, // 1
     0xbf80_0000, // -1
@@ -145,23 +157,36 @@ impl ExpTier {
     /// The widest tier this host runs, probed once per process.
     pub fn host() -> ExpTier {
         static HOST: OnceLock<ExpTier> = OnceLock::new();
-        *HOST.get_or_init(|| ExpTier::select(has_avx2_fma(), f32::exp))
+        *HOST.get_or_init(|| {
+            ExpTier::select(ExpTier::runs_here, |t, xs| t.map(ExpOp::Exp, xs), f32::exp)
+        })
     }
 
-    /// [`ExpTier::Avx2Fma`] when the host has AVX2 and FMA and the port
-    /// equals `reference` bit for bit (NaN for NaN) at every [`PROBE`]
-    /// input; [`ExpTier::Libm`] otherwise.
-    fn select(avx2_fma: bool, reference: impl Fn(f32) -> f32) -> ExpTier {
-        if !avx2_fma {
-            return ExpTier::Libm;
-        }
+    /// The first of [`ExpTier::Avx512`] and [`ExpTier::Avx2Fma`] that the
+    /// host `runs` and whose `port` of `exp` equals `reference` bit for bit
+    /// (NaN for NaN) at every [`PROBE`] input; [`ExpTier::Libm`] when
+    /// neither does.
+    fn select(
+        runs: impl Fn(ExpTier) -> bool,
+        port: impl Fn(ExpTier, &[f32]) -> Vec<f32>,
+        reference: impl Fn(f32) -> f32,
+    ) -> ExpTier {
         let xs = PROBE.map(f32::from_bits);
-        let port = ExpTier::Avx2Fma.map(ExpOp::Exp, &xs);
-        let same = |(&a, b): (&f32, f32)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
-        if port.iter().zip(xs.map(reference)).all(same) {
-            ExpTier::Avx2Fma
-        } else {
-            ExpTier::Libm
+        let want = xs.map(reference);
+        let same =
+            |(&a, &b): (&f32, &f32)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        [ExpTier::Avx512, ExpTier::Avx2Fma]
+            .into_iter()
+            .find(|&t| runs(t) && port(t, &xs).iter().zip(&want).all(same))
+            .unwrap_or(ExpTier::Libm)
+    }
+
+    /// Whether this host has the instructions of this tier.
+    fn runs_here(self) -> bool {
+        match self {
+            ExpTier::Libm => true,
+            ExpTier::Avx2Fma => has_avx2_fma(),
+            ExpTier::Avx512 => has_avx512(),
         }
     }
 
@@ -170,8 +195,9 @@ impl ExpTier {
     /// read off the width-1 per-op tables of EXPERIMENTS.md "Bitwise
     /// vector expf": a sigmoid or SiLU element takes 2.5–2.8 times a
     /// `bin.add` element, a gate element 4.5 times (`exp`, which no model
-    /// kernel runs, shares the sigmoid's weight). `Libm`'s are the weights
-    /// these kernels had before the port.
+    /// kernel runs, shares the sigmoid's weight). `Avx512`'s are read off
+    /// the tables of EXPERIMENTS.md "AVX-512 tier". `Libm`'s are the
+    /// weights these kernels had before the port.
     fn work_per_elem(self, op: ExpOp<'_>) -> usize {
         match (self, op) {
             (ExpTier::Libm, ExpOp::Exp) => 4,
@@ -179,6 +205,8 @@ impl ExpTier {
             (ExpTier::Libm, ExpOp::Gate(_)) => 16,
             (ExpTier::Avx2Fma, ExpOp::Exp | ExpOp::Sigmoid | ExpOp::Silu) => 3,
             (ExpTier::Avx2Fma, ExpOp::Gate(_)) => 5,
+            (ExpTier::Avx512, ExpOp::Exp | ExpOp::Sigmoid | ExpOp::Silu) => 2,
+            (ExpTier::Avx512, ExpOp::Gate(_)) => 3,
         }
     }
 
@@ -190,9 +218,16 @@ impl ExpTier {
         let work = match self {
             ExpTier::Libm => 18,
             ExpTier::Avx2Fma => 6,
+            ExpTier::Avx512 => 4,
         };
         par::fill_rows_n(out.each_mut(), n, [1, 1], par::chunks(n * work, n), |r, w| {
             let (a, b, g) = (&a[r.clone()], &b[r.clone()], &g[r]);
+            #[cfg(target_arch = "x86_64")]
+            if self == ExpTier::Avx512 && has_avx512() {
+                // SAFETY: the host has AVX-512F, AVX2 and FMA, checked just
+                // above.
+                return unsafe { avx512::gate_vjp(a, b, g, w) };
+            }
             #[cfg(target_arch = "x86_64")]
             if self == ExpTier::Avx2Fma && has_avx2_fma() {
                 // SAFETY: the host has AVX2 and FMA, checked just above.
@@ -217,6 +252,12 @@ impl ExpTier {
             assert_eq!(x.len(), y.len(), "gate operands differ in length");
         }
         #[cfg(target_arch = "x86_64")]
+        if self == ExpTier::Avx512 && has_avx512() {
+            // SAFETY: the host has AVX-512F, AVX2 and FMA, checked just
+            // above.
+            return unsafe { avx512::run(op, x, out) };
+        }
+        #[cfg(target_arch = "x86_64")]
         if self == ExpTier::Avx2Fma && has_avx2_fma() {
             // SAFETY: the host has AVX2 and FMA, checked just above.
             return unsafe { avx2_fma::run(op, x, out) };
@@ -229,6 +270,15 @@ impl ExpTier {
 fn has_avx2_fma() -> bool {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        return true;
+    }
+    false
+}
+
+/// Whether the host has AVX-512F as well as AVX2 and FMA.
+fn has_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2_fma() && is_x86_feature_detected!("avx512f") {
         return true;
     }
     false
@@ -263,7 +313,7 @@ mod avx2_fma {
 
     /// `bits(2^(i/32)) - (i << 47)`, `2^(i/32)` correctly rounded to `f64`:
     /// glibc's `__exp2f_data.tab`.
-    const T: [u64; 32] = [
+    pub(super) const T: [u64; 32] = [
         0x3ff0000000000000,
         0x3fefd9b0d3158574,
         0x3fefb5586cf9890f,
@@ -429,6 +479,143 @@ mod avx2_fma {
     }
 }
 
+/// The 16-lane port: [`avx2_fma`]'s steps on two halves of 8 `f64` lanes,
+/// with the same FMAs. A slice's last chunk shorter than 16 runs in the
+/// vector too, its missing lanes masked off on load and dropped on store.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::avx2_fma::{C, HI, INV_LN2_N, LO, SHIFT, T};
+    use super::ExpOp;
+    use crate::par::Rows;
+    use std::arch::x86_64::*;
+
+    /// `f32` lanes per register.
+    const LANES: usize = 16;
+
+    /// [`super::ExpTier::run`] on the AVX-512 tier.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn run(op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
+        let chunks = x.chunks(LANES);
+        match op {
+            ExpOp::Exp => {
+                for a in chunks {
+                    store(exp16(load(a)), a.len(), out);
+                }
+            }
+            ExpOp::Sigmoid => {
+                for a in chunks {
+                    store(sigmoid16(load(a)), a.len(), out);
+                }
+            }
+            ExpOp::Silu => {
+                for a in chunks {
+                    let v = load(a);
+                    store(_mm512_mul_ps(v, sigmoid16(v)), a.len(), out);
+                }
+            }
+            ExpOp::Gate(y) => {
+                for (a, b) in chunks.zip(y.chunks(LANES)) {
+                    let (va, vb) = (load(a), load(b));
+                    let gate = _mm512_mul_ps(_mm512_mul_ps(sigmoid16(va), vb), sigmoid16(vb));
+                    store(gate, a.len(), out);
+                }
+            }
+        }
+    }
+
+    /// [`super::gate_vjp`] on the AVX-512 tier (no FMA in the VJP's own
+    /// arithmetic).
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gate_vjp(a: &[f32], b: &[f32], g: &[f32], [ga, gb]: [&mut Rows<'_>; 2]) {
+        let lanes = a.chunks(LANES).zip(b.chunks(LANES)).zip(g.chunks(LANES));
+        for ((a, b), g) in lanes {
+            let len = a.len();
+            let (a, b, g) = (load(a), load(b), load(g));
+            let (sa, sb) = (sigmoid16(a), sigmoid16(b));
+            let bs = _mm512_mul_ps(b, sb);
+            let dsig = _mm512_sub_ps(sa, _mm512_mul_ps(sa, sa));
+            let dsilu = _mm512_add_ps(sb, _mm512_sub_ps(bs, _mm512_mul_ps(bs, sb)));
+            store(_mm512_mul_ps(_mm512_mul_ps(g, bs), dsig), len, ga);
+            store(_mm512_mul_ps(_mm512_mul_ps(g, sa), dsilu), len, gb);
+        }
+    }
+
+    /// The lanes of `x` (at most 16), the rest `+0.0`.
+    #[target_feature(enable = "avx512f")]
+    fn load(x: &[f32]) -> __m512 {
+        let x = &x[..x.len().min(LANES)];
+        let mask = ((1u32 << x.len()) - 1) as __mmask16;
+        // SAFETY: `x` holds a readable `f32` for every lane of `mask`;
+        // masked-off lanes are not read.
+        unsafe { _mm512_maskz_loadu_ps(mask, x.as_ptr()) }
+    }
+
+    /// Append the first `len` lanes of `v` (at most 16) to `out`.
+    #[target_feature(enable = "avx512f")]
+    fn store(v: __m512, len: usize, out: &mut Rows<'_>) {
+        let len = len.min(LANES);
+        let mask = ((1u32 << len) - 1) as __mmask16;
+        // SAFETY: the masked store writes exactly the `len` slots.
+        unsafe { out.extend_raw(len, |p| _mm512_mask_storeu_ps(p, mask, v)) };
+    }
+
+    /// The scalar [`super::sigmoid`] on 16 lanes (`avx2_fma::sigmoid8`).
+    #[target_feature(enable = "avx512f")]
+    fn sigmoid16(x: __m512) -> __m512 {
+        let pos = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_setzero_ps());
+        let sign = _mm512_set1_epi32(i32::MIN);
+        let neg = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(x), sign));
+        let z = exp16(_mm512_mask_blend_ps(pos, x, neg));
+        let one = _mm512_set1_ps(1.0);
+        _mm512_div_ps(_mm512_mask_blend_ps(pos, z, one), _mm512_add_ps(one, z))
+    }
+
+    /// `f32::exp` on 16 lanes: two halves of 8 `f64` lanes, then the
+    /// overflow, underflow and NaN lanes selected in.
+    #[target_feature(enable = "avx512f")]
+    fn exp16(x: __m512) -> __m512 {
+        let x_hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
+        let lo = _mm256_castps_pd(exp8(_mm512_cvtps_pd(_mm512_castps512_ps256(x))));
+        let hi = _mm256_castps_pd(exp8(_mm512_cvtps_pd(x_hi)));
+        let y = _mm512_castpd_ps(_mm512_insertf64x4::<1>(_mm512_castpd256_pd512(lo), hi));
+        let over = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, _mm512_set1_ps(HI));
+        let y = _mm512_mask_blend_ps(over, y, _mm512_set1_ps(f32::INFINITY));
+        let under = _mm512_cmp_ps_mask::<_CMP_NGE_UQ>(x, _mm512_set1_ps(LO));
+        let y = _mm512_mask_blend_ps(under, y, _mm512_setzero_ps());
+        let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x);
+        _mm512_mask_blend_ps(nan, y, _mm512_add_ps(x, x))
+    }
+
+    /// `exp(xd)` rounded to `f32` on 8 lanes, by glibc's steps (module
+    /// docs), for `xd` inside the range edges. `T[k % 32]` comes from two
+    /// `vpermt2q` lookups, entries 0–15 and 16–31 (each reads bits 0–3 of
+    /// the index), and bit 4 of `k` picks between them.
+    #[target_feature(enable = "avx512f")]
+    fn exp8(xd: __m512d) -> __m256 {
+        let inv_ln2_n = _mm512_set1_pd(INV_LN2_N);
+        let shift = _mm512_set1_pd(SHIFT);
+        let kd0 = _mm512_fmadd_pd(inv_ln2_n, xd, shift);
+        let ki = _mm512_castpd_si512(kd0);
+        let kd = _mm512_sub_pd(kd0, shift);
+        let r = _mm512_fmsub_pd(inv_ln2_n, xd, kd);
+        let [t0, t1, t2, t3] = [0, 8, 16, 24].map(|i| {
+            let t: [u64; 8] = T[i..i + 8].try_into().expect("8 table entries");
+            // SAFETY: `t` is 8 readable `u64`s; `loadu` needs no alignment.
+            unsafe { _mm512_loadu_si512(t.as_ptr().cast()) }
+        });
+        let low = _mm512_permutex2var_epi64(t0, ki, t1);
+        let high = _mm512_permutex2var_epi64(t2, ki, t3);
+        let upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+        let t = _mm512_mask_blend_epi64(upper, low, high);
+        let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+        let (c0, c1, c2) = (_mm512_set1_pd(C[0]), _mm512_set1_pd(C[1]), _mm512_set1_pd(C[2]));
+        let p = _mm512_fmadd_pd(c0, r, c1);
+        let q = _mm512_fmadd_pd(c2, r, _mm512_set1_pd(1.0));
+        let y = _mm512_fmadd_pd(p, _mm512_mul_pd(r, r), q);
+        _mm512_cvtpd_ps(_mm512_mul_pd(y, s))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,23 +648,33 @@ mod tests {
         xs
     }
 
+    /// The vector tiers this host runs.
+    fn vector_tiers() -> Vec<ExpTier> {
+        [ExpTier::Avx2Fma, ExpTier::Avx512].into_iter().filter(|t| t.runs_here()).collect()
+    }
+
+    /// Every vector tier the host runs (`Avx2Fma`, `Avx512`), forced past
+    /// the probe, against `Libm`.
     #[test]
     fn avx2_fma_tier_is_bitwise_libm() {
         let xs = inputs();
         // Rotated, so the gate pairs each input with a different one.
         let ys: Vec<f32> = xs.iter().cycle().skip(7).take(xs.len()).copied().collect();
-        for len in [0, 1, 7, 8, 9, 63, 64, 65, 4099, xs.len()] {
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4099, xs.len()] {
             // Each length at the start and at the end of the inputs; the
             // full length runs all but the last few in vector lanes.
             for start in [0, xs.len() - len] {
                 let (x, y) = (&xs[start..start + len], &ys[start..start + len]);
-                for op in [ExpOp::Exp, ExpOp::Sigmoid, ExpOp::Silu, ExpOp::Gate(y)] {
-                    let (port, libm) =
-                        (bits(&ExpTier::Avx2Fma.map(op, x)), bits(&ExpTier::Libm.map(op, x)));
+                for (op, tier) in [ExpOp::Exp, ExpOp::Sigmoid, ExpOp::Silu, ExpOp::Gate(y)]
+                    .into_iter()
+                    .flat_map(|op| vector_tiers().into_iter().map(move |t| (op, t)))
+                {
+                    let (port, libm) = (bits(&tier.map(op, x)), bits(&ExpTier::Libm.map(op, x)));
                     assert_eq!(port.len(), len);
                     if let Some(i) = (0..len).find(|&i| port[i] != libm[i]) {
                         panic!(
-                            "{} len {len} from {start}: x = {:#x}, y = {:#x}: {:#x}, libm {:#x}",
+                            "{tier:?} {} len {len} from {start}: x = {:#x}, y = {:#x}: {:#x}, \
+                             libm {:#x}",
                             format!("{op:?}").split('(').next().unwrap_or_default(),
                             x[i].to_bits(),
                             y[i].to_bits(),
@@ -495,24 +692,26 @@ mod tests {
         let xs = inputs();
         let ys: Vec<f32> = xs.iter().cycle().skip(7).take(xs.len()).copied().collect();
         let gs: Vec<f32> = xs.iter().cycle().skip(3001).take(xs.len()).copied().collect();
-        for len in [0, 1, 7, 8, 9, 63, 64, 65, 4099, xs.len()] {
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4099, xs.len()] {
             for start in [0, xs.len() - len] {
                 let r = start..start + len;
                 let (a, b, g) = (&xs[r.clone()], &ys[r.clone()], &gs[r]);
-                let port = ExpTier::Avx2Fma.gate_vjp(a, b, g);
                 let libm = ExpTier::Libm.gate_vjp(a, b, g);
-                for (which, (p, l)) in ["a", "b"].iter().zip(port.iter().zip(&libm)) {
-                    let (p, l) = (bits(p), bits(l));
-                    if let Some(i) = (0..len).find(|&i| p[i] != l[i]) {
-                        panic!(
-                            "d{which} len {len} from {start}: a = {:#x}, b = {:#x}, g = {:#x}: \
-                             {:#x}, libm {:#x}",
-                            a[i].to_bits(),
-                            b[i].to_bits(),
-                            g[i].to_bits(),
-                            p[i],
-                            l[i]
-                        );
+                for tier in vector_tiers() {
+                    let port = tier.gate_vjp(a, b, g);
+                    for (which, (p, l)) in ["a", "b"].iter().zip(port.iter().zip(&libm)) {
+                        let (p, l) = (bits(p), bits(l));
+                        if let Some(i) = (0..len).find(|&i| p[i] != l[i]) {
+                            panic!(
+                                "{tier:?} d{which} len {len} from {start}: a = {:#x}, b = {:#x}, \
+                                 g = {:#x}: {:#x}, libm {:#x}",
+                                a[i].to_bits(),
+                                b[i].to_bits(),
+                                g[i].to_bits(),
+                                p[i],
+                                l[i]
+                            );
+                        }
                     }
                 }
             }
@@ -521,7 +720,8 @@ mod tests {
 
     #[test]
     fn a_disagreeing_probe_reference_selects_libm() {
-        let host = ExpTier::select(has_avx2_fma(), f32::exp);
+        let port = |t: ExpTier, xs: &[f32]| t.map(ExpOp::Exp, xs);
+        let host = ExpTier::select(ExpTier::runs_here, port, f32::exp);
         assert_eq!(host, ExpTier::host());
         // A libm one ulp off at a single probe input.
         let off_by_one_ulp = |x: f32| {
@@ -532,25 +732,58 @@ mod tests {
                 y
             }
         };
-        assert_eq!(ExpTier::select(has_avx2_fma(), off_by_one_ulp), ExpTier::Libm);
-        assert_eq!(ExpTier::select(false, f32::exp), ExpTier::Libm);
+        assert_eq!(ExpTier::select(ExpTier::runs_here, port, off_by_one_ulp), ExpTier::Libm);
+        assert_eq!(ExpTier::select(|t| t == ExpTier::Libm, port, f32::exp), ExpTier::Libm);
     }
 
-    /// Every `f32` input, through the port's 8-lane path, against
+    #[test]
+    fn a_host_without_avx512_or_a_failing_port_falls_back_to_avx2_fma() {
+        let port = |t: ExpTier, xs: &[f32]| t.map(ExpOp::Exp, xs);
+        // What the host picks when it runs `Avx2Fma`, and `Libm` else.
+        let fallback = if ExpTier::Avx2Fma.runs_here() { ExpTier::Avx2Fma } else { ExpTier::Libm };
+        // A host without AVX-512.
+        let no_avx512 = |t: ExpTier| t != ExpTier::Avx512 && t.runs_here();
+        assert_eq!(ExpTier::select(no_avx512, port, f32::exp), fallback);
+        // A 16-lane port one ulp off at the last probe input.
+        let broken = |t: ExpTier, xs: &[f32]| {
+            let mut y = t.map(ExpOp::Exp, xs);
+            if t == ExpTier::Avx512 {
+                let last = y.len() - 1;
+                y[last] = f32::from_bits(y[last].to_bits() + 1);
+            }
+            y
+        };
+        assert_eq!(ExpTier::select(ExpTier::runs_here, broken, f32::exp), fallback);
+        // Where the host runs both, the 16-lane port comes first.
+        if ExpTier::Avx512.runs_here() {
+            assert_eq!(ExpTier::select(ExpTier::runs_here, port, f32::exp), ExpTier::Avx512);
+        }
+    }
+
+    /// Every `f32` input, through every vector tier the host runs, against
     /// `f32::exp`, split across the host's threads. Slow outside a
     /// release build: run by `scripts/check.sh` with `--ignored`.
     #[test]
-    #[ignore = "2^32 inputs: run in release"]
+    #[ignore = "2^32 inputs per tier: run in release"]
     fn port_is_libm_at_every_input() {
-        if ExpTier::host() != ExpTier::Avx2Fma {
-            // Without AVX2+FMA, or the probe found a libm the port does
-            // not reproduce: nothing runs the port on this host.
+        if ExpTier::host() == ExpTier::Libm {
+            // Without AVX2+FMA, or the probe found a libm the ports do not
+            // reproduce: nothing runs a port on this host.
             println!("exp tier: Libm (AVX2 and FMA: {}), not compared", has_avx2_fma());
             return;
         }
+        for tier in vector_tiers() {
+            let mismatches = mismatches_at_every_input(tier);
+            println!("exp port {tier:?} vs f32::exp over 2^32 inputs: {mismatches} mismatches");
+            assert_eq!(mismatches, 0, "{tier:?}");
+        }
+    }
+
+    /// The inputs where `tier` differs from `f32::exp`, each printed.
+    fn mismatches_at_every_input(tier: ExpTier) -> u64 {
         const BLOCK: u64 = 1 << 16;
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
-        let mismatches: u64 = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             let workers: Vec<_> = (0..threads)
                 .map(|t| {
                     s.spawn(move || {
@@ -559,13 +792,13 @@ mod tests {
                             let xs: Vec<f32> = (block * BLOCK..(block + 1) * BLOCK)
                                 .map(|b| f32::from_bits(b as u32))
                                 .collect();
-                            let port = ExpTier::Avx2Fma.map(ExpOp::Exp, &xs);
+                            let port = tier.map(ExpOp::Exp, &xs);
                             for (x, y) in xs.iter().zip(port) {
                                 let want = x.exp();
                                 if y.to_bits() != want.to_bits() && !(y.is_nan() && want.is_nan()) {
                                     bad += 1;
                                     eprintln!(
-                                        "x = {:#010x}: port {:#010x}, libm {:#010x}",
+                                        "{tier:?} x = {:#010x}: port {:#010x}, libm {:#010x}",
                                         x.to_bits(),
                                         y.to_bits(),
                                         want.to_bits()
@@ -578,8 +811,6 @@ mod tests {
                 })
                 .collect();
             workers.into_iter().map(|w| w.join().expect("worker panicked")).sum()
-        });
-        println!("exp port vs f32::exp over 2^32 inputs: {mismatches} mismatches");
-        assert_eq!(mismatches, 0);
+        })
     }
 }

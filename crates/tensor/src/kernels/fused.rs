@@ -13,7 +13,7 @@ use crate::kernels::exp::{self, ExpOp};
 use crate::kernels::matmul::GemmTier;
 use crate::kernels::reduce;
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::reduce::{lane_sum, transpose, with_lanes, Lanes, LANES};
+use crate::kernels::reduce::{lane_sum, transpose, with_lanes, Lanes, LANES, LANES_AVX512};
 use crate::kernels::trig::TrigTier;
 use crate::par::{self, Rows};
 use crate::shape::Shape;
@@ -303,8 +303,15 @@ fn layer_norm_rows(
     let lanes = reduce::lane_rows(tier, rs.clone(), m);
     #[cfg(target_arch = "x86_64")]
     if !lanes.is_empty() {
-        // SAFETY: `lane_rows` covers rows only on a host with AVX2.
-        with_lanes(m, |xt| unsafe { layer_norm_lanes(lanes.clone(), xd, g, b, eps, out, xt) });
+        let rows = lanes.clone();
+        if tier == GemmTier::Avx512 {
+            // SAFETY: `lane_rows` covers rows on the AVX-512 tier only on a
+            // host with AVX-512F and AVX2.
+            with_lanes(2 * m, |xt| unsafe { avx512::layer_norm(rows, xd, g, b, eps, out, xt) });
+        } else {
+            // SAFETY: `lane_rows` covers rows only on a host with AVX2.
+            with_lanes(m, |xt| unsafe { layer_norm_lanes(rows, xd, g, b, eps, out, xt) });
+        }
     }
     for r in lanes.end..rs.end {
         let row = &xd[r * m..(r + 1) * m];
@@ -439,6 +446,9 @@ fn layer_norm_vjp_on(
     let mut stats = crate::pool::with_capacity(2 * rows);
     let chunks = par::chunks(4 * x.len(), rows);
     par::fill_rows_n([&mut dx, &mut stats], rows, [m, 2], chunks, |rs, [dx, stats]| {
+        // Mostly `f32` work in 8-lane registers either way: the AVX-512
+        // tier runs the AVX2 lanes here, which it measured no slower than.
+        let tier = if tier == GemmTier::Avx512 { GemmTier::Avx2 } else { tier };
         let lanes = reduce::lane_rows(tier, rs.clone(), m);
         #[cfg(target_arch = "x86_64")]
         if !lanes.is_empty() {
@@ -526,6 +536,121 @@ fn layer_norm_vjp_lanes(
             let (xr, gr) = (&xd[(r0 + l) * m..][..m], &gd[(r0 + l) * m..][..m]);
             let sums = [sum_gx[l], sum_gxx[l]].map(|s| inv_m * s as f32);
             layer_norm_vjp_row(xr, gr, k, [mean[l], inv[l]], sums, dx, stats);
+        }
+    }
+}
+
+/// The LayerNorm kernels' row-lane blocks on the AVX-512 tier:
+/// [`LANES_AVX512`] rows per block, transposed 8 at a time (the AVX2
+/// [`transpose`]) into two halves, whose `f64` sums run as two chains of
+/// 8 lanes, one `__m512d` each. Every lane takes its row's operations of
+/// the per-row loop in their order, and the output rows are those loops'
+/// element operations 16 columns at a time (a row's last chunk masked), so
+/// every bit is theirs. No FMA is issued.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{Lanes, Rows, LANES, LANES_AVX512};
+    use crate::kernels::reduce::transpose;
+    use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// Both halves of a block's column `c`, as `f64` lanes.
+    #[target_feature(enable = "avx512f")]
+    fn column(xt: &[Lanes<f32>], m: usize, c: usize) -> [__m512d; 2] {
+        [&xt[c], &xt[m + c]].map(|half| {
+            // SAFETY: `half` is 8 readable `f32`s; `loadu` needs no
+            // alignment.
+            _mm512_cvtps_pd(unsafe { _mm256_loadu_ps(half.as_ptr()) })
+        })
+    }
+
+    /// Rows `r0..r0 + 16` of `xd` (rows `m` long) into `xt`: the first 8
+    /// rows' columns, then the last 8 rows'.
+    #[target_feature(enable = "avx512f")]
+    fn transpose16(xd: &[f32], r0: usize, m: usize, xt: &mut [Lanes<f32>]) {
+        let (lo, hi) = xt.split_at_mut(m);
+        transpose(&xd[r0 * m..], m, lo);
+        transpose(&xd[(r0 + LANES) * m..], m, hi);
+    }
+
+    /// The lanes of `v`.
+    #[target_feature(enable = "avx512f")]
+    fn lanes(v: [__m512d; 2]) -> [f64; LANES_AVX512] {
+        let mut out = [0.0; LANES_AVX512];
+        // SAFETY: `out` is 16 writable `f64`s; `storeu` needs no alignment.
+        unsafe {
+            _mm512_storeu_pd(out.as_mut_ptr(), v[0]);
+            _mm512_storeu_pd(out.as_mut_ptr().add(LANES), v[1]);
+        }
+        out
+    }
+
+    /// [`super::fused_layer_norm`] of rows `rows` (whole blocks), `xt` a
+    /// scratch of `2·m` block columns.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn layer_norm(
+        rows: Range<usize>,
+        xd: &[f32],
+        g: &[f32],
+        b: &[f32],
+        eps: f32,
+        out: &mut Rows<'_>,
+        xt: &mut [Lanes<f32>],
+    ) {
+        let m = g.len();
+        let md = _mm512_set1_pd(m as f64);
+        for r0 in rows.step_by(LANES_AVX512) {
+            transpose16(xd, r0, m, xt);
+            let mut sum = [_mm512_set1_pd(-0.0); 2];
+            for c in 0..m {
+                let x = column(xt, m, c);
+                sum = [0, 1].map(|h| _mm512_add_pd(sum[h], x[h]));
+            }
+            let mean = sum.map(|s| _mm512_div_pd(s, md));
+            let mut var = [_mm512_set1_pd(-0.0); 2];
+            for c in 0..m {
+                let x = column(xt, m, c);
+                var = [0, 1].map(|h| {
+                    let d = _mm512_sub_pd(x[h], mean[h]);
+                    _mm512_add_pd(var[h], _mm512_mul_pd(d, d))
+                });
+            }
+            let inv = var.map(|v| {
+                let sd =
+                    _mm512_sqrt_pd(_mm512_add_pd(_mm512_div_pd(v, md), _mm512_set1_pd(eps as f64)));
+                _mm512_div_pd(_mm512_set1_pd(1.0), sd)
+            });
+            let (mean, inv) = (lanes(mean), lanes(inv));
+            for l in 0..LANES_AVX512 {
+                normalise(&xd[(r0 + l) * m..][..m], g, b, mean[l], inv[l], out);
+            }
+        }
+    }
+
+    /// One output row, `((v - mean)·inv) as f32 · γ + β` per element (the
+    /// scalar [`super::layer_norm_row`]), 16 columns at a time.
+    #[target_feature(enable = "avx512f")]
+    fn normalise(row: &[f32], g: &[f32], b: &[f32], mean: f64, inv: f64, out: &mut Rows<'_>) {
+        assert!(g.len() == row.len() && b.len() == row.len(), "γ and β as wide as the row");
+        let (mean, inv) = (_mm512_set1_pd(mean), _mm512_set1_pd(inv));
+        for ((x, g), b) in row.chunks(16).zip(g.chunks(16)).zip(b.chunks(16)) {
+            let width = x.len();
+            let mask = ((1u32 << width) - 1) as __mmask16;
+            // SAFETY: each chunk holds a readable `f32` for every lane of
+            // `mask`; masked-off lanes are not read.
+            let [x, g, b] = [x, g, b].map(|v| unsafe { _mm512_maskz_loadu_ps(mask, v.as_ptr()) });
+            let half = |v: __m256| {
+                _mm512_cvtpd_ps(_mm512_mul_pd(_mm512_sub_pd(_mm512_cvtps_pd(v), mean), inv))
+            };
+            let lo = half(_mm512_castps512_ps256(x));
+            let hi = half(_mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x))));
+            let y = _mm512_insertf64x4::<1>(
+                _mm512_castpd256_pd512(_mm256_castps_pd(lo)),
+                _mm256_castps_pd(hi),
+            );
+            let y = _mm512_add_ps(_mm512_mul_ps(_mm512_castpd_ps(y), g), b);
+            // SAFETY: the masked store writes exactly the `width` slots.
+            unsafe { out.extend_raw(width, |p| _mm512_mask_storeu_ps(p, mask, y)) };
         }
     }
 }
@@ -725,32 +850,35 @@ mod tests {
 
     #[test]
     fn row_lane_layer_norm_and_its_vjp_are_bitwise_the_per_row_loops() {
-        use crate::kernels::{bits, test_rows, TEST_COLS, TEST_ROWS};
+        use crate::kernels::{bits, test_param, test_rows, TEST_COLS, TEST_ROWS};
         use rand::{rngs::StdRng, SeedableRng};
         // The baseline tier runs every row through the scalar per-row
-        // loops, the reference; the host's tier runs whole blocks in lanes.
+        // loops, the reference; every other tier the host runs takes whole
+        // blocks in lanes.
         let mut case = 0;
         for rows in TEST_ROWS {
             for m in TEST_COLS {
                 case += 1;
                 let rng = &mut StdRng::seed_from_u64(case);
                 let (x, g) = (test_rows(rng, rows, m), test_rows(rng, rows, m));
-                let (gamma, beta) = (test_rows(rng, 1, m), test_rows(rng, 1, m));
-                let what = format!("{rows}x{m} (seed {case})");
+                let (gamma, beta) = (test_param(rng, m), test_param(rng, m));
                 let want = layer_norm_on(GemmTier::Baseline, &x, &gamma, &beta, 1e-5);
-                let got = layer_norm_on(GemmTier::host(), &x, &gamma, &beta, 1e-5);
-                assert_eq!(bits(got.data()), bits(want.data()), "forward {what}");
                 let (dx, dgamma) = layer_norm_vjp_on(GemmTier::Baseline, &x, &gamma, &g, 1e-5);
-                let (dx2, dgamma2) = layer_norm_vjp_on(GemmTier::host(), &x, &gamma, &g, 1e-5);
-                assert_eq!(bits(dx2.data()), bits(dx.data()), "dx {what}");
-                assert_eq!(bits(dgamma2.data()), bits(dgamma.data()), "dgamma {what}");
+                for tier in GemmTier::on_host() {
+                    let what = format!("{tier:?} {rows}x{m} (seed {case})");
+                    let got = layer_norm_on(tier, &x, &gamma, &beta, 1e-5);
+                    assert_eq!(bits(got.data()), bits(want.data()), "forward {what}");
+                    let (dx2, dgamma2) = layer_norm_vjp_on(tier, &x, &gamma, &g, 1e-5);
+                    assert_eq!(bits(dx2.data()), bits(dx.data()), "dx {what}");
+                    assert_eq!(bits(dgamma2.data()), bits(dgamma.data()), "dgamma {what}");
+                }
             }
         }
     }
 
     #[test]
     fn ln_gate_is_bitwise_the_composed_kernels() {
-        use crate::kernels::{bits, test_rows, TEST_COLS, TEST_ROWS};
+        use crate::kernels::{bits, test_param, test_rows, TEST_COLS, TEST_ROWS};
         use rand::{rngs::StdRng, SeedableRng};
         let mut case = 0;
         for rows in TEST_ROWS {
@@ -758,7 +886,7 @@ mod tests {
                 case += 1;
                 let rng = &mut StdRng::seed_from_u64(case);
                 let h = [(); 2].map(|_| test_rows(rng, rows, m));
-                let ln = [(); 2].map(|_| [(); 2].map(|_| test_rows(rng, 1, m)));
+                let ln = [(); 2].map(|_| [(); 2].map(|_| test_param(rng, m)));
                 let [[gg, bg], [gc, bc]] = &ln;
                 // The composed kernels on the baseline tier: two
                 // LayerNorms and the gate.
@@ -767,7 +895,7 @@ mod tests {
                 let want = bits(fused_gate(&yg, &yc).data());
                 let hr = [&h[0], &h[1]];
                 let lnr = [[gg, bg], [gc, bc]];
-                for tier in [GemmTier::Baseline, GemmTier::host()] {
+                for tier in GemmTier::on_host() {
                     for width in [1, 2] {
                         let what = format!("{rows}x{m} {tier:?} width {width} (seed {case})");
                         let got = par::with_width(width, || ln_gate_on(tier, hr, lnr, 1e-5));

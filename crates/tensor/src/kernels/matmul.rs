@@ -12,38 +12,99 @@ const TILE: usize = 16;
 /// Output rows held in registers per tile of [`matmul`]'s blocked kernel.
 const BLOCK: usize = 4;
 
-/// The instruction sets [`matmul`]'s kernel is compiled for: one body,
-/// built once at the target's baseline and once with AVX2 enabled.
-/// Both give the same bits; AVX2 holds a 16-column tile row in two
-/// registers instead of four. The row-lane sums of the LayerNorm kernels
-/// and `sum(Axis::Cols)` run on the same test (DESIGN.md §2.2).
+/// The instruction sets [`matmul`]'s kernel runs on. Every tier gives the
+/// same bits. Baseline and AVX2 compile one body; AVX2 holds a 16-column
+/// tile row in two registers instead of four. AVX-512 runs explicit
+/// `__m512` register tiles ([`avx512`]) on the blocked path and the AVX2
+/// body on the zero-skipping one. The row-lane sums of the LayerNorm
+/// kernels and `sum(Axis::Cols)` run on the same test (DESIGN.md §2.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GemmTier {
     /// The build target's baseline instructions (SSE2 on x86-64).
     Baseline,
     /// AVX2, when the host has it. `fma` is never enabled.
     Avx2,
+    /// AVX-512F (and AVX2), when the host has them. No FMA is issued.
+    Avx512,
 }
 
 impl GemmTier {
     /// The widest tier this host runs; [`matmul`] checks once per call.
     pub fn host() -> GemmTier {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") {
-            return GemmTier::Avx2;
-        }
-        GemmTier::Baseline
+        [GemmTier::Avx512, GemmTier::Avx2]
+            .into_iter()
+            .find(|t| t.runs_here())
+            .unwrap_or(GemmTier::Baseline)
     }
 
-    /// One pass of a product on this tier, by `path`: `out += a @ b` for
-    /// the rows of the product `a` reads, and `out` `n` columns wide.
-    fn run(self, path: GemmPath, a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
+    /// Whether this host has the instructions of this tier.
+    pub(crate) fn runs_here(self) -> bool {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if self == GemmTier::Avx2 && is_x86_feature_detected!("avx2") {
-            // SAFETY: the host has AVX2, checked just above.
-            return unsafe { kernel_avx2(path, a, b, n, out) };
+        let avx2 = is_x86_feature_detected!("avx2");
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let avx2 = false;
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = avx2 && is_x86_feature_detected!("avx512f");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        match self {
+            GemmTier::Baseline => true,
+            GemmTier::Avx2 => avx2,
+            GemmTier::Avx512 => avx512,
         }
-        kernel(path, a, b, n, out)
+    }
+
+    /// Every tier this host runs, narrowest first: what the bitwise tests
+    /// compare.
+    #[cfg(test)]
+    pub(crate) fn on_host() -> impl Iterator<Item = GemmTier> {
+        [GemmTier::Baseline, GemmTier::Avx2, GemmTier::Avx512].into_iter().filter(|t| t.runs_here())
+    }
+
+    /// `row += bias` for every row of `out` (rows `bias.len()` wide), one
+    /// `f32` add per element.
+    fn add_bias(self, bias: &[f32], out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if self == GemmTier::Avx512 && is_x86_feature_detected!("avx512f") {
+            // SAFETY: the host has AVX-512F, checked just above.
+            return unsafe { avx512::add_bias(bias, out) };
+        }
+        for row in out.chunks_exact_mut(bias.len()) {
+            for (o, &c) in row.iter_mut().zip(bias) {
+                *o += c;
+            }
+        }
+    }
+
+    /// One pass of a product on this tier, by `path`: `outs[j] += a @ b_j`
+    /// for the rows of the product `a` reads, each output `n` columns wide
+    /// and `b_j` B's columns `b.col + j·n..b.col + (j + 1)·n`.
+    fn run<const N: usize>(
+        self,
+        path: GemmPath,
+        a: impl Lhs,
+        b: Rhs,
+        n: usize,
+        outs: [&mut [f32]; N],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self == GemmTier::Avx512
+            && path == GemmPath::Blocked
+            && is_x86_feature_detected!("avx512f")
+        {
+            // SAFETY: the host has AVX-512F, checked just above.
+            return unsafe { avx512::kernel(a, b, n, outs) };
+        }
+        for (j, out) in outs.into_iter().enumerate() {
+            let b = Rhs { col: b.col + j * n, ..b };
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            if self != GemmTier::Baseline && is_x86_feature_detected!("avx2") {
+                // SAFETY: the host has AVX2, checked just above.
+                unsafe { kernel_avx2(path, a, b, n, out) };
+                continue;
+            }
+            kernel(path, a, b, n, out)
+        }
     }
 }
 
@@ -382,8 +443,10 @@ fn product<L: Pass, const N: usize>(
         return;
     }
     // About 1 ns per 12 multiply-adds at width 1 (EXPERIMENTS.md
-    // "Blocked GEMM"), in `par::SPLIT_WORK` units.
-    let work = m * ld * plan.passes.iter().map(Range::len).sum::<usize>() / 12;
+    // "Blocked GEMM"), per 16 on the AVX-512 tier (EXPERIMENTS.md
+    // "AVX-512 tier"), in `par::SPLIT_WORK` units.
+    let per_unit = if tier == GemmTier::Avx512 && path == GemmPath::Blocked { 16 } else { 12 };
+    let work = m * ld * plan.passes.iter().map(Range::len).sum::<usize>() / per_unit;
     par::for_row_chunks_n(outs, m, [n; N], par::chunks(work, m), |rows, mut outs| {
         let mut r0 = rows.start;
         while r0 < rows.end {
@@ -397,20 +460,13 @@ fn product<L: Pass, const N: usize>(
                 }
             }
             for (p, ks) in plan.passes.iter().enumerate() {
-                let a = lhs(r0..r1, p);
-                for (j, out) in outs.iter_mut().enumerate() {
-                    let b = &bd[ks.start * ld..ks.end * ld];
-                    let rhs = Rhs { b, ld, col: j * n, k: ks.len() };
-                    a.run(tier, path, rhs, n, &mut out[local.clone()]);
-                }
+                let rhs = Rhs { b: &bd[ks.start * ld..ks.end * ld], ld, col: 0, k: ks.len() };
+                let outs = outs.each_mut().map(|out| &mut out[local.clone()]);
+                lhs(r0..r1, p).run(tier, path, rhs, n, outs);
             }
             // The epilogue, on rows still in cache.
             for (bias, out) in plan.bias.iter().flat_map(|b| b.chunks_exact(n)).zip(&mut outs) {
-                for row in out[local.clone()].chunks_exact_mut(n) {
-                    for (o, &c) in row.iter_mut().zip(bias) {
-                        *o += c;
-                    }
-                }
+                tier.add_bias(bias, &mut out[local.clone()]);
             }
             r0 = r1;
         }
@@ -426,13 +482,27 @@ trait Lhs: Copy {
 
 /// One pass of a [`product`]: the left operand it reads.
 trait Pass: Copy {
-    /// `out += self @ b` on `tier` by `path`, `out` `n` columns wide.
-    fn run(self, tier: GemmTier, path: GemmPath, b: Rhs, n: usize, out: &mut [f32]);
+    /// `outs[j] += self @ b_j` on `tier` by `path` ([`GemmTier::run`]).
+    fn run<const N: usize>(
+        self,
+        tier: GemmTier,
+        path: GemmPath,
+        b: Rhs,
+        n: usize,
+        outs: [&mut [f32]; N],
+    );
 }
 
 impl<L: Lhs> Pass for L {
-    fn run(self, tier: GemmTier, path: GemmPath, b: Rhs, n: usize, out: &mut [f32]) {
-        tier.run(path, self, b, n, out)
+    fn run<const N: usize>(
+        self,
+        tier: GemmTier,
+        path: GemmPath,
+        b: Rhs,
+        n: usize,
+        outs: [&mut [f32]; N],
+    ) {
+        tier.run(path, self, b, n, outs)
     }
 }
 
@@ -446,9 +516,20 @@ struct RowMajor<'a> {
 impl Lhs for RowMajor<'_> {
     #[inline(always)]
     fn rows<const R: usize>(self, r0: usize, k: usize) -> impl Fn(usize) -> [f32; R] + Copy {
-        // Rows sliced to exactly `k`, so `kk < k` needs no check per read.
-        let rows: [&[f32]; R] = std::array::from_fn(|r| &self.a[(r0 + r) * self.lda..][..k]);
-        move |kk| std::array::from_fn(|r| rows[r][kk])
+        columns(std::array::from_fn(|r| &self.a[(r0 + r) * self.lda..][..k]))
+    }
+}
+
+/// `kk -> [rows[r][kk]; R]` for rows `k` long, with one check of `kk`
+/// per call instead of one per row.
+#[inline(always)]
+fn columns<const R: usize>(rows: [&[f32]; R]) -> impl Fn(usize) -> [f32; R] + Copy {
+    let k = rows.iter().map(|r| r.len()).min().unwrap_or(0);
+    let ptrs = rows.map(<[f32]>::as_ptr);
+    move |kk| {
+        assert!(kk < k, "column past the rows");
+        // SAFETY: every row holds at least `k > kk` elements.
+        std::array::from_fn(|r| unsafe { *ptrs[r].add(kk) })
     }
 }
 
@@ -464,9 +545,7 @@ struct Gathered<'a> {
 impl Lhs for Gathered<'_> {
     #[inline(always)]
     fn rows<const R: usize>(self, r0: usize, k: usize) -> impl Fn(usize) -> [f32; R] + Copy {
-        let rows: [&[f32]; R] =
-            std::array::from_fn(|r| &self.a[self.idx[r0 + r] as usize * self.lda..][..k]);
-        move |kk| std::array::from_fn(|r| rows[r][kk])
+        columns(std::array::from_fn(|r| &self.a[self.idx[r0 + r] as usize * self.lda..][..k]))
     }
 }
 
@@ -479,10 +558,17 @@ enum BlockRows<'a> {
 }
 
 impl Pass for BlockRows<'_> {
-    fn run(self, tier: GemmTier, path: GemmPath, b: Rhs, n: usize, out: &mut [f32]) {
+    fn run<const N: usize>(
+        self,
+        tier: GemmTier,
+        path: GemmPath,
+        b: Rhs,
+        n: usize,
+        outs: [&mut [f32]; N],
+    ) {
         match self {
-            BlockRows::Whole(a) => tier.run(path, a, b, n, out),
-            BlockRows::Gathered(a) => tier.run(path, a, b, n, out),
+            BlockRows::Whole(a) => tier.run(path, a, b, n, outs),
+            BlockRows::Gathered(a) => tier.run(path, a, b, n, outs),
         }
     }
 }
@@ -509,9 +595,16 @@ struct Transposed<'a> {
 
 impl Lhs for Transposed<'_> {
     #[inline(always)]
-    fn rows<const R: usize>(self, r0: usize, _k: usize) -> impl Fn(usize) -> [f32; R] + Copy {
+    fn rows<const R: usize>(self, r0: usize, k: usize) -> impl Fn(usize) -> [f32; R] + Copy {
         let (a, lda) = (&self.a[self.i0 + r0..], self.lda);
-        move |kk| a[kk * lda..][..R].try_into().expect("R adjacent elements")
+        assert!(k == 0 || (k - 1) * lda + R <= a.len(), "{k} rows of A");
+        let a = a.as_ptr();
+        move |kk| {
+            assert!(kk < k, "row past A");
+            // SAFETY: `R` elements from row `kk < k` are in `a` (checked
+            // above).
+            std::array::from_fn(|r| unsafe { *a.add(kk * lda + r) })
+        }
     }
 }
 
@@ -540,6 +633,183 @@ struct Rhs<'a> {
     ld: usize,
     col: usize,
     k: usize,
+}
+
+/// The AVX-512 tier's blocked kernel: register tiles of explicit `__m512`
+/// accumulators, one 16-column strip per register.
+///
+/// The outputs' columns are cut into strips of up to 16 (a short strip
+/// masks its lanes off), output by output, and taken two at a time: a tile
+/// is [`ROWS`](avx512::ROWS) rows × two strips, which may belong to two
+/// outputs, so the two 16-column halves of a [`linear_split`] run as one
+/// 32-column tile. Each lane of a tile is one output element: it starts
+/// from the element's stored value, adds `a[i,k] * b[k,j]` (a `mulps`
+/// rounded, then an `addps`, never an FMA) in ascending `k`, and is stored
+/// once, which is the blocked path's order (every product added). It is
+/// written with intrinsics rather than being the generic [`kernel`]
+/// compiled with `avx512f`, whose wider instances LLVM spills.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{Lhs, Rhs};
+    use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// Output rows per register tile.
+    const ROWS: usize = 4;
+
+    /// Columns per strip: the `f32` lanes of one `__m512`.
+    const LANES: usize = 16;
+
+    /// Up to [`LANES`] adjacent columns of one output: the output, its
+    /// first column there, and how many columns it has.
+    #[derive(Clone, Copy)]
+    struct Strip {
+        out: usize,
+        col: usize,
+        width: usize,
+    }
+
+    impl Strip {
+        /// One mask bit per column of the strip.
+        fn mask(self) -> __mmask16 {
+            ((1u32 << self.width) - 1) as __mmask16
+        }
+    }
+
+    /// `outs[j] += a @ b_j` ([`super::GemmTier::run`]) on the blocked path:
+    /// every pair of strips (and a last single one) through all rows.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn kernel<const N: usize>(a: impl Lhs, b: Rhs, n: usize, mut outs: [&mut [f32]; N]) {
+        let rows = outs[0].len() / n;
+        assert!(outs.iter().all(|o| o.len() == rows * n), "outputs of {rows} rows");
+        let per_out = n.div_ceil(LANES);
+        let strip = |i: usize| {
+            let (out, col) = (i / per_out, i % per_out * LANES);
+            Strip { out, col, width: (n - col).min(LANES) }
+        };
+        let count = N * per_out;
+        for i in (0..count).step_by(2) {
+            if i + 1 < count {
+                strip_rows(a, b, n, [strip(i), strip(i + 1)], &mut outs, rows);
+            } else {
+                strip_rows(a, b, n, [strip(i)], &mut outs, rows);
+            }
+        }
+    }
+
+    /// `row += bias` for every row of `out` ([`super::GemmTier::add_bias`]),
+    /// 16 columns per register.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn add_bias(bias: &[f32], out: &mut [f32]) {
+        for row in out.chunks_exact_mut(bias.len()) {
+            for (o, c) in row.chunks_mut(LANES).zip(bias.chunks(LANES)) {
+                let mask = ((1u32 << o.len()) - 1) as __mmask16;
+                // SAFETY: `o` and `c` hold an `f32` for every lane of `mask`;
+                // masked-off lanes are neither read nor written.
+                unsafe {
+                    let sum = _mm512_add_ps(
+                        _mm512_maskz_loadu_ps(mask, o.as_ptr()),
+                        _mm512_maskz_loadu_ps(mask, c.as_ptr()),
+                    );
+                    _mm512_mask_storeu_ps(o.as_mut_ptr(), mask, sum);
+                }
+            }
+        }
+    }
+
+    /// The `S` strips of all `rows` rows: [`ROWS`]-row tiles, then the
+    /// rows left over one at a time; B read unmasked where every strip is
+    /// full.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn strip_rows<const S: usize, const N: usize>(
+        a: impl Lhs,
+        b: Rhs,
+        n: usize,
+        strips: [Strip; S],
+        outs: &mut [&mut [f32]; N],
+        rows: usize,
+    ) {
+        let whole = rows / ROWS * ROWS;
+        if n.is_multiple_of(LANES) {
+            tiles::<ROWS, S, N, true>(a, b, n, strips, outs, 0..whole);
+            tiles::<1, S, N, true>(a, b, n, strips, outs, whole..rows);
+        } else {
+            tiles::<ROWS, S, N, false>(a, b, n, strips, outs, 0..whole);
+            tiles::<1, S, N, false>(a, b, n, strips, outs, whole..rows);
+        }
+    }
+
+    /// The `S` strips of output rows `rows` (a multiple of `R` of them),
+    /// `R` rows at a time: each tile in registers over ascending `k` from
+    /// the outputs' stored values, then one store.
+    #[target_feature(enable = "avx512f")]
+    #[inline(never)]
+    fn tiles<const R: usize, const S: usize, const N: usize, const FULL: bool>(
+        a: impl Lhs,
+        b: Rhs,
+        n: usize,
+        strips: [Strip; S],
+        outs: &mut [&mut [f32]; N],
+        rows: Range<usize>,
+    ) {
+        // Every strip lies inside its output's rows of `rows`.
+        let fits = |st: &Strip| st.width <= LANES && st.col + st.width <= n;
+        assert!(strips.iter().all(fits), "strips inside {n} columns");
+        assert!(outs.iter().all(|o| o.len() >= rows.end * n), "outputs of {} rows", rows.end);
+        // Each strip's columns in B's row 0: every row `kk < b.k` holds the
+        // strip's masked columns `kk·ld` further on.
+        let mut b0 = [std::ptr::null(); S];
+        for (b0, st) in b0.iter_mut().zip(&strips) {
+            let first = b.col + st.out * n + st.col;
+            assert!(b.k == 0 || (b.k - 1) * b.ld + first + st.width <= b.b.len(), "B too short");
+            assert!(!FULL || st.width == LANES, "a full strip");
+            *b0 = b.b[first..].as_ptr();
+        }
+        for r0 in rows.step_by(R) {
+            let a = a.rows::<R>(r0, b.k);
+            let mut acc = [[_mm512_setzero_ps(); S]; R];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                for (acc, st) in acc.iter_mut().zip(&strips) {
+                    let out = &outs[st.out][(r0 + r) * n + st.col..];
+                    // SAFETY: `out` starts at the strip's first column and
+                    // holds every column of its mask (the assertions
+                    // above); masked-off lanes are not read.
+                    *acc = unsafe { _mm512_maskz_loadu_ps(st.mask(), out.as_ptr()) };
+                }
+            }
+            let mut row = b0;
+            for kk in 0..b.k {
+                let mut bv = [_mm512_setzero_ps(); S];
+                for ((bv, st), row) in bv.iter_mut().zip(&strips).zip(&mut row) {
+                    // SAFETY: row `kk < b.k` of the strip, in bounds by the
+                    // assertions above; masked-off lanes are not read.
+                    *bv = unsafe {
+                        if FULL {
+                            _mm512_loadu_ps(*row)
+                        } else {
+                            _mm512_maskz_loadu_ps(st.mask(), *row)
+                        }
+                    };
+                    *row = row.wrapping_add(b.ld);
+                }
+                for (acc, ar) in acc.iter_mut().zip(a(kk)) {
+                    let ar = _mm512_set1_ps(ar);
+                    for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                        *acc = _mm512_add_ps(*acc, _mm512_mul_ps(ar, bv));
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (&acc, st) in acc.iter().zip(&strips) {
+                    let out = &mut outs[st.out][(r0 + r) * n + st.col..];
+                    // SAFETY: as for the loads; masked-off lanes are not
+                    // written.
+                    unsafe { _mm512_mask_storeu_ps(out.as_mut_ptr(), st.mask(), acc) };
+                }
+            }
+        }
+    }
 }
 
 /// [`kernel`] compiled with AVX2 enabled.
@@ -724,9 +994,7 @@ mod tests {
 
     #[test]
     fn tiled_matmul_is_bitwise_the_ikj_loop() {
-        // Every tier the host runs: the baseline, and its widest (AVX2, or
-        // the baseline again).
-        let tiers = [GemmTier::Baseline, GemmTier::host()];
+        let tiers: Vec<GemmTier> = GemmTier::on_host().collect();
         let mut case = 0u64;
         for m in [0, 1, 3, 4, 5, 7, 8, 33] {
             for n in [1, 3, 15, 16, 17, 32, 33, 48, 64] {
@@ -767,7 +1035,7 @@ mod tests {
 
     #[test]
     fn transposed_a_matmul_is_bitwise_transpose_then_matmul() {
-        let tiers = [GemmTier::Baseline, GemmTier::host()];
+        let tiers: Vec<GemmTier> = GemmTier::on_host().collect();
         let mut case = 0u64;
         for rows in [0, 1, 3, 4, 5, 7, 8, 9, 33, 257] {
             for m in [1, 3, 4, 5, 16, 17, 64] {
@@ -853,10 +1121,10 @@ mod tests {
         check_split_of::<N>(rng, &blocks, &x, n, &format!("seed {case}"));
     }
 
-    /// [`linear_split_on`] of `blocks` with `N` outputs `n` wide, on both
-    /// tiers at widths 1 and 2 and with `w` finite, holding an inf and
-    /// holding a NaN, against `bin.add(matmul)` of their materialised
-    /// concatenation `x`, sliced.
+    /// [`linear_split_on`] of `blocks` with `N` outputs `n` wide, on every
+    /// tier the host runs at widths 1 and 2 and with `w` finite, holding an
+    /// inf and holding a NaN, against `bin.add(matmul)` of their
+    /// materialised concatenation `x` on the baseline tier, sliced.
     #[allow(clippy::type_complexity)]
     fn check_split_of<const N: usize>(
         rng: &mut StdRng,
@@ -867,12 +1135,12 @@ mod tests {
     ) {
         use crate::kernels::elementwise::{binary, BinKind};
         use crate::shape::Bcast;
-        let tiers = [GemmTier::Baseline, GemmTier::host()];
+        let tiers: Vec<GemmTier> = GemmTier::on_host().collect();
         let rows = x.rows();
         let b = draw(rng, 1, N * n);
         for w in poisoned(rng, x.cols(), N * n) {
             for &tier in &tiers {
-                let (h, path) = gemm(tier, x, &w);
+                let (h, path) = gemm(GemmTier::Baseline, x, &w);
                 let h = binary(BinKind::Add, &h, Bcast::Full, &b, Bcast::Row, h.shape());
                 let want: [_; N] = std::array::from_fn(|i| {
                     bits(crate::kernels::gather::slice_cols(&h, i * n, n).data())
@@ -895,6 +1163,22 @@ mod tests {
         let mut case = 0;
         for rows in [0, 1, 3, 4, 5, 33, 4099] {
             for n in [1, 3, 16, 17] {
+                case += 1;
+                check_linear_split::<1>(case, rows, n);
+                check_linear_split::<2>(case, rows, n);
+                check_linear_split::<3>(case, rows, n);
+            }
+        }
+    }
+
+    #[test]
+    fn strips_across_outputs_are_bitwise_gather_concat_linear_slice() {
+        // Output widths whose 16-column strips pair up within an output,
+        // across two outputs and with a short strip on either side, over
+        // row counts on both sides of whole tiles and a pass block.
+        let mut case = 2000;
+        for rows in [1, 3, 4, 5, 63, 64, 65] {
+            for n in [2, 15, 31, 32, 33, 48] {
                 case += 1;
                 check_linear_split::<1>(case, rows, n);
                 check_linear_split::<2>(case, rows, n);
@@ -943,7 +1227,7 @@ mod tests {
 
     #[test]
     fn view_weight_gradient_is_bitwise_matmul_at_of_the_concat() {
-        let tiers = [GemmTier::Baseline, GemmTier::host()];
+        let tiers: Vec<GemmTier> = GemmTier::on_host().collect();
         let mut case = 0;
         for rows in [0, 1, 3, 4, 5, 33, 4099] {
             for n in [1, 3, 16, 34] {
@@ -952,7 +1236,7 @@ mod tests {
                 let (blocks, x) = test_blocks(rng, rows);
                 for g in poisoned(rng, rows, n) {
                     for &tier in &tiers {
-                        let (want, path) = gemm_at(tier, &x, &g);
+                        let (want, path) = gemm_at(GemmTier::Baseline, &x, &g);
                         let what = format!("{rows} rows, n={n}, {path:?} (seed {case})");
                         for width in [1, 2] {
                             let (got, got_path) = par::with_width(width, || {

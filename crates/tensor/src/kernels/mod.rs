@@ -68,11 +68,19 @@ pub(crate) fn test_rows(rng: &mut rand::rngs::StdRng, rows: usize, m: usize) -> 
     crate::Tensor::from_vec(crate::Shape::new(rows, m), data)
 }
 
+/// A `1 × m` LayerNorm scale or shift for the row-wise bitwise tests:
+/// uniform values in `[-2, 2)`, so that the affine step rounds (a
+/// [`test_rows`] row 0 is all `-0.0`, which hides it).
+#[cfg(test)]
+pub(crate) fn test_param(rng: &mut rand::rngs::StdRng, m: usize) -> crate::Tensor {
+    crate::init::uniform(rng, 1, m, -2.0, 2.0)
+}
+
 /// The row counts and widths of the row-wise bitwise tests: rows on both
-/// sides of whole [`reduce::LANES`]-row blocks (and one large count), and
+/// sides of whole 8- and 16-row lane blocks (and one large count), and
 /// widths below, at and past the lane and tile widths.
 #[cfg(test)]
-pub(crate) const TEST_ROWS: [usize; 10] = [0, 1, 3, 4, 5, 7, 8, 9, 33, 4099];
+pub(crate) const TEST_ROWS: [usize; 13] = [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 4099];
 /// See [`TEST_ROWS`].
 #[cfg(test)]
 pub(crate) const TEST_COLS: [usize; 7] = [1, 3, 4, 5, 16, 17, 64];

@@ -54,6 +54,8 @@ pub fn sum(a: &Tensor, axis: Axis) -> Tensor {
 /// once to `f32`.
 fn sum_cols(tier: GemmTier, d: &[f32], n: usize, m: usize) -> Vec<f32> {
     let mut out = crate::pool::zeroed(n);
+    // One sum per row: the AVX-512 tier runs the AVX2 lanes here.
+    let tier = if tier == GemmTier::Avx512 { GemmTier::Avx2 } else { tier };
     let lanes = lane_rows(tier, 0..n, m);
     #[cfg(target_arch = "x86_64")]
     if !lanes.is_empty() {
@@ -81,9 +83,13 @@ fn sum_cols_lanes(d: &[f32], m: usize, out: &mut [f32], xt: &mut [Lanes<f32>]) {
     }
 }
 
-/// Rows per block of the row-lane sums: one `f64` lane per row, two
-/// 4-lane AVX2 registers per block.
+/// Rows per block of the row-lane sums on the AVX2 tier: one `f64` lane
+/// per row, two 4-lane registers per block.
 pub(crate) const LANES: usize = 8;
+
+/// Rows per block of the LayerNorm kernels' row-lane sums on the AVX-512
+/// tier: two 8-lane registers per block, each its own chain of adds.
+pub(crate) const LANES_AVX512: usize = 16;
 
 /// One column of a [`LANES`]-row block: lane `l` holds row `l`'s value.
 pub(crate) type Lanes<T> = [T; LANES];
@@ -93,24 +99,30 @@ pub(crate) type Lanes<T> = [T; LANES];
 const LANE_MIN_COLS: usize = 16;
 
 /// Row-lane `f64` sums (DESIGN.md §2.2): the rows of `rows` (each `m`
-/// wide) that run in [`LANES`]-row blocks on `tier`, whole blocks from
-/// `rows.start` when the tier is [`GemmTier::Avx2`] (the host has AVX2)
-/// and `m` is at least [`LANE_MIN_COLS`], none otherwise. The rest run
-/// the kernel's scalar per-row loop.
+/// wide) that run in blocks on `tier`, whole blocks from `rows.start` when
+/// the host runs the tier and `m` is at least [`LANE_MIN_COLS`], none
+/// otherwise: [`LANES`]-row blocks on [`GemmTier::Avx2`],
+/// [`LANES_AVX512`]-row blocks on [`GemmTier::Avx512`], none on the
+/// baseline. The rest run the kernel's scalar per-row loop.
 ///
-/// A block's body is compiled with AVX2 enabled (`fma` never is). It
-/// [`transpose`]s its rows so that each column is one [`Lanes`] value, and
-/// sums each row in its own lane with [`lane_sum`]: every lane adds its
-/// row's terms in the order of the per-row loop (`Iterator::sum`:
-/// ascending column, from `-0.0`), so the sums are bitwise that loop's,
-/// while eight rows' adds overlap instead of waiting on one another.
+/// A block's body is compiled with its tier's instructions enabled (`fma`
+/// never is). It [`transpose`]s its rows (8 at a time) so that each column
+/// is one [`Lanes`] value, and sums each row in its own lane: every lane
+/// adds its row's terms in the order of the per-row loop
+/// (`Iterator::sum`: ascending column, from `-0.0`), so the sums are
+/// bitwise that loop's, while the block's rows' adds overlap instead of
+/// waiting on one another. The AVX2 body sums with [`lane_sum`], the
+/// AVX-512 one in two 8-lane `__m512d` chains.
 pub(crate) fn lane_rows(tier: GemmTier, rows: Range<usize>, m: usize) -> Range<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if tier == GemmTier::Avx2 && m >= LANE_MIN_COLS && is_x86_feature_detected!("avx2") {
-        return rows.start..rows.start + rows.len() / LANES * LANES;
+    let block = match tier {
+        GemmTier::Baseline => 0,
+        GemmTier::Avx2 => LANES,
+        GemmTier::Avx512 => LANES_AVX512,
+    };
+    if block == 0 || m < LANE_MIN_COLS || !tier.runs_here() || !cfg!(target_arch = "x86_64") {
+        return rows.start..rows.start;
     }
-    let _ = (tier, m);
-    rows.start..rows.start
+    rows.start..rows.start + rows.len() / block * block
 }
 
 /// Each lane's sum of `term(c)` over columns `c` in `0..m` (one [`Lanes`]
@@ -208,15 +220,18 @@ mod tests {
     #[test]
     fn row_lane_column_sums_are_bitwise_the_per_row_loop() {
         // On the baseline tier every row runs the scalar per-row loop, the
-        // reference; on an AVX2 host the whole blocks run in row lanes.
+        // reference; on every other tier the host runs, whole blocks run in
+        // row lanes.
         let mut case = 0;
         for rows in TEST_ROWS {
             for m in TEST_COLS {
                 case += 1;
                 let x = test_rows(&mut StdRng::seed_from_u64(case), rows, m);
                 let want = bits(&sum_cols(GemmTier::Baseline, x.data(), rows, m));
-                let lanes = sum_cols(GemmTier::host(), x.data(), rows, m);
-                assert_eq!(bits(&lanes), want, "{rows}x{m} (seed {case})");
+                for tier in GemmTier::on_host() {
+                    let lanes = sum_cols(tier, x.data(), rows, m);
+                    assert_eq!(bits(&lanes), want, "{tier:?} {rows}x{m} (seed {case})");
+                }
                 assert_eq!(bits(sum(&x, Axis::Cols).data()), want, "dispatched {rows}x{m}");
             }
         }
@@ -245,7 +260,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn transpose_puts_row_l_in_lane_l() {
-        if lane_rows(GemmTier::host(), 0..LANES, LANE_MIN_COLS).is_empty() {
+        if lane_rows(GemmTier::Avx2, 0..LANES, LANE_MIN_COLS).is_empty() {
             return; // no AVX2: nothing runs in lanes
         }
         for m in [0, 3, 8, 19] {

@@ -37,10 +37,12 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 /// md-nve64 forward and a train-dp4 rank step (EXPERIMENTS.md "Intra-op
 /// parallelism"; "Blocked GEMM" for `matmul`; "Bitwise vector expf" for
 /// the `exp` tier; "Fused final-sweep VJPs" for the row-lane LayerNorm and
-/// the VJPs): copies 1/2, `matmul` (and `matmul_at`) `k/12`,
+/// the VJPs; "AVX-512 tier" for that tier's weights): copies 1/2, `matmul`
+/// (and `matmul_at`) `k/12` (`k/16` on `GemmTier::Avx512`),
 /// `fused.layer_norm` 2, `fused.ln_vjp` 4, other unaries up to 4, sigmoid
-/// and SiLU 3 (7 on `ExpTier::Libm`), `fused.gate` 5 (16 on `Libm`),
-/// `fused.gate_vjp` 6 (18 on `Libm`) and the fused bases 10. The threshold
+/// and SiLU 3 (7 on `ExpTier::Libm`, 2 on `ExpTier::Avx512`), `fused.gate`
+/// 5 (16 on `Libm`, 3 on `Avx512`), `fused.gate_vjp` 6 (18 on `Libm`, 4 on
+/// `Avx512`) and the fused bases 10. The threshold
 /// is about 16 µs of one core: a split costs several microseconds of
 /// helper wake-up and hand-off, which smaller kernels do not repay.
 pub const SPLIT_WORK: usize = 1 << 14;
@@ -229,6 +231,17 @@ impl Rows<'_> {
     pub(crate) fn push(&mut self, v: f32) {
         self.dst[self.pos].write(v);
         self.pos += 1;
+    }
+
+    /// Append `n` values that `write` stores through the pointer to the
+    /// first of the `n` slots.
+    ///
+    /// # Safety
+    /// `write` writes all `n` slots, and no other memory.
+    #[inline]
+    pub(crate) unsafe fn extend_raw(&mut self, n: usize, write: impl FnOnce(*mut f32)) {
+        write(self.dst[self.pos..self.pos + n].as_mut_ptr().cast());
+        self.pos += n;
     }
 
     /// Append a copy of `s`.

@@ -28,7 +28,7 @@ cargo test --release -q -p fastchgnet-train ranks_without_samples_sit_the_step_o
 echo "== intra-op split equivalence smoke (width 1 vs N, release) =="
 cargo test --release -q -p fastchgnet-tensor --lib par::tests
 
-echo "== GEMM tier equivalence smoke (baseline vs AVX2, release) =="
+echo "== GEMM tier equivalence smoke (every tier the host runs vs baseline, release) =="
 cargo test --release -q -p fastchgnet-tensor --lib kernels::matmul::tests::tiled_matmul_is_bitwise_the_ikj_loop
 
 echo "== row-lane sums and fused VJP equivalence (release) =="
@@ -40,17 +40,18 @@ cargo test --release -q -p fastchgnet-tensor --lib -- view split_segment_sums
 cargo test --release -q -p fc_verify --test equivalence column_block_views
 
 # The fused LayerNorm+gate, weighted segment sum and N-output linear
-# launches against their composed chains: each kernel test runs the
-# baseline and AVX2 GEMM tiers at widths 1 and 2, the tape test every
-# sweep at widths 1 and 2.
+# launches against their composed chains: each kernel test runs every GEMM
+# tier the host runs at widths 1 and 2, the tape test every sweep at
+# widths 1 and 2.
 echo "== fused message-path equivalence (release) =="
 cargo test --release -q -p fastchgnet-tensor --lib -- \
   ln_gate weighted_segment_sum linear_split linear_vjp fused_message_path split_kernels
 cargo test --release -q -p fc_verify --test equivalence fused_message_path
 
-# The port against f32::exp at all 2^32 inputs (~20 s on 2 threads). The
-# test compares only when the host's exp tier is Avx2Fma, and says so.
-echo "== exp tier equivalence (exhaustive, release) =="
+# Every vector exp tier the host runs (Avx2Fma, Avx512) against f32::exp
+# at all 2^32 inputs (~20 s per tier on 2 threads). Nothing is compared
+# where the host's exp tier is Libm, and the test says so.
+echo "== exp tier equivalence (exhaustive, every vector tier, release) =="
 cargo test --release -q -p fastchgnet-tensor --lib kernels::exp::tests::port_is_libm_at_every_input \
   -- --ignored --nocapture
 
@@ -63,14 +64,15 @@ cargo test --release -q -p fastchgnet-tensor --lib kernels::trig::tests::port_is
 
 # Both neighbour-list paths against the per-candidate search (widths 1
 # and 2), and linear_split with a gathered first block from fewer, as
-# many and more source rows against gather + concat + linear (both GEMM
-# tiers, widths 1 and 2), with the fused bases against their scalar loops
-# (orders 0-1 bitwise) and the sRBF's orders 2-3 against the f64 Leibniz
-# sum (at a stated tolerance; widths 1 and 2 bitwise).
+# many and more source rows, and with outputs whose column strips pair
+# across outputs, against gather + concat + linear (every GEMM tier the
+# host runs, widths 1 and 2), with the fused bases against their scalar
+# loops (orders 0-1 bitwise) and the sRBF's orders 2-3 against the f64
+# Leibniz sum (at a stated tolerance; widths 1 and 2 bitwise).
 echo "== neighbour list and first-block GEMM equivalence (release) =="
 cargo test --release -q -p fastchgnet-crystal --lib neighbor::tests
 cargo test --release -q -p fastchgnet-tensor --lib -- \
-  first_block_partials bases_are_bitwise high_orders_match_the_f64_leibniz_sum
+  first_block_partials strips_across_outputs bases_are_bitwise high_orders_match_the_f64_leibniz_sum
 
 echo "== final-sweep equivalence smoke (final sweep vs retained backward bitwise, release) =="
 cargo test --release -q -p fc_verify --test equivalence final_sweep_is_bitwise_the_retained_backward

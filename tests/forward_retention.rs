@@ -38,13 +38,20 @@ const FORCE_BITS: [[u32; 3]; 3] = [
 const GRADIENT_HASH: u64 = 0xc7e6_d23d_452d_10b4;
 
 /// Whether this host computes the bits the constants were recorded with:
-/// glibc's libm on the `Avx2` and `Avx2Fma` tiers.
+/// glibc's libm on the `Avx2` and `Avx2Fma` tiers, or on the `Avx512`
+/// tiers, which give the same bits.
 fn recording_host() -> bool {
     let tiers = (GemmTier::host(), ExpTier::host());
     let same = cfg!(all(target_arch = "x86_64", target_env = "gnu"))
-        && tiers == (GemmTier::Avx2, ExpTier::Avx2Fma);
+        && matches!(
+            tiers,
+            (GemmTier::Avx2, ExpTier::Avx2Fma) | (GemmTier::Avx512, ExpTier::Avx512)
+        );
     if !same {
-        println!("bits not compared: recorded on x86-64 glibc, Avx2/Avx2Fma; host {tiers:?}");
+        println!(
+            "bits not compared: recorded on x86-64 glibc, Avx2/Avx2Fma or Avx512/Avx512; host \
+             {tiers:?}"
+        );
     }
     same
 }
