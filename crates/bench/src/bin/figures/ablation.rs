@@ -16,7 +16,7 @@ use fc_crystal::Sample;
 use fc_telemetry::RunReport;
 use fc_train::{
     evaluate, load_cov, model_bytes, partition, quantize_store, strong_efficiency, train_model,
-    CommModel, Precision, SamplerKind, ScalingModel,
+    CommModel, Precision, SamplerKind, ScalingModel, MPTRJ_EPOCH,
 };
 
 pub fn run(scale: &Scale) -> (String, RunReport) {
@@ -81,19 +81,14 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     println!("{}", render_table(&["sampler", "mean CoV (4 devices)"], &rows));
 
     // ------------------------------------------------ 3. comm overlap
-    let base = ScalingModel {
-        comm: CommModel::a100_fat_tree(),
-        t_fixed: 0.01,
-        per_feature: 6e-8,
-        grad_bytes: 429_000 * 4,
-        sample_cov: 0.15,
-    };
+    // The overlap fraction varied on fig10's projection.
+    let (base, mean_features) = scale.projection(&data);
     let mut rows = Vec::new();
     for (name, overlap) in
         [("no overlap", 0.0), ("60% overlap (paper)", 0.6), ("full overlap", 1.0)]
     {
         let model = ScalingModel { comm: CommModel { overlap, ..base.comm }, ..base };
-        let strong = model.strong_scaling(&[4, 8, 16, 32], 1_422_355, 2048, 3500.0);
+        let strong = model.strong_scaling(&[4, 8, 16, 32], MPTRJ_EPOCH, 2048, mean_features);
         let eff = strong_efficiency(&strong);
         let eff32 = eff.last().unwrap().2;
         rows.push(vec![name.to_string(), format!("{:.1}%", eff32 * 100.0)]);

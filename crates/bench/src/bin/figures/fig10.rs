@@ -1,74 +1,35 @@
 //! Fig. 10: strong and weak scaling of FastCHGNet on 4-32 (simulated)
 //! GPUs.
 //!
-//! The per-device compute model is *calibrated from measurement*: several
-//! real training steps of varying batch size are executed on the simulated
-//! device, a linear time-vs-workload model is fitted, and the fitted model
-//! is combined with the ring all-reduce interconnect model and the
-//! sampler's residual-imbalance straggler term (see `fc_train::scaling`).
+//! The per-device compute model is *calibrated from counted work*: a few
+//! one-device training steps of growing batch size are projected to A100
+//! seconds from their per-op-kind kernels, FLOPs and bytes, a line is
+//! fitted through them, and the fit is combined with the ring all-reduce
+//! interconnect model and the sampler's residual-imbalance straggler term
+//! (see `fc_train::scaling`). No number depends on host speed.
 //!
 //! Run: `figures fig10`
 
-use fc_bench::{fmt_secs, tsv_table, Scale, A100_FACTOR};
-use fc_core::OptLevel;
-use fc_crystal::stats::coefficient_of_variance;
-use fc_crystal::Sample;
+use fc_bench::{fmt_secs, tsv_table, Scale};
 use fc_telemetry::RunReport;
-use fc_train::{
-    strong_efficiency, weak_efficiency, Cluster, ClusterConfig, CommModel, SamplerKind,
-    ScalingModel,
-};
+use fc_train::{strong_efficiency, weak_efficiency, MPTRJ_EPOCH};
 
 pub fn run(scale: &Scale) -> (String, RunReport) {
     let data = scale.dataset();
-    let samples: Vec<&Sample> = data.samples.iter().collect();
-    let features: Vec<f64> = samples.iter().map(|s| s.graph.feature_number() as f64).collect();
-    let mean_features = features.iter().sum::<f64>() / features.len() as f64;
-    let cov = coefficient_of_variance(&features);
-
-    // --- calibration: measured step time vs workload ---------------------
-    println!("calibrating compute model from measured steps ...");
-    let mut cluster = Cluster::new(
-        scale.model(OptLevel::Decoupled),
-        3,
-        ClusterConfig { n_devices: 1, sampler: SamplerKind::LoadBalance, ..Default::default() },
-        1e-3,
-    );
-    let mut xs = Vec::new();
-    let mut ts = Vec::new();
-    for &bs in &[2usize, 4, 8, 12, 16] {
-        let batch: Vec<&Sample> = samples.iter().take(bs).copied().collect();
-        // Warm-up, then measure.
-        cluster.train_step(&batch);
-        let stats = cluster.train_step(&batch);
-        let load: f64 = batch.iter().map(|s| s.graph.feature_number() as f64).sum();
-        xs.push(load);
-        ts.push(stats.device_compute[0]);
-        println!(
-            "  batch {bs:>3}: load {load:>8.0} features -> {}",
-            fmt_secs(stats.device_compute[0])
-        );
-    }
-    let (t_fixed, per_feature) = fc_train::fit_linear(&xs, &ts);
+    let (model, mean_features) = scale.projection(&data);
+    // `calibrate` records the residual; the runner has telemetry on.
+    let residual = fc_telemetry::snapshot().gauges["scaling.fit_max_rel_residual"];
     println!(
-        "fit: t_step = {} + {:.3e} s/feature on this host (sample CoV {:.3}); A100 factor {A100_FACTOR}\n",
-        fmt_secs(t_fixed.max(0.0)),
-        per_feature,
-        cov
+        "fit: t_step = {} + {:.3e} s/feature on one A100 (max relative residual {residual:.1e}); \
+         residual CoV {:.3}; {mean_features:.0} features/sample\n",
+        fmt_secs(model.t_fixed),
+        model.per_feature,
+        model.sample_cov
     );
-
-    let model = ScalingModel {
-        comm: CommModel::a100_fat_tree(),
-        t_fixed: t_fixed.max(0.0) / A100_FACTOR,
-        per_feature: per_feature.max(1e-12) / A100_FACTOR,
-        grad_bytes: cluster.store.n_scalars() * 4,
-        sample_cov: cov * 0.3, // residual imbalance after load balancing
-    };
 
     // --- strong scaling: global batch 2048, epoch of the paper's scale ---
     let devices = [4usize, 8, 16, 32];
-    let n_epoch_samples = 1_422_355; // 90% of MPtrj
-    let strong = model.strong_scaling(&devices, n_epoch_samples, 2048, mean_features);
+    let strong = model.strong_scaling(&devices, MPTRJ_EPOCH, 2048, mean_features);
     let strong_eff = strong_efficiency(&strong);
     let paper_strong = [(4, 1.0, 1.0), (8, 1.65, 0.825), (16, 3.18, 0.795), (32, 5.26, 0.66)];
 
@@ -82,7 +43,7 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     }
 
     // --- weak scaling: mini-batch 512 per device --------------------------
-    let weak = model.weak_scaling(&devices, n_epoch_samples, 512, mean_features);
+    let weak = model.weak_scaling(&devices, MPTRJ_EPOCH, 512, mean_features);
     let weak_eff = weak_efficiency(&weak);
     let paper_weak = [(4, 1.0), (8, 0.915), (16, 0.846), (32, 0.746)];
     for ((p, eff), (pp, pe)) in weak_eff.iter().zip(&paper_weak) {
@@ -93,23 +54,11 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     println!("--- strong (global batch 2048) and weak (mini-batch 512 / device) scaling ---");
     println!("{}", tsv_table(&tsv));
 
-    // Sensitivity of the 32-GPU strong efficiency to the device factor.
-    println!("--- sensitivity: strong-scaling efficiency @ 32 GPUs vs device speed ---");
-    for factor in [A100_FACTOR / 2.0, A100_FACTOR, A100_FACTOR * 2.0] {
-        let m = ScalingModel {
-            t_fixed: model.t_fixed * A100_FACTOR / factor,
-            per_feature: model.per_feature * A100_FACTOR / factor,
-            ..model
-        };
-        let rows = m.strong_scaling(&devices, n_epoch_samples, 2048, mean_features);
-        let eff32 = strong_efficiency(&rows).last().unwrap().2;
-        println!("  factor {factor:>6.0}: eff32 = {:.1}%", eff32 * 100.0);
-    }
-
     let mut report = RunReport::new("fig10", scale.dataset_cfg().seed);
     report
         .set_meta("grad_bytes", model.grad_bytes)
-        .set_timing("fit_t_fixed", t_fixed.max(0.0))
-        .set_timing("fit_per_feature", per_feature);
+        .set_meta("fit_t_fixed_us", model.t_fixed * 1e6)
+        .set_meta("fit_per_feature_ns", model.per_feature * 1e9)
+        .set_meta("mean_features", mean_features);
     (tsv, report)
 }

@@ -3,23 +3,21 @@
 //! The `figures` binary regenerates one table or figure of the paper per
 //! call (`figures <name>`, see DESIGN.md's experiment index). This library
 //! holds the shared scaffolding: scaled-down-but-faithful experiment sizes
-//! for a CPU host and plain-text table rendering.
+//! for a CPU host, the one scaling projection the multi-GPU figures share
+//! ([`Scale::projection`]) and plain-text table rendering.
+//!
+//! The projection is counted work, not host time: `ScalingModel::calibrate`
+//! charges each op kind of a few one-device steps `count·L +
+//! max(flops/P, bytes/B)`, with the A100's FP32 peak `P` (19.5 TFLOP/s),
+//! its HBM bandwidth `B` (1.555 TB/s) and an assumed 5 µs launch floor `L`
+//! (`fc_train::allreduce`), so every host prints the same projection.
 //!
 //! Scale selection: set `FASTCHGNET_SCALE=full` for larger runs; the
 //! default `quick` keeps every figure in the minutes range on one core.
 
 use fc_core::{ModelConfig, ModelVariant, OptLevel};
 use fc_crystal::{DatasetConfig, SynthMPtrj};
-use fc_train::{LrPolicy, TrainConfig};
-
-/// CPU-to-A100 throughput factor for the scaling projections (Fig. 10 and
-/// the headline). The interconnect model is A100-cluster calibrated, so
-/// the compute model must be too: one CPU core is roughly two to three
-/// orders of magnitude slower than an A100 on this workload. The factor
-/// rescales the *measured* CPU throughput to the device class; the scaling
-/// curves' shape is what the experiments check (fig10 prints a
-/// sensitivity row at half and double the factor).
-pub const A100_FACTOR: f64 = 250.0;
+use fc_train::{LrPolicy, ScalingModel, TrainConfig};
 
 /// Experiment scale knobs.
 #[derive(Clone, Copy, Debug)]
@@ -135,6 +133,16 @@ impl Scale {
     /// Generate (deterministically) the benchmark dataset.
     pub fn dataset(&self) -> SynthMPtrj {
         SynthMPtrj::generate(&self.dataset_cfg())
+    }
+
+    /// The projected workload of every scaling figure (fig10, ablation,
+    /// headline): the Decoupled benchmark model calibrated on `data`, and
+    /// `data`'s mean features per sample.
+    pub fn projection(&self, data: &SynthMPtrj) -> (ScalingModel, f64) {
+        let samples: Vec<_> = data.samples.iter().collect();
+        let features: usize = samples.iter().map(|s| s.graph.feature_number()).sum();
+        let model = ScalingModel::calibrate(self.model(OptLevel::Decoupled), &samples);
+        (model, features as f64 / samples.len() as f64)
     }
 
     /// A wider, more MPtrj-like dataset for the *distribution* experiments

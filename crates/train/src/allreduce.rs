@@ -77,6 +77,17 @@ fn reduce_chunk_tree(ranks: &mut [&mut [f32]]) {
     }
 }
 
+/// A100 40 GB peak FP32 rate, 19.5 TFLOP/s (NVIDIA A100 datasheet): the
+/// `P` of the counted-work projection [`crate::scaling::a100_seconds`].
+pub const A100_FP32_FLOPS: f64 = 19.5e12;
+
+/// A100 40 GB HBM2 bandwidth, 1,555 GB/s (same datasheet): its `B`.
+pub const A100_HBM_BYTES_PER_S: f64 = 1.555e12;
+
+/// Assumed launch floor per kernel, 5 µs (a CUDA launch plus per-op
+/// dispatch): its `L`, the term kernel fusion and CUDA graphs shrink.
+pub const KERNEL_LAUNCH_S: f64 = 5e-6;
+
 /// α-β cost model of a ring all-reduce on the cluster interconnect, with
 /// the paper's communication-overlap optimization expressed as the
 /// fraction of communication hidden behind the backward pass.

@@ -11,9 +11,10 @@
 //!   parallelism, one [`Cluster::train_step`] per global batch, measured
 //!   per-rank compute time,
 //! * seeded epoch batching ([`epoch_batches`]),
-//! * the calibratable [`ScalingModel`] behind the Fig. 10 strong/weak
-//!   scaling curves — the only time model, with the α-β ring
-//!   interconnect cost ([`CommModel`]) and communication overlap,
+//! * the [`ScalingModel`] behind the Fig. 10 strong/weak scaling curves —
+//!   the only time model, calibrated from counted kernel work
+//!   ([`ScalingModel::calibrate`]), with the α-β ring interconnect cost
+//!   ([`CommModel`]) and communication overlap,
 //! * metrics (MAE in the paper's units, parity R²) and checkpointing.
 
 pub mod allreduce;
@@ -38,6 +39,8 @@ pub use metrics::{evaluate, evaluate_with_scatter, r2, EvalMetrics, ScatterData}
 pub use optim::{clip_grad_norm, Adam};
 pub use quant::{model_bytes, quantize_store, quantize_tensor, Precision};
 pub use sampler::{device_loads, load_cov, partition, SamplerKind};
-pub use scaling::{fit_linear, strong_efficiency, weak_efficiency, ScalingModel};
+pub use scaling::{
+    a100_seconds, fit_linear, strong_efficiency, weak_efficiency, ScalingModel, MPTRJ_EPOCH,
+};
 pub use sched::{scaled_init_lr, CosineAnnealing, BASE_LR, LR_SCALE_K};
 pub use trainer::{train_model, EpochLog, LrPolicy, TrainConfig, TrainReport};

@@ -1,13 +1,15 @@
 //! Analytic strong/weak scaling model (Fig. 10).
 //!
 //! The paper's scaling experiments need 4-32 physical GPUs, which a CPU
-//! host cannot stand in for by wall-clock thread scaling. Instead, the
-//! model below is calibrated against *measured* per-step compute times of
-//! the simulated device (time vs. workload regression) and combined with
-//! the ring all-reduce cost model and a straggler term, reproducing the
-//! paper's efficiency curves structurally. It is the crate's only time
-//! model ([`crate::Cluster`] steps report measured compute, never a
-//! modelled clock):
+//! host cannot stand in for by wall-clock thread scaling. Instead,
+//! [`ScalingModel::calibrate`] fits per-step compute to the A100 seconds
+//! projected from the kernels, FLOPs and bytes a few one-device steps count,
+//! which do not depend on the host: [`a100_seconds`] charges each op kind
+//! `count·L + max(flops/P, bytes/B)` with `P` = [`A100_FP32_FLOPS`], `B` =
+//! [`A100_HBM_BYTES_PER_S`] and `L` = [`KERNEL_LAUNCH_S`]. The fit is
+//! combined with the ring all-reduce cost model and a straggler term. It is
+//! the crate's only time model ([`crate::Cluster`] steps report measured
+//! compute, never a modelled clock):
 //!
 //! `T_step(p) = t_fix + c · load_max(p) + allreduce(bytes, p) · (1 − overlap)`
 //!
@@ -15,7 +17,27 @@
 //! an extreme-value approximation: with `m` samples per device of
 //! workload CoV `v`, `E[max_p load] ≈ mean · (1 + v/√m · √(2 ln p))`.
 
-use crate::allreduce::CommModel;
+use crate::allreduce::{CommModel, A100_FP32_FLOPS, A100_HBM_BYTES_PER_S, KERNEL_LAUNCH_S};
+use crate::cluster::{Cluster, ClusterConfig, ExecutionMode};
+use fc_core::ModelConfig;
+use fc_crystal::stats::coefficient_of_variance;
+use fc_crystal::Sample;
+use fc_tensor::OpTotals;
+
+/// Samples in one MPtrj training epoch (90% of its 1.58M structures).
+pub const MPTRJ_EPOCH: usize = 1_422_355;
+
+/// Share of the samples' feature CoV the Load-Balance sampler leaves
+/// between devices: the paper's Fig. 9 ratio 0.064/0.186 = 0.34, rounded.
+const RESIDUAL_COV_FACTOR: f64 = 0.3;
+
+/// Projected A100 seconds of a per-op-kind table (module docs).
+pub fn a100_seconds(per_op: &[(&str, OpTotals)]) -> f64 {
+    let roofline = |t: &OpTotals| {
+        (t.flops as f64 / A100_FP32_FLOPS).max(t.bytes as f64 / A100_HBM_BYTES_PER_S)
+    };
+    per_op.iter().map(|(_, t)| t.count as f64 * KERNEL_LAUNCH_S + roofline(t)).sum()
+}
 
 /// Linear least-squares fit `t ≈ fixed + slope · x`.
 ///
@@ -38,7 +60,7 @@ pub fn fit_linear(x: &[f64], t: &[f64]) -> (f64, f64) {
 }
 
 /// Calibrated scaling model.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScalingModel {
     /// Interconnect model.
     pub comm: CommModel,
@@ -54,6 +76,13 @@ pub struct ScalingModel {
 }
 
 impl ScalingModel {
+    /// The model fitted to one-device steps of `model_cfg` on the first
+    /// 2-16 `samples` (module docs), whose feature CoV sets the straggler
+    /// term; the fit's worst relative residual goes to a telemetry gauge.
+    pub fn calibrate(model_cfg: ModelConfig, samples: &[&Sample]) -> ScalingModel {
+        calibrate_on(model_cfg, samples, ExecutionMode::default())
+    }
+
     /// Expected straggler inflation for `p` devices with `m` samples each.
     pub fn straggler_factor(&self, p: usize, m: usize) -> f64 {
         if p <= 1 || m == 0 {
@@ -116,6 +145,30 @@ impl ScalingModel {
     }
 }
 
+fn calibrate_on(cfg: ModelConfig, samples: &[&Sample], exec: ExecutionMode) -> ScalingModel {
+    let (mut xs, mut ts, mut grad_bytes) = (Vec::new(), Vec::new(), 0);
+    for batch in [2, 4, 8, 12, 16].map(|bs| &samples[..bs.min(samples.len())]) {
+        // A fresh cluster, so its per-op table is this one step's.
+        let mut cluster =
+            Cluster::new(cfg, 3, ClusterConfig { execution: exec, ..Default::default() }, 1e-3);
+        cluster.train_step(batch);
+        xs.push(batch.iter().map(|s| s.graph.feature_number() as f64).sum());
+        ts.push(a100_seconds(&cluster.per_op()));
+        grad_bytes = cluster.store.n_scalars() * 4;
+    }
+    let (t_fixed, per_feature) = fit_linear(&xs, &ts);
+    let residual = xs.iter().zip(&ts).map(|(x, t)| ((t_fixed + per_feature * x) / t - 1.0).abs());
+    fc_telemetry::gauge_set("scaling.fit_max_rel_residual", residual.fold(0.0, f64::max));
+    let features: Vec<f64> = samples.iter().map(|s| s.graph.feature_number() as f64).collect();
+    ScalingModel {
+        comm: CommModel::a100_fat_tree(),
+        t_fixed,
+        per_feature,
+        grad_bytes,
+        sample_cov: coefficient_of_variance(&features) * RESIDUAL_COV_FACTOR,
+    }
+}
+
 /// Scaling efficiency relative to the first row:
 /// `eff_i = (T_0 · p_0) / (T_i · p_i)` for strong scaling.
 pub fn strong_efficiency(rows: &[(usize, f64)]) -> Vec<(usize, f64, f64)> {
@@ -151,6 +204,46 @@ mod tests {
             grad_bytes: 430_000 * 4,
             sample_cov: 0.6,
         }
+    }
+
+    #[test]
+    fn roofline_charges_launches_and_the_slower_of_compute_and_memory() {
+        let table = [
+            // Memory-bound: 1 ms of HBM traffic, 0.05 ms of FLOPs.
+            (
+                "bin.add",
+                OpTotals { count: 2, flops: 1_000_000_000, bytes: 1_555_000_000, nanos: 7 },
+            ),
+            // Compute-bound: 1 ms of FLOPs, under 1 µs of traffic.
+            ("matmul", OpTotals { count: 3, flops: 19_500_000_000, bytes: 1_000_000, nanos: 0 }),
+        ];
+        let t = a100_seconds(&table);
+        assert!((t - (5.0 * KERNEL_LAUNCH_S + 2e-3)).abs() < 1e-12, "{t}");
+        // The launch floor alone: kernels that move and compute nothing.
+        let empty = [("un.neg", OpTotals { count: 4, ..Default::default() })];
+        assert_eq!(a100_seconds(&empty), 4.0 * KERNEL_LAUNCH_S);
+        assert_eq!(a100_seconds(&[]), 0.0);
+    }
+
+    #[test]
+    fn calibration_is_identical_across_calls_and_worker_counts() {
+        let data = fc_crystal::SynthMPtrj::generate(&fc_crystal::DatasetConfig {
+            n_structures: 16,
+            max_atoms: 6,
+            ..Default::default()
+        });
+        let samples: Vec<&Sample> = data.samples.iter().collect();
+        let cfg = ModelConfig::tiny(fc_core::OptLevel::Decoupled);
+        let one = ScalingModel::calibrate(cfg, &samples);
+        assert_eq!(ScalingModel::calibrate(cfg, &samples), one);
+        assert_eq!(calibrate_on(cfg, &samples, ExecutionMode::Threaded(2)), one);
+        // Every step launches the same kernels, so the intercept is at
+        // least one step's launch floor, and the work grows with features.
+        let mut cluster = Cluster::new(cfg, 3, ClusterConfig::default(), 1e-3);
+        cluster.train_step(&samples[..2]);
+        let kernels = cluster.profile().kernels as f64;
+        assert!(one.t_fixed >= kernels * KERNEL_LAUNCH_S && one.per_feature > 0.0, "{one:?}");
+        assert!(one.t_fixed < 1.01 * kernels * KERNEL_LAUNCH_S, "{one:?}");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Multi-GPU scaling study: run real data-parallel training steps on
 //! simulated clusters of growing size, watch the load-balance sampler's
-//! effect on the straggler, and project strong scaling with the
-//! calibrated analytic model (the Fig. 10 machinery).
+//! effect on the straggler, and project strong scaling to A100s with the
+//! model calibrated from counted kernel work (the Fig. 10 machinery).
 //!
 //! Run: `cargo run --release --example scaling_study`
 
 use fastchgnet::prelude::*;
-use fastchgnet::train::{fit_linear, strong_efficiency, ScalingModel};
+use fastchgnet::train::{strong_efficiency, ScalingModel, MPTRJ_EPOCH};
 
 fn main() {
     // Arm the flight recorder: the per-rank lanes of the 4-device steps
@@ -48,32 +48,9 @@ fn main() {
         }
     }
 
-    // --- calibrate and project to the paper's 4-32 GPUs -----------------
-    println!("\ncalibrating the analytic model from measured step times ...");
-    let mut cluster = Cluster::new(
-        ModelConfig::tiny(OptLevel::Decoupled),
-        3,
-        ClusterConfig { n_devices: 1, ..Default::default() },
-        1e-3,
-    );
-    let mut xs = Vec::new();
-    let mut ts = Vec::new();
-    for &bs in &[4usize, 8, 16, 32] {
-        let batch: Vec<&Sample> = samples.iter().take(bs).copied().collect();
-        cluster.train_step(&batch);
-        let stats = cluster.train_step(&batch);
-        xs.push(batch.iter().map(|s| s.graph.feature_number() as f64).sum());
-        ts.push(stats.device_compute[0]);
-    }
-    let (t_fixed, per_feature) = fit_linear(&xs, &ts);
-    let model = ScalingModel {
-        comm: CommModel::a100_fat_tree(),
-        t_fixed: t_fixed.max(0.0),
-        per_feature: per_feature.max(1e-12),
-        grad_bytes: cluster.store.n_scalars() * 4,
-        sample_cov: 0.15,
-    };
-    let rows = model.strong_scaling(&[4, 8, 16, 32], 1_422_355, 2048, mean_features);
+    // --- project to the paper's 4-32 GPUs from counted work -------------
+    let model = ScalingModel::calibrate(ModelConfig::tiny(OptLevel::Decoupled), &samples);
+    let rows = model.strong_scaling(&[4, 8, 16, 32], MPTRJ_EPOCH, 2048, mean_features);
     println!("\nprojected strong scaling (global batch 2048, MPtrj-sized epoch):");
     println!("devices | epoch time | speedup vs 4 | efficiency");
     for (p, speedup, eff) in strong_efficiency(&rows) {

@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
+# The binaries the steps below run are the ones cargo just built, which is
+# $CARGO_TARGET_DIR when that is set.
+bin="${CARGO_TARGET_DIR:-target}/release"
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -83,31 +87,34 @@ cargo test --release -q -p fastchgnet-train steady_state_cluster_steps_allocate_
 echo "== verify harness =="
 FASTCHGNET_REPORTS="$out" cargo run --release -p fc_verify --bin verify -q
 
-echo "== report determinism (figures fig5, fig9, headline twice: non-_s report lines identical) =="
+echo "== report determinism (figures fig5, fig9, fig10, headline twice: non-_s report lines identical) =="
 cargo build --release -q -p fastchgnet-bench --bin figures
 r1=$(mktemp -d)
 r2=$(mktemp -d)
-for fig in fig5 fig9 headline; do
-  FASTCHGNET_REPORTS="$r1" ./target/release/figures "$fig" > /dev/null
-  FASTCHGNET_REPORTS="$r2" ./target/release/figures "$fig" > /dev/null
+for fig in fig5 fig9 fig10 headline; do
+  FASTCHGNET_REPORTS="$r1" "$bin"/figures "$fig" > /dev/null
+  FASTCHGNET_REPORTS="$r2" "$bin"/figures "$fig" > /dev/null
   diff <(grep -v '_s"' "$r1/BENCH_$fig.json") <(grep -v '_s"' "$r2/BENCH_$fig.json")
 done
 rm -rf "$r1" "$r2"
 
-# Every table1 column is a parameter count or a test-set MAE (no timing),
-# so a fresh run must reproduce the committed table byte for byte.
-echo "== table1 reproduces reports/table1.tsv (figures table1, byte for byte) =="
-FASTCHGNET_SCALE=quick FASTCHGNET_REPORTS="$out" ./target/release/figures table1 > /dev/null
-diff "$out/table1.tsv" reports/table1.tsv
+# No column of table1, fig10 or ablation is timed (parameter counts, test-set
+# MAEs, sampler CoVs and the counted-work scaling projection), so a fresh
+# run must reproduce each committed table byte for byte.
+for fig in table1 fig10 ablation; do
+  echo "== $fig reproduces reports/$fig.tsv (figures $fig, byte for byte) =="
+  FASTCHGNET_SCALE=quick FASTCHGNET_REPORTS="$out" "$bin"/figures "$fig" > /dev/null
+  diff "$out/$fig.tsv" "reports/$fig.tsv"
+done
 
 echo "== trace smoke test (figures headline, flight recorder on) =="
 cargo build --release -q --bin trace-report
-FASTCHGNET_TRACE=1 FASTCHGNET_REPORTS="$out" ./target/release/figures headline > /dev/null
-./target/release/trace-report --smoke "$out/TRACE_headline.json"
+FASTCHGNET_TRACE=1 FASTCHGNET_REPORTS="$out" "$bin"/figures headline > /dev/null
+"$bin"/trace-report --smoke "$out/TRACE_headline.json"
 
 echo "== straggler timeline (scaling_study example) =="
 FASTCHGNET_REPORTS="$out" cargo run --release -q --example scaling_study > /dev/null
-./target/release/trace-report --smoke "$out/TRACE_scaling_study.json"
+"$bin"/trace-report --smoke "$out/TRACE_scaling_study.json"
 
 echo "== benchmark tests (perfbench builds against the workspace crates) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml -q

@@ -14,7 +14,7 @@ for fig in fig5 fig9 table2 fig8 fig10 table1 fig6 fig7 ablation headline; do
     echo "=================================================================="
     echo "running figures $fig"
     echo "=================================================================="
-    ./target/release/figures "$fig" | tee "reports/$fig.log"
+    "${CARGO_TARGET_DIR:-target}"/release/figures "$fig" | tee "reports/$fig.log"
 done
 echo
 echo "all experiment reports written to reports/"
