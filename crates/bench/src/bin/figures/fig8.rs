@@ -3,17 +3,26 @@
 //! sizes, for the cumulative optimization ladder
 //! reference → +parallel basis → +fusion/redundancy → +decoupling.
 //!
-//! Kernels = tape nodes executed (forward + the final backward sweep the
-//! training step runs); memory = peak live tape bytes, including the
-//! first-order gradient graph the derivative-based levels build in their
-//! forward (see DESIGN.md §2.2); A100 time = the same iteration's kernels
-//! projected from their counted FLOPs and bytes (`fc_train::a100_seconds`),
-//! which, unlike the timed column, is identical on every run and host.
+//! Every level times the program's own training step: a fresh one-device
+//! `Cluster` (default config, seed 3) per level and batch, whose first
+//! `train_step` gives the counted columns, then [`ROUNDS`] interleaved
+//! rounds that time one step of every level in turn (`fc_bench::Rounds`).
+//! A level's time is the median of its rounds and `speedup_vs_ref` the
+//! median of its per-round ratios. As on every rank, the step runs its
+//! kernels at `par` width 1, and each timed step also collates its shard
+//! and spawns its rank worker.
+//!
+//! Kernels = tape nodes executed (forward + the final backward sweep);
+//! memory = peak live tape bytes, including the first-order gradient graph
+//! the derivative-based levels build in their forward (see DESIGN.md
+//! §2.2); A100 time = the same step's kernels projected from their counted
+//! FLOPs and bytes (`fc_train::a100_seconds`). Every column but the two
+//! timed ones is identical on every run and host.
 //!
 //! Run: `figures fig8`
 
-use crate::headline::{measure_iteration, Iteration};
-use fc_bench::{tsv_table, Scale};
+use crate::headline::time_ladder;
+use fc_bench::{tsv_table, Scale, ROUNDS};
 use fc_core::OptLevel;
 use fc_crystal::Sample;
 use fc_telemetry::RunReport;
@@ -25,31 +34,23 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     let mut tsv =
         String::from("batch\tlevel\titer_time_s\tkernels\tpeak_mem_MB\tspeedup_vs_ref\tkernel_ratio\tmem_ratio\ta100_us\ta100_speedup\n");
     for &bs in batch_sizes {
+        println!("timing batch {bs}, {ROUNDS} rounds of the ladder ...");
         let samples: Vec<&Sample> = data.samples.iter().take(bs).collect();
-        let mut base: Option<Iteration> = None;
-        for level in OptLevel::LADDER {
-            println!("measuring batch {bs}, {} ...", level.label());
-            let m = measure_iteration(level, &samples, scale.timing_iters, scale);
-            let (speedup, kratio, mratio, dratio) = match &base {
-                Some(b) => (
-                    b.time_s / m.time_s,
-                    b.kernels as f64 / m.kernels as f64,
-                    b.peak_bytes as f64 / m.peak_bytes as f64,
-                    b.device_s / m.device_s,
-                ),
-                None => (1.0, 1.0, 1.0, 1.0),
-            };
+        let (counts, rounds) = time_ladder(&OptLevel::LADDER, &samples, scale);
+        let b = &counts[0];
+        for (i, (level, m)) in OptLevel::LADDER.iter().zip(&counts).enumerate() {
             tsv.push_str(&format!(
-                "{bs}\t{}\t{:.6}\t{}\t{:.3}\t{speedup:.3}\t{kratio:.3}\t{mratio:.3}\t{:.1}\t{dratio:.3}\n",
+                "{bs}\t{}\t{:.6}\t{}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{:.1}\t{:.3}\n",
                 level.label(),
-                m.time_s,
+                rounds.median(i),
                 m.kernels,
                 m.peak_bytes as f64 / 1e6,
-                m.device_s * 1e6
+                rounds.ratio(0, i),
+                b.kernels as f64 / m.kernels as f64,
+                b.peak_bytes as f64 / m.peak_bytes as f64,
+                m.device_s * 1e6,
+                b.device_s / m.device_s,
             ));
-            if base.is_none() {
-                base = Some(m);
-            }
         }
     }
 
@@ -57,8 +58,6 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     println!("(paper: 4.43-5.62x total time, 12.72-20.16x kernels, 3.59x memory)");
 
     let mut report = RunReport::new("fig8", scale.dataset_cfg().seed);
-    report
-        .set_meta("batch_sizes", format!("{batch_sizes:?}"))
-        .set_meta("timing_iters", scale.timing_iters);
+    report.set_meta("batch_sizes", format!("{batch_sizes:?}")).set_meta("rounds", ROUNDS);
     (tsv, report)
 }

@@ -4,94 +4,70 @@
 //! scaling).
 //!
 //! This figure reproduces the *decomposition* on the simulated platform:
-//! it measures the single-device optimization ladder on real iterations
-//! and composes it with the 32-GPU projection that fig10 and the ablation
-//! print (counted work, [`Scale::projection`]). The whole run is traced
+//! it times the program's own training step (`Cluster::train_step`, one
+//! device) at three levels of the optimization ladder in interleaved
+//! rounds ([`Rounds`]), and composes the single-device stages with the
+//! 32-GPU projection that fig10 and the ablation print (counted work,
+//! [`Scale::projection`]). The whole run is traced
 //! through `fc_telemetry` and emitted as `reports/BENCH_headline.json`.
 //!
 //! Run: `figures headline`
 
-use fc_bench::{fmt_secs, render_table, Scale};
-use fc_core::{Chgnet, OptLevel};
-use fc_crystal::{GraphBatch, Sample};
+use fc_bench::{fmt_secs, render_table, Rounds, Scale, ROUNDS};
+use fc_core::OptLevel;
+use fc_crystal::Sample;
 use fc_telemetry::RunReport;
-use fc_tensor::{ParamStore, Tape};
-use fc_train::{a100_seconds, composite_loss, strong_efficiency, Adam, LossWeights, MPTRJ_EPOCH};
+use fc_train::{a100_seconds, strong_efficiency, Cluster, ClusterConfig, MPTRJ_EPOCH};
 use std::time::Instant;
 
-/// One measured training iteration (the headline ladder and Fig. 8).
-pub struct Iteration {
-    /// Mean wall time of forward + loss + backward + Adam.
-    pub time_s: f64,
-    /// Tape nodes executed (forward + backward); identical every iteration.
+/// The counted work of one level's training step (the headline ladder
+/// and Fig. 8); identical on every run and host.
+pub struct Counts {
+    /// Kernels (tape nodes) executed, forward + backward.
     pub kernels: u64,
-    /// Peak live tape bytes of the last iteration.
+    /// Peak live tape bytes.
     pub peak_bytes: u64,
-    /// Projected A100 seconds of the last iteration's kernels
-    /// ([`a100_seconds`]); counted, so identical every run.
+    /// Projected A100 seconds of the step's kernels ([`a100_seconds`]).
     pub device_s: f64,
 }
 
-/// Train a fresh `level` model on one collated batch of `samples` for
-/// `iters` timed iterations after one warm-up. Each iteration runs under
-/// an `iter_<level>` span with profiled `forward`/`backward` and an
-/// `optimizer` span. The backward is the final sweep the cluster's
-/// training step runs, which frees each buffer after its last use.
-pub fn measure_iteration(
-    level: OptLevel,
+/// Time `Cluster::train_step` on `samples` at each of `levels`: every
+/// level trains a fresh one-device cluster (default config, seed 3), whose
+/// first step gives its [`Counts`]; then [`ROUNDS`] rounds time one step
+/// of every level in turn, each under an `iter_<level>` span.
+pub fn time_ladder(
+    levels: &[OptLevel],
     samples: &[&Sample],
-    iters: usize,
     scale: &Scale,
-) -> Iteration {
-    let span_name = match level {
-        OptLevel::Reference => "iter_reference",
-        OptLevel::ParallelBasis => "iter_parallel_basis",
-        OptLevel::Fusion => "iter_fused",
-        OptLevel::Decoupled => "iter_decoupled",
-    };
-    let mut store = ParamStore::new();
-    let model = Chgnet::new(scale.model(level), &mut store, 3);
-    let mut opt = Adam::new(&store, 1e-3);
-    let w = LossWeights::default();
-    let graphs: Vec<_> = samples.iter().map(|s| &s.graph).collect();
-    let labels: Vec<_> = samples.iter().map(|s| &s.labels).collect();
-    let batch = GraphBatch::collate(&graphs, Some(&labels));
-    let bl = batch.labels.as_ref().unwrap();
-    let mut m = Iteration { time_s: 0.0, kernels: 0, peak_bytes: 0, device_s: 0.0 };
-    for i in 0..=iters {
-        let tape = Tape::new();
+) -> (Vec<Counts>, Rounds) {
+    let mut clusters: Vec<Cluster> = levels
+        .iter()
+        .map(|&level| Cluster::new(scale.model(level), 3, ClusterConfig::default(), 1e-3))
+        .collect();
+    let counts = clusters
+        .iter_mut()
+        .map(|c| {
+            c.train_step(samples);
+            let p = c.profile();
+            Counts {
+                kernels: p.kernels,
+                peak_bytes: p.bytes_peak,
+                device_s: a100_seconds(&c.per_op()),
+            }
+        })
+        .collect();
+    let rounds = Rounds::run(levels.len(), |i| {
+        let _span = fc_telemetry::span(match levels[i] {
+            OptLevel::Reference => "iter_reference",
+            OptLevel::ParallelBasis => "iter_parallel_basis",
+            OptLevel::Fusion => "iter_fused",
+            OptLevel::Decoupled => "iter_decoupled",
+        });
         let t0 = Instant::now();
-        let iter_span = fc_telemetry::span(span_name);
-        let loss = {
-            let _fwd = fc_telemetry::bridge::profiled_span("forward", tape.profiler());
-            let pred = model.forward(&tape, &store, &batch);
-            composite_loss(&tape, &pred, bl, &w)
-        };
-        store.zero_grads();
-        let gm = {
-            let _bwd = fc_telemetry::bridge::profiled_span("backward", tape.profiler());
-            tape.backward_final(loss.total)
-        };
-        {
-            let _opt = fc_telemetry::span("optimizer");
-            store.accumulate_grads(&tape, &gm);
-            opt.step(&mut store);
-            store.zero_grads();
-        }
-        drop(iter_span);
-        let dt = t0.elapsed().as_secs_f64();
-        let snap = tape.profiler().snapshot();
-        let device_s = a100_seconds(&tape.profiler().per_op());
-        tape.reset();
-        if i > 0 {
-            m.time_s += dt;
-            m.kernels = snap.kernels;
-            m.peak_bytes = snap.bytes_peak;
-            m.device_s = device_s;
-        }
-    }
-    m.time_s /= iters as f64;
-    m
+        clusters[i].train_step(samples);
+        t0.elapsed().as_secs_f64()
+    });
+    (counts, rounds)
 }
 
 pub fn run(scale: &Scale) -> (String, RunReport) {
@@ -100,12 +76,12 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     let samples: Vec<&Sample> = data.samples.iter().take(bs).collect();
 
     // Stage 1: single-device ladder.
-    println!("measuring single-device iteration times (batch {bs}) ...");
-    let iters = scale.timing_iters;
-    let [t_ref, t_fused, t_head] = [OptLevel::Reference, OptLevel::Fusion, OptLevel::Decoupled]
-        .map(|level| measure_iteration(level, &samples, iters, scale).time_s);
-    let sys_speedup = t_ref / t_fused;
-    let head_speedup = t_fused / t_head;
+    println!("timing single-device training steps (batch {bs}, {ROUNDS} rounds) ...");
+    let levels = [OptLevel::Reference, OptLevel::Fusion, OptLevel::Decoupled];
+    let (_, rounds) = time_ladder(&levels, &samples, scale);
+    let [t_ref, t_fused, t_head] = [0, 1, 2].map(|i| rounds.median(i));
+    let sys_speedup = rounds.ratio(0, 1);
+    let head_speedup = rounds.ratio(1, 2);
 
     // Stage 2: multi-GPU scaling on top (32 GPUs relative to 1), projected
     // from counted work like fig10, so it does not move with host speed.
@@ -114,7 +90,10 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     let eff = strong_efficiency(&rows);
     let scale32 = eff.last().unwrap().1; // speedup of 32 over 1 device
 
-    let total = sys_speedup * head_speedup * scale32;
+    // Like each timed stage, the single-device part of the total is a
+    // median of per-round ratios (reference over decoupled), not the
+    // product of the two stages' medians.
+    let total = rounds.ratio(0, 2) * scale32;
     // TSV key, console label, our speedup, the paper's.
     let stages = [
         (
@@ -134,7 +113,7 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
         table.push(vec![label.to_string(), format!("{ours:.2}x"), paper.to_string()]);
     }
     println!(
-        "\niteration: reference {}, fused {}, decoupled {}\n",
+        "\ntraining step (median): reference {}, fused {}, decoupled {}\n",
         fmt_secs(t_ref),
         fmt_secs(t_fused),
         fmt_secs(t_head)
@@ -148,7 +127,7 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     report
         .set_meta("batch", bs)
         .set_meta("n_structures", scale.n_structures)
-        .set_meta("timing_iters", iters)
+        .set_meta("rounds", ROUNDS)
         .set_meta("mean_features", mean_features.round() as u64)
         .set_meta("speedup_scaling32", scale32)
         .set_timing("iter_reference", t_ref)

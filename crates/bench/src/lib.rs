@@ -4,7 +4,15 @@
 //! call (`figures <name>`, see DESIGN.md's experiment index). This library
 //! holds the shared scaffolding: scaled-down-but-faithful experiment sizes
 //! for a CPU host, the one scaling projection the multi-GPU figures share
-//! ([`Scale::projection`]) and plain-text table rendering.
+//! ([`Scale::projection`]), the one timing method the timed figures share
+//! ([`Rounds`]) and plain-text table rendering.
+//!
+//! The timed figures (Fig. 8, Table II, the headline's single-device
+//! stages) time the program's own loops, `Cluster::train_step` and
+//! `run_md`, in [`ROUNDS`] interleaved rounds: each round times every side
+//! of the comparison once, in turn, so a slow phase of the host lands on
+//! all sides alike. A side's time is the median of its rounds, and a
+//! speedup is the median of the per-round ratios.
 //!
 //! The projection is counted work, not host time: `ScalingModel::calibrate`
 //! charges each op kind of a few one-device steps `count·L +
@@ -36,8 +44,6 @@ pub struct Scale {
     pub fea: usize,
     /// Interaction blocks.
     pub n_blocks: usize,
-    /// Iterations per timing measurement.
-    pub timing_iters: usize,
     /// Base learning rate for `global_batch` — the Eq. 14 reference point
     /// re-anchored to this dataset scale (the paper's k=128 @ 3e-4 is
     /// calibrated for 1.42M training structures; see EXPERIMENTS.md).
@@ -68,7 +74,6 @@ impl Scale {
             large_batch: 64,
             fea: 16,
             n_blocks: 2,
-            timing_iters: 3,
             base_lr: 2e-3,
             label: "quick",
         }
@@ -85,7 +90,6 @@ impl Scale {
             large_batch: 256,
             fea: 32,
             n_blocks: 3,
-            timing_iters: 5,
             base_lr: 1.5e-3,
             label: "full",
         }
@@ -156,6 +160,54 @@ impl Scale {
             log_std: 0.85,
             ..Default::default()
         })
+    }
+}
+
+/// Timed rounds of every timed figure (crate docs).
+pub const ROUNDS: usize = 31;
+
+/// Median of `xs` (the mean of the middle two for an even count).
+fn median(xs: &[f64]) -> f64 {
+    assert!(!xs.is_empty(), "median of nothing");
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
+}
+
+/// Seconds per side and round of an interleaved timing (crate docs).
+pub struct Rounds {
+    /// `secs[side][round]`.
+    secs: Vec<Vec<f64>>,
+}
+
+impl Rounds {
+    /// Run [`ROUNDS`] rounds; each calls `time(side)` for side `0..sides`
+    /// in turn, which returns that side's seconds.
+    pub fn run(sides: usize, mut time: impl FnMut(usize) -> f64) -> Rounds {
+        let mut secs = vec![Vec::with_capacity(ROUNDS); sides];
+        for _ in 0..ROUNDS {
+            for (side, s) in secs.iter_mut().enumerate() {
+                s.push(time(side));
+            }
+        }
+        Rounds { secs }
+    }
+
+    /// Median seconds of `side`.
+    pub fn median(&self, side: usize) -> f64 {
+        median(&self.secs[side])
+    }
+
+    /// Median over rounds of `num`'s seconds over `den`'s: the speedup of
+    /// `den` over `num`.
+    pub fn ratio(&self, num: usize, den: usize) -> f64 {
+        let r: Vec<f64> = self.secs[num].iter().zip(&self.secs[den]).map(|(n, d)| n / d).collect();
+        median(&r)
     }
 }
 
@@ -248,6 +300,45 @@ mod tests {
         let cfg = s.train_config(ModelVariant::FastNoHead);
         assert_eq!(cfg.model.opt_level, OptLevel::Fusion);
         assert_eq!((cfg.seed, cfg.epochs, cfg.global_batch), (7, s.epochs, s.global_batch));
+    }
+
+    #[test]
+    fn median_takes_the_middle() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+    }
+
+    #[test]
+    fn rounds_interleave_sides_and_take_medians() {
+        // Side `s` of round `r` takes (s + 1)·(r + 1) seconds, so side 1
+        // is always twice side 0 and side 2 three times.
+        let mut calls = Vec::new();
+        let rounds = Rounds::run(3, |side| {
+            let round = calls.len() / 3;
+            calls.push(side);
+            ((side + 1) * (round + 1)) as f64
+        });
+        assert_eq!(calls, [0, 1, 2].repeat(ROUNDS), "every round runs side 0..3 in turn");
+        let mid = (ROUNDS / 2 + 1) as f64; // ROUNDS is odd
+        assert_eq!(rounds.median(0), mid);
+        assert_eq!(rounds.median(2), 3.0 * mid);
+        assert_eq!(rounds.ratio(1, 0), 2.0);
+        assert_eq!(rounds.ratio(0, 2), 1.0 / 3.0);
+    }
+
+    #[test]
+    fn ratio_is_the_median_of_per_round_ratios() {
+        // Rounds cycle through per-round ratios 5, 2 and 1: their median is
+        // 2, while the ratio of the side medians (3 s over 2 s) is 1.5.
+        let times = [[10.0, 2.0], [1.0, 0.5], [3.0, 3.0]];
+        let mut n = 0;
+        let rounds = Rounds::run(2, |side| {
+            let t = times[n / 2 % times.len()][side];
+            n += 1;
+            t
+        });
+        assert_eq!((rounds.median(0), rounds.median(1)), (3.0, 2.0));
+        assert_eq!(rounds.ratio(0, 1), 2.0);
     }
 
     #[test]

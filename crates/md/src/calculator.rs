@@ -5,7 +5,6 @@
 use fc_core::Chgnet;
 use fc_crystal::{CrystalGraph, GraphBatch, Structure};
 use fc_tensor::{ParamStore, Tape, Tensor};
-use std::time::Instant;
 
 /// Results of one model evaluation on a structure.
 #[derive(Clone, Debug)]
@@ -18,8 +17,6 @@ pub struct CalcResult {
     pub stress: [[f64; 3]; 3],
     /// Magnetic moments (μ_B).
     pub magmoms: Vec<f64>,
-    /// Wall time of the evaluation (graph build + forward [+ backward]).
-    pub elapsed_s: f64,
 }
 
 /// A model + parameter store bound together as a calculator.
@@ -40,7 +37,6 @@ impl<'a> Calculator<'a> {
     /// runs the forward pass (including the energy-derivative backward
     /// when the model has no force head) and extracts host-side values.
     pub fn evaluate(&self, structure: &Structure) -> CalcResult {
-        let start = Instant::now();
         let graph = CrystalGraph::with_cutoffs(
             structure.clone(),
             self.model.cfg.atom_cutoff as f64,
@@ -62,7 +58,7 @@ impl<'a> Calculator<'a> {
         let m = tape.value(pred.magmom);
         let magmoms = (0..m.rows()).map(|r| m.at(r, 0) as f64).collect();
         tape.reset();
-        CalcResult { energy, forces, stress, magmoms, elapsed_s: start.elapsed().as_secs_f64() }
+        CalcResult { energy, forces, stress, magmoms }
     }
 }
 
@@ -93,7 +89,6 @@ mod tests {
         assert_eq!(r.forces.len(), 2);
         assert_eq!(r.magmoms.len(), 2);
         assert!(r.energy.is_finite());
-        assert!(r.elapsed_s > 0.0);
         // Determinism.
         let r2 = calc.evaluate(&structure());
         assert_eq!(r.energy, r2.energy);

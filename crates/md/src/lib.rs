@@ -24,5 +24,5 @@ pub use calculator::{CalcResult, Calculator};
 pub use field::{ForceField, OracleField};
 pub use integrator::{langevin_kick, velocity_verlet_step, MdState, ACC_UNIT, KB_EV};
 pub use relax::{relax, FireConfig, RelaxResult};
-pub use simulation::{run_md, time_md_step, Ensemble, Frame, MdConfig, Trajectory};
+pub use simulation::{run_md, Ensemble, Frame, MdConfig, Trajectory};
 pub use thermo::{msd, pressure_gpa, rdf};

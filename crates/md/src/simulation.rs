@@ -138,23 +138,6 @@ pub fn run_md<F: ForceField + ?Sized>(calc: &F, initial: &Structure, cfg: &MdCon
     }
 }
 
-/// Time one MD step precisely (after a warm-up step), for Table II.
-pub fn time_md_step<F: ForceField + ?Sized>(
-    calc: &F,
-    structure: &Structure,
-    repeats: usize,
-) -> f64 {
-    let cfg = MdConfig { steps: 1, init_t_kelvin: 100.0, ..Default::default() };
-    // Warm-up.
-    let _ = run_md(calc, structure, &cfg);
-    let mut acc = 0.0;
-    for i in 0..repeats.max(1) {
-        let traj = run_md(calc, structure, &MdConfig { seed: i as u64, ..cfg });
-        acc += traj.mean_step_time;
-    }
-    acc / repeats.max(1) as f64
-}
-
 fn make_frame(step: usize, potential: f64, state: &MdState, forces: &[[f64; 3]]) -> Frame {
     Frame {
         step,
@@ -299,13 +282,5 @@ mod tests {
             events.iter().any(|e| e.name == "md_step" && e.kind == trace::EventKind::Begin),
             "md_step spans should land on the timeline"
         );
-    }
-
-    #[test]
-    fn step_timer_positive() {
-        let (model, store, s) = setup();
-        let calc = Calculator::new(&model, &store);
-        let t = time_md_step(&calc, &s, 1);
-        assert!(t > 0.0 && t < 60.0);
     }
 }

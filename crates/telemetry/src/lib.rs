@@ -9,8 +9,8 @@
 //!   ([`span!`] / [`span()`]): `epoch` → `forward` / `backward` /
 //!   `allreduce` / `optimizer` / `dataloader_wait`. Nested spans build
 //!   `/`-joined paths per thread.
-//! * **Metrics registry** — named [counters](counter_add),
-//!   [gauges](gauge_set), and fixed-bucket [histograms](observe).
+//! * **Metrics registry** — named [counters](counter_add) and
+//!   [gauges](gauge_set).
 //! * **Run reports** — a [`RunReport`] is written as a schema-versioned
 //!   JSONL event stream ([`RunReport::write_jsonl`], the format behind
 //!   `reports/BENCH_*.json`) and read back line by line with
@@ -35,7 +35,7 @@
 //! Determinism contract: the registry and reports record no wall-clock
 //! *timestamps* — only measured *durations* (always in keys/fields ending
 //! in `_s`). A run that records only deterministic quantities into
-//! counters/gauges/histograms therefore produces byte-identical
+//! counters and gauges therefore produces byte-identical
 //! non-`_s` report fields across same-seed runs. The [`trace`] module is
 //! the deliberate exception: timelines are wall-clock artifacts and
 //! `TRACE_*.json` files are never byte-compared.
@@ -63,7 +63,7 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use registry::{HistogramSnapshot, Registry, SpanStat, TelemetrySnapshot, DEFAULT_BOUNDS};
+pub use registry::{Registry, SpanStat, TelemetrySnapshot};
 pub use report::{
     parse_json_line, render_jsonl, reports_dir, write_report_file, RunReport, Value, SCHEMA_VERSION,
 };
@@ -137,24 +137,6 @@ pub fn gauge_max(name: &str, v: f64) {
     }
 }
 
-/// Observe a value into a named fixed-bucket histogram (registered on
-/// first use with [`DEFAULT_BOUNDS`]). No-op while disabled.
-#[inline]
-pub fn observe(name: &str, v: f64) {
-    if enabled() {
-        registry().observe(name, v);
-    }
-}
-
-/// Observe into a histogram with explicit bucket upper bounds (used on
-/// first registration of `name`). No-op while disabled.
-#[inline]
-pub fn observe_with_bounds(name: &str, v: f64, bounds: &[f64]) {
-    if enabled() {
-        registry().observe_with_bounds(name, v, bounds);
-    }
-}
-
 /// Snapshot every span statistic and metric collected so far.
 pub fn snapshot() -> TelemetrySnapshot {
     registry().snapshot()
@@ -189,13 +171,11 @@ mod tests {
             let _g = span("epoch");
             counter_add("c", 5);
             gauge_set("g", 1.0);
-            observe("h", 0.5);
         }
         let s = snapshot();
         assert!(s.spans.is_empty());
         assert!(s.counters.is_empty());
         assert!(s.gauges.is_empty());
-        assert!(s.histograms.is_empty());
     }
 
     #[test]
@@ -240,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_histograms_roundtrip() {
+    fn counters_gauges_roundtrip() {
         let _l = test_lock();
         reset();
         set_enabled(true);
@@ -250,17 +230,10 @@ mod tests {
         gauge_max("peak", 1.0);
         gauge_max("peak", 9.0);
         gauge_max("peak", 4.0);
-        observe_with_bounds("load", 15.0, &[10.0, 100.0]);
-        observe_with_bounds("load", 5.0, &[10.0, 100.0]);
-        observe_with_bounds("load", 5000.0, &[10.0, 100.0]);
         let s = snapshot();
         set_enabled(false);
         assert_eq!(s.counters["k"], 3);
         assert_eq!(s.gauges["lvl"], 3.5);
         assert_eq!(s.gauges["peak"], 9.0);
-        let h = &s.histograms["load"];
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 5020.0);
-        assert_eq!(h.counts, vec![1, 1, 1]); // ≤10, ≤100, overflow
     }
 }

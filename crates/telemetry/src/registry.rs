@@ -1,5 +1,5 @@
-//! The metrics registry: span statistics, counters, gauges, and
-//! fixed-bucket histograms, all behind plain `Mutex<BTreeMap>`s.
+//! The metrics registry: span statistics, counters and gauges, all behind
+//! plain `Mutex<BTreeMap>`s.
 //!
 //! `BTreeMap` (not `HashMap`) is deliberate: snapshots iterate in sorted
 //! key order, which is what makes rendered reports byte-stable across
@@ -28,51 +28,6 @@ impl SpanStat {
     }
 }
 
-/// Default histogram bucket upper bounds: log decades covering everything
-/// from microsecond durations to million-feature loads.
-pub const DEFAULT_BOUNDS: [f64; 13] =
-    [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6];
-
-#[derive(Clone, Debug)]
-struct Histogram {
-    bounds: Vec<f64>,
-    /// One slot per bound plus a final overflow slot.
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram { bounds: bounds.to_vec(), counts: vec![0; bounds.len() + 1], count: 0, sum: 0.0 }
-    }
-
-    fn observe(&mut self, v: f64) {
-        let slot = self.bounds.partition_point(|&b| b < v);
-        self.counts[slot] += 1;
-        self.count += 1;
-        self.sum += v;
-    }
-}
-
-/// Read-only copy of one histogram's state.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Bucket upper bounds (a value `v` lands in the first bucket with
-    /// `v <= bound`; larger values land in the overflow slot).
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts; `counts.len() == bounds.len() + 1` (overflow last).
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: f64,
-}
-
 /// Everything collected so far, in sorted-key order.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySnapshot {
@@ -82,8 +37,6 @@ pub struct TelemetrySnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Level gauges.
     pub gauges: BTreeMap<String, f64>,
-    /// Fixed-bucket histograms.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 /// Thread-safe store behind the crate's free-function API. Usable
@@ -93,7 +46,6 @@ pub struct Registry {
     spans: Mutex<BTreeMap<String, SpanStat>>,
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 // Lock discipline: each map has its own mutex, every method locks exactly
@@ -155,37 +107,12 @@ impl Registry {
         }
     }
 
-    /// Observe into a histogram (default bounds on first use).
-    pub fn observe(&self, name: &str, v: f64) {
-        self.observe_with_bounds(name, v, &DEFAULT_BOUNDS);
-    }
-
-    /// Observe into a histogram, registering it with `bounds` on first use.
-    pub fn observe_with_bounds(&self, name: &str, v: f64, bounds: &[f64]) {
-        let mut hists = lock(&self.histograms);
-        hists.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds)).observe(v);
-    }
-
     /// Copy out everything collected so far.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             spans: lock(&self.spans).clone(),
             counters: lock(&self.counters).clone(),
             gauges: lock(&self.gauges).clone(),
-            histograms: lock(&self.histograms)
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        HistogramSnapshot {
-                            bounds: h.bounds.clone(),
-                            counts: h.counts.clone(),
-                            count: h.count,
-                            sum: h.sum,
-                        },
-                    )
-                })
-                .collect(),
         }
     }
 
@@ -194,7 +121,6 @@ impl Registry {
         lock(&self.spans).clear();
         lock(&self.counters).clear();
         lock(&self.gauges).clear();
-        lock(&self.histograms).clear();
     }
 }
 
@@ -219,31 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucketing_boundaries() {
-        let r = Registry::new();
-        // Upper-inclusive bounds: 10 lands in the ≤10 bucket.
-        for v in [9.0, 10.0, 10.5, 1e9] {
-            r.observe_with_bounds("h", v, &[10.0, 100.0]);
-        }
-        let snap = r.snapshot();
-        let h = &snap.histograms["h"];
-        assert_eq!(h.counts, vec![2, 1, 1]);
-        assert_eq!(h.count, 4);
-    }
-
-    #[test]
-    fn default_bounds_cover_durations_and_loads() {
-        let r = Registry::new();
-        r.observe("mixed", 3e-6); // a few µs
-        r.observe("mixed", 4500.0); // a feature-number load
-        let snap = r.snapshot();
-        let h = &snap.histograms["mixed"];
-        assert_eq!(h.count, 2);
-        assert_eq!(h.counts.iter().sum::<u64>(), 2);
-        assert_eq!(h.counts.last(), Some(&0), "nothing overflowed");
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_stable() {
         let r = Registry::new();
         r.counter_add("z", 1);
@@ -260,10 +161,8 @@ mod tests {
         r.record_span("s", 1.0);
         r.counter_add("c", 1);
         r.gauge_set("g", 1.0);
-        r.observe("h", 1.0);
         r.clear();
         let s = r.snapshot();
-        assert!(s.spans.is_empty() && s.counters.is_empty());
-        assert!(s.gauges.is_empty() && s.histograms.is_empty());
+        assert!(s.spans.is_empty() && s.counters.is_empty() && s.gauges.is_empty());
     }
 }

@@ -192,7 +192,7 @@ fn event_line(kind: &str, fields: &[(&str, String)]) -> String {
 ///
 /// One JSON object per line, in fixed order: a `run` header (carrying the
 /// schema version and seed), `meta`, `timing`, `span`, `counter`, `gauge`,
-/// `histogram`, `epoch` events, then an `end` trailer with the event
+/// `epoch` events, then an `end` trailer with the event
 /// count. Duration fields all end in `_s`; every other field is
 /// deterministic for a seeded run.
 pub fn render_jsonl(report: &RunReport) -> String {
@@ -229,20 +229,6 @@ pub fn render_jsonl(report: &RunReport) -> String {
     }
     for (k, v) in &tel.gauges {
         lines.push(event_line("gauge", &[("name", json_str(k)), ("value", json_f64(*v))]));
-    }
-    for (k, h) in &tel.histograms {
-        let bounds: Vec<String> = h.bounds.iter().map(|&b| json_f64(b)).collect();
-        let counts: Vec<String> = h.counts.iter().map(u64::to_string).collect();
-        lines.push(event_line(
-            "histogram",
-            &[
-                ("name", json_str(k)),
-                ("bounds", format!("[{}]", bounds.join(","))),
-                ("counts", format!("[{}]", counts.join(","))),
-                ("count", h.count.to_string()),
-                ("sum", json_f64(h.sum)),
-            ],
-        ));
     }
     for (i, row) in report.epochs.iter().enumerate() {
         let mut fields = vec![("index", i.to_string())];
@@ -392,7 +378,6 @@ mod tests {
         r.record_span("epoch/forward", 1.25);
         r.counter_add("tensor.forward.kernels", 320);
         r.gauge_set("cluster.load_imbalance", 1.18);
-        r.observe_with_bounds("cluster.rank_load_features", 512.0, &[100.0, 1000.0]);
         let mut report = RunReport::with_snapshot("unit", 9, r.snapshot());
         report.set_meta("scale", "quick").set_timing("iter_s", 0.125);
         let mut row = BTreeMap::new();
@@ -407,16 +392,16 @@ mod tests {
         let report = sample_report();
         let jsonl = render_jsonl(&report);
         let lines: Vec<&str> = jsonl.lines().collect();
-        // run + meta + timing + 2 spans + counter + gauge + histogram +
-        // epoch + end = 10 lines.
-        assert_eq!(lines.len(), 10, "{jsonl}");
+        // run + meta + timing + 2 spans + counter + gauge + epoch + end =
+        // 9 lines.
+        assert_eq!(lines.len(), 9, "{jsonl}");
         let head = parse_json_line(lines[0]).unwrap();
         assert_eq!(head["event"], "\"run\"");
         assert_eq!(head["schema_version"], "1");
         assert_eq!(head["seed"], "9");
         let tail = parse_json_line(lines.last().unwrap()).unwrap();
         assert_eq!(tail["event"], "\"end\"");
-        assert_eq!(tail["events"], "10");
+        assert_eq!(tail["events"], "9");
     }
 
     #[test]
@@ -461,13 +446,8 @@ mod tests {
     fn json_line_reader_cases() {
         let parsed: &[(&str, &[(&str, &str)])] = &[
             (
-                r#"{"event":"histogram","counts":[1,2,3],"name":"x","sum":5.5}"#,
-                &[
-                    ("event", "\"histogram\""),
-                    ("counts", "[1,2,3]"),
-                    ("name", "\"x\""),
-                    ("sum", "5.5"),
-                ],
+                r#"{"event":"bins","counts":[1,2,3],"name":"x","sum":5.5}"#,
+                &[("event", "\"bins\""), ("counts", "[1,2,3]"), ("name", "\"x\""), ("sum", "5.5")],
             ),
             (
                 r#"{"name":"mem","ph":"C","ts":1.5,"pid":0,"tid":2,"args":{"v":99.25}}"#,

@@ -4,18 +4,19 @@
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::dataloader::epoch_batches;
 use crate::metrics::{evaluate, EvalMetrics};
-use crate::sched::{scaled_init_lr, CosineAnnealing, BASE_LR};
+use crate::sched::{scaled_init_lr, CosineAnnealing};
 use fc_core::ModelConfig;
 use fc_crystal::{Sample, SynthMPtrj};
 use std::time::Instant;
+
+/// Mini-batch size of validation and test evaluation.
+const EVAL_BATCH: usize = 8;
 
 /// Learning-rate policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LrPolicy {
     /// A fixed initial LR (cosine-annealed).
     Fixed(f32),
-    /// The paper's default LR (0.0003), regardless of batch size.
-    PaperDefault,
     /// Eq. 14: `batch / 128 × 0.0003` (cosine-annealed).
     Scaled,
 }
@@ -25,7 +26,6 @@ impl LrPolicy {
     pub fn initial_lr(self, global_batch: usize) -> f32 {
         match self {
             LrPolicy::Fixed(lr) => lr,
-            LrPolicy::PaperDefault => BASE_LR,
             LrPolicy::Scaled => scaled_init_lr(global_batch),
         }
     }
@@ -46,11 +46,6 @@ pub struct TrainConfig {
     pub cluster: ClusterConfig,
     /// LR policy.
     pub lr: LrPolicy,
-    /// Evaluation mini-batch size.
-    pub eval_batch: usize,
-    /// Fit CHGNet's AtomRef composition model on the train split before
-    /// training (the GNN then fits the residual energy).
-    pub use_atom_ref: bool,
 }
 
 impl Default for TrainConfig {
@@ -62,8 +57,6 @@ impl Default for TrainConfig {
             global_batch: 16,
             cluster: ClusterConfig::default(),
             lr: LrPolicy::Scaled,
-            eval_batch: 8,
-            use_atom_ref: true,
         }
     }
 }
@@ -163,9 +156,9 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
 
     let lr0 = cfg.lr.initial_lr(cfg.global_batch);
     let mut cluster = Cluster::new(cfg.model, cfg.seed, cfg.cluster, lr0);
-    if cfg.use_atom_ref {
-        cluster.model.set_atom_ref(fc_core::AtomRef::fit(&train, 1e-6));
-    }
+    // CHGNet's AtomRef composition model, fitted on the train split: the
+    // GNN then fits the residual energy.
+    cluster.model.set_atom_ref(fc_core::AtomRef::fit(&train, 1e-6));
     let n_params = cluster.store.n_scalars();
 
     let steps_per_epoch = train.len().div_ceil(cfg.global_batch);
@@ -198,7 +191,7 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
             EvalMetrics::default()
         } else {
             let _eval = fc_telemetry::span("evaluate");
-            evaluate(&cluster.model, &cluster.store, &val, cfg.eval_batch)
+            evaluate(&cluster.model, &cluster.store, &val, EVAL_BATCH)
         };
         let train_loss = loss_acc / steps.max(1) as f64;
         fc_telemetry::counter_inc("train.epochs");
@@ -215,7 +208,7 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
     let test_metrics = if test.is_empty() {
         EvalMetrics::default()
     } else {
-        evaluate(&cluster.model, &cluster.store, &test, cfg.eval_batch)
+        evaluate(&cluster.model, &cluster.store, &test, EVAL_BATCH)
     };
     (cluster, TrainReport { epochs: logs, test: test_metrics, n_params })
 }
@@ -262,7 +255,6 @@ mod tests {
     #[test]
     fn lr_policies_resolve() {
         assert_eq!(LrPolicy::Fixed(1e-3).initial_lr(999), 1e-3);
-        assert_eq!(LrPolicy::PaperDefault.initial_lr(2048), BASE_LR);
         assert!(LrPolicy::Scaled.initial_lr(2048) > LrPolicy::Scaled.initial_lr(128));
     }
 

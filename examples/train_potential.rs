@@ -34,8 +34,6 @@ fn main() {
             ..Default::default()
         },
         lr: LrPolicy::Scaled,
-        eval_batch: 8,
-        use_atom_ref: true,
     };
     println!(
         "training FastCHGNet ({} epochs, global batch {}, {} simulated GPUs, init LR {:.5})\n",

@@ -87,11 +87,11 @@ cargo test --release -q -p fastchgnet-train steady_state_cluster_steps_allocate_
 echo "== verify harness =="
 FASTCHGNET_REPORTS="$out" cargo run --release -p fc_verify --bin verify -q
 
-echo "== report determinism (figures fig5, fig9, fig10, headline twice: non-_s report lines identical) =="
+echo "== report determinism (figures fig5, fig9, fig10, fig8, table2, headline twice: non-_s report lines identical) =="
 cargo build --release -q -p fastchgnet-bench --bin figures
 r1=$(mktemp -d)
 r2=$(mktemp -d)
-for fig in fig5 fig9 fig10 headline; do
+for fig in fig5 fig9 fig10 fig8 table2 headline; do
   FASTCHGNET_REPORTS="$r1" "$bin"/figures "$fig" > /dev/null
   FASTCHGNET_REPORTS="$r2" "$bin"/figures "$fig" > /dev/null
   diff <(grep -v '_s"' "$r1/BENCH_$fig.json") <(grep -v '_s"' "$r2/BENCH_$fig.json")
@@ -106,6 +106,12 @@ for fig in table1 fig10 ablation; do
   FASTCHGNET_SCALE=quick FASTCHGNET_REPORTS="$out" "$bin"/figures "$fig" > /dev/null
   diff "$out/$fig.tsv" "reports/$fig.tsv"
 done
+
+# Every fig8 column but the two timed ones (iter_time_s, speedup_vs_ref) is
+# counted: kernels, peak memory, their ratios and the A100 projection.
+echo "== fig8 reproduces the counted columns of reports/fig8.tsv (byte for byte) =="
+FASTCHGNET_SCALE=quick FASTCHGNET_REPORTS="$out" "$bin"/figures fig8 > /dev/null
+diff <(cut -f1,2,4,5,7,8,9,10 "$out/fig8.tsv") <(cut -f1,2,4,5,7,8,9,10 reports/fig8.tsv)
 
 echo "== trace smoke test (figures headline, flight recorder on) =="
 cargo build --release -q --bin trace-report

@@ -163,7 +163,6 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
             ..Default::default()
         },
         lr: LrPolicy::Fixed(2e-3 * batch as f32 / 16.0),
-        ..Default::default()
     };
     println!(
         "training {} for {epochs} epochs (batch {batch}, {devices} simulated GPU(s)) ...",

@@ -53,8 +53,7 @@ pub mod prelude {
         Lattice, Sample, Structure, SynthMPtrj,
     };
     pub use fc_md::{
-        relax, run_md, time_md_step, Calculator, Ensemble, FireConfig, ForceField, MdConfig,
-        OracleField,
+        relax, run_md, Calculator, Ensemble, FireConfig, ForceField, MdConfig, OracleField,
     };
     pub use fc_telemetry::RunReport;
     pub use fc_tensor::{ParamStore, Shape, Tape, Tensor, Var};
