@@ -16,7 +16,7 @@
 //!   with the periodic-image offset expressed as a single block-diagonal
 //!   GEMM (`B_I @ B_L`, Alg. 2 line 11).
 
-use crate::config::ModelConfig;
+use crate::config::{ModelConfig, ENVELOPE_P};
 use fc_crystal::GraphBatch;
 use fc_tensor::{Axis, Shape, SrbfCfg, Tape, Tensor, Var};
 use std::sync::Arc;
@@ -55,7 +55,7 @@ pub struct BasisOut {
 impl ModelConfig {
     /// sRBF kernel configuration implied by this model config.
     pub fn srbf_cfg(&self) -> SrbfCfg {
-        SrbfCfg::new(self.n_rbf, self.atom_cutoff, self.envelope_p)
+        SrbfCfg::new(self.n_rbf, self.atom_cutoff, ENVELOPE_P)
     }
 }
 
@@ -270,8 +270,8 @@ fn radial_basis(tape: &Tape, cfg: &ModelConfig, r: Var) -> Var {
         return tape.fused_srbf(r, scfg, 0);
     }
     // Reference chain (Eq. 12, un-factored envelope).
-    let p = cfg.envelope_p as i32;
-    let pf = cfg.envelope_p as f32;
+    let p = ENVELOPE_P as i32;
+    let pf = ENVELOPE_P as f32;
     let xi = tape.scale(r, 1.0 / cfg.atom_cutoff);
     let t0 = tape.scale(tape.powi(xi, p), -(pf + 1.0) * (pf + 2.0) / 2.0);
     let t1 = tape.scale(tape.powi(xi, p + 1), pf * (pf + 2.0));

@@ -98,6 +98,15 @@ impl ModelVariant {
     }
 }
 
+/// Envelope smoothness exponent p of the radial basis (paper: 8).
+pub(crate) const ENVELOPE_P: u32 = 8;
+
+/// Highest atomic number embedded.
+pub(crate) const MAX_Z: usize = 94;
+
+/// LayerNorm epsilon of every GatedMLP.
+pub(crate) const LN_EPS: f32 = 1e-5;
+
 /// Hyper-parameters of the CHGNet family (paper §IV "Parameters Setting").
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelConfig {
@@ -113,12 +122,6 @@ pub struct ModelConfig {
     pub atom_cutoff: f32,
     /// Bond-graph cutoff (Å).
     pub bond_cutoff: f32,
-    /// Envelope smoothness exponent p (paper: 8).
-    pub envelope_p: u32,
-    /// Highest atomic number embedded.
-    pub max_z: usize,
-    /// LayerNorm epsilon.
-    pub ln_eps: f32,
     /// Optimization level (see [`OptLevel`]).
     pub opt_level: OptLevel,
 }
@@ -133,9 +136,6 @@ impl ModelConfig {
             n_blocks: 3,
             atom_cutoff: 6.0,
             bond_cutoff: 3.0,
-            envelope_p: 8,
-            max_z: 94,
-            ln_eps: 1e-5,
             opt_level,
         }
     }
@@ -201,7 +201,6 @@ mod tests {
         assert_eq!(c.n_rbf, 31);
         assert_eq!(c.n_abf(), 31);
         assert_eq!(c.n_blocks, 3);
-        assert_eq!(c.envelope_p, 8);
         assert_eq!(c.atom_cutoff, 6.0);
         assert_eq!(c.bond_cutoff, 3.0);
     }

@@ -1,7 +1,7 @@
 //! Feature embeddings (Eq. 2 of the paper):
 //! `v⁰ = Z W_v`, `[e⁰, e^a, e^b] = L(sRBF(r))`, `a⁰ = L(FT(θ))`.
 
-use crate::config::ModelConfig;
+use crate::config::{ModelConfig, MAX_Z};
 use crate::nn::Linear;
 use fc_tensor::{init, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
@@ -35,7 +35,7 @@ impl Embeddings {
     pub fn new(store: &mut ParamStore, rng: &mut StdRng, cfg: &ModelConfig) -> Self {
         // Row z = embedding of atomic number z (row 0 unused).
         let atom_table =
-            store.add("embedding.atom_table", init::normal(rng, cfg.max_z + 1, cfg.fea, 0.0, 0.5));
+            store.add("embedding.atom_table", init::normal(rng, MAX_Z + 1, cfg.fea, 0.0, 0.5));
         let bond_pack = Linear::new(store, rng, "embedding.bond_pack", cfg.n_rbf, 3 * cfg.fea);
         let angle_lin = Linear::new(store, rng, "embedding.angle_lin", cfg.n_abf(), cfg.fea);
         Embeddings { atom_table, bond_pack, angle_lin, fea: cfg.fea }

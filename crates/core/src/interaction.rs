@@ -20,14 +20,7 @@ pub struct AtomConv {
 impl AtomConv {
     fn new(store: &mut ParamStore, rng: &mut StdRng, name: &str, cfg: &ModelConfig) -> Self {
         AtomConv {
-            gated: GatedMlp::new(
-                store,
-                rng,
-                &format!("{name}.gated"),
-                3 * cfg.fea,
-                cfg.fea,
-                cfg.ln_eps,
-            ),
+            gated: GatedMlp::new(store, rng, &format!("{name}.gated"), 3 * cfg.fea, cfg.fea),
             out: Linear::new(store, rng, &format!("{name}.out"), cfg.fea, cfg.fea),
         }
     }
@@ -68,14 +61,7 @@ pub struct BondConv {
 impl BondConv {
     fn new(store: &mut ParamStore, rng: &mut StdRng, name: &str, cfg: &ModelConfig) -> Self {
         BondConv {
-            gated: GatedMlp::new(
-                store,
-                rng,
-                &format!("{name}.gated"),
-                4 * cfg.fea,
-                cfg.fea,
-                cfg.ln_eps,
-            ),
+            gated: GatedMlp::new(store, rng, &format!("{name}.gated"), 4 * cfg.fea, cfg.fea),
             out: Linear::new(store, rng, &format!("{name}.out"), cfg.fea, cfg.fea),
         }
     }
@@ -114,14 +100,7 @@ pub struct AngleUpdate {
 impl AngleUpdate {
     fn new(store: &mut ParamStore, rng: &mut StdRng, name: &str, cfg: &ModelConfig) -> Self {
         AngleUpdate {
-            gated: GatedMlp::new(
-                store,
-                rng,
-                &format!("{name}.gated"),
-                4 * cfg.fea,
-                cfg.fea,
-                cfg.ln_eps,
-            ),
+            gated: GatedMlp::new(store, rng, &format!("{name}.gated"), 4 * cfg.fea, cfg.fea),
         }
     }
 

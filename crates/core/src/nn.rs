@@ -1,5 +1,6 @@
 //! Neural building blocks: linear layers, MLPs and the GatedMLP.
 
+use crate::config::LN_EPS;
 use fc_tensor::{init, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 
@@ -149,22 +150,22 @@ pub struct GatedMlp {
 }
 
 impl GatedMlp {
-    /// Register a GatedMLP under `name`.
+    /// Register a GatedMLP under `name`, its LayerNorms with epsilon
+    /// `1e-5`.
     pub fn new(
         store: &mut ParamStore,
         rng: &mut StdRng,
         name: &str,
         in_dim: usize,
         out_dim: usize,
-        ln_eps: f32,
     ) -> Self {
         // Packed layout: columns [0, out) = gate branch (sigmoid),
         // [out, 2*out) = core branch (silu).
         let w_pack =
             store.add(format!("{name}.w_pack"), init::xavier_uniform(rng, in_dim, 2 * out_dim));
         let b_pack = store.add(format!("{name}.b_pack"), Tensor::zeros(1, 2 * out_dim));
-        let ln_gate = LayerNorm::new(store, &format!("{name}.ln_gate"), out_dim, ln_eps);
-        let ln_core = LayerNorm::new(store, &format!("{name}.ln_core"), out_dim, ln_eps);
+        let ln_gate = LayerNorm::new(store, &format!("{name}.ln_gate"), out_dim, LN_EPS);
+        let ln_core = LayerNorm::new(store, &format!("{name}.ln_core"), out_dim, LN_EPS);
         GatedMlp { w_pack, b_pack, ln_gate, ln_core, in_dim, out_dim }
     }
 
@@ -233,7 +234,7 @@ mod tests {
     #[test]
     fn gated_mlp_fused_matches_unfused() {
         let (mut store, mut rng) = setup();
-        let g = GatedMlp::new(&mut store, &mut rng, "g", 12, 6, 1e-5);
+        let g = GatedMlp::new(&mut store, &mut rng, "g", 12, 6);
         let x = init::normal(&mut rng, 9, 12, 0.0, 1.0);
         let t1 = Tape::new();
         let x1 = t1.constant(x.clone());
@@ -247,7 +248,7 @@ mod tests {
     #[test]
     fn fused_gated_mlp_uses_fewer_kernels() {
         let (mut store, mut rng) = setup();
-        let g = GatedMlp::new(&mut store, &mut rng, "g", 12, 6, 1e-5);
+        let g = GatedMlp::new(&mut store, &mut rng, "g", 12, 6);
         let x = init::normal(&mut rng, 9, 12, 0.0, 1.0);
         let t1 = Tape::new();
         let x1 = t1.constant(x.clone());
@@ -267,7 +268,7 @@ mod tests {
     fn gated_output_bounded_by_silu_range() {
         // sigmoid ∈ (0,1) and |silu| ≤ |x| + bounded minimum.
         let (mut store, mut rng) = setup();
-        let g = GatedMlp::new(&mut store, &mut rng, "g", 4, 4, 1e-5);
+        let g = GatedMlp::new(&mut store, &mut rng, "g", 4, 4);
         let tape = Tape::new();
         let x = tape.constant(init::normal(&mut rng, 20, 4, 0.0, 3.0));
         let y = tape.value(g.forward(&tape, &store, x, true));

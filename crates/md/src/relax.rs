@@ -10,45 +10,36 @@
 use crate::field::ForceField;
 use fc_crystal::Structure;
 
-/// FIRE hyper-parameters (standard values from the original paper).
+/// Initial timestep (fs). This and the FIRE constants below are the
+/// standard values of the original paper.
+const DT_START: f64 = 0.5;
+/// Maximum timestep (fs).
+const DT_MAX: f64 = 2.0;
+/// Steps of downhill motion before acceleration kicks in.
+const N_MIN: usize = 5;
+/// Timestep growth factor.
+const F_INC: f64 = 1.1;
+/// Timestep shrink factor on uphill motion.
+const F_DEC: f64 = 0.5;
+/// Initial velocity-mixing parameter.
+const ALPHA_START: f64 = 0.1;
+/// Mixing decay factor.
+const F_ALPHA: f64 = 0.99;
+/// Cap on per-step atomic displacement (Å) for robustness.
+const MAX_DISP: f64 = 0.2;
+
+/// What a FIRE run is asked for: when to stop.
 #[derive(Clone, Copy, Debug)]
 pub struct FireConfig {
-    /// Initial timestep (fs).
-    pub dt_start: f64,
-    /// Maximum timestep (fs).
-    pub dt_max: f64,
-    /// Steps of downhill motion before acceleration kicks in.
-    pub n_min: usize,
-    /// Timestep growth factor.
-    pub f_inc: f64,
-    /// Timestep shrink factor on uphill motion.
-    pub f_dec: f64,
-    /// Initial velocity-mixing parameter.
-    pub alpha_start: f64,
-    /// Mixing decay factor.
-    pub f_alpha: f64,
     /// Convergence threshold on the max force component (eV/Å).
     pub f_tol: f64,
     /// Maximum iterations.
     pub max_steps: usize,
-    /// Cap on per-step atomic displacement (Å) for robustness.
-    pub max_disp: f64,
 }
 
 impl Default for FireConfig {
     fn default() -> Self {
-        FireConfig {
-            dt_start: 0.5,
-            dt_max: 2.0,
-            n_min: 5,
-            f_inc: 1.1,
-            f_dec: 0.5,
-            alpha_start: 0.1,
-            f_alpha: 0.99,
-            f_tol: 0.05,
-            max_steps: 200,
-            max_disp: 0.2,
-        }
+        FireConfig { f_tol: 0.05, max_steps: 200 }
     }
 }
 
@@ -76,8 +67,8 @@ pub fn relax<F: ForceField + ?Sized>(
     let n = initial.n_atoms();
     let mut structure = initial.clone();
     let mut v = vec![[0.0f64; 3]; n];
-    let mut dt = cfg.dt_start;
-    let mut alpha = cfg.alpha_start;
+    let mut dt = DT_START;
+    let mut alpha = ALPHA_START;
     let mut n_pos = 0usize;
 
     let mut result = field.compute(&structure);
@@ -109,15 +100,15 @@ pub fn relax<F: ForceField + ?Sized>(
                 }
             }
             n_pos += 1;
-            if n_pos > cfg.n_min {
-                dt = (dt * cfg.f_inc).min(cfg.dt_max);
-                alpha *= cfg.f_alpha;
+            if n_pos > N_MIN {
+                dt = (dt * F_INC).min(DT_MAX);
+                alpha *= F_ALPHA;
             }
         } else {
             // Uphill: freeze and shrink.
             v.fill([0.0; 3]);
-            dt *= cfg.f_dec;
-            alpha = cfg.alpha_start;
+            dt *= F_DEC;
+            alpha = ALPHA_START;
             n_pos = 0;
         }
 
@@ -126,7 +117,7 @@ pub fn relax<F: ForceField + ?Sized>(
         for i in 0..n {
             for k in 0..3 {
                 v[i][k] += dt * f[i][k];
-                disp[i][k] = (v[i][k] * dt).clamp(-cfg.max_disp, cfg.max_disp);
+                disp[i][k] = (v[i][k] * dt).clamp(-MAX_DISP, MAX_DISP);
             }
         }
         structure.displace_cart(&disp);
@@ -181,17 +172,10 @@ mod tests {
     fn fire_converges_near_minimum() {
         // Start from an already-good geometry: should converge quickly.
         let s = perturbed_rocksalt();
-        let first = relax(
-            &OracleField,
-            &s,
-            &FireConfig { max_steps: 150, f_tol: 0.08, ..Default::default() },
-        );
+        let first = relax(&OracleField, &s, &FireConfig { max_steps: 150, f_tol: 0.08 });
         if first.converged {
-            let again = relax(
-                &OracleField,
-                &first.structure,
-                &FireConfig { max_steps: 30, f_tol: 0.08, ..Default::default() },
-            );
+            let again =
+                relax(&OracleField, &first.structure, &FireConfig { max_steps: 30, f_tol: 0.08 });
             assert!(again.converged);
             assert!(again.steps <= 30);
         }
@@ -221,11 +205,7 @@ mod tests {
     #[test]
     fn relax_respects_max_steps() {
         let s = perturbed_rocksalt();
-        let r = relax(
-            &OracleField,
-            &s,
-            &FireConfig { max_steps: 3, f_tol: 1e-9, ..Default::default() },
-        );
+        let r = relax(&OracleField, &s, &FireConfig { max_steps: 3, f_tol: 1e-9 });
         assert!(!r.converged);
         assert_eq!(r.steps, 3);
     }

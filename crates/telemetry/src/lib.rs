@@ -6,9 +6,9 @@
 //! the one place all of those measurements flow through:
 //!
 //! * **Spans** — RAII scoped timers with a thread-aware hierarchy
-//!   ([`span!`] / [`span()`]): `epoch` → `forward` / `backward` /
-//!   `allreduce` / `optimizer` / `dataloader_wait`. Nested spans build
-//!   `/`-joined paths per thread.
+//!   ([`span!`] / [`span()`]): `epoch` → `evaluate`, `train_step` →
+//!   `allreduce` / `optimizer`, `rank_step` → `forward` / `backward`.
+//!   Nested spans build `/`-joined paths per thread.
 //! * **Metrics registry** — named [counters](counter_add) and
 //!   [gauges](gauge_set).
 //! * **Run reports** — a [`RunReport`] is written as a schema-versioned

@@ -15,9 +15,9 @@ const BLOCK: usize = 4;
 /// The instruction sets [`matmul`]'s kernel runs on. Every tier gives the
 /// same bits. Baseline and AVX2 compile one body; AVX2 holds a 16-column
 /// tile row in two registers instead of four. AVX-512 runs explicit
-/// `__m512` register tiles ([`avx512`]) on the blocked path and the AVX2
-/// body on the zero-skipping one. The row-lane sums of the LayerNorm
-/// kernels and `sum(Axis::Cols)` run on the same test (DESIGN.md §2.2).
+/// `__m512` register tiles ([`avx512`]). The row-lane sums of the
+/// LayerNorm kernels and `sum(Axis::Cols)` run on the same test
+/// (DESIGN.md §2.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GemmTier {
     /// The build target's baseline instructions (SSE2 on x86-64).
@@ -76,22 +76,12 @@ impl GemmTier {
         }
     }
 
-    /// One pass of a product on this tier, by `path`: `outs[j] += a @ b_j`
-    /// for the rows of the product `a` reads, each output `n` columns wide
-    /// and `b_j` B's columns `b.col + j·n..b.col + (j + 1)·n`.
-    fn run<const N: usize>(
-        self,
-        path: GemmPath,
-        a: impl Lhs,
-        b: Rhs,
-        n: usize,
-        outs: [&mut [f32]; N],
-    ) {
+    /// One pass of a product on this tier: `outs[j] += a @ b_j` for the
+    /// rows of the product `a` reads, each output `n` columns wide and `b_j`
+    /// B's columns `b.col + j·n..b.col + (j + 1)·n`.
+    fn run<const N: usize>(self, a: impl Lhs, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
         #[cfg(target_arch = "x86_64")]
-        if self == GemmTier::Avx512
-            && path == GemmPath::Blocked
-            && is_x86_feature_detected!("avx512f")
-        {
+        if self == GemmTier::Avx512 && is_x86_feature_detected!("avx512f") {
             // SAFETY: the host has AVX-512F, checked just above.
             return unsafe { avx512::kernel(a, b, n, outs) };
         }
@@ -100,56 +90,32 @@ impl GemmTier {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             if self != GemmTier::Baseline && is_x86_feature_detected!("avx2") {
                 // SAFETY: the host has AVX2, checked just above.
-                unsafe { kernel_avx2(path, a, b, n, out) };
+                unsafe { kernel_avx2(a, b, n, out) };
                 continue;
             }
-            kernel(path, a, b, n, out)
-        }
-    }
-}
-
-/// Which kernel a [`matmul`] call ran.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum GemmPath {
-    /// B all finite: [`BLOCK`] × [`TILE`] register tiles, no zero test.
-    Blocked,
-    /// B holds an inf or NaN: one row at a time, skipping `a[i,k] == 0`.
-    SkipZeros,
-}
-
-impl GemmPath {
-    /// The kernel a product with right operand `b` runs.
-    fn of(b: &Tensor) -> GemmPath {
-        // No early exit, so the scan vectorizes.
-        if b.data().iter().fold(true, |ok, x| ok & x.is_finite()) {
-            GemmPath::Blocked
-        } else {
-            GemmPath::SkipZeros
+            kernel(a, b, n, out)
         }
     }
 }
 
 /// `C = A @ B` for row-major dense matrices.
 ///
-/// Every output element starts from `+0.0` and adds `a[i,k] * b[k,j]` in
-/// ascending `k`, with no fused multiply-add, and the reference order
-/// skips `a[i,k] == 0.0`. Two kernels keep that order bitwise:
+/// Every output element starts from `+0.0` and adds every product
+/// `a[i,k] * b[k,j]` in ascending `k`: a multiply, then an add, with no
+/// fused multiply-add. A zero in A hides nothing: `0 * inf` is NaN, as
+/// IEEE 754 says. Where B is finite, skipping the products with
+/// `a[i,k] == 0.0` would give the same bits: the sum starts at `+0.0` and
+/// under round-to-nearest `x + y` is `-0.0` only when both are, so it is
+/// never `-0.0`; adding `(±0) * b = ±0` for a finite `b` then leaves it
+/// bitwise unchanged (`+0`, a nonzero, `±inf` or NaN alike).
 ///
-/// * **B all finite** (checked once per call): tiles of [`BLOCK`] output
-///   rows × [`TILE`] columns stay in registers over `k`, and every product
-///   is added, zeros included. That is exact: the sum starts at `+0.0`
-///   and under round-to-nearest `x + y` is `-0.0` only when both are, so
-///   it is never `-0.0`; adding `(±0) * b = ±0` for a finite `b` then
-///   leaves it bitwise unchanged (`+0`, a nonzero, `±inf` or NaN alike).
-///   Rows left over after the last whole block run one at a time, as
-///   below.
-/// * **B holds an inf or NaN**, where `0 * inf` would be NaN: one row at a
-///   time in [`TILE`]-column tiles, skipping `a[i,k] == 0.0`.
-///
-/// Both are one `#[inline(always)]` body, compiled at the target baseline
-/// and again with AVX2 ([`GemmTier`]); the host's tier is picked once per
-/// call. Rows not divisible by [`BLOCK`] and columns not divisible by
-/// [`TILE`] go through narrower instances of the same body.
+/// Tiles of [`BLOCK`] output rows × [`TILE`] columns stay in registers over
+/// `k`; rows left over after the last whole block run one at a time. The
+/// body is one `#[inline(always)]` function, compiled at the target
+/// baseline and again with AVX2, and AVX-512 has register tiles of its own
+/// ([`GemmTier`]); the host's tier is picked once per call. Rows not
+/// divisible by [`BLOCK`] and columns not divisible by [`TILE`] go through
+/// narrower instances of the same body.
 /// Large products split their rows across threads ([`crate::par`]); a
 /// split may cut a row block, since no element's order depends on the
 /// block it lands in.
@@ -157,7 +123,7 @@ impl GemmPath {
 /// # Panics
 /// Panics when the inner dimensions disagree.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    gemm(GemmTier::host(), a, b).0
+    gemm(GemmTier::host(), a, b)
 }
 
 /// `C = aᵀ @ b` without materialising `aᵀ`: bitwise
@@ -171,7 +137,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// # Panics
 /// Panics when `a` and `b` have different row counts.
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
-    gemm_at(GemmTier::host(), a, b).0
+    gemm_at(GemmTier::host(), a, b)
 }
 
 /// `x @ w + b` for the left operand `x` made of the column `blocks`
@@ -191,7 +157,7 @@ pub(crate) fn linear_split<const N: usize>(
     w: &Tensor,
     b: &Tensor,
 ) -> [Tensor; N] {
-    linear_split_on(GemmTier::host(), blocks, rows, w, b).0
+    linear_split_on(GemmTier::host(), blocks, rows, w, b)
 }
 
 /// `xᵀ @ g` for the left operand `x` made of the column `blocks`
@@ -202,7 +168,7 @@ pub(crate) fn linear_split<const N: usize>(
 /// # Panics
 /// Panics when the shapes disagree. The caller checks the indices.
 pub(crate) fn matmul_at_blocks(blocks: &[Block], g: &Tensor) -> Tensor {
-    matmul_at_blocks_on(GemmTier::host(), blocks, g).0
+    matmul_at_blocks_on(GemmTier::host(), blocks, g)
 }
 
 /// The `(dx, dw, db)` of [`linear_split`] for the cotangents `g` of its
@@ -279,33 +245,33 @@ pub(crate) fn bias_grad(dh: &Tensor) -> Tensor {
     }
 }
 
-/// [`matmul`] on `tier`, also returning the kernel that ran.
-fn gemm(tier: GemmTier, a: &Tensor, b: &Tensor) -> (Tensor, GemmPath) {
+/// [`matmul`] on `tier`.
+fn gemm(tier: GemmTier, a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     assert_eq!(k, b.rows(), "matmul inner dim mismatch: {} vs {}", a.shape(), b.shape());
-    let (ad, path) = (a.data(), GemmPath::of(b));
+    let ad = a.data();
     let mut out = crate::pool::zeroed(m * b.cols());
     let all = 0..k;
     let plan = Plan { passes: std::slice::from_ref(&all), bias: None, seed: None };
     let lhs = |rows: Range<usize>, _| RowMajor { a: &ad[rows.start * k..], lda: k };
-    product(tier, path, m, b, &plan, lhs, [&mut out]);
-    (Tensor::from_vec(Shape::new(m, b.cols()), out), path)
+    product(tier, m, b, &plan, lhs, [&mut out]);
+    Tensor::from_vec(Shape::new(m, b.cols()), out)
 }
 
-/// [`matmul_at`] on `tier`, also returning the kernel that ran.
-fn gemm_at(tier: GemmTier, a: &Tensor, b: &Tensor) -> (Tensor, GemmPath) {
+/// [`matmul_at`] on `tier`.
+fn gemm_at(tier: GemmTier, a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rows(), b.rows(), "matmul_at inner dim mismatch: {} vs {}", a.shape(), b.shape());
     matmul_at_blocks_on(tier, &[Block { src: a, idx: None }], b)
 }
 
-/// [`linear_split`] on `tier`, also returning the kernel that ran.
+/// [`linear_split`] on `tier`.
 fn linear_split_on<const N: usize>(
     tier: GemmTier,
     blocks: &[Block],
     rows: usize,
     w: &Tensor,
     b: &Tensor,
-) -> ([Tensor; N], GemmPath) {
+) -> [Tensor; N] {
     let k: usize = blocks.iter().map(|x| x.src.cols()).sum();
     assert_eq!(k, w.rows(), "linear_split inner dim mismatch: {k} vs {}", w.shape());
     assert_eq!(
@@ -323,7 +289,6 @@ fn linear_split_on<const N: usize>(
             Some(*k0 - x.src.cols()..*k0)
         })
         .collect();
-    let path = GemmPath::of(w);
     let mut outs: [Vec<f32>; N] = std::array::from_fn(|_| crate::pool::zeroed(rows * n));
     // A gathered first block from fewer source rows: its pass once per
     // source row, `P = src @ w[block 0]`, whose rows seed the product's.
@@ -336,18 +301,18 @@ fn linear_split_on<const N: usize>(
         let mut p: [Vec<f32>; N] = std::array::from_fn(|_| crate::pool::zeroed(m * n));
         let plan = Plan { passes: &passes[..1], bias: None, seed: None };
         let lhs = |rs: Range<usize>, _| RowMajor { a: &a[rs.start * k0..], lda: k0 };
-        product(tier, path, m, w, &plan, lhs, p.each_mut().map(|p| &mut p[..]));
+        product(tier, m, w, &plan, lhs, p.each_mut().map(|p| &mut p[..]));
         (p, idx)
     });
     let skip = usize::from(partials.is_some());
     let seed = partials.as_ref().map(|(p, idx)| (*idx, p.each_ref().map(|p| &p[..])));
     let plan = Plan { passes: &passes[skip..], bias: Some(b.data()), seed };
     let lhs = |rs: Range<usize>, p: usize| blocks[p + skip].rows_from(rs.start);
-    product(tier, path, rows, w, &plan, lhs, outs.each_mut().map(|o| &mut o[..]));
+    product(tier, rows, w, &plan, lhs, outs.each_mut().map(|o| &mut o[..]));
     for p in partials.into_iter().flat_map(|(p, _)| p) {
         crate::pool::release(p);
     }
-    (outs.map(|out| Tensor::from_vec(Shape::new(rows, n), out)), path)
+    outs.map(|out| Tensor::from_vec(Shape::new(rows, n), out))
 }
 
 /// Whether [`linear_split`] runs a gathered first block with `src_rows`
@@ -360,11 +325,10 @@ pub(crate) fn seeds_first_block(src_rows: usize, rows: usize) -> bool {
     src_rows < rows
 }
 
-/// [`matmul_at_blocks`] on `tier`, also returning the kernel that ran.
-fn matmul_at_blocks_on(tier: GemmTier, blocks: &[Block], g: &Tensor) -> (Tensor, GemmPath) {
+/// [`matmul_at_blocks`] on `tier`.
+fn matmul_at_blocks_on(tier: GemmTier, blocks: &[Block], g: &Tensor) -> Tensor {
     let (k, n) = (g.rows(), g.cols());
     let m_all: usize = blocks.iter().map(|x| x.src.cols()).sum();
-    let path = GemmPath::of(g);
     let passes: Vec<Range<usize>> =
         (0..k).step_by(AT_K_PASS).map(|k0| k0..(k0 + AT_K_PASS).min(k)).collect();
     let plan = Plan { passes: &passes, bias: None, seed: None };
@@ -381,7 +345,7 @@ fn matmul_at_blocks_on(tier: GemmTier, blocks: &[Block], g: &Tensor) -> (Tensor,
                     lda: m,
                     i0: rs.start,
                 };
-                product(tier, path, m, g, &plan, lhs, [part]);
+                product(tier, m, g, &plan, lhs, [part]);
             }
             Some(idx) => {
                 let lhs = |rs: Range<usize>, p: usize| TransposedRows {
@@ -390,11 +354,11 @@ fn matmul_at_blocks_on(tier: GemmTier, blocks: &[Block], g: &Tensor) -> (Tensor,
                     i0: rs.start,
                     idx: &idx[passes[p].clone()],
                 };
-                product(tier, path, m, g, &plan, lhs, [part]);
+                product(tier, m, g, &plan, lhs, [part]);
             }
         }
     }
-    (Tensor::from_vec(Shape::new(m_all, n), out), path)
+    Tensor::from_vec(Shape::new(m_all, n), out)
 }
 
 /// Rows of `a` per pass of [`matmul_at`]: a pass's rows of `a` and `b`
@@ -422,15 +386,14 @@ struct Plan<'a, const N: usize> {
     seed: Option<(&'a [u32], [&'a [f32]; N])>,
 }
 
-/// The `m`-row product of the left operand and `b` (`k × ld`) on `tier`
-/// by `path`, into the zeroed `outs`: output `j` takes B's columns
+/// The `m`-row product of the left operand and `b` (`k × ld`) on `tier`,
+/// into the zeroed `outs`: output `j` takes B's columns
 /// `j·n..(j+1)·n` with `n = ld / N`. `lhs(rows, p)` is the left operand
 /// pass `p` reads for the output rows `rows`. Splits the rows across
 /// threads ([`crate::par`]); each thread's rows run through all passes in
 /// blocks of [`PASS_ROWS`].
 fn product<L: Pass, const N: usize>(
     tier: GemmTier,
-    path: GemmPath,
     m: usize,
     b: &Tensor,
     plan: &Plan<N>,
@@ -445,7 +408,7 @@ fn product<L: Pass, const N: usize>(
     // About 1 ns per 12 multiply-adds at width 1 (EXPERIMENTS.md
     // "Blocked GEMM"), per 16 on the AVX-512 tier (EXPERIMENTS.md
     // "AVX-512 tier"), in `par::SPLIT_WORK` units.
-    let per_unit = if tier == GemmTier::Avx512 && path == GemmPath::Blocked { 16 } else { 12 };
+    let per_unit = if tier == GemmTier::Avx512 { 16 } else { 12 };
     let work = m * ld * plan.passes.iter().map(Range::len).sum::<usize>() / per_unit;
     par::for_row_chunks_n(outs, m, [n; N], par::chunks(work, m), |rows, mut outs| {
         let mut r0 = rows.start;
@@ -462,7 +425,7 @@ fn product<L: Pass, const N: usize>(
             for (p, ks) in plan.passes.iter().enumerate() {
                 let rhs = Rhs { b: &bd[ks.start * ld..ks.end * ld], ld, col: 0, k: ks.len() };
                 let outs = outs.each_mut().map(|out| &mut out[local.clone()]);
-                lhs(r0..r1, p).run(tier, path, rhs, n, outs);
+                lhs(r0..r1, p).run(tier, rhs, n, outs);
             }
             // The epilogue, on rows still in cache.
             for (bias, out) in plan.bias.iter().flat_map(|b| b.chunks_exact(n)).zip(&mut outs) {
@@ -482,27 +445,13 @@ trait Lhs: Copy {
 
 /// One pass of a [`product`]: the left operand it reads.
 trait Pass: Copy {
-    /// `outs[j] += self @ b_j` on `tier` by `path` ([`GemmTier::run`]).
-    fn run<const N: usize>(
-        self,
-        tier: GemmTier,
-        path: GemmPath,
-        b: Rhs,
-        n: usize,
-        outs: [&mut [f32]; N],
-    );
+    /// `outs[j] += self @ b_j` on `tier` ([`GemmTier::run`]).
+    fn run<const N: usize>(self, tier: GemmTier, b: Rhs, n: usize, outs: [&mut [f32]; N]);
 }
 
 impl<L: Lhs> Pass for L {
-    fn run<const N: usize>(
-        self,
-        tier: GemmTier,
-        path: GemmPath,
-        b: Rhs,
-        n: usize,
-        outs: [&mut [f32]; N],
-    ) {
-        tier.run(path, self, b, n, outs)
+    fn run<const N: usize>(self, tier: GemmTier, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
+        tier.run(self, b, n, outs)
     }
 }
 
@@ -558,17 +507,10 @@ enum BlockRows<'a> {
 }
 
 impl Pass for BlockRows<'_> {
-    fn run<const N: usize>(
-        self,
-        tier: GemmTier,
-        path: GemmPath,
-        b: Rhs,
-        n: usize,
-        outs: [&mut [f32]; N],
-    ) {
+    fn run<const N: usize>(self, tier: GemmTier, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
         match self {
-            BlockRows::Whole(a) => tier.run(path, a, b, n, outs),
-            BlockRows::Gathered(a) => tier.run(path, a, b, n, outs),
+            BlockRows::Whole(a) => tier.run(a, b, n, outs),
+            BlockRows::Gathered(a) => tier.run(a, b, n, outs),
         }
     }
 }
@@ -635,7 +577,7 @@ struct Rhs<'a> {
     k: usize,
 }
 
-/// The AVX-512 tier's blocked kernel: register tiles of explicit `__m512`
+/// The AVX-512 tier's kernel: register tiles of explicit `__m512`
 /// accumulators, one 16-column strip per register.
 ///
 /// The outputs' columns are cut into strips of up to 16 (a short strip
@@ -645,7 +587,7 @@ struct Rhs<'a> {
 /// 32-column tile. Each lane of a tile is one output element: it starts
 /// from the element's stored value, adds `a[i,k] * b[k,j]` (a `mulps`
 /// rounded, then an `addps`, never an FMA) in ascending `k`, and is stored
-/// once, which is the blocked path's order (every product added). It is
+/// once, which is [`matmul`]'s order (every product added). It is
 /// written with intrinsics rather than being the generic [`kernel`]
 /// compiled with `avx512f`, whose wider instances LLVM spills.
 #[cfg(target_arch = "x86_64")]
@@ -676,10 +618,14 @@ mod avx512 {
         }
     }
 
-    /// `outs[j] += a @ b_j` ([`super::GemmTier::run`]) on the blocked path:
-    /// every pair of strips (and a last single one) through all rows.
+    /// `outs[j] += a @ b_j` ([`super::GemmTier::run`]): every pair of
+    /// strips (and a last single one) through all rows.
     #[target_feature(enable = "avx512f")]
     pub(super) fn kernel<const N: usize>(a: impl Lhs, b: Rhs, n: usize, mut outs: [&mut [f32]; N]) {
+        if b.k == 0 {
+            // A pass over no rows of B adds nothing.
+            return;
+        }
         let rows = outs[0].len() / n;
         assert!(outs.iter().all(|o| o.len() == rows * n), "outputs of {rows} rows");
         let per_out = n.div_ceil(LANES);
@@ -815,20 +761,15 @@ mod avx512 {
 /// [`kernel`] compiled with AVX2 enabled.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-fn kernel_avx2(path: GemmPath, a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
-    kernel(path, a, b, n, out)
+fn kernel_avx2(a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
+    kernel(a, b, n, out)
 }
 
-/// The GEMM body both tiers compile: [`BLOCK`]-row blocks on the blocked
-/// path, then the rows left over (all rows on the zero-skipping path) one
-/// at a time. A single row skips `a[i,k] == 0.0`, the reference order.
+/// The GEMM body the baseline and AVX2 tiers compile: [`BLOCK`]-row
+/// blocks, then the rows left over one at a time.
 #[inline(always)]
-fn kernel(path: GemmPath, a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
-    let rows = out.len() / n;
-    let blocked_rows = match path {
-        GemmPath::Blocked => rows / BLOCK * BLOCK,
-        GemmPath::SkipZeros => 0,
-    };
+fn kernel(a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
+    let blocked_rows = out.len() / n / BLOCK * BLOCK;
     let (out_blocks, out_rows) = out.split_at_mut(blocked_rows * n);
     for (i, out) in out_blocks.chunks_exact_mut(BLOCK * n).enumerate() {
         row_block::<BLOCK>(a.rows(i * BLOCK, b.k), b, n, out);
@@ -868,8 +809,7 @@ fn row_block<const R: usize>(
 
 /// One `R × W` output tile at column `j0`: `acc[r][j] += a(k)[r] *
 /// b[k, j0 + j]` in registers over ascending `k`, from the tile's values
-/// in `out`, then one store. A single row (`R == 1`) skips
-/// `a[i,k] == 0.0`; a block adds every product.
+/// in `out`, then one store.
 #[inline(always)]
 fn tile<const R: usize, const W: usize>(
     a: impl Fn(usize) -> [f32; R],
@@ -884,9 +824,6 @@ fn tile<const R: usize, const W: usize>(
     let j0b = b.col + j0;
     for (kk, b_row) in (0..b.k).zip(b.b.chunks_exact(b.ld)) {
         let av = a(kk);
-        if R == 1 && av[0] == 0.0 {
-            continue;
-        }
         let bv: &[f32; W] = b_row[j0b..j0b + W].try_into().expect("a W-wide slice");
         for (acc_r, &ar) in acc.iter_mut().zip(&av) {
             for (o, &bj) in acc_r.iter_mut().zip(bv) {
@@ -974,16 +911,14 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// The plain i-k-j kernel [`matmul`] replaced, kept as its bitwise
-    /// reference: every output row is loaded and stored once per `k`.
+    /// reference: every output row is loaded and stored once per `k`, and
+    /// every product is added.
     fn matmul_ikj(a: &Tensor, b: &Tensor) -> Vec<f32> {
         let (k, n) = (a.cols(), b.cols());
         let mut out = vec![0.0; a.rows() * n];
         for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
             let a_row = &a.data()[i * k..(i + 1) * k];
             for (&aik, b_row) in a_row.iter().zip(b.data().chunks_exact(n)) {
-                if aik == 0.0 {
-                    continue;
-                }
                 for (o, &bkj) in out_row.iter_mut().zip(b_row) {
                     *o += aik * bkj;
                 }
@@ -1011,22 +946,52 @@ mod tests {
                             (0..m * k).map(|_| crate::kernels::test_value(&mut rng)).collect(),
                         );
                         let mut b = crate::init::uniform(&mut rng, k, n, -2.0, 2.0);
-                        let want_path = match poison {
-                            None => GemmPath::Blocked,
-                            Some(x) => {
-                                let at = rng.gen_range(0..k * n);
-                                *b.at_mut(at / n, at % n) = x;
-                                GemmPath::SkipZeros
-                            }
-                        };
+                        if let Some(x) = poison {
+                            let at = rng.gen_range(0..k * n);
+                            *b.at_mut(at / n, at % n) = x;
+                        }
                         let want = bits(&matmul_ikj(&a, &b));
-                        let what = format!("m={m} k={k} n={n} {want_path:?} (seed {case})");
+                        let what = format!("m={m} k={k} n={n} B holding {poison:?} (seed {case})");
                         for &tier in &tiers {
-                            let (c, path) = gemm(tier, &a, &b);
-                            assert_eq!(path, want_path, "{tier:?} {what}");
+                            let c = gemm(tier, &a, &b);
                             assert_eq!(bits(c.data()), want, "{tier:?} {what}");
                         }
                         assert_eq!(bits(matmul(&a, &b).data()), want, "dispatched {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_does_not_hide_an_inf_in_b() {
+        // A's column 1 is all zeros and B's row 1 holds an inf in column
+        // `inf`: `0 × inf` is NaN there in every row, and every other
+        // output is finite, on every tier, for whole row blocks and rows
+        // left over, through every entry point.
+        for m in [1, 4, 5] {
+            for n in [4, 17] {
+                let inf = n - 2;
+                let a = (0..m * 3).map(|i| if i % 3 == 1 { 0.0 } else { 1.0 }).collect();
+                let a = Tensor::from_vec(Shape::new(m, 3), a);
+                let mut b = Tensor::full(3, n, 0.5);
+                *b.at_mut(1, inf) = f32::INFINITY;
+                let whole = [Block { src: &a, idx: None }];
+                for tier in GemmTier::on_host() {
+                    let [split] = linear_split_on::<1>(tier, &whole, m, &b, &Tensor::zeros(1, n));
+                    let products = [
+                        ("matmul", gemm(tier, &a, &b)),
+                        ("matmul_at", gemm_at(tier, &a.transposed(), &b)),
+                        ("linear_split", split),
+                    ];
+                    for (what, c) in products {
+                        for (i, x) in c.data().iter().enumerate() {
+                            assert_eq!(
+                                x.is_nan(),
+                                i % n == inf,
+                                "{tier:?} {what} m={m} n={n}: element {i} is {x}"
+                            );
+                        }
                     }
                 }
             }
@@ -1056,12 +1021,11 @@ mod tests {
                             let at = rng.gen_range(0..rows * n);
                             *g.at_mut(at / n, at % n) = x;
                         }
-                        let (want, want_path) = gemm(GemmTier::Baseline, &a.transposed(), &g);
-                        let want = bits(want.data());
-                        let what = format!("{rows}x{m}ᵀ @ {rows}x{n} {want_path:?} (seed {case})");
+                        let want = bits(gemm(GemmTier::Baseline, &a.transposed(), &g).data());
+                        let what =
+                            format!("{rows}x{m}ᵀ @ {rows}x{n} g holding {poison:?} (seed {case})");
                         for &tier in &tiers {
-                            let (c, path) = gemm_at(tier, &a, &g);
-                            assert_eq!(path, want_path, "{tier:?} {what}");
+                            let c = gemm_at(tier, &a, &g);
                             assert_eq!(c.shape(), crate::shape::Shape::new(m, n), "{what}");
                             assert_eq!(bits(c.data()), want, "{tier:?} {what}");
                         }
@@ -1138,19 +1102,18 @@ mod tests {
         let tiers: Vec<GemmTier> = GemmTier::on_host().collect();
         let rows = x.rows();
         let b = draw(rng, 1, N * n);
-        for w in poisoned(rng, x.cols(), N * n) {
+        for (poison, w) in poisoned(rng, x.cols(), N * n).into_iter().enumerate() {
             for &tier in &tiers {
-                let (h, path) = gemm(GemmTier::Baseline, x, &w);
+                let h = gemm(GemmTier::Baseline, x, &w);
                 let h = binary(BinKind::Add, &h, Bcast::Full, &b, Bcast::Row, h.shape());
                 let want: [_; N] = std::array::from_fn(|i| {
                     bits(crate::kernels::gather::slice_cols(&h, i * n, n).data())
                 });
-                let what = format!("{N} outputs, {rows} rows, n={n}, {path:?} ({case})");
+                let what = format!("{N} outputs, {rows} rows, n={n}, poison {poison} ({case})");
                 for width in [1, 2] {
-                    let (got, got_path) = par::with_width(width, || {
+                    let got = par::with_width(width, || {
                         linear_split_on::<N>(tier, &as_blocks(blocks), rows, &w, &b)
                     });
-                    assert_eq!(got_path, path, "{tier:?} width {width}: {what}");
                     let got = got.map(|t| bits(t.data()));
                     assert_eq!(got, want, "{tier:?} width {width}: {what}");
                 }
@@ -1234,15 +1197,14 @@ mod tests {
                 case += 1;
                 let rng = &mut StdRng::seed_from_u64(case);
                 let (blocks, x) = test_blocks(rng, rows);
-                for g in poisoned(rng, rows, n) {
+                for (poison, g) in poisoned(rng, rows, n).into_iter().enumerate() {
                     for &tier in &tiers {
-                        let (want, path) = gemm_at(GemmTier::Baseline, &x, &g);
-                        let what = format!("{rows} rows, n={n}, {path:?} (seed {case})");
+                        let want = gemm_at(GemmTier::Baseline, &x, &g);
+                        let what = format!("{rows} rows, n={n}, poison {poison} (seed {case})");
                         for width in [1, 2] {
-                            let (got, got_path) = par::with_width(width, || {
+                            let got = par::with_width(width, || {
                                 matmul_at_blocks_on(tier, &as_blocks(&blocks), &g)
                             });
-                            assert_eq!(got_path, path, "{tier:?} width {width}: {what}");
                             assert_eq!(got.shape(), want.shape(), "{what}");
                             assert_eq!(
                                 bits(got.data()),

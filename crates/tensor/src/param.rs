@@ -105,8 +105,7 @@ impl ParamStore {
             .sqrt()
     }
 
-    /// Copy all parameter values from `other` (shapes must match; used by
-    /// the simulated cluster to broadcast replica weights).
+    /// Copy all parameter values from `other` (shapes must match).
     pub fn copy_values_from(&mut self, other: &ParamStore) {
         assert_eq!(self.entries.len(), other.entries.len(), "param store layout mismatch");
         for (dst, src) in self.entries.iter_mut().zip(&other.entries) {

@@ -1,79 +1,29 @@
-//! Gradient all-reduce: the deterministic tree the cluster combines rank
-//! gradients with, plus the α-β ring cost model ([`CommModel`]) that
-//! [`crate::ScalingModel`] adds to projected step times.
+//! Gradient combine: the deterministic tree the cluster sums rank
+//! gradients with, plus the α-β ring all-reduce cost model ([`CommModel`])
+//! that [`crate::ScalingModel`] adds to projected step times.
 
-/// Deterministic tree all-reduce over `p` equally-shaped buffers: after the
-/// call every buffer holds the elementwise **sum**. The reduction order is a
-/// pure function of `p` — within every element, ranks are combined pairwise
-/// in a fixed gap-doubling binary tree (`buf[d] += buf[d+gap]` for
-/// `gap = 1, 2, 4, …`) — so the f32 result is bitwise identical no matter in
-/// which order worker threads delivered their buffers. This is the cluster's
-/// combine step, which is what makes post-step parameters bitwise equal for
-/// every `Threaded(n)` worker count.
-pub fn tree_all_reduce(buffers: &mut [Vec<f32>]) {
-    tree_all_reduce_chunked(buffers, 1);
-}
-
-/// Chunked variant of [`tree_all_reduce`]: the element range is carved into
-/// `n_workers` disjoint chunks and each chunk's tree runs on its own scoped
-/// thread. Chunk boundaries never change the per-element reduction tree, so
-/// the output is bitwise identical to the single-threaded call for every
-/// `n_workers`.
-pub fn tree_all_reduce_chunked(buffers: &mut [Vec<f32>], n_workers: usize) {
+/// Deterministic tree reduction of `p` equally-shaped buffers into
+/// `buffers[0]`, which ends holding the elementwise **sum**; the other
+/// buffers hold partial sums. The reduction order is a pure function of
+/// `p` — within every element, ranks are combined pairwise in a fixed
+/// gap-doubling binary tree (`buf[d] += buf[d+gap]` for `gap = 1, 2, 4,
+/// …`) — so the f32 result is bitwise identical no matter in which order
+/// worker threads delivered their buffers. This is the cluster's combine
+/// step, which is what makes post-step parameters bitwise equal for every
+/// `Threaded(n)` worker count.
+pub fn tree_reduce(buffers: &mut [Vec<f32>]) {
     let p = buffers.len();
-    if p <= 1 {
-        return;
-    }
-    let n = buffers[0].len();
-    assert!(buffers.iter().all(|b| b.len() == n), "ragged all-reduce buffers");
-    if n == 0 {
-        return;
-    }
-    let workers = n_workers.clamp(1, n);
-    // chunks[c][r] is rank r's mutable slice of chunk c; the per-rank buffer
-    // is split once so chunk workers hold disjoint borrows.
-    let bounds: Vec<usize> = (0..=workers).map(|c| c * n / workers).collect();
-    let mut chunks: Vec<Vec<&mut [f32]>> = (0..workers).map(|_| Vec::with_capacity(p)).collect();
-    for buf in buffers.iter_mut() {
-        let mut rest: &mut [f32] = buf;
-        for c in 0..workers {
-            let (head, tail) = rest.split_at_mut(bounds[c + 1] - bounds[c]);
-            chunks[c].push(head);
-            rest = tail;
-        }
-    }
-    if workers == 1 {
-        reduce_chunk_tree(&mut chunks[0]);
-    } else {
-        std::thread::scope(|s| {
-            for chunk in chunks.iter_mut() {
-                s.spawn(move || reduce_chunk_tree(chunk));
-            }
-        });
-    }
-}
-
-/// In-place fixed-order pairwise tree over one chunk: gap doubling
-/// (`ranks[d] += ranks[d+gap]`), then broadcast `ranks[0]` to every rank.
-fn reduce_chunk_tree(ranks: &mut [&mut [f32]]) {
-    let p = ranks.len();
+    let n = buffers.first().map_or(0, Vec::len);
+    assert!(buffers.iter().all(|b| b.len() == n), "ragged reduce buffers");
     let mut gap = 1;
     while gap < p {
-        let mut d = 0;
-        while d + gap < p {
-            let (left, right) = ranks.split_at_mut(d + gap);
-            let dst = &mut left[d];
-            let src = &right[0];
-            for (y, &x) in dst.iter_mut().zip(src.iter()) {
+        for d in (0..p - gap).step_by(2 * gap) {
+            let (left, right) = buffers.split_at_mut(d + gap);
+            for (y, &x) in left[d].iter_mut().zip(&right[0]) {
                 *y += x;
             }
-            d += 2 * gap;
         }
         gap *= 2;
-    }
-    let (first, rest) = ranks.split_first_mut().unwrap();
-    for b in rest.iter_mut() {
-        b.copy_from_slice(first);
     }
 }
 
@@ -144,48 +94,14 @@ mod tests {
                 let mut bufs = random_buffers(p, n, p as u64 * 101 + n as u64);
                 let expect: Vec<f32> =
                     (0..n).map(|i| bufs.iter().map(|b| b[i]).sum::<f32>()).collect();
-                tree_all_reduce(&mut bufs);
-                for (d, b) in bufs.iter().enumerate() {
-                    for i in 0..n {
-                        assert!(
-                            (b[i] - expect[i]).abs() < 1e-4,
-                            "p={p} n={n} device {d} elem {i}: {} vs {}",
-                            b[i],
-                            expect[i]
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tree_all_buffers_agree_bitwise() {
-        let mut bufs = random_buffers(6, 257, 9);
-        tree_all_reduce(&mut bufs);
-        for b in &bufs[1..] {
-            assert_eq!(b, &bufs[0], "tree all-reduce left buffers divergent");
-        }
-    }
-
-    #[test]
-    fn tree_chunked_is_bitwise_identical_to_serial() {
-        for p in [2, 3, 4, 8] {
-            for n in [1, 3, 64, 513] {
-                let reference = {
-                    let mut bufs = random_buffers(p, n, p as u64 * 7 + n as u64);
-                    tree_all_reduce(&mut bufs);
-                    bufs
-                };
-                for workers in [2, 3, 4, 9, n + 4] {
-                    let mut bufs = random_buffers(p, n, p as u64 * 7 + n as u64);
-                    tree_all_reduce_chunked(&mut bufs, workers);
-                    for (d, b) in bufs.iter().enumerate() {
-                        assert!(
-                            b.iter().zip(&reference[d]).all(|(x, y)| x.to_bits() == y.to_bits()),
-                            "p={p} n={n} workers={workers} rank {d}: chunked tree diverged"
-                        );
-                    }
+                tree_reduce(&mut bufs);
+                for i in 0..n {
+                    assert!(
+                        (bufs[0][i] - expect[i]).abs() < 1e-4,
+                        "p={p} n={n} elem {i}: {} vs {}",
+                        bufs[0][i],
+                        expect[i]
+                    );
                 }
             }
         }
@@ -195,25 +111,23 @@ mod tests {
     fn tree_is_deterministic_across_repeats() {
         let reference = {
             let mut bufs = random_buffers(4, 1024, 42);
-            tree_all_reduce_chunked(&mut bufs, 4);
-            bufs
+            tree_reduce(&mut bufs);
+            bufs.swap_remove(0)
         };
         for _ in 0..20 {
             let mut bufs = random_buffers(4, 1024, 42);
-            tree_all_reduce_chunked(&mut bufs, 4);
-            for (b, r) in bufs.iter().zip(&reference) {
-                assert!(
-                    b.iter().zip(r).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "tree all-reduce not bitwise stable across repeats"
-                );
-            }
+            tree_reduce(&mut bufs);
+            assert!(
+                bufs[0].iter().zip(&reference).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "tree reduce not bitwise stable across repeats"
+            );
         }
     }
 
     #[test]
     fn tree_single_device_is_noop() {
         let mut bufs = vec![vec![1.0, 2.0]];
-        tree_all_reduce(&mut bufs);
+        tree_reduce(&mut bufs);
         assert_eq!(bufs[0], vec![1.0, 2.0]);
     }
 

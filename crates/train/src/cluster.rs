@@ -2,17 +2,17 @@
 //!
 //! Data parallelism here is *numerically real*: the global batch is
 //! partitioned by the sampler, each simulated device computes real
-//! gradients over its shard, and the shards are combined by a
-//! deterministic tree all-reduce ([`crate::allreduce::tree_all_reduce`]).
+//! gradients over its shard, and the shards are summed by a deterministic
+//! tree ([`crate::allreduce::tree_reduce`]) on the calling thread.
 //!
 //! One runner executes the rank work of every step: ranks are strided over
 //! the [`ExecutionMode::Threaded`] scoped worker threads (rank `d` on
-//! worker `d % workers`, one rank after another), and each worker owns one
-//! parameter replica and one buffer pool that persist across steps. Every
-//! worker count produces bitwise-identical post-step parameters: a rank's
-//! work depends only on its shard and on the master values copied into
-//! the replica, and the gradient combine order is fixed by the tree, not
-//! by thread arrival.
+//! worker `d % workers`, one rank after another). Every worker reads the
+//! one master parameter store, which rank work never writes, and owns one
+//! buffer pool that persists across steps. Every worker count produces
+//! bitwise-identical post-step parameters: a rank's work depends only on
+//! its shard and on the master values, and the gradient combine order is
+//! fixed by the tree, not by thread arrival.
 //!
 //! A step reports what it measured: each rank's compute seconds and the
 //! sampler's per-rank loads, the inputs of the straggler picture (Fig. 9).
@@ -20,13 +20,13 @@
 //! (Fig. 10) is [`crate::ScalingModel`]'s, the one place that adds the α-β
 //! all-reduce time.
 
-use crate::allreduce::tree_all_reduce_chunked;
+use crate::allreduce::tree_reduce;
 use crate::loss::{composite_loss, LossParts, LossWeights};
 use crate::optim::{clip_grad_norm, Adam};
 use crate::sampler::{device_loads, load_cov, partition, SamplerKind};
 use fc_core::{Chgnet, ModelConfig};
 use fc_crystal::{GraphBatch, Sample};
-use fc_tensor::{par, pool, ParamStore, PoolCore, ProfileSnapshot, Profiler, Tape};
+use fc_tensor::{par, pool, GradMap, ParamStore, PoolCore, ProfileSnapshot, Profiler, Tape};
 #[cfg(test)]
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -95,21 +95,18 @@ pub struct StepStats {
     pub grad_norm: f64,
 }
 
-/// A data-parallel training cluster around one model replica set.
+/// A data-parallel training cluster around one master parameter store.
 pub struct Cluster {
     /// The model (architecture handles; parameters live in `store`).
     pub model: Chgnet,
-    /// The master parameter store; the optimizer steps this copy.
+    /// The master parameter store: every rank reads it, and the optimizer
+    /// steps it.
     pub store: ParamStore,
     /// The optimizer.
     pub opt: Adam,
     /// Loss prefactors.
     pub loss_weights: LossWeights,
     cfg: ClusterConfig,
-    /// One parameter replica per worker thread; the ranks of a worker run
-    /// one after another against it. Values are copied from `store` every
-    /// step.
-    replicas: Vec<ParamStore>,
     /// One buffer-pool core per worker thread. Workers are re-spawned every
     /// step, so each worker's recycled buffers are carried across steps here.
     pools: Vec<PoolCore>,
@@ -118,7 +115,7 @@ pub struct Cluster {
     profiler: Profiler,
 }
 
-/// Everything one rank produces in a step; `flat` is the replica gradient
+/// Everything one rank produces in a step; `flat` is the rank's gradient
 /// flattened in parameter order and pre-scaled for averaging.
 struct RankOutput {
     loss: f64,
@@ -127,14 +124,13 @@ struct RankOutput {
     tape: Tape,
 }
 
-/// One rank's forward/backward over its collated shard, against its
-/// worker's parameter replica. Pure per-rank work: the only external state
-/// it touches is `store`, which is exclusively owned by the worker for the
-/// duration and whose gradients are zeroed first — that independence is
-/// why thread scheduling cannot change the numbers.
+/// One rank's forward/backward over its collated shard, against the master
+/// parameters. Pure per-rank work: it only reads `store`, and writes
+/// nothing another rank reads — that independence is why thread
+/// scheduling cannot change the numbers.
 fn rank_work(
     model: &Chgnet,
-    store: &mut ParamStore,
+    store: &ParamStore,
     loss_weights: &LossWeights,
     batch: &GraphBatch,
     inv_dev: f32,
@@ -156,19 +152,41 @@ fn rank_work(
     // Backward (second-order when the model derives forces). The final
     // sweep returns activations and intermediate grad buffers to this
     // thread's pool for the next step's forward.
-    {
+    let flat = {
         let _bwd = fc_telemetry::bridge::profiled_span("backward", tape.profiler());
-        store.zero_grads();
         let gm = tape.backward_final(loss.total);
-        store.accumulate_grads(&tape, &gm);
-    }
+        flat_grads(store, &tape, &gm, inv_dev)
+    };
     tape.reset();
-    // Flatten this replica's gradient, pre-scaled for averaging.
-    let mut flat = Vec::with_capacity(store.n_scalars());
-    for (_, e) in store.iter() {
-        flat.extend(e.grad.data().iter().map(|&g| g * inv_dev));
-    }
     RankOutput { loss: loss_val, components, flat, tape }
+}
+
+/// The gradients in `gm` of the parameters injected into `tape`, flattened
+/// in `store`'s parameter order and pre-scaled for averaging: `(0.0 + g) *
+/// inv_dev` per element, which is exactly accumulating `g` into a zeroed
+/// gradient (`ParamStore::accumulate_grads`, as the hand-built reference
+/// steps fc_verify compares against do) and scaling it, so a `-0.0`
+/// gradient lands as `+0.0`. A parameter no gradient reached stays `0.0`.
+fn flat_grads(store: &ParamStore, tape: &Tape, gm: &GradMap, inv_dev: f32) -> Vec<f32> {
+    let offsets: Vec<usize> = store
+        .iter()
+        .scan(0, |off, (_, e)| {
+            *off += e.value.len();
+            Some(*off - e.value.len())
+        })
+        .collect();
+    let mut flat = vec![0.0; store.n_scalars()];
+    for (pid, var) in tape.injected_params() {
+        if let Some(gv) = gm.get(var) {
+            tape.with_value(gv, |g| {
+                let dst = &mut flat[offsets[pid.index()]..][..g.len()];
+                for (y, &g) in dst.iter_mut().zip(g.data()) {
+                    *y = (0.0 + g) * inv_dev;
+                }
+            });
+        }
+    }
+    flat
 }
 
 /// Write a flat gradient vector into the store's grad buffers in
@@ -194,13 +212,12 @@ struct RankSet {
 
 impl Cluster {
     /// Build a cluster: model parameters are initialised from `seed`, and
-    /// each worker thread gets its own replica and buffer pool.
+    /// each worker thread gets its own buffer pool.
     pub fn new(model_cfg: ModelConfig, seed: u64, cluster_cfg: ClusterConfig, lr: f32) -> Self {
         let mut store = ParamStore::new();
         let model = Chgnet::new(model_cfg, &mut store, seed);
         let opt = Adam::new(&store, lr);
         let workers = cluster_cfg.execution.workers(cluster_cfg.n_devices);
-        let replicas = (0..workers).map(|_| store.clone()).collect();
         let pools = (0..workers).map(|_| PoolCore::default()).collect();
         Cluster {
             model,
@@ -208,7 +225,6 @@ impl Cluster {
             opt,
             loss_weights: LossWeights::default(),
             cfg: cluster_cfg,
-            replicas,
             pools,
             profiler: Profiler::new(),
         }
@@ -260,16 +276,15 @@ impl Cluster {
 
         let mut ranks = self.run_ranks(global_batch, &parts, &loads);
 
-        // Combine replica gradients with the deterministic tree all-reduce:
-        // the reduction order is fixed by rank index, so every worker count
-        // agrees bitwise.
+        // Sum the rank gradients with the deterministic tree: the reduction
+        // order is fixed by rank index, so every worker count agrees
+        // bitwise.
         {
             let _ar = fc_telemetry::span("allreduce");
-            tree_all_reduce_chunked(&mut ranks.buffers, self.replicas.len());
+            tree_reduce(&mut ranks.buffers);
         }
 
-        // Write the reduced gradient back (every replica now holds the
-        // same sum; apply the identical optimizer step once, on master).
+        // Write the summed gradient into master and step it once.
         let _opt_span = fc_telemetry::span("optimizer");
         write_flat_grads(&mut self.store, &ranks.buffers[0]);
         let grad_norm = match self.cfg.grad_clip {
@@ -300,29 +315,24 @@ impl Cluster {
 
     /// Run every rank's work: rank `d` collates `parts[d]` of the global
     /// batch on scoped worker `d % workers`, one rank after another, against
-    /// that worker's value-synced replica and with that worker's buffer pool
-    /// installed, and records `loads[d]` on its trace lane; a rank with an
-    /// empty part sits the step out. Results are gathered back in rank
-    /// order, so downstream combination is independent of which thread
-    /// finished first.
+    /// the master parameters and with that worker's buffer pool installed,
+    /// and records `loads[d]` on its trace lane; a rank with an empty part
+    /// sits the step out. Results are gathered back in rank order, so
+    /// downstream combination is independent of which thread finished
+    /// first.
     fn run_ranks(&mut self, samples: &[&Sample], parts: &[Vec<usize>], loads: &[f64]) -> RankSet {
         let n_ranks = parts.len();
         let inv_dev = 1.0 / n_ranks as f32;
-        let workers = self.replicas.len().min(n_ranks);
+        let workers = self.pools.len().min(n_ranks);
         let n_scalars = self.store.n_scalars();
-        for rep in &mut self.replicas[..workers] {
-            rep.copy_values_from(&self.store);
-        }
-        let model = &self.model;
-        let lw = &self.loss_weights;
+        let (model, store, lw) = (&self.model, &self.store, &self.loss_weights);
         let per_worker: Vec<Vec<(usize, RankOutput, f64)>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
-                .replicas
+                .pools
                 .iter_mut()
-                .zip(&mut self.pools)
                 .take(workers)
                 .enumerate()
-                .map(|(w, (store, core))| {
+                .map(|(w, core)| {
                     std::thread::Builder::new()
                         .name(worker_name(w))
                         .spawn_scoped(s, move || {
@@ -495,6 +505,32 @@ mod tests {
             }
             let _ = e4;
         }
+    }
+
+    #[test]
+    fn rank_flatten_turns_negative_zero_positive_and_zero_fills_missing_grads() {
+        // `a` receives the gradient -0.0 everywhere (loss term
+        // `sum(a · -0.0)`), `b` the gradient 2, and `c` is never injected.
+        use fc_tensor::Tensor;
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::full(1, 2, 3.0));
+        let b = store.add("b", Tensor::full(1, 3, 1.0));
+        store.add("c", Tensor::full(2, 1, 5.0));
+        let tape = Tape::new();
+        let (va, vb) = (tape.param(&store, a), tape.param(&store, b));
+        let za = tape.mul(va, tape.constant(Tensor::full(1, 2, -0.0)));
+        let loss = tape.add(tape.sum_all(za), tape.sum_all(tape.scale(vb, 2.0)));
+        let gm = tape.backward_final(loss);
+        let ga = gm.get(va).expect("a gradient for a");
+        assert!(
+            tape.with_value(ga, |g| g.data().iter().all(|x| x.to_bits() == (-0.0f32).to_bits())),
+            "the fixture must give `a` a -0.0 gradient"
+        );
+        let flat = flat_grads(&store, &tape, &gm, 0.5);
+        let bits: Vec<u32> = flat.iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u32> =
+            [0.0f32, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0].iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, want, "flat gradient {flat:?}");
     }
 
     /// Parameters of `cluster` as bit patterns, in parameter order.

@@ -6,7 +6,7 @@
 //! * Adam + cosine annealing + the Eq. 14 large-batch LR scaling rule,
 //! * the default and Load-Balance batch samplers with the
 //!   coefficient-of-variance imbalance metric (Fig. 9),
-//! * a deterministic tree all-reduce over replica gradients,
+//! * a deterministic tree reduction of the ranks' gradients,
 //! * the simulated multi-GPU [`Cluster`]: numerically exact data
 //!   parallelism, one [`Cluster::train_step`] per global batch, measured
 //!   per-rank compute time,
@@ -30,7 +30,7 @@ pub mod scaling;
 pub mod sched;
 pub mod trainer;
 
-pub use allreduce::{tree_all_reduce, tree_all_reduce_chunked, CommModel};
+pub use allreduce::{tree_reduce, CommModel};
 pub use checkpoint::{load_checkpoint, save_checkpoint};
 pub use cluster::{Cluster, ClusterConfig, ExecutionMode, StepStats};
 pub use dataloader::epoch_batches;

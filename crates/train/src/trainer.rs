@@ -169,19 +169,13 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
     for epoch in 0..cfg.epochs {
         let _epoch_span = fc_telemetry::span("epoch");
         let start = Instant::now();
-        let batches = {
-            let _wait = fc_telemetry::span("dataloader_wait");
-            epoch_batches(train.len(), cfg.global_batch, cfg.seed ^ (epoch as u64))
-        };
+        let batches = epoch_batches(train.len(), cfg.global_batch, cfg.seed ^ (epoch as u64));
         let mut loss_acc = 0.0;
         let mut steps = 0usize;
         let epoch_lr = sched.lr_at(global_step);
         for idxs in batches {
             cluster.set_lr(sched.lr_at(global_step));
-            let batch: Vec<&Sample> = {
-                let _wait = fc_telemetry::span("dataloader_wait");
-                idxs.iter().map(|&i| train[i]).collect()
-            };
+            let batch: Vec<&Sample> = idxs.iter().map(|&i| train[i]).collect();
             let stats = cluster.train_step(&batch);
             loss_acc += stats.loss;
             steps += 1;

@@ -31,10 +31,9 @@ use fc_crystal::{
 };
 use fc_tensor::{par, pool, ParamStore, PoolCore, Tape, Tensor, Var};
 use fc_train::{
-    clip_grad_norm, composite_loss, partition, tree_all_reduce_chunked, Adam, Cluster,
-    ClusterConfig, ExecutionMode,
+    clip_grad_norm, composite_loss, partition, Adam, Cluster, ClusterConfig, ExecutionMode,
 };
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Max absolute element difference between two equal-shape tensors.
 fn max_abs_diff(a: &Tensor, b: &Tensor) -> (f64, usize) {
@@ -313,9 +312,9 @@ pub fn check_cluster_determinism(n_devices: usize) -> CheckResult {
 
 /// Worker-count independence of rank execution: the same cluster seed
 /// stepped on `Threaded(1)`, `Threaded(2)` and `Threaded(n)` must end with
-/// bit-identical parameters. Rank work is independent (own tapes, replicas
-/// re-synced from the master every step) and every worker count combines
-/// gradients through the fixed-order tree all-reduce, so worker threads may
+/// bit-identical parameters. Rank work is independent (own tapes, the
+/// shared master parameters only read) and every worker count combines
+/// gradients through the fixed-order tree reduction, so worker threads may
 /// not leak scheduling into f32.
 pub fn check_worker_count_bitwise(n_devices: usize) -> CheckResult {
     let data = cluster_dataset(47);
@@ -594,51 +593,6 @@ pub fn check_fused_message_path_bitwise(level: OptLevel) -> CheckResult {
     }
 }
 
-/// Bitwise determinism of the chunked tree all-reduce across worker
-/// counts: the per-element reduction order is fixed by the gap-doubling
-/// tree, so 1, 2 and `n` chunk workers must agree bit-for-bit, and all
-/// ranks must broadcast the same buffer.
-pub fn check_tree_allreduce_determinism(n_ranks: usize, len: usize) -> CheckResult {
-    let mut rng = StdRng::seed_from_u64(23);
-    let buffers: Vec<Vec<f32>> =
-        (0..n_ranks).map(|_| (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
-    let mut reference = buffers.clone();
-    tree_all_reduce_chunked(&mut reference, 1);
-
-    let mut mismatches = 0u64;
-    let mut detail = String::from("bit-identical across 1/2/n chunk workers");
-    for workers in [2usize, n_ranks.max(2)] {
-        let mut cur = buffers.clone();
-        tree_all_reduce_chunked(&mut cur, workers);
-        for (r, (br, bc)) in reference.iter().zip(&cur).enumerate() {
-            for (k, (x, y)) in br.iter().zip(bc).enumerate() {
-                if x.to_bits() != y.to_bits() {
-                    if mismatches == 0 {
-                        detail = format!("{workers} workers: rank {r} element {k} diverges");
-                    }
-                    mismatches += 1;
-                }
-            }
-        }
-    }
-    for (r, br) in reference.iter().enumerate().skip(1) {
-        for (k, (x, y)) in reference[0].iter().zip(br).enumerate() {
-            if x.to_bits() != y.to_bits() {
-                if mismatches == 0 {
-                    detail = format!("rank 0 vs rank {r} diverge at element {k}");
-                }
-                mismatches += 1;
-            }
-        }
-    }
-    CheckResult {
-        name: "tree_allreduce_determinism".into(),
-        max_err: mismatches as f64,
-        tol: 0.0,
-        detail,
-    }
-}
-
 /// The full equivalence suite with default tolerances.
 pub fn run_suite(seed: u64) -> Vec<CheckResult> {
     let mut out = vec![
@@ -651,7 +605,6 @@ pub fn run_suite(seed: u64) -> Vec<CheckResult> {
     out.extend(check_cluster_one_vs_n(4));
     out.push(check_cluster_determinism(4));
     out.push(check_worker_count_bitwise(4));
-    out.push(check_tree_allreduce_determinism(4, 257));
     for level in
         [OptLevel::Reference, OptLevel::ParallelBasis, OptLevel::Fusion, OptLevel::Decoupled]
     {

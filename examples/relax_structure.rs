@@ -24,7 +24,7 @@ fn main() {
     );
 
     // 1. Relax on the exact oracle PES.
-    let cfg = FireConfig { max_steps: 120, f_tol: 0.02, ..Default::default() };
+    let cfg = FireConfig { max_steps: 120, f_tol: 0.02 };
     let result = relax(&OracleField, &structure, &cfg);
     println!(
         "\noracle relaxation: {} steps, converged = {}, E {:.4} -> {:.4} eV, max|F| {:.4}",

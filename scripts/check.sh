@@ -28,12 +28,15 @@ cargo test --workspace -q
 echo "== cluster worker-count equivalence smoke (1 vs N worker threads, release) =="
 cargo test --release -q -p fastchgnet-train step_is_bitwise_identical_across_worker_counts
 cargo test --release -q -p fastchgnet-train ranks_without_samples_sit_the_step_out
+cargo test --release -q -p fastchgnet-train rank_flatten_turns_negative_zero_positive_and_zero_fills_missing_grads
 
 echo "== intra-op split equivalence smoke (width 1 vs N, release) =="
 cargo test --release -q -p fastchgnet-tensor --lib par::tests
 
 echo "== GEMM tier equivalence smoke (every tier the host runs vs baseline, release) =="
-cargo test --release -q -p fastchgnet-tensor --lib kernels::matmul::tests::tiled_matmul_is_bitwise_the_ikj_loop
+cargo test --release -q -p fastchgnet-tensor --lib -- \
+  kernels::matmul::tests::tiled_matmul_is_bitwise_the_ikj_loop \
+  kernels::matmul::tests::a_zero_does_not_hide_an_inf_in_b
 
 echo "== row-lane sums and fused VJP equivalence (release) =="
 cargo test --release -q -p fastchgnet-tensor --lib -- \

@@ -245,11 +245,7 @@ fn cmd_relax(flags: &HashMap<String, String>, positional: &[String]) -> Result<(
     let structure = load_structure(positional)?;
     let steps = flag(flags, "steps", 150usize)?;
     let f_tol = flag(flags, "ftol", 0.05f64)?;
-    let result = relax(
-        &OracleField,
-        &structure,
-        &FireConfig { max_steps: steps, f_tol, ..Default::default() },
-    );
+    let result = relax(&OracleField, &structure, &FireConfig { max_steps: steps, f_tol });
     println!(
         "FIRE: {} steps, converged = {}, E {:.6} -> {:.6} eV, max|F| {:.4} eV/Å",
         result.steps,

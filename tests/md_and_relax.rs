@@ -49,11 +49,7 @@ fn fire_relaxation_on_oracle_reaches_low_force() {
     let mut perturbed = rocksalt(4.2);
     perturbed.displace_cart(&[[0.15, -0.1, 0.05], [-0.1, 0.12, -0.08]]);
     let before = OracleField.compute(&perturbed);
-    let result = relax(
-        &OracleField,
-        &perturbed,
-        &FireConfig { max_steps: 150, f_tol: 0.05, ..Default::default() },
-    );
+    let result = relax(&OracleField, &perturbed, &FireConfig { max_steps: 150, f_tol: 0.05 });
     let f_before = before.forces.iter().flatten().fold(0.0f64, |m, &x| m.max(x.abs()));
     assert!(
         result.max_force < f_before * 0.5,
