@@ -46,7 +46,9 @@ impl AtomConv {
             tape.segment_sum(tape.mul(ea, msg), seg, n)
         };
         let proj = self.out.forward(tape, store, agg, fused);
-        tape.add(v, proj)
+        let v_new = tape.add(v, proj);
+        tape.release(&[msg, agg, proj]);
+        v_new
     }
 }
 
@@ -87,7 +89,9 @@ impl BondConv {
             tape.segment_sum(tape.mul(tape.mul(w1, w2), msg), b1, batch.n_bonds)
         };
         let proj = self.out.forward(tape, store, agg, fused);
-        tape.add(e, proj)
+        let e_new = tape.add(e, proj);
+        tape.release(&[msg, agg, proj]);
+        e_new
     }
 }
 
@@ -106,7 +110,9 @@ impl AngleUpdate {
 
     fn forward(&self, tape: &Tape, store: &ParamStore, f_angle: Var, a: Var, fused: bool) -> Var {
         let upd = self.gated.forward(tape, store, f_angle, fused);
-        tape.add(a, upd)
+        let a_new = tape.add(a, upd);
+        tape.release(&[upd]);
+        a_new
     }
 }
 

@@ -10,9 +10,11 @@ use fc_tensor::{ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One forward pass's outputs, all as tape variables so a training loss
-/// can be built on top (including through the derivative-based force and
-/// stress of the reference model).
+/// One forward pass's outputs, as tape variables. A training loss can be
+/// built on them and backpropagated (through the derivative-based force
+/// and stress of the reference model too) when they come from
+/// [`Chgnet::forward_for_backward`]; [`Chgnet::forward`] of a
+/// direct-head model frees the intermediates between them and the inputs.
 pub struct Prediction {
     /// Total energy per graph `(G, 1)` eV.
     pub energy: Var,
@@ -98,19 +100,40 @@ impl Chgnet {
         !self.cfg.opt_level.decoupled_heads()
     }
 
-    /// Full forward pass over a collated batch. The last interaction block
-    /// computes only what the heads read: its atom features, and its bond
-    /// features only for the direct force head. Nothing reads its angle
-    /// features.
+    /// Full forward pass over a collated batch, for reading its
+    /// predictions. The last interaction block computes only what the
+    /// heads read: its atom features, and its bond features only for the
+    /// direct force head. Nothing reads its angle features.
+    ///
+    /// With direct Force/Stress heads no backward runs on this pass, so
+    /// the bases, the interaction blocks' intermediates and each block's
+    /// replaced features are freed after their last forward read
+    /// ([`Tape::release`]): a backward through the [`Prediction`] panics.
+    /// A model whose forces are energy derivatives runs its own backward
+    /// inside the pass and frees nothing. Use
+    /// [`Chgnet::forward_for_backward`] to train.
     pub fn forward(&self, tape: &Tape, store: &ParamStore, batch: &GraphBatch) -> Prediction {
+        let _releasing = self.force_head.is_some().then(|| tape.releasing());
+        self.forward_for_backward(tape, store, batch)
+    }
+
+    /// [`Chgnet::forward`] keeping every node until [`Tape::reset`], so a
+    /// loss on the [`Prediction`] can be backpropagated: the entry every
+    /// training step uses.
+    pub fn forward_for_backward(
+        &self,
+        tape: &Tape,
+        store: &ParamStore,
+        batch: &GraphBatch,
+    ) -> Prediction {
         let last =
             if self.force_head.is_some() { BlockReads::AtomsBonds } else { BlockReads::Atoms };
         self.forward_reading(tape, store, batch, last)
     }
 
-    /// [`Chgnet::forward`] with the last interaction block computing
-    /// `last`'s outputs. Anything beyond what `forward` asks for is dead
-    /// work and changes no output bit.
+    /// [`Chgnet::forward_for_backward`] with the last interaction block
+    /// computing `last`'s outputs. Anything beyond what `forward` asks for
+    /// is dead work and changes no output bit.
     pub fn forward_reading(
         &self,
         tape: &Tape,
@@ -131,11 +154,20 @@ impl Chgnet {
         let bf = self.embeddings.bonds(tape, store, basis.rbf, fused);
         let mut e = bf.e0;
         let mut a = self.embeddings.angles(tape, store, basis.abf, fused);
+        tape.release(&[basis.rbf, basis.abf]);
 
         // Interaction blocks (Eq. 3).
         for (t, blk) in self.blocks.iter().enumerate() {
             let reads = if t + 1 == self.blocks.len() { last } else { BlockReads::All };
-            (v, e, a) = blk.forward(tape, store, v, e, a, bf.ea, bf.eb, batch, &self.cfg, reads);
+            let new = blk.forward(tape, store, v, e, a, bf.ea, bf.eb, batch, &self.cfg, reads);
+            // The inputs the block replaced are dead; one it passed
+            // through is not.
+            for (old, new) in [(v, new.0), (e, new.1), (a, new.2)] {
+                if old != new {
+                    tape.release(&[old]);
+                }
+            }
+            (v, e, a) = new;
         }
 
         // Output layer.
@@ -310,7 +342,7 @@ mod tests {
         assert!(b.n_angles > 0, "test needs angles");
         let (m, mut store) = tiny_model(OptLevel::Fusion, 3);
         let tape = Tape::new();
-        let p = m.forward(&tape, &store, &b);
+        let p = m.forward_for_backward(&tape, &store, &b);
         assert!(tape.value(p.forces).all_finite(), "forces not finite");
         // Second-order: loss on forces, backward to parameters.
         let loss = tape.sum_all(tape.square(p.forces));
@@ -318,6 +350,56 @@ mod tests {
         store.accumulate_grads(&tape, &gm);
         let n = store.grad_norm();
         assert!(n.is_finite(), "second-order grad norm = {n}");
+    }
+
+    #[test]
+    fn inference_forward_frees_what_the_retaining_forward_keeps() {
+        let b = batch_of(&structure());
+        let (m, store) = tiny_model(OptLevel::Decoupled, 5);
+        let run = |retaining: bool| {
+            let tape = Tape::new();
+            let p = if retaining {
+                m.forward_for_backward(&tape, &store, &b)
+            } else {
+                m.forward(&tape, &store, &b)
+            };
+            let bits: Vec<u32> = [p.energy, p.forces, p.stress, p.magmom]
+                .iter()
+                .flat_map(|&v| tape.value(v).data().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                .collect();
+            (bits, tape.profiler().snapshot())
+        };
+        let ((kept, full), (freed, lean)) = (run(true), run(false));
+        assert_eq!(kept, freed, "the predictions are bitwise the same");
+        assert_eq!(full.kernels, lean.kernels, "freeing launches no kernel");
+        assert!(
+            lean.bytes_live < full.bytes_live / 2,
+            "{} vs {} B",
+            lean.bytes_live,
+            full.bytes_live
+        );
+        assert!(lean.bytes_peak < full.bytes_peak, "{} vs {} B", lean.bytes_peak, full.bytes_peak);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the retaining forward (Chgnet::forward_for_backward)")]
+    fn backward_through_the_inference_forward_panics() {
+        let b = batch_of(&structure());
+        let (m, store) = tiny_model(OptLevel::Decoupled, 5);
+        let tape = Tape::new();
+        let p = m.forward(&tape, &store, &b);
+        let loss = tape.add(tape.sum_all(p.energy), tape.sum_all(tape.square(p.forces)));
+        let _ = tape.backward_final(loss);
+    }
+
+    #[test]
+    fn derivative_forward_keeps_its_tape() {
+        let b = batch_of(&structure());
+        let (m, store) = tiny_model(OptLevel::Fusion, 5);
+        let (t1, t2) = (Tape::new(), Tape::new());
+        let _ = m.forward(&t1, &store, &b);
+        let _ = m.forward_for_backward(&t2, &store, &b);
+        assert_eq!(t1.profiler().snapshot().bytes_live, t2.profiler().snapshot().bytes_live);
     }
 
     #[test]

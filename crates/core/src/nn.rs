@@ -182,7 +182,9 @@ impl GatedMlp {
             let (ln_gate, ln_core) =
                 (self.ln_gate.params(tape, store), self.ln_core.params(tape, store));
             assert_eq!(self.ln_gate.eps, self.ln_core.eps, "one eps for both LayerNorms");
-            tape.fused_ln_gate(gate_in, core_in, ln_gate, ln_core, self.ln_gate.eps)
+            let out = tape.fused_ln_gate(gate_in, core_in, ln_gate, ln_core, self.ln_gate.eps);
+            tape.release(&[gate_in, core_in]);
+            out
         } else {
             // Reference chain: two separate GEMMs (weight slices stand in
             // for the two independent Fc layers), two activations, multiply.

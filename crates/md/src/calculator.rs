@@ -36,6 +36,10 @@ impl<'a> Calculator<'a> {
     /// Evaluate a structure: builds the graph with the model's cutoffs,
     /// runs the forward pass (including the energy-derivative backward
     /// when the model has no force head) and extracts host-side values.
+    /// With direct Force/Stress heads the pass is [`Chgnet::forward`]'s
+    /// freeing one: each intermediate buffer goes back to the pool after
+    /// its last read, so the call's peak is about a third of a retaining
+    /// forward's.
     pub fn evaluate(&self, structure: &Structure) -> CalcResult {
         let graph = CrystalGraph::with_cutoffs(
             structure.clone(),

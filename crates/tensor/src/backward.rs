@@ -83,6 +83,7 @@ impl Tape {
         grads[out_id] = Some(self.constant(seed));
         owned[out_id] = true;
         let mut touched: Vec<u32> = Vec::new();
+        let mut reads: Vec<u32> = Vec::new();
 
         for i in (0..n).rev() {
             if let Some(g) = grads[i] {
@@ -91,6 +92,12 @@ impl Tape {
                     (nodes[i].op.clone(), nodes[i].rg)
                 };
                 if rg {
+                    // The VJP reads the node and its inputs: none may have
+                    // been released by a forward that no backward was
+                    // meant to sweep.
+                    op.inputs(&mut reads);
+                    reads.push(i as u32);
+                    self.check_live(reads.iter().map(|&r| Var(r)));
                     // Nodes at or past `mark` are created by this VJP; every
                     // contribution below it is `g` itself (identity VJPs
                     // forward their cotangent unchanged).

@@ -13,12 +13,18 @@ pub fn xavier_uniform(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
 
 /// Uniform init in `[lo, hi)`.
 ///
-/// Never inlined: as a function of its own the sampler inlines into the
-/// loop, where inlined into a caller it may not (model set-up then ran
-/// 3× slower in one build).
+/// Never inlined, and filling a sized buffer: as a function of its own
+/// the sampler inlines into the loop, where inlined into a caller it may
+/// not (model set-up then ran 3× slower in one build). A
+/// `map(..).collect()` left the loop in an out-of-line `fold` in another
+/// build and a `push` loop kept the generator state in memory (each 1.2×
+/// slower); over a slice the state stays in registers.
 #[inline(never)]
 pub fn uniform(rng: &mut StdRng, rows: usize, cols: usize, lo: f32, hi: f32) -> Tensor {
-    let data = (0..rows * cols).map(|_| rng.gen_range(lo..hi)).collect();
+    let mut data = vec![0.0; rows * cols];
+    for x in &mut data {
+        *x = rng.gen_range(lo..hi);
+    }
     Tensor::from_vec(Shape::new(rows, cols), data)
 }
 

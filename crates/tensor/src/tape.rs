@@ -41,6 +41,21 @@ pub struct Tape {
     /// syncs is attributed to this tape's profiler (and to no other tape
     /// sharing the thread).
     pool_base: Cell<PoolStats>,
+    /// Whether [`Tape::release`] frees: only inside [`Tape::releasing`].
+    releasing: Cell<bool>,
+}
+
+/// [`Tape::releasing`]'s scope: restores the tape's previous release
+/// switch when dropped, on unwind too.
+pub struct Releasing<'a> {
+    tape: &'a Tape,
+    was: bool,
+}
+
+impl Drop for Releasing<'_> {
+    fn drop(&mut self) {
+        self.tape.releasing.set(self.was);
+    }
 }
 
 impl Default for Tape {
@@ -50,6 +65,7 @@ impl Default for Tape {
             profiler: Profiler::default(),
             param_cache: RefCell::new(Vec::new()),
             pool_base: Cell::new(pool::stats()),
+            releasing: Cell::new(false),
         }
     }
 }
@@ -90,6 +106,26 @@ impl Tape {
         pool::release(data);
     }
 
+    /// Switch [`Tape::release`] on until the returned scope drops. A
+    /// forward that no backward will sweep runs inside one
+    /// (`Chgnet::forward`), so its layers free each intermediate after
+    /// its last read.
+    pub fn releasing(&self) -> Releasing<'_> {
+        Releasing { tape: self, was: self.releasing.replace(true) }
+    }
+
+    /// Free the buffers of `vars`, whose last reader has run, when inside
+    /// [`Tape::releasing`]; otherwise keep them for a backward. Their
+    /// shapes stay readable; reading a value panics
+    /// ([`Tape::with_value`]). Views and lazy nodes hold no buffer.
+    pub fn release(&self, vars: &[Var]) {
+        if self.releasing.get() {
+            for &v in vars {
+                self.release_node_buffer(v);
+            }
+        }
+    }
+
     /// Number of nodes currently on the tape.
     pub fn len(&self) -> usize {
         self.nodes.borrow().len()
@@ -121,8 +157,10 @@ impl Tape {
     /// Read a node's value through a closure without cloning.
     ///
     /// # Panics
-    /// Panics on a view ([`Tape::column_blocks`]), which has no value.
+    /// Panics on a view ([`Tape::column_blocks`]), which has no value, and
+    /// on a node whose buffer was released ([`Tape::release`]).
     pub fn with_value<R>(&self, v: Var, f: impl FnOnce(&Tensor) -> R) -> R {
+        self.check_live([v]);
         self.materialise(v);
         let nodes = self.nodes.borrow();
         Self::check_materialised(&nodes, "value", &[v]);
@@ -140,12 +178,23 @@ impl Tape {
         }
     }
 
+    /// Panic when reading one of `vars` reads a released buffer
+    /// ([`Tape::release`]): the node's own, a view's sources' or what a
+    /// lazy node is recomputed from.
+    pub(crate) fn check_live(&self, vars: impl IntoIterator<Item = Var>) {
+        let nodes = self.nodes.borrow();
+        for v in vars {
+            assert_live(&nodes, v.0);
+        }
+    }
+
     /// Start a kernel `op` that reads `inputs`, computing any lazy one
     /// first.
     ///
     /// # Panics
-    /// Panics when one of `inputs` is a view.
+    /// Panics when one of `inputs` is a view or was released.
     fn start(&self, op: &str, inputs: &[Var]) {
+        self.check_live(inputs.iter().copied());
         for &v in inputs {
             self.materialise(v);
         }
@@ -202,12 +251,8 @@ impl Tape {
     pub fn held_by_kind(&self) -> Vec<(&'static str, u64, usize)> {
         let nodes = self.nodes.borrow();
         let mut held = std::collections::BTreeMap::<&'static str, (u64, usize)>::new();
-        let mut ids = Vec::new();
-        for node in nodes.iter().filter(|n| !n.value.is_empty()) {
-            node.op.inputs(&mut ids);
-            let shapes: Vec<Shape> = ids.iter().map(|&i| nodes[i as usize].value.shape()).collect();
-            let kind = crate::cost::op_cost(&node.op, &shapes, node.value.shape()).kind;
-            let entry = held.entry(kind).or_default();
+        for (i, node) in nodes.iter().enumerate().filter(|(_, n)| !n.value.is_empty()) {
+            let entry = held.entry(kind_of(&nodes, i as VarId)).or_default();
             entry.0 += 4 * node.value.len() as u64;
             entry.1 += 1;
         }
@@ -537,6 +582,7 @@ impl Tape {
     /// Transpose. `a` may be a view ([`Tape::column_blocks`]), read in
     /// place.
     pub fn transpose(&self, a: Var) -> Var {
+        self.check_live([a]);
         self.materialise(a);
         self.profiler.start_kernel();
         let value = {
@@ -776,6 +822,7 @@ impl Tape {
     /// other linear layer (1) of the fused levels.
     pub fn linear_split<const N: usize>(&self, x: Var, w: Var, b: Var) -> [Var; N] {
         assert!((1..=3).contains(&N), "linear_split writes 1 to 3 outputs, not {N}");
+        self.check_live([x]);
         self.materialise(x);
         self.start("fused.linear", &[w, b]);
         let outs = {
@@ -1077,6 +1124,34 @@ impl Tape {
     }
 }
 
+/// [`Tape::check_live`] of node `i`.
+fn assert_live(nodes: &[Node], i: VarId) {
+    let node = &nodes[i as usize];
+    match &node.op {
+        Op::ColumnBlocks { blocks } => blocks.iter().for_each(|b| assert_live(nodes, b.src)),
+        op if node.lazy => {
+            let mut ids = Vec::new();
+            op.inputs(&mut ids);
+            ids.into_iter().for_each(|i| assert_live(nodes, i));
+        }
+        _ if node.value.is_empty() && !node.value.shape().is_empty() => panic!(
+            "node {i} ({}) was released after its last read: reading it or running a backward \
+             through it needs the retaining forward (Chgnet::forward_for_backward)",
+            kind_of(nodes, i)
+        ),
+        _ => {}
+    }
+}
+
+/// The op kind ([`crate::cost::OpCost::kind`]) of node `i`.
+fn kind_of(nodes: &[Node], i: VarId) -> &'static str {
+    let node = &nodes[i as usize];
+    let mut ids = Vec::new();
+    node.op.inputs(&mut ids);
+    let shapes: Vec<Shape> = ids.iter().map(|&i| nodes[i as usize].value.shape()).collect();
+    crate::cost::op_cost(&node.op, &shapes, node.value.shape()).kind
+}
+
 /// Whether `node` is a view ([`Tape::column_blocks`]).
 fn is_view(node: &Node) -> bool {
     matches!(node.op, Op::ColumnBlocks { .. })
@@ -1159,6 +1234,35 @@ mod tests {
         t.reset();
         assert_eq!(t.profiler().snapshot().bytes_live, 0);
         assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    fn release_frees_only_inside_its_scope() {
+        let t = Tape::new();
+        let a = t.constant(Tensor::ones(4, 4));
+        let b = t.exp(a);
+        t.release(&[a]);
+        assert_eq!(t.profiler().snapshot().bytes_live, 128, "no scope: kept");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _scope = t.releasing();
+            panic!("a failing forward");
+        }));
+        assert!(unwound.is_err());
+        t.release(&[a]);
+        assert_eq!(t.profiler().snapshot().bytes_live, 128, "the unwound scope switched off");
+        {
+            let _outer = t.releasing();
+            drop(t.releasing());
+            t.release(&[a]);
+        }
+        assert_eq!(t.profiler().snapshot().bytes_live, 64, "a nested scope keeps the outer on");
+        assert_eq!(t.shape(a), Shape::new(4, 4), "the shape stays readable");
+        t.release(&[b]);
+        assert_eq!(t.value(b).data(), &[1f32.exp(); 16], "released outside a scope: kept");
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.neg(a)));
+        let err = read.expect_err("reading a released buffer panics");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.starts_with("node 0 (leaf) was released"), "{msg}");
     }
 
     #[test]

@@ -139,7 +139,7 @@ fn rank_work(
     let tape = Tape::new();
     let loss: LossParts = {
         let _fwd = fc_telemetry::bridge::profiled_span("forward", tape.profiler());
-        let pred = model.forward(&tape, store, batch);
+        let pred = model.forward_for_backward(&tape, store, batch);
         composite_loss(&tape, &pred, bl, loss_weights)
     };
     // Read every scalar the caller needs *before* the final backward: it

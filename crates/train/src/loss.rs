@@ -115,7 +115,7 @@ mod tests {
         let mut store = ParamStore::new();
         let model = Chgnet::new(ModelConfig::tiny(OptLevel::Decoupled), &mut store, 1);
         let tape = Tape::new();
-        let pred = model.forward(&tape, &store, &b);
+        let pred = model.forward_for_backward(&tape, &store, &b);
         let loss =
             composite_loss(&tape, &pred, b.labels.as_ref().unwrap(), &LossWeights::default());
         let gm = tape.backward(loss.total);
@@ -131,7 +131,7 @@ mod tests {
         let mut store = ParamStore::new();
         let model = Chgnet::new(ModelConfig::tiny(OptLevel::Fusion), &mut store, 1);
         let tape = Tape::new();
-        let pred = model.forward(&tape, &store, &b);
+        let pred = model.forward_for_backward(&tape, &store, &b);
         let loss =
             composite_loss(&tape, &pred, b.labels.as_ref().unwrap(), &LossWeights::default());
         let gm = tape.backward(loss.total);
@@ -173,7 +173,7 @@ mod tests {
                     .collect();
                 (outputs, grads, kernels)
             };
-            let (out, grads, kernels) = run(&|t, s| model.forward(t, s, &b));
+            let (out, grads, kernels) = run(&|t, s| model.forward_for_backward(t, s, &b));
             let (out_full, grads_full, kernels_full) =
                 run(&|t, s| model.forward_reading(t, s, &b, BlockReads::All));
             assert_eq!(out, out_full, "{level:?}: outputs or loss differ");

@@ -15,14 +15,16 @@
 //!   order), so repeated N-device steps from the same state produce
 //!   bit-identical parameters.
 //! * **Worker-count independence** — running the ranks on 1, 2 or `n`
-//!   worker threads (with the chunked tree all-reduce) must give
-//!   bit-identical parameters.
+//!   worker threads must give bit-identical parameters.
 //! * **Final vs retained backward** — the training step's freeing,
 //!   fused final sweep against the retained `backward` on a fresh pool
 //!   must give bit-identical parameters.
 //! * **Column-block views vs the materialised chain** — a GatedMLP linear
 //!   reading a shared view in place must give bit-identical values and
 //!   gradients to gathers + `concat_cols` + `linear` + `slice_cols`.
+//! * **Inference vs retaining forward** — `Chgnet::forward`, which frees
+//!   each intermediate after its last read, must predict bit-identically
+//!   to `Chgnet::forward_for_backward`, which keeps every node.
 
 use crate::physics::CheckResult;
 use fc_core::{compute_basis, Chgnet, ModelConfig, OptLevel};
@@ -371,7 +373,7 @@ pub fn check_final_sweep_bitwise(level: OptLevel) -> CheckResult {
         for _ in 0..2 {
             pool::install_core(PoolCore::default());
             let tape = Tape::new();
-            let pred = model.forward(&tape, &store, &batch);
+            let pred = model.forward_for_backward(&tape, &store, &batch);
             let bl = batch.labels.as_ref().expect("collated with labels");
             let loss = composite_loss(&tape, &pred, bl, &cluster.loss_weights);
             store.zero_grads();
@@ -593,6 +595,73 @@ pub fn check_fused_message_path_bitwise(level: OptLevel) -> CheckResult {
     }
 }
 
+/// `Chgnet::forward` of the benchmark's quick Decoupled model, which frees
+/// each intermediate after its last read, against the retaining
+/// `Chgnet::forward_for_backward`, at tolerance 0: energy, forces, stress
+/// and magmoms of the md-nve64 cell (Li9Co7O16 2×1×1), of 8 relax-screen
+/// cells of 2–16 atoms one by one, and of the first 4 of them as one
+/// batch. `max_err` counts the elements that differ.
+pub fn check_inference_forward_bitwise(seed: u64) -> CheckResult {
+    let cfg = ModelConfig {
+        fea: 16,
+        n_rbf: 16,
+        n_harmonics: 8,
+        n_blocks: 2,
+        ..ModelConfig::with_level(OptLevel::Decoupled)
+    };
+    let mut store = ParamStore::new();
+    let model = Chgnet::new(cfg, &mut store, seed);
+    let (ac, bc) = (model.cfg.atom_cutoff as f64, model.cfg.bond_cutoff as f64);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cells: Vec<CrystalGraph> = [2, 3, 4, 6, 8, 10, 12, 16]
+        .into_iter()
+        .map(|atoms| {
+            let cfg = DatasetConfig { min_atoms: atoms, max_atoms: atoms, ..Default::default() };
+            let s = fc_crystal::dataset::sane_random_structure(&mut rng, &cfg);
+            CrystalGraph::with_cutoffs(s, ac, bc)
+        })
+        .collect();
+    let md = CrystalGraph::with_cutoffs(fc_crystal::known::li9co7o16().supercell(2, 1, 1), ac, bc);
+    let mut batches = vec![("md-nve64 cell".to_string(), GraphBatch::collate(&[&md], None))];
+    for (i, g) in cells.iter().enumerate() {
+        batches
+            .push((format!("cell {i} ({} atoms)", g.n_atoms()), GraphBatch::collate(&[g], None)));
+    }
+    let four: Vec<&CrystalGraph> = cells.iter().take(4).collect();
+    batches.push(("4-graph batch".into(), GraphBatch::collate(&four, None)));
+    let predict = |batch: &GraphBatch, retaining: bool| -> Vec<Vec<u32>> {
+        let tape = Tape::new();
+        let p = if retaining {
+            model.forward_for_backward(&tape, &store, batch)
+        } else {
+            model.forward(&tape, &store, batch)
+        };
+        [p.energy, p.forces, p.stress, p.magmom]
+            .map(|v| tape.value(v).data().iter().map(|x| x.to_bits()).collect())
+            .to_vec()
+    };
+    let mut mismatches = 0usize;
+    let mut detail = format!("bit-identical on {} batches", batches.len());
+    for (name, batch) in &batches {
+        let (want, got) = (predict(batch, true), predict(batch, false));
+        for (output, (w, g)) in
+            ["energy", "forces", "stress", "magmom"].iter().zip(want.iter().zip(&got))
+        {
+            let differ = w.iter().zip(g).filter(|(w, g)| w != g).count();
+            if differ > 0 && mismatches == 0 {
+                detail = format!("{name}: {output} differs in {differ} elements");
+            }
+            mismatches += differ;
+        }
+    }
+    CheckResult {
+        name: "inference_forward_bitwise".into(),
+        max_err: mismatches as f64,
+        tol: 0.0,
+        detail,
+    }
+}
+
 /// The full equivalence suite with default tolerances.
 pub fn run_suite(seed: u64) -> Vec<CheckResult> {
     let mut out = vec![
@@ -616,5 +685,6 @@ pub fn run_suite(seed: u64) -> Vec<CheckResult> {
     for level in [OptLevel::Fusion, OptLevel::Decoupled] {
         out.push(check_fused_message_path_bitwise(level));
     }
+    out.push(check_inference_forward_bitwise(seed));
     out
 }

@@ -5,7 +5,7 @@ use fc_verify::equivalence::{
     check_batched_vs_serial_model, check_cluster_determinism, check_cluster_one_vs_n,
     check_column_block_linear_bitwise, check_final_sweep_bitwise, check_fused_basis_values,
     check_fused_gate, check_fused_layer_norm, check_fused_message_path_bitwise,
-    check_fusion_vs_parallel_model, run_suite,
+    check_fusion_vs_parallel_model, check_inference_forward_bitwise, run_suite,
 };
 
 #[test]
@@ -62,6 +62,11 @@ fn fused_message_path_is_bitwise_the_composed_chains() {
     for level in [OptLevel::Fusion, OptLevel::Decoupled] {
         check_fused_message_path_bitwise(level).assert_ok();
     }
+}
+
+#[test]
+fn inference_forward_is_bitwise_the_retaining_forward() {
+    check_inference_forward_bitwise(3).assert_ok();
 }
 
 #[test]

@@ -12,11 +12,13 @@
 //! Each table gives kernels, MFLOP, MB moved (the cost model's minimum
 //! traffic, `fc_tensor::cost`) and ms per pass by op kind, then the peak
 //! live MiB of the tape's buffers over the pass so far (the profiler's
-//! `bytes_peak`). Beside the md-nve64 forward's table it prints the MiB
-//! and node count each op kind's nodes still hold when the forward ends
-//! (`Tape::held_by_kind`), what the pass keeps for a backward that
-//! md-nve64 never runs, and the ms of the force call's graph stage by
-//! part at both widths: the neighbour list, the angle build
+//! `bytes_peak`). The md-nve64 table is of `Chgnet::forward`, which frees
+//! each intermediate after its last read. Beside it the example prints,
+//! for that inference forward and for the retaining
+//! `Chgnet::forward_for_backward` (the train step's), the peak live MiB
+//! and the MiB and node count each op kind's nodes still hold when the
+//! forward ends (`Tape::held_by_kind`), and the ms of the force call's
+//! graph stage by part at both widths: the neighbour list, the angle build
 //! (`CrystalGraph::from_bonds`) and collation. It also prints the
 //! `matmul`, `exp` and `sin`/`cos` kernel tiers this host runs.
 //!
@@ -43,6 +45,10 @@ type Table = BTreeMap<&'static str, OpTotals>;
 /// One phase of a pass: its per-op totals and the tape's peak live bytes
 /// at its end.
 type Phase = (Table, u64);
+
+/// What a forward's nodes hold when it ends, as (op kind, bytes, nodes),
+/// and its peak live bytes.
+type Held = (Vec<(&'static str, u64, usize)>, u64);
 
 fn main() {
     println!(
@@ -80,10 +86,18 @@ fn main() {
         tables
     });
     print_table(&forward);
-    let tape = Tape::new();
-    model.forward(&tape, &store, &batch);
-    print_held(&tape.held_by_kind());
-    tape.reset();
+    let held = [false, true].map(|retaining| {
+        let tape = Tape::new();
+        if retaining {
+            model.forward_for_backward(&tape, &store, &batch);
+        } else {
+            model.forward(&tape, &store, &batch);
+        }
+        let held = (tape.held_by_kind(), peak(&tape));
+        tape.reset();
+        held
+    });
+    print_held(&held);
     print_graph_stage(&structure, ac, bc);
 
     // train-dp4's pool draws cell sizes like Scale::wide_dataset. A rank
@@ -113,7 +127,7 @@ fn main() {
     );
     let [forward, backward] = profile(&[1], || {
         let tape = Tape::new();
-        let pred = model.forward(&tape, &store, &batch);
+        let pred = model.forward_for_backward(&tape, &store, &batch);
         let loss = composite_loss(&tape, &pred, batch_labels, &LossWeights::default());
         let forward = (per_op(&tape), peak(&tape));
         tape.backward_final(loss.total);
@@ -232,18 +246,44 @@ fn print_table(phases: &[(usize, Phase)]) {
     println!();
 }
 
-/// Print MiB and nodes held by op kind, most first, and their total.
-fn print_held(held: &[(&'static str, u64, usize)]) {
+/// Print the MiB and nodes the inference and the retaining forward hold
+/// by op kind when they end, most held by the retaining forward first (it
+/// holds every node the inference forward does), their totals and both
+/// forwards' peak live MiB.
+fn print_held([inference, retaining]: &[Held; 2]) {
     let mib = |b: u64| b as f64 / (1u64 << 20) as f64;
-    println!("\nheld when the forward ends");
-    println!("{:<18} {:>8} {:>10}", "op kind", "nodes", "MiB");
-    let mut rows = held.to_vec();
-    rows.sort_by_key(|&(_, bytes, _)| std::cmp::Reverse(bytes));
-    for (kind, bytes, nodes) in &rows {
-        println!("{kind:<18} {nodes:>8} {:>10.2}", mib(*bytes));
+    println!(
+        "\nheld when the forward ends: inference (forward) and retaining (forward_for_backward)"
+    );
+    println!("{:<18} {:>8} {:>10} {:>8} {:>10}", "op kind", "nodes", "MiB", "nodes", "MiB");
+    let find = |held: &[(&'static str, u64, usize)], kind| {
+        held.iter().find(|r| r.0 == kind).map_or((0, 0), |r| (r.1, r.2))
+    };
+    let mut kinds: Vec<_> = retaining.0.iter().map(|r| (r.0, r.1)).collect();
+    kinds.sort_by_key(|&(_, bytes)| std::cmp::Reverse(bytes));
+    let mut totals = [(0, 0); 2];
+    for (kind, _) in kinds {
+        print!("{kind:<18}");
+        for (total, (held, _)) in totals.iter_mut().zip([inference, retaining]) {
+            let (bytes, nodes) = find(held, kind);
+            print!(" {nodes:>8} {:>10.2}", mib(bytes));
+            *total = (total.0 + bytes, total.1 + nodes);
+        }
+        println!();
     }
-    let (bytes, nodes) = rows.iter().fold((0, 0), |(b, n), r| (b + r.1, n + r.2));
-    println!("{:<18} {nodes:>8} {:>10.2}", "total", mib(bytes));
+    print!("{:<18}", "total");
+    for (bytes, nodes) in totals {
+        print!(" {nodes:>8} {:>10.2}", mib(bytes));
+    }
+    println!();
+    println!(
+        "{:<18} {:>8} {:>10.2} {:>8} {:>10.2}",
+        "peak live",
+        "",
+        mib(inference.1),
+        "",
+        mib(retaining.1)
+    );
 }
 
 /// Print the ms per call of the md force call's graph stage by part, at

@@ -84,6 +84,10 @@ cargo test --release -q -p fastchgnet-tensor --lib -- \
 echo "== final-sweep equivalence smoke (final sweep vs retained backward bitwise, release) =="
 cargo test --release -q -p fc_verify --test equivalence final_sweep_is_bitwise_the_retained_backward
 
+echo "== inference forward equivalence (freeing vs retaining forward bitwise, pinned bits, release) =="
+cargo test --release -q -p fc_verify --test equivalence inference_forward_is_bitwise_the_retaining_forward
+cargo test --release -q --test forward_retention
+
 echo "== memory-planner steady-state allocation smoke (release) =="
 cargo test --release -q -p fastchgnet-train steady_state_cluster_steps_allocate_nothing_new
 
