@@ -66,7 +66,7 @@ impl AtomRef {
 
     /// Per-graph reference offsets `(G, 1)` for a collated batch.
     pub fn offsets(&self, batch: &GraphBatch) -> Tensor {
-        let mut t = Tensor::zeros(batch.n_graphs, 1);
+        let mut t = Tensor::pooled_zeros(batch.n_graphs, 1);
         for (z, &g) in batch.atom_z.iter().zip(batch.atom_graph.iter()) {
             *t.at_mut(g as usize, 0) += self.e0[*z as usize - 1] as f32;
         }

@@ -83,17 +83,19 @@ struct GeomInputs {
     lattices: Var,
 }
 
+/// The geometry leaves: the batch's arrays go on the tape as copies in
+/// pool buffers, which the tape's reset files for the next call's copies.
 fn make_inputs(tape: &Tape, batch: &GraphBatch, need_derivatives: bool) -> GeomInputs {
     let pos0 = if need_derivatives {
-        tape.input(batch.positions.clone())
+        tape.input(batch.positions.pooled_copy())
     } else {
-        tape.constant(batch.positions.clone())
+        tape.constant(batch.positions.pooled_copy())
     };
-    let lat0 = tape.constant(batch.lattices.clone());
+    let lat0 = tape.constant(batch.lattices.pooled_copy());
     if need_derivatives {
         // Apply a zero-valued strain ε: x' = x + x@ε_g, L' = L + L@ε_g.
         // dE/dε is then the (unnormalised) virial.
-        let strain = tape.input(Tensor::zeros(batch.n_graphs * 3, 3));
+        let strain = tape.input(Tensor::pooled_zeros(batch.n_graphs * 3, 3));
         let pos = {
             let dp = tape.block_diag_matmul(pos0, strain, batch.atom_graph.clone(), false);
             tape.add(pos0, dp)
@@ -115,14 +117,17 @@ fn batched_basis(
     cfg: &ModelConfig,
     inputs: GeomInputs,
 ) -> BasisOut {
-    let image = tape.constant(batch.bond_image.clone());
+    let image = tape.constant(batch.bond_image.pooled_copy());
     // Line 13: B_r_j += B_I @ B_L as a block-diagonal GEMM.
     let offset = tape.block_diag_matmul(image, inputs.lattices, batch.bond_graph.clone(), false);
     let xi = tape.gather(inputs.positions, batch.bond_i.clone());
     let xj = tape.gather(inputs.positions, batch.bond_j.clone());
-    let vec = tape.sub(tape.add(xj, offset), xi);
-    let r2 = tape.sum(tape.mul(vec, vec), Axis::Cols);
+    let xj_off = tape.add(xj, offset);
+    let vec = tape.sub(xj_off, xi);
+    let sq = tape.mul(vec, vec);
+    let r2 = tape.sum(sq, Axis::Cols);
     let r = tape.sqrt(r2);
+    tape.release(&[image, offset, xi, xj, xj_off, sq, r2]);
     let theta = angles_from(tape, batch, vec, r, 0, batch.n_angles, 0);
     let rbf = radial_basis(tape, cfg, r);
     let abf = angular_basis(tape, cfg, theta, batch.n_angles);
@@ -251,16 +256,20 @@ fn angles_from(
         .into();
     let v1 = tape.gather(bond_vec, b1.clone());
     let v2 = tape.gather(bond_vec, b2.clone());
-    let dot = tape.sum(tape.mul(v1, v2), Axis::Cols);
+    let v12 = tape.mul(v1, v2);
+    let dot = tape.sum(v12, Axis::Cols);
     let r1 = tape.gather(bond_r, b1);
     let r2 = tape.gather(bond_r, b2);
-    let cos = tape.div(dot, tape.mul(r1, r2));
+    let r12 = tape.mul(r1, r2);
+    let cos = tape.div(dot, r12);
     // Periodic self-image bond pairs are *exactly* collinear (cos θ = ±1),
     // where dθ/dcos = -1/√(1-cos²) diverges and poisons the force
     // derivatives with Inf/NaN. Clamping just inside the domain zeroes the
     // (physically stationary) gradient at exact collinearity.
     let cos_safe = tape.clamp(cos, -1.0 + 1e-5, 1.0 - 1e-5);
-    tape.arccos(cos_safe)
+    let theta = tape.arccos(cos_safe);
+    tape.release(&[v1, v2, v12, dot, r1, r2, r12, cos, cos_safe]);
+    theta
 }
 
 /// Radial basis: fused kernel at `Fusion+`, reference chain below.

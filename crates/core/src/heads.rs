@@ -35,7 +35,9 @@ impl EnergyHead {
         fused: bool,
     ) -> Var {
         let site_e = self.mlp.forward(tape, store, v, fused);
-        tape.segment_sum(site_e, batch.atom_graph.clone(), batch.n_graphs)
+        let energy = tape.segment_sum(site_e, batch.atom_graph.clone(), batch.n_graphs);
+        tape.release(&[site_e]);
+        energy
     }
 }
 
@@ -93,7 +95,9 @@ impl ForceHead {
     ) -> Var {
         let n = self.mlp.forward(tape, store, e, fused);
         let contrib = tape.mul(bond_vec, n);
-        tape.segment_sum(contrib, batch.bond_i.clone(), batch.n_atoms)
+        let forces = tape.segment_sum(contrib, batch.bond_i.clone(), batch.n_atoms);
+        tape.release(&[n, contrib]);
+        forces
     }
 }
 
@@ -128,14 +132,17 @@ impl StressHead {
         // Lattice normal-direction outer products, constant per graph.
         let normals = tape.constant(lattice_outer_matrix(batch));
         let scale = tape.param(store, self.scale);
-        let gated = tape.mul(tape.mul(per_graph, normals), scale);
-        tape.reshape(gated, batch.n_graphs * 3, 3)
+        let outer = tape.mul(per_graph, normals);
+        let gated = tape.mul(outer, scale);
+        let stress = tape.reshape(gated, batch.n_graphs * 3, 3);
+        tape.release(&[coeff, per_graph, normals, outer, gated]);
+        stress
     }
 }
 
 /// `(G, 9)` matrix whose row g flattens `Σ_ij l̂_i ⊗ l̂_j` of graph g.
 fn lattice_outer_matrix(batch: &GraphBatch) -> Tensor {
-    let mut out = Tensor::zeros(batch.n_graphs, 9);
+    let mut out = Tensor::pooled_zeros(batch.n_graphs, 9);
     for g in 0..batch.n_graphs {
         // Normalised lattice rows.
         let mut lhat = [[0.0f32; 3]; 3];
@@ -185,7 +192,7 @@ pub fn derivative_outputs(
     let forces = tape.neg(de_dx);
     let de_de = grads.get(strain).expect("energy must depend on strain");
     // σ_g = dE/dε_g / V_g, converted to GPa.
-    let mut inv_v = Tensor::zeros(batch.n_graphs * 3, 1);
+    let mut inv_v = Tensor::pooled_zeros(batch.n_graphs * 3, 1);
     for (g, &v) in batch.volumes.iter().enumerate() {
         let w = (EV_PER_A3_TO_GPA / v) as f32;
         for k in 0..3 {

@@ -38,7 +38,7 @@ impl AtomConv {
     ) -> Var {
         let blocks = [(v, Some(batch.bond_i.clone())), (v, Some(batch.bond_j.clone())), (e, None)];
         let f = message_features(tape, &blocks, fused);
-        let msg = self.gated.forward(tape, store, f, fused);
+        let msg = self.gated.forward(tape, store, f, fused, &[]);
         let (seg, n) = (batch.bond_i.clone(), batch.n_atoms);
         let agg = if fused {
             tape.weighted_segment_sum(msg, &[(ea, None)], seg, n)
@@ -68,6 +68,7 @@ impl BondConv {
         }
     }
 
+    /// `last_read` as in [`GatedMlp::forward`].
     #[allow(clippy::too_many_arguments)] // internal: tape plumbing, not an API
     fn forward(
         &self,
@@ -78,8 +79,9 @@ impl BondConv {
         eb: Var,
         batch: &GraphBatch,
         fused: bool,
+        last_read: &[Var],
     ) -> Var {
-        let msg = self.gated.forward(tape, store, f_angle, fused);
+        let msg = self.gated.forward(tape, store, f_angle, fused, last_read);
         let (b1, b2) = (batch.angle_b1.clone(), batch.angle_b2.clone());
         let agg = if fused {
             let weights = [(eb, Some(b1.clone())), (eb, Some(b2))];
@@ -108,8 +110,17 @@ impl AngleUpdate {
         }
     }
 
-    fn forward(&self, tape: &Tape, store: &ParamStore, f_angle: Var, a: Var, fused: bool) -> Var {
-        let upd = self.gated.forward(tape, store, f_angle, fused);
+    /// `last_read` as in [`GatedMlp::forward`].
+    fn forward(
+        &self,
+        tape: &Tape,
+        store: &ParamStore,
+        f_angle: Var,
+        a: Var,
+        fused: bool,
+        last_read: &[Var],
+    ) -> Var {
+        let upd = self.gated.forward(tape, store, f_angle, fused, last_read);
         let a_new = tape.add(a, upd);
         tape.release(&[upd]);
         a_new
@@ -162,6 +173,10 @@ impl InteractionBlock {
     ///
     /// Outputs outside `reads` are not computed and come back as their
     /// inputs, unchanged; the ones computed are bitwise the same either way.
+    ///
+    /// With dependency elimination the replaced `v`, and `e` when the angle
+    /// update runs, are released ([`Tape::release`]) right after the last
+    /// GEMM over the shared feature matrix, their last reader.
     #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
@@ -185,21 +200,23 @@ impl InteractionBlock {
         if cfg.opt_level.dependency_eliminated() {
             // Shared stale-input feature matrix for Bond Conv + Angle Update.
             let f_shared = angle_features(tape, v, e, a, batch, fused);
-            let e_new = self.bond_conv.forward(tape, store, f_shared, e, eb, batch, fused);
             if reads == BlockReads::AtomsBonds {
+                let e_new =
+                    self.bond_conv.forward(tape, store, f_shared, e, eb, batch, fused, &[v]);
                 return (v_new, e_new, a);
             }
-            let a_new = self.angle_update.forward(tape, store, f_shared, a, fused);
+            let e_new = self.bond_conv.forward(tape, store, f_shared, e, eb, batch, fused, &[]);
+            let a_new = self.angle_update.forward(tape, store, f_shared, a, fused, &[v, e]);
             (v_new, e_new, a_new)
         } else {
             // Eq. 10: sequential, re-gathered inputs.
             let f_bond = angle_features(tape, v_new, e, a, batch, fused);
-            let e_new = self.bond_conv.forward(tape, store, f_bond, e, eb, batch, fused);
+            let e_new = self.bond_conv.forward(tape, store, f_bond, e, eb, batch, fused, &[]);
             if reads == BlockReads::AtomsBonds {
                 return (v_new, e_new, a);
             }
             let f_angle = angle_features(tape, v_new, e_new, a, batch, fused);
-            let a_new = self.angle_update.forward(tape, store, f_angle, a, fused);
+            let a_new = self.angle_update.forward(tape, store, f_angle, a, fused, &[]);
             (v_new, e_new, a_new)
         }
     }

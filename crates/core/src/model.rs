@@ -169,6 +169,8 @@ impl Chgnet {
             }
             (v, e, a) = new;
         }
+        // The heads read neither the angle features nor e^a, e^b.
+        tape.release(&[a, bf.ea, bf.eb]);
 
         // Output layer.
         let mut energy = self.energy_head.forward(tape, store, v, batch, fused);
@@ -187,6 +189,7 @@ impl Chgnet {
             let d = derivative_outputs(tape, energy, basis.geom.positions, strain, batch);
             (d.forces, d.stress)
         };
+        tape.release(&[v, e]);
 
         let counts = tape.constant(atom_counts(batch));
         let energy_per_atom = tape.div(energy, counts);
@@ -196,7 +199,7 @@ impl Chgnet {
 
 /// `(G, 1)` tensor of per-graph atom counts.
 fn atom_counts(batch: &GraphBatch) -> Tensor {
-    let mut t = Tensor::zeros(batch.n_graphs, 1);
+    let mut t = Tensor::pooled_zeros(batch.n_graphs, 1);
     for (g, r) in batch.ranges.iter().enumerate() {
         *t.at_mut(g, 0) = (r.atoms.1 - r.atoms.0) as f32;
     }

@@ -83,15 +83,23 @@ impl Mlp {
     }
 
     /// Apply the MLP (SiLU between layers, none after the last), its
-    /// linears fused or not as in [`Linear::forward`].
+    /// linears fused or not as in [`Linear::forward`]. Each hidden
+    /// activation is released after its last read ([`Tape::release`]).
     pub fn forward(&self, tape: &Tape, store: &ParamStore, x: Var, fused: bool) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, l) in self.layers.iter().enumerate() {
-            h = l.forward(tape, store, h, fused);
-            if i != last {
-                h = tape.silu(h);
+            let y = l.forward(tape, store, h, fused);
+            if h != x {
+                tape.release(&[h]);
             }
+            h = if i == last {
+                y
+            } else {
+                let act = tape.silu(y);
+                tape.release(&[y]);
+                act
+            };
         }
         h
     }
@@ -171,13 +179,23 @@ impl GatedMlp {
 
     /// Apply the GatedMLP. `fused` selects the packed-GEMM + fused-gate
     /// fast path, where `x` may be a view ([`Tape::column_blocks`]); both
-    /// paths compute identical values.
-    pub fn forward(&self, tape: &Tape, store: &ParamStore, x: Var, fused: bool) -> Var {
+    /// paths compute identical values. `last_read` are vars (the sources of
+    /// a view `x`) whose last reader is the input GEMM: they are released
+    /// as soon as it has run ([`Tape::release`]).
+    pub fn forward(
+        &self,
+        tape: &Tape,
+        store: &ParamStore,
+        x: Var,
+        fused: bool,
+        last_read: &[Var],
+    ) -> Var {
         let w = tape.param(store, self.w_pack);
         let b = tape.param(store, self.b_pack);
         if fused {
             // One GEMM launch for both branches, one output each.
             let [gate_in, core_in] = tape.linear_split(x, w, b);
+            tape.release(last_read);
             // sigmoid(LN(gate)) ⊙ silu(LN(core)) in one kernel.
             let (ln_gate, ln_core) =
                 (self.ln_gate.params(tape, store), self.ln_core.params(tape, store));
@@ -194,6 +212,7 @@ impl GatedMlp {
             let b_core = tape.slice_cols(b, self.out_dim, self.out_dim);
             let gate_h = tape.add(tape.matmul(x, w_gate), b_gate);
             let core_h = tape.add(tape.matmul(x, w_core), b_core);
+            tape.release(last_read);
             let gate_n = self.ln_gate.forward(tape, store, gate_h);
             let core_n = self.ln_core.forward(tape, store, core_h);
             let sig = tape.sigmoid(gate_n);
@@ -240,10 +259,10 @@ mod tests {
         let x = init::normal(&mut rng, 9, 12, 0.0, 1.0);
         let t1 = Tape::new();
         let x1 = t1.constant(x.clone());
-        let fused = t1.value(g.forward(&t1, &store, x1, true));
+        let fused = t1.value(g.forward(&t1, &store, x1, true, &[]));
         let t2 = Tape::new();
         let x2 = t2.constant(x);
-        let unfused = t2.value(g.forward(&t2, &store, x2, false));
+        let unfused = t2.value(g.forward(&t2, &store, x2, false, &[]));
         assert!(fused.approx_eq(&unfused, 1e-5), "fused and unfused disagree");
     }
 
@@ -254,11 +273,11 @@ mod tests {
         let x = init::normal(&mut rng, 9, 12, 0.0, 1.0);
         let t1 = Tape::new();
         let x1 = t1.constant(x.clone());
-        let _ = g.forward(&t1, &store, x1, true);
+        let _ = g.forward(&t1, &store, x1, true, &[]);
         let fused_kernels = t1.profiler().snapshot().kernels;
         let t2 = Tape::new();
         let x2 = t2.constant(x);
-        let _ = g.forward(&t2, &store, x2, false);
+        let _ = g.forward(&t2, &store, x2, false, &[]);
         let unfused_kernels = t2.profiler().snapshot().kernels;
         assert!(
             fused_kernels < unfused_kernels,
@@ -273,7 +292,7 @@ mod tests {
         let g = GatedMlp::new(&mut store, &mut rng, "g", 4, 4);
         let tape = Tape::new();
         let x = tape.constant(init::normal(&mut rng, 20, 4, 0.0, 3.0));
-        let y = tape.value(g.forward(&tape, &store, x, true));
+        let y = tape.value(g.forward(&tape, &store, x, true, &[]));
         assert!(y.all_finite());
     }
 

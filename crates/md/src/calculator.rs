@@ -40,6 +40,11 @@ impl<'a> Calculator<'a> {
     /// freeing one: each intermediate buffer goes back to the pool after
     /// its last read, so the call's peak is about a third of a retaining
     /// forward's.
+    ///
+    /// Every tensor buffer of the call, the collated batch's included,
+    /// comes from the thread's buffer pool and goes back to it at the end,
+    /// so once a first call of the same size has filled the pool a call
+    /// allocates no tensor storage and leaves the pool as it found it.
     pub fn evaluate(&self, structure: &Structure) -> CalcResult {
         let graph = CrystalGraph::with_cutoffs(
             structure.clone(),
@@ -62,6 +67,7 @@ impl<'a> Calculator<'a> {
         let m = tape.value(pred.magmom);
         let magmoms = (0..m.rows()).map(|r| m.at(r, 0) as f64).collect();
         tape.reset();
+        batch.recycle();
         CalcResult { energy, forces, stress, magmoms }
     }
 }

@@ -62,7 +62,9 @@ impl Tape {
 
     fn ones_like(&self, v: Var) -> Tensor {
         let shape = self.shape(v);
-        Tensor::ones(shape.rows, shape.cols)
+        let mut seed = Tensor::pooled_zeros(shape.rows, shape.cols);
+        seed.fill(1.0);
+        seed
     }
 
     /// The reverse sweep from `output` seeded with `seed`. With `last` (the

@@ -187,8 +187,13 @@ fn unary_op(kind: UnKind, a: &Tensor, op: impl Fn(f32) -> f32 + Sync) -> Tensor 
     let n = a.len();
     let d = a.data();
     let mut out = crate::pool::with_capacity(n);
-    // Relative cost: 1 for arithmetic, 4 for one transcendental.
-    let work = n * crate::cost::un_flops_per_elem(kind).div_ceil(2) as usize;
+    // Relative cost: 1 for arithmetic, 32 for a scalar libm call (`un.arccos`
+    // takes 16 ns an element in the md-nve64 forward, `bin.add` 0.5 ns).
+    let weight = match kind {
+        UnKind::Ln | UnKind::Arccos | UnKind::Tanh => 32,
+        _ => crate::cost::un_flops_per_elem(kind).div_ceil(2) as usize,
+    };
+    let work = n * weight;
     par::fill_rows(&mut out, n, 1, par::chunks(work, n), |r, out| {
         out.extend(d[r].iter().map(|&x| op(x)))
     });

@@ -31,21 +31,31 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Work below which a kernel runs on the calling thread alone.
 ///
-/// Work is counted in output elements of `bin.add` (about 1 ns each on a
-/// 2-vCPU host); each kernel scales its element count by its per-element
-/// cost relative to that, as read off the per-op time tables of an
-/// md-nve64 forward and a train-dp4 rank step (EXPERIMENTS.md "Intra-op
-/// parallelism"; "Blocked GEMM" for `matmul`; "Bitwise vector expf" for
-/// the `exp` tier; "Fused final-sweep VJPs" for the row-lane LayerNorm and
-/// the VJPs; "AVX-512 tier" for that tier's weights): copies 1/2, `matmul`
-/// (and `matmul_at`) `k/12` (`k/16` on `GemmTier::Avx512`),
-/// `fused.layer_norm` 2, `fused.ln_vjp` 4, other unaries up to 4, sigmoid
-/// and SiLU 3 (7 on `ExpTier::Libm`, 2 on `ExpTier::Avx512`), `fused.gate`
-/// 5 (16 on `Libm`, 3 on `Avx512`), `fused.gate_vjp` 6 (18 on `Libm`, 4 on
-/// `Avx512`) and the fused bases 10. The threshold
-/// is about 16 µs of one core: a split costs several microseconds of
-/// helper wake-up and hand-off, which smaller kernels do not repay.
-pub const SPLIT_WORK: usize = 1 << 14;
+/// Work is counted in output elements of `bin.add` (0.2–0.5 ns each on
+/// the 2-vCPU Xeon of EXPERIMENTS.md); each kernel scales its element
+/// count by its per-element cost relative to that, as read off the per-op
+/// time tables of an md-nve64 forward and a train-dp4 rank step
+/// (EXPERIMENTS.md "Intra-op parallelism"; "Blocked GEMM" for `matmul`;
+/// "Bitwise vector expf" for the `exp` tier; "Fused final-sweep VJPs" for
+/// the row-lane LayerNorm and the VJPs; "AVX-512 tier" for that tier's
+/// weights; "A pool that stops growing" for the scalar libm unaries):
+/// copies 1/2, `matmul` (and `matmul_at`) `k/12` (`k/16` on
+/// `GemmTier::Avx512`), `fused.layer_norm` 2, `fused.ln_vjp` 4, `arccos`,
+/// `ln` and `tanh` 32, other unaries up to 2, sigmoid and SiLU 3 (7 on
+/// `ExpTier::Libm`, 2 on `ExpTier::Avx512`), `fused.gate` 5 (16 on `Libm`,
+/// 3 on `Avx512`), `fused.gate_vjp` 6 (18 on `Libm`, 4 on `Avx512`) and
+/// the fused bases 10.
+///
+/// The threshold comes from two measurements (EXPERIMENTS.md "A pool that
+/// stops growing"). `examples/op_profile`'s "split break-even" table:
+/// waking the helper and handing chunks over costs 3-4 µs on that host,
+/// and an add loop over cache-resident elements starts to gain from a
+/// split between 65,536 and 131,072 elements. Inside the md-nve64 forward,
+/// where the operands are colder, kernels of 32,768 to 65,536 units
+/// still gained from a split: at `1 << 16` md-nve64 `step_p50_ms`
+/// lost 4.8% over 10 alternating pairs, at `1 << 15` it did not, and
+/// relax-screen's small kernels gained against `1 << 14` at both.
+pub const SPLIT_WORK: usize = 1 << 15;
 
 /// Chunks per participating thread (see [`chunks`]).
 const CHUNKS_PER_THREAD: usize = 4;
@@ -129,6 +139,8 @@ pub(crate) fn for_row_chunks_n<T: Send, const N: usize>(
         Some(pool) if n_chunks > 1 && rows > 1 && cols.iter().all(|&c| c > 0) => pool,
         _ => return f(0..rows, data),
     };
+    #[cfg(test)]
+    tests::SPLITS.with(|c| c.set(c.get() + 1));
     let chunk_rows = rows.div_ceil(n_chunks);
     let mut bufs = data.into_iter().zip(cols).map(|(d, c)| d.chunks_mut(chunk_rows * c));
     let bufs: [_; N] = std::array::from_fn(|_| bufs.next().expect("one chunk iterator per buffer"));
@@ -361,8 +373,6 @@ impl Pool {
             st.generation += 1;
         }
         let _retract = Retract(self);
-        #[cfg(test)]
-        tests::SPLITS.with(|c| c.set(c.get() + 1));
         self.posted.notify_all();
         job();
         true
@@ -382,7 +392,8 @@ mod tests {
     use std::sync::Arc;
 
     thread_local! {
-        /// Kernels this thread has split (claimed the helper pool for).
+        /// Kernels this thread has split into chunks (which the helpers
+        /// join unless another thread holds them).
         pub(super) static SPLITS: Cell<usize> = const { Cell::new(0) };
     }
 
@@ -633,15 +644,19 @@ mod tests {
     #[test]
     fn split_kernels_are_bitwise_the_width_1_kernels() {
         // Rows: empty, one, a few, and counts on both sides of the split
-        // threshold for most kernels, which no chunk count divides.
+        // threshold, which no chunk count divides; every kernel splits at
+        // the largest.
         let before = SPLITS.with(Cell::get);
+        let mut split = std::collections::BTreeMap::new();
         let mut case = 0;
-        for rows in [0, 1, 7, 509, 512, 1031, 2053] {
+        for rows in [0, 1, 7, 509, 512, 1031, 2053, 11003] {
             for cols in [0, 1, 16, 33] {
                 case += 1;
                 for (name, kernel) in kernels(case, rows, cols) {
                     let one = with_width(1, &kernel);
+                    let splits = SPLITS.with(Cell::get);
                     let wide = kernel();
+                    *split.entry(name).or_insert(false) |= SPLITS.with(Cell::get) > splits;
                     assert_eq!(one.shape(), wide.shape(), "{name} {rows}x{cols}");
                     assert_eq!(
                         bits(one.data()),
@@ -653,6 +668,8 @@ mod tests {
         }
         if width() > 1 {
             assert!(SPLITS.with(Cell::get) > before, "no kernel split");
+            let unsplit: Vec<_> = split.iter().filter(|(_, &s)| !s).map(|(n, _)| n).collect();
+            assert!(unsplit.is_empty(), "kernels that never split: {unsplit:?}");
         }
     }
 
@@ -693,19 +710,22 @@ mod tests {
 
     #[test]
     fn bad_indices_panic_on_the_caller_with_the_serial_message() {
+        // Large enough that both kernels split at SPLIT_WORK.
+        const N: usize = 16_000;
         let mut rng = StdRng::seed_from_u64(7);
-        let a = draw(&mut rng, 4000, 16);
-        let mut idx: Vec<u32> = (0..4000).rev().collect();
-        idx[3000] = 4000;
+        let a = draw(&mut rng, N, 16);
+        let mut idx: Vec<u32> = (0..N as u32).rev().collect();
+        idx[12_000] = N as u32;
         let p = panic::catch_unwind(|| gk::gather_rows(&a, &idx)).unwrap_err();
-        assert_eq!(message(p), "gather index 4000 out of range (4000 rows)");
-        let mut seg: Vec<u32> = (0..4000).map(|r| r % 64).collect();
-        seg[3999] = 64;
+        assert_eq!(message(p), "gather index 16000 out of range (16000 rows)");
+        let mut seg: Vec<u32> = (0..N as u32).map(|r| r % 64).collect();
+        seg[N - 1] = 64;
         let p = panic::catch_unwind(|| sk::segment_sum(&a, &seg, 64)).unwrap_err();
         assert_eq!(message(p), "segment id 64 out of range (64 segments)");
         // The pool is free again: the next large kernels split and agree.
-        idx[3000] = 0;
-        seg[3999] = 0;
+        idx[12_000] = 0;
+        seg[N - 1] = 0;
+        let before = SPLITS.with(Cell::get);
         assert_eq!(
             bits(gk::gather_rows(&a, &idx).data()),
             bits(with_width(1, || gk::gather_rows(&a, &idx)).data())
@@ -713,6 +733,9 @@ mod tests {
         let (s, s1) =
             (sk::segment_sum(&a, &seg, 64), with_width(1, || sk::segment_sum(&a, &seg, 64)));
         assert_eq!(bits(s.data()), bits(s1.data()));
+        if width() > 1 {
+            assert_eq!(SPLITS.with(Cell::get) - before, 2, "both kernels split");
+        }
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! sweep's frees at last use and batch recycling. On a fresh pool every
 //! acquire is a plain allocation.
 //!
+//! The pool files only buffers of the shape it hands out: a power-of-two
+//! capacity, which serves every request of its class. Any other buffer
+//! ([`release`] of a plain `Vec`, a `clone()`, a `collect()`) goes back to
+//! the allocator, so a loop that puts such buffers on its tapes cannot grow
+//! the pool; a steady-state loop whose every tensor buffer comes from the
+//! pool neither misses nor grows it.
+//!
 //! Contents never affect numerics: [`zeroed`] returns an all-zero buffer
 //! exactly like `vec![0.0; n]`, and [`from_slice`] an exact copy.
 //!
@@ -61,6 +68,13 @@ impl Default for PoolCore {
     }
 }
 
+impl PoolCore {
+    /// This core's counters (what [`stats`] reads for the installed one).
+    pub fn stats(&self) -> PoolStats {
+        self.stats
+    }
+}
+
 thread_local! {
     static POOL: RefCell<PoolCore> = RefCell::new(PoolCore::default());
 }
@@ -69,14 +83,6 @@ thread_local! {
 #[inline]
 fn class_of(n: usize) -> usize {
     n.next_power_of_two().trailing_zeros() as usize
-}
-
-/// Class index a buffer of capacity `cap >= 1` files under: floor log2.
-/// (Acquires always reserve a power-of-two capacity, so floor(capacity)
-/// never lands a buffer in a class it cannot serve.)
-#[inline]
-fn class_of_capacity(cap: usize) -> usize {
-    (usize::BITS - 1 - cap.leading_zeros()) as usize
 }
 
 /// Acquire a cleared buffer (len 0) with capacity at least `n`.
@@ -121,14 +127,15 @@ pub fn with_capacity(n: usize) -> Vec<f32> {
     acquire_raw(n)
 }
 
-/// Return a buffer to this thread's pool (or drop it past the retention
-/// cap). Un-released buffers are simply dropped.
+/// Return a buffer to this thread's pool if it has the power-of-two
+/// capacity of an acquired one, else (or past the retention cap) drop it
+/// to the allocator. Un-released buffers are simply dropped.
 pub fn release(v: Vec<f32>) {
     let cap = v.capacity();
-    if cap == 0 {
-        return;
+    if !cap.is_power_of_two() {
+        return; // not a pool buffer (and capacity 0): drop to the allocator
     }
-    let class = class_of_capacity(cap);
+    let class = cap.trailing_zeros() as usize;
     if class >= N_CLASSES {
         return;
     }
@@ -195,6 +202,23 @@ mod tests {
             assert_eq!(stats().hits - base.hits, 1);
             assert_eq!(w.len(), 70);
             assert!(w.iter().all(|&x| x == 1.0));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn buffers_of_other_capacities_go_back_to_the_allocator() {
+        std::thread::spawn(|| {
+            let v = vec![1.0f32; 100]; // capacity 100, not a pool buffer
+            assert_eq!(v.capacity(), 100);
+            release(v);
+            assert_eq!(stats().bytes_pooled, 0, "a foreign buffer was filed");
+            release(from_slice(&[1.0; 100])); // capacity 128
+            assert_eq!(stats().bytes_pooled, 4 * 128);
+            // The capacity decides, not where the buffer came from.
+            release(Vec::with_capacity(8));
+            assert_eq!(stats().bytes_pooled, 4 * 128 + 4 * 8);
         })
         .join()
         .unwrap();

@@ -411,11 +411,7 @@ impl Tape {
                 return *v;
             }
         }
-        let value = {
-            let t = store.value(id);
-            Tensor::from_vec(t.shape(), pool::from_slice(t.data()))
-        };
-        let v = self.push(Op::Param(id), value, true);
+        let v = self.push(Op::Param(id), store.value(id).pooled_copy(), true);
         let mut cache = self.param_cache.borrow_mut();
         if cache.len() <= id.index() {
             cache.resize(id.index() + 1, None);

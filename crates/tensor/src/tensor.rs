@@ -33,6 +33,20 @@ impl Tensor {
         Tensor { shape: Shape::new(rows, cols), data: vec![0.0; rows * cols] }
     }
 
+    /// [`Tensor::zeros`] in a buffer from the thread's pool
+    /// ([`crate::pool`]): for a per-call tape constant, whose buffer the
+    /// tape's reset files for the next call.
+    pub fn pooled_zeros(rows: usize, cols: usize) -> Self {
+        Tensor { shape: Shape::new(rows, cols), data: crate::pool::zeroed(rows * cols) }
+    }
+
+    /// An exact copy in a buffer from the thread's pool, like
+    /// [`Tensor::pooled_zeros`]; a `clone()`'s buffer would go back to the
+    /// allocator on reset instead.
+    pub fn pooled_copy(&self) -> Self {
+        Tensor { shape: self.shape, data: crate::pool::from_slice(&self.data) }
+    }
+
     /// A `(rows, cols)` tensor filled with ones.
     pub fn ones(rows: usize, cols: usize) -> Self {
         Tensor::full(rows, cols, 1.0)
@@ -43,9 +57,10 @@ impl Tensor {
         Tensor { shape: Shape::new(rows, cols), data: vec![value; rows * cols] }
     }
 
-    /// A `(1, 1)` scalar tensor.
+    /// A `(1, 1)` scalar tensor, in a buffer from the thread's pool (a
+    /// reduction's output or a tape constant comes back for the next one).
     pub fn scalar(value: f32) -> Self {
-        Tensor { shape: Shape::scalar(), data: vec![value] }
+        Tensor { shape: Shape::scalar(), data: crate::pool::from_slice(&[value]) }
     }
 
     /// A column vector `(n, 1)` from a slice.

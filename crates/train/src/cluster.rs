@@ -637,30 +637,34 @@ mod tests {
     fn steady_state_cluster_steps_allocate_nothing_new() {
         // Allocation-regression guard: after a 2-step warm-up the worker
         // pools must serve every tape/grad buffer of a repeated step — zero
-        // pool misses means zero fresh heap allocations for tensor storage.
-        // Misses are read from the cluster profiler, which absorbs every
-        // rank tape whichever worker thread ran it.
+        // pool misses means zero fresh heap allocations for tensor storage —
+        // and take back exactly what they served, so the pooled bytes stay
+        // level. Misses are read from the cluster profiler, which absorbs
+        // every rank tape whichever worker thread ran it; the level from the
+        // worker pools the cluster keeps between steps.
         let data = dataset();
         let samples: Vec<&Sample> = data.samples.iter().collect();
-        let misses_per_step = |cfg: ClusterConfig| {
+        let per_step = |cfg: ClusterConfig| {
             let mut cluster = Cluster::new(ModelConfig::tiny(OptLevel::Decoupled), 3, cfg, 1e-3);
-            let mut misses = Vec::new();
+            let (mut misses, mut pooled) = (Vec::new(), Vec::new());
             for _ in 0..4 {
                 let before = cluster.profile().pool_misses;
                 cluster.train_step(&samples);
                 misses.push(cluster.profile().pool_misses - before);
+                pooled.push(cluster.pools.iter().map(|p| p.stats().bytes_pooled).sum::<u64>());
             }
-            misses
+            (misses, pooled)
         };
-        let one_rank = misses_per_step(ClusterConfig::default());
-        let four_ranks = misses_per_step(ClusterConfig {
+        let one_rank = per_step(ClusterConfig::default());
+        let four_ranks = per_step(ClusterConfig {
             n_devices: 4,
             execution: ExecutionMode::Threaded(2),
             ..Default::default()
         });
-        for misses in [one_rank, four_ranks] {
+        for (misses, pooled) in [one_rank, four_ranks] {
             assert!(misses[0] > 0, "cold start must fall through to the allocator");
             assert_eq!(misses[2..], [0, 0], "steady-state step still allocating: {misses:?}");
+            assert!(pooled[1..].iter().all(|&b| b == pooled[1]), "pool still growing: {pooled:?}");
         }
     }
 

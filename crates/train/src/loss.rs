@@ -52,16 +52,17 @@ pub fn composite_loss(
     labels: &BatchLabels,
     w: &LossWeights,
 ) -> LossParts {
-    // Energy per atom target.
-    let mut e_target = labels.energy.clone();
+    // Energy per atom target. The labels go on the tape as copies in pool
+    // buffers, which the tape's reset files for the next step's copies.
+    let mut e_target = labels.energy.pooled_copy();
     for r in 0..e_target.rows() {
         let n = labels.n_atoms.at(r, 0).max(1.0);
         *e_target.at_mut(r, 0) /= n;
     }
     let e_lbl = tape.constant(e_target);
-    let f_lbl = tape.constant(labels.forces.clone());
-    let s_lbl = tape.constant(labels.stress.clone());
-    let m_lbl = tape.constant(labels.magmoms.clone());
+    let f_lbl = tape.constant(labels.forces.pooled_copy());
+    let s_lbl = tape.constant(labels.stress.pooled_copy());
+    let m_lbl = tape.constant(labels.magmoms.pooled_copy());
 
     let e_loss = tape.mean_all(tape.huber(tape.sub(pred.energy_per_atom, e_lbl), w.delta));
     let f_loss = tape.mean_all(tape.huber(tape.sub(pred.forces, f_lbl), w.delta));

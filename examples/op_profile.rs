@@ -19,8 +19,13 @@
 //! and the MiB and node count each op kind's nodes still hold when the
 //! forward ends (`Tape::held_by_kind`), and the ms of the force call's
 //! graph stage by part at both widths: the neighbour list, the angle build
-//! (`CrystalGraph::from_bonds`) and collation. It also prints the
-//! `matmul`, `exp` and `sin`/`cos` kernel tiers this host runs.
+//! (`CrystalGraph::from_bonds`) and collation, and for [`REPS`] + 1 md
+//! force calls (`Calculator::evaluate`) the buffer-pool misses of each
+//! call and the bytes the pool holds after it, which stay at 0 and level
+//! once the pool has been filled. It ends the md part with the table
+//! `par::SPLIT_WORK` is set from: a split's break-even, the median µs of
+//! an add over 1K–256K elements on one thread and split. It also prints
+//! the `matmul`, `exp` and `sin`/`cos` kernel tiers this host runs.
 //!
 //! Run: `cargo run --release --example op_profile`
 
@@ -29,7 +34,7 @@ use fastchgnet::prelude::*;
 use fastchgnet::tensor::kernels::exp::ExpTier;
 use fastchgnet::tensor::kernels::matmul::GemmTier;
 use fastchgnet::tensor::kernels::trig::TrigTier;
-use fastchgnet::tensor::{par, profiler, OpTotals};
+use fastchgnet::tensor::{par, pool, profiler, OpTotals};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -99,6 +104,8 @@ fn main() {
     });
     print_held(&held);
     print_graph_stage(&structure, ac, bc);
+    print_pool_per_call(&Calculator::new(&model, &store), &structure);
+    print_split_break_even();
 
     // train-dp4's pool draws cell sizes like Scale::wide_dataset. A rank
     // gets every RANKS-th structure of the global batch by size, as
@@ -321,6 +328,81 @@ fn print_graph_stage(structure: &Structure, ac: f64, bc: f64) {
     for (name, times) in ["neighbour list", "angle build", "collate"].iter().zip(&ms) {
         print!("{name:<18}");
         print_times(times);
+    }
+}
+
+/// Print this thread's buffer-pool misses of each of [`REPS`] + 1 md
+/// force calls and the KiB the pool holds after it.
+fn print_pool_per_call(calc: &Calculator, structure: &Structure) {
+    println!("\nmd force calls (Calculator::evaluate), this thread's buffer pool");
+    println!("{:<18} {:>8} {:>10}", "call", "misses", "pooled KiB");
+    let mut before = pool::stats();
+    for call in 1..=REPS + 1 {
+        calc.evaluate(structure);
+        let after = pool::stats();
+        let kib = after.bytes_pooled as f64 / 1024.0;
+        println!("{call:<18} {:>8} {kib:>10.1}", after.misses - before.misses);
+        before = after;
+    }
+}
+
+/// Print, for `n` elements around [`par::SPLIT_WORK`] (whose unit is one
+/// `bin.add` output element), the median µs of the `bin.add` kernel at
+/// width 1 and of an add loop over the same elements run by
+/// `par::for_each_chunk` on this thread alone and split across the helpers
+/// at full width: a split pays from the first `n` where the last column
+/// drops below the one before it.
+fn print_split_break_even() {
+    const SPLIT_REPS: usize = 300;
+    let width = par::width();
+    println!(
+        "\nsplit break-even at width {width}, median µs of {SPLIT_REPS} (par::SPLIT_WORK = {})",
+        par::SPLIT_WORK
+    );
+    println!(
+        "{:<18} {:>10} {:>10} {:>10}",
+        "elements",
+        "bin.add @1",
+        "loop @1",
+        format!("loop @{width}")
+    );
+    let median = |mut t: Vec<f64>| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    };
+    for shift in 10..=18 {
+        let n = 1usize << shift;
+        let x = Tensor::from_vec(Shape::new(n, 1), (0..n).map(|i| i as f32).collect());
+        let mut out = vec![0.0f32; n];
+        let mut times = [(); 3].map(|_| Vec::with_capacity(SPLIT_REPS));
+        let tape = Tape::new();
+        for rep in 0..=SPLIT_REPS {
+            let (a, b) = (tape.constant(x.pooled_copy()), tape.constant(x.pooled_copy()));
+            let t = Instant::now();
+            par::with_width(1, || tape.add(a, b));
+            let add = t.elapsed();
+            tape.reset(); // the buffers serve the next rep
+            let xs = x.data();
+            let loops = [0, usize::MAX].map(|work| {
+                let t = Instant::now();
+                par::for_each_chunk(&mut out, work, |rows, part| {
+                    for ((y, &p), &q) in part.iter_mut().zip(&xs[rows.clone()]).zip(&xs[rows]) {
+                        *y = p + q;
+                    }
+                });
+                t.elapsed()
+            });
+            if rep > 0 {
+                for (ts, d) in times.iter_mut().zip([add, loops[0], loops[1]]) {
+                    ts.push(d.as_secs_f64() * 1e6);
+                }
+            }
+        }
+        print!("{n:<18}");
+        for ts in times {
+            print!(" {:>10.2}", median(ts));
+        }
+        println!();
     }
 }
 

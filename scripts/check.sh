@@ -88,8 +88,11 @@ echo "== inference forward equivalence (freeing vs retaining forward bitwise, pi
 cargo test --release -q -p fc_verify --test equivalence inference_forward_is_bitwise_the_retaining_forward
 cargo test --release -q --test forward_retention
 
-echo "== memory-planner steady-state allocation smoke (release) =="
+# After warm-up a training step and an md or relaxation force call take
+# every tensor buffer from the thread's pool and give back exactly that.
+echo "== steady-state pool (release) =="
 cargo test --release -q -p fastchgnet-train steady_state_cluster_steps_allocate_nothing_new
+cargo test --release -q --test steady_state_pool
 
 echo "== verify harness =="
 FASTCHGNET_REPORTS="$out" cargo run --release -p fc_verify --bin verify -q
