@@ -10,7 +10,11 @@
 //! acquire is a plain allocation.
 //!
 //! The pool files only buffers of the shape it hands out: a power-of-two
-//! capacity, which serves every request of its class. Any other buffer
+//! capacity, which serves every request of its class. A request whose
+//! class is empty takes the smallest idle buffer of the next [`REACH`]
+//! classes (up to 4× its class capacity) before it allocates, so a thread
+//! whose requests shift between steps reuses what it holds instead of
+//! growing every class to its own high-water mark. Any other buffer
 //! ([`release`] of a plain `Vec`, a `clone()`, a `collect()`) goes back to
 //! the allocator, so a loop that puts such buffers on its tapes cannot grow
 //! the pool; a steady-state loop whose every tensor buffer comes from the
@@ -35,6 +39,11 @@ const MAX_POOLED_BYTES: u64 = 256 << 20;
 
 /// Size classes cover capacities `2^0 ..= 2^(N_CLASSES-1)` elements.
 const N_CLASSES: usize = 33;
+
+/// How many classes above its own an acquire looks in when its class is
+/// empty: a miss may take a buffer up to `2^REACH` times the capacity it
+/// asked for.
+const REACH: usize = 2;
 
 /// Monotone hit/miss/recycle counters plus the pooled-bytes level of one
 /// thread's pool. Snapshots are compared by the tape to attribute pool
@@ -85,7 +94,9 @@ fn class_of(n: usize) -> usize {
     n.next_power_of_two().trailing_zeros() as usize
 }
 
-/// Acquire a cleared buffer (len 0) with capacity at least `n`.
+/// Acquire a cleared buffer (len 0) with capacity at least `n`: an idle
+/// buffer of `n`'s class, else the smallest idle one of the next [`REACH`]
+/// classes, else a fresh allocation of `n`'s class capacity.
 fn acquire_raw(n: usize) -> Vec<f32> {
     if n == 0 {
         return Vec::new();
@@ -93,10 +104,11 @@ fn acquire_raw(n: usize) -> Vec<f32> {
     let class = class_of(n);
     POOL.with(|p| {
         let mut core = p.borrow_mut();
-        if let Some(mut v) = core.classes[class].pop() {
+        let top = (class + REACH).min(N_CLASSES - 1);
+        if let Some((c, mut v)) = (class..=top).find_map(|c| Some((c, core.classes[c].pop()?))) {
             core.stats.hits += 1;
             core.stats.bytes_recycled += 4 * n as u64;
-            core.stats.bytes_pooled = core.stats.bytes_pooled.saturating_sub(4u64 << class);
+            core.stats.bytes_pooled = core.stats.bytes_pooled.saturating_sub(4u64 << c);
             v.clear();
             v
         } else {
@@ -202,6 +214,38 @@ mod tests {
             assert_eq!(stats().hits - base.hits, 1);
             assert_eq!(w.len(), 70);
             assert!(w.iter().all(|&x| x == 1.0));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn an_empty_class_borrows_from_up_to_two_classes_above() {
+        std::thread::spawn(|| {
+            // One idle buffer each of 256, 512 and 1024 floats.
+            for n in [256, 512, 1024] {
+                release(with_capacity(n));
+            }
+            assert_eq!(stats().bytes_pooled, 4 * (256 + 512 + 1024));
+            // 100 floats ask for class 128: two classes up is 512, so the
+            // 256 goes first (the smallest), then the 512.
+            let base = stats();
+            let a = zeroed(100);
+            assert_eq!(a.capacity(), 256);
+            assert_eq!(stats().bytes_pooled, 4 * (512 + 1024), "debited by the class taken");
+            let b = zeroed(100);
+            assert_eq!(b.capacity(), 512);
+            assert_eq!(stats().bytes_pooled, 4 * 1024);
+            assert_eq!((stats().hits - base.hits, stats().misses - base.misses), (2, 0));
+            // The 1024 is three classes up: out of reach, so this allocates.
+            let c = zeroed(100);
+            assert_eq!(c.capacity(), 128);
+            assert_eq!(stats().misses - base.misses, 1);
+            assert_eq!(stats().bytes_pooled, 4 * 1024, "the far buffer stays filed");
+            // A borrowed buffer goes back to its own class.
+            release(b);
+            assert_eq!(stats().bytes_pooled, 4 * (512 + 1024));
+            assert_eq!(with_capacity(300).capacity(), 512);
         })
         .join()
         .unwrap();

@@ -19,7 +19,6 @@
 
 use crate::cost::OpCost;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 thread_local! {
@@ -47,7 +46,8 @@ pub struct Profiler {
     pool_misses: Cell<u64>,
     bytes_recycled: Cell<u64>,
     bytes_pooled: Cell<u64>,
-    per_op: RefCell<BTreeMap<&'static str, OpTotals>>,
+    /// Per-op-kind totals in first-seen order ([`Profiler::per_op`] sorts).
+    per_op: RefCell<Vec<(&'static str, OpTotals)>>,
     /// Start of the kernel now running, when op timing is on.
     kernel_start: Cell<Option<Instant>>,
 }
@@ -124,7 +124,7 @@ impl Profiler {
         self.flops.set(self.flops.get() + cost.flops);
         self.bytes_moved.set(self.bytes_moved.get() + cost.bytes);
         let mut per_op = self.per_op.borrow_mut();
-        let t = per_op.entry(cost.kind).or_default();
+        let t = totals_of(&mut per_op, cost.kind);
         t.count += 1;
         t.flops += cost.flops;
         t.bytes += cost.bytes;
@@ -176,7 +176,9 @@ impl Profiler {
 
     /// Copy of the per-op-kind accounting table, in sorted kind order.
     pub fn per_op(&self) -> Vec<(&'static str, OpTotals)> {
-        self.per_op.borrow().iter().map(|(&k, &v)| (k, v)).collect()
+        let mut rows = self.per_op.borrow().clone();
+        rows.sort_unstable_by_key(|&(k, _)| k);
+        rows
     }
 
     /// Fold another profiler's counters into this one. This is the
@@ -200,8 +202,8 @@ impl Profiler {
         self.bytes_recycled.set(self.bytes_recycled.get() + s.bytes_recycled);
         self.bytes_pooled.set(self.bytes_pooled.get() + s.bytes_pooled);
         let mut per_op = self.per_op.borrow_mut();
-        for (kind, totals) in other.per_op() {
-            let t = per_op.entry(kind).or_default();
+        for &(kind, totals) in other.per_op.borrow().iter() {
+            let t = totals_of(&mut per_op, kind);
             t.count += totals.count;
             t.flops += totals.flops;
             t.bytes += totals.bytes;
@@ -229,6 +231,24 @@ impl Profiler {
         self.bytes_pooled.set(0);
         self.per_op.borrow_mut().clear();
     }
+}
+
+/// The totals row of `kind` in `rows`, appended when new. Kinds are
+/// string literals, so the same kind almost always has the same address:
+/// the address is compared first, the text only when no address matches.
+fn totals_of<'a>(
+    rows: &'a mut Vec<(&'static str, OpTotals)>,
+    kind: &'static str,
+) -> &'a mut OpTotals {
+    let i = rows
+        .iter()
+        .position(|(k, _)| std::ptr::eq(*k, kind))
+        .or_else(|| rows.iter().position(|(k, _)| *k == kind))
+        .unwrap_or_else(|| {
+            rows.push((kind, OpTotals::default()));
+            rows.len() - 1
+        });
+    &mut rows[i].1
 }
 
 impl ProfileSnapshot {
@@ -395,6 +415,25 @@ mod tests {
         assert_eq!(mm, OpTotals { count: 2, flops: 15, bytes: 6, nanos: 0 });
         let ex = per_op.iter().find(|(k, _)| *k == "un.exp").unwrap().1;
         assert_eq!(ex, OpTotals { count: 1, flops: 8, bytes: 8, nanos: 0 });
+    }
+
+    #[test]
+    fn per_op_rows_merge_by_kind_text_and_come_out_sorted() {
+        // The same kind text at another address is the same row.
+        let matmul: &'static str = Box::leak(String::from("matmul").into_boxed_str());
+        let p = Profiler::new();
+        p.record_cost(OpCost { kind: "un.exp", flops: 1, bytes: 1 });
+        p.record_cost(OpCost { kind: "matmul", flops: 2, bytes: 2 });
+        p.record_cost(OpCost { kind: matmul, flops: 3, bytes: 3 });
+        p.record_cost(OpCost { kind: "bin.add", flops: 4, bytes: 4 });
+        let kinds: Vec<&str> = p.per_op().iter().map(|&(k, _)| k).collect();
+        assert_eq!(kinds, ["bin.add", "matmul", "un.exp"]);
+        assert_eq!(p.per_op()[1].1, OpTotals { count: 2, flops: 5, bytes: 5, nanos: 0 });
+        let agg = Profiler::new();
+        agg.record_cost(OpCost { kind: matmul, flops: 1, bytes: 0 });
+        agg.absorb(&p);
+        assert_eq!(agg.per_op()[1].1, OpTotals { count: 3, flops: 6, bytes: 5, nanos: 0 });
+        assert_eq!(agg.per_op().len(), 3);
     }
 
     #[test]

@@ -43,6 +43,8 @@ pub struct Tape {
     pool_base: Cell<PoolStats>,
     /// Whether [`Tape::release`] frees: only inside [`Tape::releasing`].
     releasing: Cell<bool>,
+    /// [`Tape::charge`]'s input ids and shapes, reused across launches.
+    charge_inputs: RefCell<(Vec<VarId>, Vec<Shape>)>,
 }
 
 /// [`Tape::releasing`]'s scope: restores the tape's previous release
@@ -66,6 +68,7 @@ impl Default for Tape {
             param_cache: RefCell::new(Vec::new()),
             pool_base: Cell::new(pool::stats()),
             releasing: Cell::new(false),
+            charge_inputs: RefCell::default(),
         }
     }
 }
@@ -353,12 +356,13 @@ impl Tape {
     fn charge(&self, op: &Op, out: Shape) {
         self.profiler.record_kernel(op.is_fused());
         let nodes = self.nodes.borrow();
-        let mut ids = Vec::new();
-        op.inputs(&mut ids);
-        let shapes: Vec<Shape> = ids.iter().map(|&i| nodes[i as usize].value.shape()).collect();
-        let mut cost = crate::cost::op_cost(op, &shapes, out);
+        let (ids, shapes) = &mut *self.charge_inputs.borrow_mut();
+        op.inputs(ids);
+        shapes.clear();
+        shapes.extend(ids.iter().map(|&i| nodes[i as usize].value.shape()));
+        let mut cost = crate::cost::op_cost(op, shapes, out);
         // A view's reader also reads its index tables.
-        for &i in &ids {
+        for &i in ids.iter() {
             if let Op::ColumnBlocks { blocks } = &nodes[i as usize].op {
                 cost.bytes +=
                     4 * blocks.iter().flat_map(|b| &b.idx).map(|i| i.len() as u64).sum::<u64>();

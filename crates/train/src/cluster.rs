@@ -5,14 +5,21 @@
 //! gradients over its shard, and the shards are summed by a deterministic
 //! tree ([`crate::allreduce::tree_reduce`]) on the calling thread.
 //!
-//! One runner executes the rank work of every step: ranks are strided over
-//! the [`ExecutionMode::Threaded`] scoped worker threads (rank `d` on
-//! worker `d % workers`, one rank after another). Every worker reads the
-//! one master parameter store, which rank work never writes, and owns one
-//! buffer pool that persists across steps. Every worker count produces
-//! bitwise-identical post-step parameters: a rank's work depends only on
-//! its shard and on the master values, and the gradient combine order is
-//! fixed by the tree, not by thread arrival.
+//! One runner executes the rank work of every step: [`place_ranks`] puts
+//! the ranks on the [`ExecutionMode::Threaded`] scoped worker threads by
+//! their sampler loads (heaviest first, each to the least-loaded worker),
+//! and each worker runs its ranks one after another. The placement is a
+//! pure function of the loads, so a repeated batch lands on the same
+//! workers. Every worker reads the one master parameter store, which rank
+//! work never writes, and owns one buffer pool that persists across steps.
+//! Every worker count produces bitwise-identical post-step parameters: a
+//! rank's work depends only on its shard and on the master values, and the
+//! gradient combine order is fixed by the tree, not by thread arrival or
+//! placement.
+//!
+//! A step whose loss or summed gradient is not finite changes nothing: the
+//! parameters, Adam's moments and its step counter stay as they were, and
+//! the step reports itself skipped.
 //!
 //! A step reports what it measured: each rank's compute seconds and the
 //! sampler's per-rank loads, the inputs of the straggler picture (Fig. 9).
@@ -35,8 +42,8 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Run rank work on up to `n` scoped OS worker threads (clamped to
-    /// `[1, n_devices]`), rank `d` on worker `d % workers`. Every `n` gives
-    /// bitwise-identical parameters — see the module docs.
+    /// `[1, n_devices]`), ranks placed by load ([`place_ranks`]). Every `n`
+    /// gives bitwise-identical parameters — see the module docs.
     Threaded(usize),
 }
 
@@ -93,6 +100,11 @@ pub struct StepStats {
     pub load_cov: f64,
     /// Pre-clip gradient norm.
     pub grad_norm: f64,
+    /// The worker thread that ran each rank ([`place_ranks`]).
+    pub device_worker: Vec<usize>,
+    /// Whether the step changed nothing because a rank's loss or the summed
+    /// gradient was not finite (`loss` then reads what the ranks computed).
+    pub skipped: bool,
 }
 
 /// A data-parallel training cluster around one master parameter store.
@@ -205,9 +217,33 @@ fn write_flat_grads(store: &mut ParamStore, flat: &[f32]) {
 struct RankSet {
     buffers: Vec<Vec<f32>>,
     device_compute: Vec<f64>,
+    device_worker: Vec<usize>,
     loss_sum: f64,
     comp_sum: [f64; 4],
     active: usize,
+}
+
+/// Place ranks of `loads` on `workers` threads, longest first: ranks in
+/// descending load (ties to the lower rank) each go to the worker whose
+/// placed load is smallest so far (ties to the lower worker). Returns each
+/// worker's ranks in ascending order, the order it runs them. A pure
+/// function of its inputs, so a repeated batch gives each worker, and its
+/// buffer pool, the same ranks.
+pub fn place_ranks(loads: &[f64], workers: usize) -> Vec<Vec<usize>> {
+    let workers = workers.max(1);
+    let mut order: Vec<usize> = (0..loads.len()).collect();
+    order.sort_by(|&a, &b| loads[b].total_cmp(&loads[a]).then(a.cmp(&b)));
+    let mut placed = vec![Vec::new(); workers];
+    let mut sums = vec![0.0f64; workers];
+    for d in order {
+        let w = (0..workers).min_by(|&x, &y| sums[x].total_cmp(&sums[y])).expect("a worker");
+        sums[w] += loads[d];
+        placed[w].push(d);
+    }
+    for ranks in &mut placed {
+        ranks.sort_unstable();
+    }
+    placed
 }
 
 impl Cluster {
@@ -284,17 +320,27 @@ impl Cluster {
             tree_reduce(&mut ranks.buffers);
         }
 
-        // Write the summed gradient into master and step it once.
+        // Write the summed gradient into master and step it once, unless
+        // a loss or the gradient is not finite: then Adam does not step, so
+        // no parameter, moment or step count changes. An f64 sum of f32
+        // losses, or of squared f32 gradients, is finite exactly when
+        // every term is.
         let _opt_span = fc_telemetry::span("optimizer");
         write_flat_grads(&mut self.store, &ranks.buffers[0]);
         let grad_norm = match self.cfg.grad_clip {
             Some(max) => clip_grad_norm(&mut self.store, max),
             None => self.store.grad_norm(),
         };
-        self.opt.step(&mut self.store);
+        let skipped = !(ranks.loss_sum.is_finite() && grad_norm.is_finite());
+        if !skipped {
+            self.opt.step(&mut self.store);
+        }
         self.store.zero_grads();
         drop(_opt_span);
 
+        if skipped {
+            fc_telemetry::counter_inc("cluster.skipped_steps");
+        }
         fc_telemetry::gauge_set("cluster.grad_norm", grad_norm);
 
         let active = ranks.active.max(1) as f64;
@@ -310,29 +356,32 @@ impl Cluster {
             device_loads: loads,
             load_cov: cov,
             grad_norm,
+            device_worker: ranks.device_worker,
+            skipped,
         }
     }
 
-    /// Run every rank's work: rank `d` collates `parts[d]` of the global
-    /// batch on scoped worker `d % workers`, one rank after another, against
-    /// the master parameters and with that worker's buffer pool installed,
-    /// and records `loads[d]` on its trace lane; a rank with an empty part
-    /// sits the step out. Results are gathered back in rank order, so
-    /// downstream combination is independent of which thread finished
-    /// first.
+    /// Run every rank's work: [`place_ranks`] gives each scoped worker its
+    /// ranks by `loads`; the worker runs them one after another, rank `d`
+    /// collating `parts[d]` of the global batch, against the master
+    /// parameters and with that worker's buffer pool installed, and
+    /// records `loads[d]` on the rank's trace lane; a rank with an empty
+    /// part sits the step out. Results are gathered back in rank order, so
+    /// downstream combination is independent of placement and of which
+    /// thread finished first.
     fn run_ranks(&mut self, samples: &[&Sample], parts: &[Vec<usize>], loads: &[f64]) -> RankSet {
         let n_ranks = parts.len();
         let inv_dev = 1.0 / n_ranks as f32;
-        let workers = self.pools.len().min(n_ranks);
+        let placement = place_ranks(loads, self.pools.len().min(n_ranks));
         let n_scalars = self.store.n_scalars();
         let (model, store, lw) = (&self.model, &self.store, &self.loss_weights);
         let per_worker: Vec<Vec<(usize, RankOutput, f64)>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .pools
                 .iter_mut()
-                .take(workers)
+                .zip(&placement)
                 .enumerate()
-                .map(|(w, core)| {
+                .map(|(w, (core, ranks))| {
                     std::thread::Builder::new()
                         .name(worker_name(w))
                         .spawn_scoped(s, move || {
@@ -341,7 +390,7 @@ impl Cluster {
                                 tests::RANK_WIDTH.fetch_max(par::width(), Ordering::Relaxed);
                                 pool::install_core(std::mem::take(core));
                                 let mut outs = Vec::new();
-                                for d in (w..n_ranks).step_by(workers) {
+                                for &d in ranks {
                                     // Rank lanes interleave in time across
                                     // workers; attribution is by lane id, not by
                                     // wall-clock disjointness.
@@ -379,10 +428,16 @@ impl Cluster {
         let mut set = RankSet {
             buffers: Vec::with_capacity(n_ranks),
             device_compute: Vec::with_capacity(n_ranks),
+            device_worker: vec![0; n_ranks],
             loss_sum: 0.0,
             comp_sum: [0.0; 4],
             active: 0,
         };
+        for (w, ranks) in placement.iter().enumerate() {
+            for &d in ranks {
+                set.device_worker[d] = w;
+            }
+        }
         for slot in slots {
             let Some((out, secs)) = slot else {
                 set.device_compute.push(0.0);
@@ -566,6 +621,94 @@ mod tests {
             assert_eq!(s_ref.grad_norm, s_thr.grad_norm, "grad_norm diverged");
             assert!(param_bits(&reference) == param_bits(&threaded), "params at {threads} threads");
         }
+    }
+
+    #[test]
+    fn place_ranks_is_longest_first_and_places_every_rank_once() {
+        // Loads the load-balance sampler gave train steps, over 2 workers.
+        assert_eq!(place_ranks(&[6998.0, 2765.0, 2312.0, 2256.0], 2), [vec![0], vec![1, 2, 3]]);
+        assert_eq!(place_ranks(&[6215.0, 5243.0, 3871.0, 2855.0], 2), [vec![0, 3], vec![1, 2]]);
+        // Ties go to the lower rank first, then to the lower worker.
+        assert_eq!(place_ranks(&[1.0; 4], 2), [vec![0, 2], vec![1, 3]]);
+        assert_eq!(place_ranks(&[5.0, 9.0, 1.0], 1), [vec![0, 1, 2]]);
+        // More workers than ranks: one rank each, the rest idle.
+        assert_eq!(place_ranks(&[2.0, 3.0], 4), [vec![1], vec![0], vec![], vec![]]);
+        assert_eq!(place_ranks(&[], 3), [Vec::<usize>::new(), vec![], vec![]]);
+        let loads: Vec<f64> = (0..11).map(|d| ((d * 7919) % 13) as f64).collect();
+        for workers in 1..=12 {
+            let placed = place_ranks(&loads, workers);
+            assert_eq!(placed, place_ranks(&loads, workers), "not deterministic");
+            assert_eq!(placed.len(), workers);
+            let mut all: Vec<usize> = placed.concat();
+            all.sort_unstable();
+            assert_eq!(all, (0..11).collect::<Vec<_>>(), "{workers} workers: {placed:?}");
+        }
+    }
+
+    #[test]
+    fn step_reports_the_worker_that_ran_each_rank() {
+        let data = dataset();
+        let samples: Vec<&Sample> = data.samples.iter().collect();
+        let mut cluster = Cluster::new(
+            ModelConfig::tiny(OptLevel::Decoupled),
+            3,
+            ClusterConfig {
+                n_devices: 4,
+                execution: ExecutionMode::Threaded(2),
+                ..Default::default()
+            },
+            1e-3,
+        );
+        for _ in 0..2 {
+            let stats = cluster.train_step(&samples);
+            let placed = place_ranks(&stats.device_loads, 2);
+            for d in 0..4 {
+                assert!(placed[stats.device_worker[d]].contains(&d), "{stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_step_changes_nothing() {
+        let _serial = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let data = dataset();
+        let clean: Vec<&Sample> = data.samples.iter().collect();
+        let mut bad_sample = data.samples[5].clone();
+        bad_sample.labels.energy = f64::NAN;
+        let mut bad = clean.clone();
+        bad[5] = &bad_sample;
+        let mk = || {
+            Cluster::new(
+                ModelConfig::tiny(OptLevel::Decoupled),
+                3,
+                ClusterConfig {
+                    n_devices: 4,
+                    execution: ExecutionMode::Threaded(2),
+                    ..Default::default()
+                },
+                1e-3,
+            )
+        };
+        let mut cluster = mk();
+        let before = param_bits(&cluster);
+        fc_telemetry::reset();
+        fc_telemetry::set_enabled(true);
+        let stats = cluster.train_step(&bad);
+        let skipped = fc_telemetry::snapshot().counters.get("cluster.skipped_steps").copied();
+        fc_telemetry::set_enabled(false);
+        assert!(stats.skipped && stats.loss.is_nan(), "{stats:?}");
+        assert_eq!(skipped, Some(1));
+        assert!(param_bits(&cluster) == before, "a skipped step moved a parameter");
+        assert_eq!(cluster.opt.steps(), 0, "a skipped step advanced Adam");
+        // Moments untouched too: the next clean step is a fresh cluster's
+        // first one, bit for bit.
+        let after = cluster.train_step(&clean);
+        let mut fresh = mk();
+        let first = fresh.train_step(&clean);
+        assert!(!after.skipped && !first.skipped);
+        assert_eq!(after.loss.to_bits(), first.loss.to_bits());
+        assert!(param_bits(&cluster) == param_bits(&fresh), "the skipped step left state behind");
+        assert_eq!(cluster.opt.steps(), 1);
     }
 
     #[test]

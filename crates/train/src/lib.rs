@@ -32,7 +32,7 @@ pub mod trainer;
 
 pub use allreduce::{tree_reduce, CommModel};
 pub use checkpoint::{load_checkpoint, save_checkpoint};
-pub use cluster::{Cluster, ClusterConfig, ExecutionMode, StepStats};
+pub use cluster::{place_ranks, Cluster, ClusterConfig, ExecutionMode, StepStats};
 pub use dataloader::epoch_batches;
 pub use loss::{composite_loss, LossParts, LossWeights};
 pub use metrics::{evaluate, evaluate_with_scatter, r2, EvalMetrics, ScatterData};

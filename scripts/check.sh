@@ -29,6 +29,7 @@ echo "== cluster worker-count equivalence smoke (1 vs N worker threads, release)
 cargo test --release -q -p fastchgnet-train step_is_bitwise_identical_across_worker_counts
 cargo test --release -q -p fastchgnet-train ranks_without_samples_sit_the_step_out
 cargo test --release -q -p fastchgnet-train rank_flatten_turns_negative_zero_positive_and_zero_fills_missing_grads
+cargo test --release -q -p fastchgnet-train -- place_ranks_is_longest_first step_reports_the_worker_that_ran
 
 echo "== intra-op split equivalence smoke (width 1 vs N, release) =="
 cargo test --release -q -p fastchgnet-tensor --lib par::tests
@@ -89,9 +90,11 @@ cargo test --release -q -p fc_verify --test equivalence inference_forward_is_bit
 cargo test --release -q --test forward_retention
 
 # After warm-up a training step and an md or relaxation force call take
-# every tensor buffer from the thread's pool and give back exactly that.
+# every tensor buffer from the thread's pool and give back exactly that;
+# an empty class borrows from at most two classes up.
 echo "== steady-state pool (release) =="
 cargo test --release -q -p fastchgnet-train steady_state_cluster_steps_allocate_nothing_new
+cargo test --release -q -p fastchgnet-tensor --lib pool::tests
 cargo test --release -q --test steady_state_pool
 
 echo "== verify harness =="
@@ -108,10 +111,11 @@ for fig in fig5 fig9 fig10 fig8 table2 headline; do
 done
 rm -rf "$r1" "$r2"
 
-# No column of table1, fig10 or ablation is timed (parameter counts, test-set
-# MAEs, sampler CoVs and the counted-work scaling projection), so a fresh
-# run must reproduce each committed table byte for byte.
-for fig in table1 fig10 ablation; do
+# No column of table1, fig5, fig6, fig7, fig9, fig10 or ablation is timed
+# (parameter counts, test-set MAEs, losses, sampler CoVs and the
+# counted-work scaling projection), so a fresh run must reproduce each
+# committed table byte for byte.
+for fig in table1 fig5 fig6 fig7 fig9 fig10 ablation; do
   echo "== $fig reproduces reports/$fig.tsv (figures $fig, byte for byte) =="
   FASTCHGNET_SCALE=quick FASTCHGNET_REPORTS="$out" "$bin"/figures "$fig" > /dev/null
   diff "$out/$fig.tsv" "reports/$fig.tsv"
