@@ -402,9 +402,14 @@ mod tests {
             vec![Element::new(3), Element::new(8)],
             vec![[0.0; 3], [0.5, 0.5, 0.5]],
         ));
+        let carts = g1.structure.cart_coords();
         for (k, a) in g1.angles.iter().enumerate() {
             let (b1, b2) = (&g1.bonds[a.b_ij as usize], &g1.bonds[a.b_ik as usize]);
-            let dot: f64 = b1.vec.iter().zip(&b2.vec).map(|(x, y)| x * y).sum();
+            let (v1, v2) = (
+                b1.vector(&g1.structure.lattice, &carts),
+                b2.vector(&g1.structure.lattice, &carts),
+            );
+            let dot: f64 = v1.iter().zip(&v2).map(|(x, y)| x * y).sum();
             let host = (dot / (b1.r * b2.r)).clamp(-1.0, 1.0).acos();
             // 5e-3 tolerance: the on-tape path clamps cos θ to ±(1-1e-5)
             // (collinearity regularisation), shifting exact 0/π angles by

@@ -122,7 +122,10 @@ mod tests {
     /// `θ_jik` of `a` from its two bond vectors.
     fn theta(g: &CrystalGraph, a: &Angle) -> f64 {
         let (b1, b2) = (&g.bonds[a.b_ij as usize], &g.bonds[a.b_ik as usize]);
-        let dot: f64 = b1.vec.iter().zip(&b2.vec).map(|(x, y)| x * y).sum();
+        let carts = g.structure.cart_coords();
+        let (v1, v2) =
+            (b1.vector(&g.structure.lattice, &carts), b2.vector(&g.structure.lattice, &carts));
+        let dot: f64 = v1.iter().zip(&v2).map(|(x, y)| x * y).sum();
         (dot / (b1.r * b2.r)).clamp(-1.0, 1.0).acos()
     }
 

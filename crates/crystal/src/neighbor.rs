@@ -32,6 +32,10 @@ use std::ops::RangeInclusive;
 ///
 /// CHGNet's atom graph uses directed edges (the `2 N_b` in Eq. 2 of the
 /// paper); this list contains both `i -> j` and `j -> i` entries.
+///
+/// 32 bytes. The bond vector is not stored: the model forms it on the tape
+/// from positions and images, and the host side that needs it (the oracle)
+/// recomputes it bitwise with [`Bond::vector`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Bond {
     /// Source atom index (the "central" atom receiving the message).
@@ -42,8 +46,18 @@ pub struct Bond {
     pub image: [i32; 3],
     /// Bond length |r_ij| (Å).
     pub r: f64,
-    /// Bond vector `r_j + image@L - r_i` (Å).
-    pub vec: [f64; 3],
+}
+
+impl Bond {
+    /// Bond vector `r_j + image@L − r_i` (Å), formed as the neighbour
+    /// search forms it, so bitwise the vector whose length is [`Bond::r`].
+    /// `carts` are the structure's Cartesian coordinates
+    /// ([`Structure::cart_coords`]).
+    pub fn vector(&self, lattice: &Lattice, carts: &[[f64; 3]]) -> [f64; 3] {
+        let img = lattice.frac_to_cart(self.image.map(f64::from));
+        let (ci, cj) = (carts[self.i as usize], carts[self.j as usize]);
+        [cj[0] + img[0] - ci[0], cj[1] + img[1] - ci[1], cj[2] + img[2] - ci[2]]
+    }
 }
 
 /// Cells with at least this many atoms use the linked-cell (binned) search;
@@ -250,13 +264,7 @@ impl<'a> Search<'a> {
                     // The home image of `i` itself gives `v = 0` exactly, so
                     // `r2 > 1e-12` also excludes the self-interaction.
                     if r2 <= self.cutoff2 && r2 > 1e-12 {
-                        out.push(Bond {
-                            i: i as u32,
-                            j: j as u32,
-                            image: [a, b, c],
-                            r: r2.sqrt(),
-                            vec: v,
-                        });
+                        out.push(Bond { i: i as u32, j: j as u32, image: [a, b, c], r: r2.sqrt() });
                     }
                 }
             }
@@ -366,11 +374,18 @@ mod tests {
             vec![Element::new(3), Element::new(8)],
             vec![[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]],
         );
+        let carts = s.cart_coords();
         for b in neighbor_list(&s, 5.0) {
-            let n = (b.vec[0] * b.vec[0] + b.vec[1] * b.vec[1] + b.vec[2] * b.vec[2]).sqrt();
+            let v = b.vector(&s.lattice, &carts);
+            let n = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
             assert!((n - b.r).abs() < 1e-9);
             assert!(b.r <= 5.0);
         }
+    }
+
+    #[test]
+    fn a_bond_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Bond>(), 32);
     }
 
     #[test]
@@ -389,18 +404,16 @@ mod tests {
             assert_eq!(c.j, e.j, "{ctx}");
             assert_eq!(c.image, e.image, "{ctx}");
             assert_eq!(c.r.to_bits(), e.r.to_bits(), "{ctx}: r not bitwise equal");
-            for d in 0..3 {
-                assert_eq!(c.vec[d].to_bits(), e.vec[d].to_bits(), "{ctx}: vec not bitwise equal");
-            }
         }
     }
 
     /// The per-candidate search both paths replaced: `frac_to_cart` per
-    /// candidate over every image in `image_ranges`, no cut.
-    fn per_candidate_reference(s: &Structure, cutoff: f64) -> Vec<Bond> {
+    /// candidate over every image in `image_ranges`, no cut. Returns the
+    /// bonds and the vector each was cut by.
+    fn per_candidate_reference(s: &Structure, cutoff: f64) -> (Vec<Bond>, Vec<[f64; 3]>) {
         let carts = s.cart_coords();
         let [na, nb, nc] = s.lattice.image_ranges(cutoff);
-        let mut bonds = Vec::new();
+        let (mut bonds, mut vectors) = (Vec::new(), Vec::new());
         for i in 0..s.n_atoms() {
             for j in 0..s.n_atoms() {
                 for a in -na..=na {
@@ -418,14 +431,15 @@ mod tests {
                             let r2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
                             if r2 <= cutoff * cutoff && r2 > 1e-12 {
                                 let (i, j) = (i as u32, j as u32);
-                                bonds.push(Bond { i, j, image: [a, b, c], r: r2.sqrt(), vec: v });
+                                bonds.push(Bond { i, j, image: [a, b, c], r: r2.sqrt() });
+                                vectors.push(v);
                             }
                         }
                     }
                 }
             }
         }
-        bonds
+        (bonds, vectors)
     }
 
     #[test]
@@ -460,8 +474,18 @@ mod tests {
         ];
         for (name, s, cutoffs) in cases {
             for cutoff in cutoffs {
-                let want = per_candidate_reference(&s, cutoff);
+                let (want, vectors) = per_candidate_reference(&s, cutoff);
                 assert!(!want.is_empty());
+                // `Bond::vector` recomputes each bond's vector bitwise.
+                let carts = s.cart_coords();
+                for (b, v) in want.iter().zip(&vectors) {
+                    let got = b.vector(&s.lattice, &carts);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        v.map(f64::to_bits),
+                        "{name}, cutoff {cutoff}"
+                    );
+                }
                 for width in [1, 2] {
                     fc_tensor::par::with_width(width, || {
                         let ctx = format!("{name}, cutoff {cutoff}, width {width}");

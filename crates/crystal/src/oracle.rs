@@ -117,6 +117,7 @@ pub fn evaluate(s: &Structure) -> Labels {
         energy += embed(r).0;
     }
 
+    let carts = s.cart_coords();
     let mut forces = vec![[0.0f64; 3]; n];
     let mut virial = [[0.0f64; 3]; 3];
     for b in &bonds {
@@ -126,7 +127,8 @@ pub fn evaluate(s: &Structure) -> Labels {
         // dE/dr along this directed bond: half the pair term (the reverse
         // bond carries the other half) plus the source atom's density term.
         let de_dr = 0.5 * phi_p + embed(rho[i]).1 * psi(&params[j], r).1;
-        let unit = [b.vec[0] / r, b.vec[1] / r, b.vec[2] / r];
+        let v = b.vector(&s.lattice, &carts);
+        let unit = [v[0] / r, v[1] / r, v[2] / r];
         // r grows when x_j moves along +unit; F = -dE/dx.
         for k in 0..3 {
             forces[i][k] += de_dr * unit[k];
@@ -134,8 +136,8 @@ pub fn evaluate(s: &Structure) -> Labels {
         }
         // Virial: dE/dε_ab = Σ (dE/dr) v_a v_b / r.
         for (a, vrow) in virial.iter_mut().enumerate() {
-            for (c, v) in vrow.iter_mut().enumerate() {
-                *v += de_dr * b.vec[a] * b.vec[c] / r;
+            for (c, w) in vrow.iter_mut().enumerate() {
+                *w += de_dr * v[a] * v[c] / r;
             }
         }
     }

@@ -75,14 +75,18 @@ fn linked_cell_bond_set_equals_exact_reference() {
         let cells = neighbor_list_cells(&s, cutoff);
         let exact = neighbor_list_exact(&s, cutoff);
         assert_eq!(cells.len(), exact.len(), "bond counts differ");
+        let carts = s.cart_coords();
         for (c, e) in cells.iter().zip(&exact) {
             assert_eq!(c.i, e.i);
             assert_eq!(c.j, e.j);
             assert_eq!(c.image, e.image);
             assert_eq!(c.r.to_bits(), e.r.to_bits(), "r not bitwise equal");
-            for d in 0..3 {
-                assert_eq!(c.vec[d].to_bits(), e.vec[d].to_bits(), "vec not bitwise equal");
-            }
+            // The recomputed vector is the one the search cut by: its
+            // length, formed as the search forms it, is `r` bitwise.
+            let v = c.vector(&s.lattice, &carts);
+            assert_eq!(v.map(f64::to_bits), e.vector(&s.lattice, &carts).map(f64::to_bits));
+            let r2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
+            assert_eq!(r2.sqrt().to_bits(), c.r.to_bits(), "vector does not give r bitwise");
         }
     });
 }
@@ -90,7 +94,10 @@ fn linked_cell_bond_set_equals_exact_reference() {
 /// `θ_jik` of `a` from its two bond vectors.
 fn theta(g: &CrystalGraph, a: &Angle) -> f64 {
     let (b1, b2) = (&g.bonds[a.b_ij as usize], &g.bonds[a.b_ik as usize]);
-    let dot: f64 = b1.vec.iter().zip(&b2.vec).map(|(x, y)| x * y).sum();
+    let carts = g.structure.cart_coords();
+    let (v1, v2) =
+        (b1.vector(&g.structure.lattice, &carts), b2.vector(&g.structure.lattice, &carts));
+    let dot: f64 = v1.iter().zip(&v2).map(|(x, y)| x * y).sum();
     (dot / (b1.r * b2.r)).clamp(-1.0, 1.0).acos()
 }
 

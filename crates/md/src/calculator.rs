@@ -4,7 +4,7 @@
 
 use fc_core::Chgnet;
 use fc_crystal::{CrystalGraph, GraphBatch, Structure};
-use fc_tensor::{ParamStore, Tape, Tensor};
+use fc_tensor::{pool, ParamStore, Tape, Tensor};
 
 /// Results of one model evaluation on a structure.
 #[derive(Clone, Debug)]
@@ -44,7 +44,10 @@ impl<'a> Calculator<'a> {
     /// Every tensor buffer of the call, the collated batch's included,
     /// comes from the thread's buffer pool and goes back to it at the end,
     /// so once a first call of the same size has filled the pool a call
-    /// allocates no tensor storage and leaves the pool as it found it.
+    /// allocates no tensor storage and leaves the pool as it found it. The
+    /// call is one unit of the pool's budget ([`pool::trim`]):
+    /// after it the pool keeps idle no more than the largest call has
+    /// needed.
     pub fn evaluate(&self, structure: &Structure) -> CalcResult {
         let graph = CrystalGraph::with_cutoffs(
             structure.clone(),
@@ -68,6 +71,7 @@ impl<'a> Calculator<'a> {
         let magmoms = (0..m.rows()).map(|r| m.at(r, 0) as f64).collect();
         tape.reset();
         batch.recycle();
+        pool::trim();
         CalcResult { energy, forces, stress, magmoms }
     }
 }

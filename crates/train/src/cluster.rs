@@ -411,6 +411,11 @@ impl Cluster {
                                     // collation drains buffers the tapes reuse.
                                     batch.recycle();
                                 }
+                                // The worker's step is one unit of the
+                                // pool's budget: trimming per rank would
+                                // have its heavy and light ranks evict
+                                // each other's classes every step.
+                                pool::trim();
                                 *core = pool::take_core();
                                 outs
                             })

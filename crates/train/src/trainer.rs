@@ -66,8 +66,12 @@ impl Default for TrainConfig {
 pub struct EpochLog {
     /// Epoch index (0-based).
     pub epoch: usize,
-    /// Mean training loss across the epoch's steps.
+    /// Mean training loss across the epoch's applied steps (NaN when every
+    /// step was skipped).
     pub train_loss: f64,
+    /// Steps whose loss or gradient was not finite, which changed no
+    /// parameter ([`crate::cluster::StepStats::skipped`]).
+    pub skipped_steps: usize,
     /// LR at the start of the epoch.
     pub lr: f32,
     /// Validation metrics.
@@ -85,6 +89,8 @@ pub struct TrainReport {
     pub test: EvalMetrics,
     /// Trainable scalar count.
     pub n_params: usize,
+    /// Skipped steps over every epoch.
+    pub skipped_steps: usize,
 }
 
 impl TrainReport {
@@ -105,6 +111,7 @@ impl TrainReport {
             .set_meta("global_batch", cfg.global_batch)
             .set_meta("n_devices", cfg.cluster.n_devices)
             .set_meta("n_params", self.n_params)
+            .set_meta("skipped_steps", self.skipped_steps)
             .set_meta("test_e_mae", self.test.e_mae)
             .set_meta("test_f_mae", self.test.f_mae)
             .set_meta("test_s_mae", self.test.s_mae)
@@ -113,6 +120,7 @@ impl TrainReport {
             let mut row = std::collections::BTreeMap::new();
             row.insert("epoch".to_string(), Value::from(l.epoch));
             row.insert("train_loss".to_string(), Value::from(l.train_loss));
+            row.insert("skipped_steps".to_string(), Value::from(l.skipped_steps));
             row.insert("lr".to_string(), Value::from(l.lr as f64));
             row.insert("e_mae".to_string(), Value::from(l.val.e_mae));
             row.insert("f_mae".to_string(), Value::from(l.val.f_mae));
@@ -171,14 +179,18 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
         let start = Instant::now();
         let batches = epoch_batches(train.len(), cfg.global_batch, cfg.seed ^ (epoch as u64));
         let mut loss_acc = 0.0;
-        let mut steps = 0usize;
+        let (mut steps, mut skipped_steps) = (0usize, 0usize);
         let epoch_lr = sched.lr_at(global_step);
         for idxs in batches {
             cluster.set_lr(sched.lr_at(global_step));
             let batch: Vec<&Sample> = idxs.iter().map(|&i| train[i]).collect();
             let stats = cluster.train_step(&batch);
-            loss_acc += stats.loss;
-            steps += 1;
+            if stats.skipped {
+                skipped_steps += 1;
+            } else {
+                loss_acc += stats.loss;
+                steps += 1;
+            }
             global_step += 1;
         }
         let val_metrics = if val.is_empty() {
@@ -187,12 +199,13 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
             let _eval = fc_telemetry::span("evaluate");
             evaluate(&cluster.model, &cluster.store, &val, EVAL_BATCH)
         };
-        let train_loss = loss_acc / steps.max(1) as f64;
+        let train_loss = if steps == 0 { f64::NAN } else { loss_acc / steps as f64 };
         fc_telemetry::counter_inc("train.epochs");
         fc_telemetry::gauge_set("train.loss", train_loss);
         logs.push(EpochLog {
             epoch,
             train_loss,
+            skipped_steps,
             lr: epoch_lr,
             val: val_metrics,
             wall_time: start.elapsed().as_secs_f64(),
@@ -204,7 +217,8 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
     } else {
         evaluate(&cluster.model, &cluster.store, &test, EVAL_BATCH)
     };
-    (cluster, TrainReport { epochs: logs, test: test_metrics, n_params })
+    let skipped_steps = logs.iter().map(|l| l.skipped_steps).sum();
+    (cluster, TrainReport { epochs: logs, test: test_metrics, n_params, skipped_steps })
 }
 
 #[cfg(test)]
@@ -257,12 +271,13 @@ mod tests {
             .map(|epoch| EpochLog {
                 epoch,
                 train_loss: 1.0 / (epoch + 1) as f64,
+                skipped_steps: 0,
                 lr: 1e-3,
                 val: EvalMetrics::default(),
                 wall_time: 0.1,
             })
             .collect();
-        TrainReport { epochs, test: EvalMetrics::default(), n_params: 42 }
+        TrainReport { epochs, test: EvalMetrics::default(), n_params: 42, skipped_steps: 0 }
     }
 
     #[test]
@@ -293,6 +308,35 @@ mod tests {
         // Every epoch row serializes cleanly into the JSONL stream.
         let jsonl = fc_telemetry::render_jsonl(&run);
         assert_eq!(jsonl.lines().filter(|l| l.contains("\"event\":\"epoch\"")).count(), 2);
+    }
+
+    #[test]
+    fn a_nan_label_skips_its_step_and_the_report_counts_it() {
+        let mut data = tiny_dataset();
+        // A force label: `AtomRef::fit` reads every train energy, so a NaN
+        // energy would reach every step's offsets.
+        let bad = data.train[0];
+        data.samples[bad].labels.forces[0][0] = f64::NAN;
+        // One step per epoch holds the NaN sample.
+        let cfg = TrainConfig {
+            model: ModelConfig::tiny(OptLevel::Decoupled),
+            epochs: 2,
+            global_batch: 8,
+            lr: LrPolicy::Fixed(1e-2),
+            ..Default::default()
+        };
+        let (cluster, report) = train_model(&data, &cfg);
+        let skipped: Vec<usize> = report.epochs.iter().map(|l| l.skipped_steps).collect();
+        assert_eq!(skipped, [1, 1]);
+        assert_eq!(report.skipped_steps, 2);
+        // The skipped step changed no parameter: the next epoch trains and
+        // validates on finite numbers.
+        for l in &report.epochs {
+            assert!(l.train_loss.is_finite() && l.val.e_mae.is_finite(), "{l:?}");
+        }
+        assert!(cluster.store.iter().all(|(_, e)| e.value.data().iter().all(|x| x.is_finite())));
+        let run = report.run_report("nan", &cfg);
+        assert_eq!(run.meta["skipped_steps"], fc_telemetry::Value::from(2usize));
     }
 
     #[test]

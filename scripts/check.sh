@@ -76,9 +76,12 @@ cargo test --release -q -p fastchgnet-tensor --lib kernels::trig::tests::port_is
 # across outputs, against gather + concat + linear (every GEMM tier the
 # host runs, widths 1 and 2), with the fused bases against their scalar
 # loops (orders 0-1 bitwise) and the sRBF's orders 2-3 against the f64
-# Leibniz sum (at a stated tolerance; widths 1 and 2 bitwise).
+# Leibniz sum (at a stated tolerance; widths 1 and 2 bitwise). The bond
+# vectors `Bond::vector` recomputes are checked bitwise on both paths over
+# random cells too.
 echo "== neighbour list and first-block GEMM equivalence (release) =="
 cargo test --release -q -p fastchgnet-crystal --lib neighbor::tests
+cargo test --release -q -p fastchgnet-crystal --test graph_properties
 cargo test --release -q -p fastchgnet-tensor --lib -- \
   first_block_partials strips_across_outputs bases_are_bitwise high_orders_match_the_f64_leibniz_sum
 
@@ -91,7 +94,8 @@ cargo test --release -q --test forward_retention
 
 # After warm-up a training step and an md or relaxation force call take
 # every tensor buffer from the thread's pool and give back exactly that;
-# an empty class borrows from at most two classes up.
+# an empty class borrows from at most three octaves up, and a trim keeps
+# what the last unit of work used and no more than the largest one.
 echo "== steady-state pool (release) =="
 cargo test --release -q -p fastchgnet-train steady_state_cluster_steps_allocate_nothing_new
 cargo test --release -q -p fastchgnet-tensor --lib pool::tests
