@@ -1,69 +1,29 @@
 //! Ablation studies called out in DESIGN.md:
 //!
-//! 1. **Quantization** (paper §VII future work): post-training weight
-//!    quantization of a trained FastCHGNet to bf16 / f16 / int8 and the
-//!    resulting accuracy deltas.
-//! 2. **Sampler quality**: default vs the paper's pairing sampler vs the
-//!    greedy-LPT upper bound.
-//! 3. **Communication overlap**: strong-scaling efficiency with the
+//! 1. **Sampler quality**: the default contiguous split and the strided
+//!    round-robin baseline vs the paper's pairing sampler.
+//! 2. **Communication overlap**: strong-scaling efficiency with the
 //!    overlap optimization disabled vs enabled.
 //!
 //! Run: `figures ablation`
 
 use fc_bench::{render_table, Scale};
-use fc_core::ModelVariant;
-use fc_crystal::Sample;
 use fc_telemetry::RunReport;
 use fc_train::{
-    evaluate, load_cov, model_bytes, partition, quantize_store, strong_efficiency, train_model,
-    CommModel, Precision, SamplerKind, ScalingModel, MPTRJ_EPOCH,
+    load_cov, partition, strong_efficiency, CommModel, SamplerKind, ScalingModel, MPTRJ_EPOCH,
 };
 
 pub fn run(scale: &Scale) -> (String, RunReport) {
     let data = scale.dataset();
-    let test: Vec<&Sample> = data.test_samples();
     let mut tsv = String::from("study\tsetting\tmetric\tvalue\n");
 
-    // ------------------------------------------------ 1. quantization
-    println!("training a FastCHGNet for the quantization study ...");
-    let cfg = scale.train_config(ModelVariant::FastHead);
-    let (cluster, _) = train_model(&data, &cfg);
-    let mut rows = Vec::new();
-    for p in [Precision::F32, Precision::Bf16, Precision::F16, Precision::Int8] {
-        let qstore = quantize_store(&cluster.store, p);
-        let m = evaluate(&cluster.model, &qstore, &test, 8);
-        rows.push(vec![
-            p.label().to_string(),
-            format!("{:.1} KB", model_bytes(&cluster.store, p) as f64 / 1e3),
-            format!("{:.2}", m.e_mae * 1e3),
-            format!("{:.2}", m.f_mae * 1e3),
-            format!("{:.4}", m.s_mae),
-            format!("{:.2}", m.m_mae * 1e3),
-        ]);
-        tsv.push_str(&format!(
-            "quantization\t{}\te_mae_meV\t{:.4}\nquantization\t{}\tf_mae_meV\t{:.4}\n",
-            p.label(),
-            m.e_mae * 1e3,
-            p.label(),
-            m.f_mae * 1e3
-        ));
-    }
-    println!(
-        "\n{}",
-        render_table(
-            &["precision", "weights", "E (meV/atom)", "F (meV/Å)", "S (GPa)", "M (mμ_B)"],
-            &rows
-        )
-    );
-
-    // ------------------------------------------------ 2. samplers
+    // ------------------------------------------------ 1. samplers
     let features: Vec<usize> = data.samples.iter().map(|s| s.graph.feature_number()).collect();
     let mut rows = Vec::new();
     for (name, kind) in [
         ("default", SamplerKind::Default),
         ("round robin", SamplerKind::RoundRobin),
         ("paper pairing", SamplerKind::LoadBalance),
-        ("greedy LPT (ext)", SamplerKind::GreedyLpt),
     ] {
         let mut cov_acc = 0.0;
         let mut iters = 0;
@@ -80,7 +40,7 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     }
     println!("{}", render_table(&["sampler", "mean CoV (4 devices)"], &rows));
 
-    // ------------------------------------------------ 3. comm overlap
+    // ------------------------------------------------ 2. comm overlap
     // The overlap fraction varied on fig10's projection.
     let (base, mean_features) = scale.projection(&data);
     let mut rows = Vec::new();
@@ -96,7 +56,5 @@ pub fn run(scale: &Scale) -> (String, RunReport) {
     }
     println!("{}", render_table(&["communication", "strong-scaling eff @ 32 GPUs"], &rows));
 
-    let mut report = RunReport::new("ablation", cfg.seed);
-    report.set_meta("epochs", scale.epochs).set_meta("global_batch", scale.global_batch);
-    (tsv, report)
+    (tsv, RunReport::new("ablation", scale.dataset_cfg().seed))
 }

@@ -112,8 +112,8 @@ impl Scale {
     }
 
     /// The accuracy experiments' training run for one model variant
-    /// (Table I, Fig. 7, the quantization ablation): seed 7, the scale's
-    /// epochs and global batch, fixed LR `base_lr`.
+    /// (Table I, Fig. 7; Fig. 6 starts from it): seed 7, the scale's epochs
+    /// and global batch, fixed LR `base_lr`.
     pub fn train_config(&self, variant: ModelVariant) -> TrainConfig {
         TrainConfig {
             model: self.model(variant.opt_level()),

@@ -23,23 +23,32 @@ pub struct AtomRef {
 
 impl AtomRef {
     /// All-zero reference (no offset).
-    pub fn zero() -> AtomRef {
+    #[cfg(test)]
+    fn zero() -> AtomRef {
         AtomRef { e0: vec![0.0; MAX_Z] }
     }
 
     /// Fit reference energies over labelled samples by ridge-regularised
     /// least squares (`ridge` ≈ 1e-6..1e-2 relative to counts scale).
-    pub fn fit(samples: &[&Sample], ridge: f64) -> AtomRef {
+    /// A sample whose energy label is not finite is left out, so that one
+    /// bad label cannot make every reference energy NaN; the second value
+    /// counts the samples left out.
+    pub fn fit(samples: &[&Sample], ridge: f64) -> (AtomRef, usize) {
         let n = MAX_Z;
         let mut ata = vec![0.0f64; n * n];
         let mut aty = vec![0.0f64; n];
         let mut counts = vec![0.0f64; n];
+        let mut left_out = 0;
         for s in samples {
+            let y = s.labels.energy;
+            if !y.is_finite() {
+                left_out += 1;
+                continue;
+            }
             counts.fill(0.0);
             for e in &s.graph.structure.species {
                 counts[e.z() as usize - 1] += 1.0;
             }
-            let y = s.labels.energy;
             for i in 0..n {
                 if counts[i] == 0.0 {
                     continue;
@@ -56,12 +65,7 @@ impl AtomRef {
             ata[i * n + i] += ridge.max(1e-9);
         }
         let e0 = solve_dense(&mut ata, &mut aty, n);
-        AtomRef { e0 }
-    }
-
-    /// Reference energy of one structure's composition (eV).
-    pub fn energy_of(&self, species: &[fc_crystal::Element]) -> f64 {
-        species.iter().map(|e| self.e0[e.z() as usize - 1]).sum()
+        (AtomRef { e0 }, left_out)
     }
 
     /// Per-graph reference offsets `(G, 1)` for a collated batch.
@@ -152,7 +156,8 @@ mod tests {
             ..Default::default()
         });
         let samples: Vec<&Sample> = data.train_samples();
-        let ar = AtomRef::fit(&samples, 1e-6);
+        let (ar, left_out) = AtomRef::fit(&samples, 1e-6);
+        assert_eq!(left_out, 0);
         // Residual |E - E_ref| per atom must be much smaller than |E| per
         // atom (composition explains the bulk of the energy).
         let mut raw = 0.0;
@@ -160,7 +165,9 @@ mod tests {
         for s in &samples {
             let n = s.graph.n_atoms() as f64;
             raw += (s.labels.energy / n).abs();
-            resid += ((s.labels.energy - ar.energy_of(&s.graph.structure.species)) / n).abs();
+            let e_ref: f64 =
+                s.graph.structure.species.iter().map(|e| ar.e0[e.z() as usize - 1]).sum();
+            resid += ((s.labels.energy - e_ref) / n).abs();
         }
         assert!(resid < raw * 0.5, "residual {resid:.3} not much below raw {raw:.3}");
     }
@@ -173,12 +180,13 @@ mod tests {
             ..Default::default()
         });
         let samples: Vec<&Sample> = data.samples.iter().collect();
-        let ar = AtomRef::fit(&samples, 1e-6);
+        let (ar, _) = AtomRef::fit(&samples, 1e-6);
         let graphs: Vec<_> = samples.iter().map(|s| &s.graph).collect();
         let batch = GraphBatch::collate(&graphs, None);
         let off = ar.offsets(&batch);
         for (g, s) in samples.iter().enumerate() {
-            let direct = ar.energy_of(&s.graph.structure.species);
+            let direct: f64 =
+                s.graph.structure.species.iter().map(|e| ar.e0[e.z() as usize - 1]).sum();
             assert!(
                 (off.at(g, 0) as f64 - direct).abs() < 1e-3 * (1.0 + direct.abs()),
                 "graph {g}: {} vs {direct}",
@@ -189,7 +197,6 @@ mod tests {
 
     #[test]
     fn zero_ref_is_neutral() {
-        let ar = AtomRef::zero();
-        assert_eq!(ar.energy_of(&[fc_crystal::Element::new(8)]), 0.0);
+        assert!(AtomRef::zero().e0.iter().all(|&e| e == 0.0));
     }
 }

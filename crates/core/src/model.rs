@@ -1,7 +1,7 @@
 //! The CHGNet / FastCHGNet model.
 
 use crate::basis::{compute_basis, Geometry};
-use crate::config::{ModelConfig, ModelVariant};
+use crate::config::ModelConfig;
 use crate::embedding::Embeddings;
 use crate::heads::{derivative_outputs, EnergyHead, ForceHead, MagmomHead, StressHead};
 use crate::interaction::{BlockReads, InteractionBlock};
@@ -85,13 +85,6 @@ impl Chgnet {
     /// The installed composition model, if any.
     pub fn atom_ref(&self) -> Option<&crate::atom_ref::AtomRef> {
         self.atom_ref.as_ref()
-    }
-
-    /// Convenience constructor for a Table-I variant with its own store.
-    pub fn for_variant(variant: ModelVariant, seed: u64) -> (Chgnet, ParamStore) {
-        let mut store = ParamStore::new();
-        let model = Chgnet::new(ModelConfig::for_variant(variant), &mut store, seed);
-        (model, store)
     }
 
     /// Whether this model derives force/stress from energy gradients

@@ -206,12 +206,6 @@ impl GraphBatch {
         }
     }
 
-    /// Total workload metric (atoms + bonds + angles), the paper's
-    /// "feature number".
-    pub fn feature_number(&self) -> usize {
-        self.n_atoms + self.n_bonds + self.n_angles
-    }
-
     /// Return the batch's f32 tensor storage to the calling thread's
     /// buffer pool so the next [`GraphBatch::collate`] on this thread
     /// reuses it instead of allocating. Index arrays (`Arc<[u32]>`) and
@@ -270,7 +264,7 @@ mod tests {
         }
         assert_eq!(b.lattices.shape(), Shape::new(6, 3));
         assert_eq!(b.lattice_graph.as_ref(), &[0, 0, 0, 1, 1, 1]);
-        assert_eq!(b.feature_number(), g1.feature_number() + g2.feature_number());
+        assert_eq!(b.n_atoms + b.n_bonds + b.n_angles, g1.feature_number() + g2.feature_number());
     }
 
     #[test]

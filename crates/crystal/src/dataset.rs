@@ -253,11 +253,8 @@ fn min_separation_ratio(s: &Structure) -> f64 {
 }
 
 /// Generate one random crystal: weighted species on a jittered grid inside
-/// a sheared cubic cell with a chemically plausible volume per atom.
-pub fn random_structure(rng: &mut StdRng, cfg: &DatasetConfig) -> Structure {
-    random_structure_with_boost(rng, cfg, 1.0)
-}
-
+/// a sheared cubic cell with a chemically plausible volume per atom (grown
+/// by `volume_boost`).
 fn random_structure_with_boost(
     rng: &mut StdRng,
     cfg: &DatasetConfig,
@@ -371,7 +368,7 @@ mod tests {
     fn atoms_not_overlapping() {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10 {
-            let s = random_structure(&mut rng, &small_cfg());
+            let s = random_structure_with_boost(&mut rng, &small_cfg(), 1.0);
             for i in 0..s.n_atoms() {
                 for j in (i + 1)..s.n_atoms() {
                     let d = s.min_image_distance(i, j);

@@ -48,11 +48,6 @@ impl Structure {
         self.lattice.volume()
     }
 
-    /// Number density (atoms / Å³).
-    pub fn density(&self) -> f64 {
-        self.n_atoms() as f64 / self.volume()
-    }
-
     /// Chemical formula, species sorted by atomic number (e.g. `Li2MnO4`).
     pub fn formula(&self) -> String {
         let mut counts: Vec<(Element, usize)> = Vec::new();
@@ -161,7 +156,6 @@ mod tests {
         let s = nacl_like();
         assert_eq!(s.n_atoms(), 2);
         assert!((s.volume() - 64.0).abs() < 1e-9);
-        assert!((s.density() - 2.0 / 64.0).abs() < 1e-12);
         assert_eq!(s.formula(), "NaCl");
         let carts = s.cart_coords();
         assert_eq!(carts[1], [2.0, 2.0, 2.0]);
@@ -218,8 +212,7 @@ mod tests {
         let sc = s.supercell(2, 1, 3);
         assert_eq!(sc.n_atoms(), 2 * 2 * 3);
         assert!((sc.volume() - 6.0 * s.volume()).abs() < 1e-9);
-        // Density unchanged, formula scaled.
-        assert!((sc.density() - s.density()).abs() < 1e-12);
+        // Formula scaled.
         assert_eq!(sc.formula(), "Na6Cl6");
         // Pairwise separations never below the unit cell's minimum.
         let min_unit = s.min_image_distance(0, 1);

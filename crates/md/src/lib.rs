@@ -10,19 +10,16 @@
 //!   validating the integrator),
 //! * velocity-Verlet NVE with an optional Langevin (NVT) thermostat and
 //!   per-step wall timing,
-//! * FIRE structure relaxation ([`relax`]), CHGNet's flagship workload,
-//! * thermodynamic observables: pressure, RDF, MSD.
+//! * FIRE structure relaxation ([`relax`]), CHGNet's flagship workload.
 
 pub mod calculator;
 pub mod field;
 pub mod integrator;
 pub mod relax;
 pub mod simulation;
-pub mod thermo;
 
 pub use calculator::{CalcResult, Calculator};
 pub use field::{ForceField, OracleField};
 pub use integrator::{langevin_kick, velocity_verlet_step, MdState, ACC_UNIT, KB_EV};
 pub use relax::{relax, FireConfig, RelaxResult};
 pub use simulation::{run_md, Ensemble, Frame, MdConfig, Trajectory};
-pub use thermo::{msd, pressure_gpa, rdf};

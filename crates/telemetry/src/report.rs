@@ -22,8 +22,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// A JSON-compatible scalar for report metadata and epoch rows.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
-    /// JSON null.
-    Null,
     /// JSON boolean.
     Bool(bool),
     /// Unsigned integer (serialized as a JSON number).
@@ -40,7 +38,6 @@ impl Value {
     /// Serialize to a JSON fragment.
     pub fn to_json(&self) -> String {
         match self {
-            Value::Null => "null".to_string(),
             Value::Bool(b) => b.to_string(),
             Value::U64(v) => v.to_string(),
             Value::I64(v) => v.to_string(),
@@ -506,7 +503,6 @@ mod tests {
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(Value::from(3usize).to_json(), "3");
         assert_eq!(Value::from(-2i64).to_json(), "-2");
-        assert_eq!(Value::Null.to_json(), "null");
         assert_eq!(Value::from(true).to_json(), "true");
     }
 

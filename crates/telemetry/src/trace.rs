@@ -173,7 +173,8 @@ pub fn set_tracing(on: bool) {
 
 /// Set the per-thread ring capacity (applies to threads that record their
 /// first event after the call).
-pub fn set_capacity(events: usize) {
+#[cfg(test)]
+fn set_capacity(events: usize) {
     *lock(&recorder().capacity) = events.max(16);
 }
 
@@ -279,11 +280,6 @@ impl Drop for LaneGuard {
     fn drop(&mut self) {
         CURRENT_LANE.with(|l| l.set(self.prev));
     }
-}
-
-/// The lane currently attributed on this thread, if any.
-pub fn current_lane() -> Option<u32> {
-    CURRENT_LANE.with(Cell::get)
 }
 
 /// Copy out every thread's recorded events.
@@ -521,21 +517,21 @@ mod tests {
     fn lanes_scope_and_nest() {
         let _l = crate::tests::test_lock();
         reset_all();
-        assert_eq!(current_lane(), None);
+        assert_eq!(CURRENT_LANE.with(Cell::get), None);
         begin("no_lane");
         {
             let _r0 = lane_scope(0);
             begin("in_rank0");
             {
                 let _r1 = lane_scope(1);
-                assert_eq!(current_lane(), Some(1));
+                assert_eq!(CURRENT_LANE.with(Cell::get), Some(1));
                 instant("in_rank1");
             }
-            assert_eq!(current_lane(), Some(0));
+            assert_eq!(CURRENT_LANE.with(Cell::get), Some(0));
             end("in_rank0");
         }
         end("no_lane");
-        assert_eq!(current_lane(), None);
+        assert_eq!(CURRENT_LANE.with(Cell::get), None);
         let snap = snapshot();
         set_tracing(false);
         crate::set_enabled(false);

@@ -205,7 +205,8 @@ thread_local! {
 
 /// Reference (unfused) envelope using the un-factored Eq. 12 form. Kept to
 /// validate that redundancy removal (Eq. 13) is numerically equivalent.
-pub fn envelope_reference(r: f32, cfg: SrbfCfg) -> f32 {
+#[cfg(test)]
+fn envelope_reference(r: f32, cfg: SrbfCfg) -> f32 {
     let p = cfg.p as f32;
     let xi = (r / cfg.r_cut).clamp(0.0, 1.0);
     1.0 - (p + 1.0) * (p + 2.0) / 2.0 * xi.powf(p) + p * (p + 2.0) * xi.powf(p + 1.0)

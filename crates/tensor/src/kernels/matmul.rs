@@ -1302,7 +1302,9 @@ mod tests {
     #[test]
     fn identity_matmul() {
         let a = Tensor::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let c = matmul(&a, &Tensor::eye(3));
+        let eye =
+            Tensor::from_rows(&[vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0], vec![0.0, 0.0, 1.0]]);
+        let c = matmul(&a, &eye);
         assert_eq!(c.data(), a.data());
     }
 

@@ -20,7 +20,8 @@ pub enum Axis {
 
 impl Axis {
     /// Output shape of reducing `input` along this axis.
-    pub fn out_shape(self, input: Shape) -> Shape {
+    #[cfg(test)]
+    fn out_shape(self, input: Shape) -> Shape {
         match self {
             Axis::Rows => Shape::new(1, input.cols),
             Axis::Cols => Shape::new(input.rows, 1),

@@ -213,12 +213,14 @@ impl Profiler {
 
     /// Reset the peak-tracking to the current live level (e.g. at the start
     /// of an iteration) without touching kernel counts.
-    pub fn reset_peak(&self) {
+    #[cfg(test)]
+    pub(crate) fn reset_peak(&self) {
         self.bytes_peak.set(self.bytes_live.get());
     }
 
     /// Zero every counter.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    fn reset(&self) {
         self.kernels.set(0);
         self.fused_kernels.set(0);
         self.bytes_live.set(0);

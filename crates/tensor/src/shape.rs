@@ -47,8 +47,8 @@ impl Shape {
     }
 
     /// Shape of the transpose.
-    #[inline]
-    pub const fn transposed(&self) -> Self {
+    #[cfg(test)]
+    const fn transposed(&self) -> Self {
         Shape { rows: self.cols, cols: self.rows }
     }
 }

@@ -402,7 +402,8 @@ impl Tape {
     }
 
     /// Convenience scalar constant.
-    pub fn scalar(&self, value: f32) -> Var {
+    #[cfg(test)]
+    pub(crate) fn scalar(&self, value: f32) -> Var {
         self.constant(Tensor::scalar(value))
     }
 

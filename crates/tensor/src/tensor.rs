@@ -64,22 +64,14 @@ impl Tensor {
     }
 
     /// A column vector `(n, 1)` from a slice.
-    pub fn col_vec(values: &[f32]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn col_vec(values: &[f32]) -> Self {
         Tensor::from_vec(Shape::new(values.len(), 1), values.to_vec())
     }
 
     /// A row vector `(1, m)` from a slice.
     pub fn row_vec(values: &[f32]) -> Self {
         Tensor::from_vec(Shape::new(1, values.len()), values.to_vec())
-    }
-
-    /// The `n`-by-`n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(n, n);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// Build from nested rows. All rows must have equal length.
@@ -190,27 +182,15 @@ impl Tensor {
     }
 
     /// Sum of all elements (f64 accumulator for stability).
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         self.data.iter().map(|&x| x as f64).sum()
     }
 
-    /// Mean of all elements.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
-    }
-
     /// Maximum absolute element (0 for empty tensors).
-    pub fn max_abs(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// L2 norm of the flattened tensor.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt()
     }
 
     /// True when every element is finite.
@@ -277,10 +257,6 @@ mod tests {
         assert_eq!(o.sum(), 4.0);
         let s = Tensor::scalar(7.0);
         assert_eq!(s.item(), 7.0);
-        let e = Tensor::eye(3);
-        assert_eq!(e.at(1, 1), 1.0);
-        assert_eq!(e.at(1, 2), 0.0);
-        assert_eq!(e.sum(), 3.0);
     }
 
     #[test]
@@ -306,7 +282,6 @@ mod tests {
         a.axpy(0.5, &b);
         assert!(a.approx_eq(&Tensor::full(2, 2, 2.5), 1e-6));
         assert_eq!(a.max_abs(), 2.5);
-        assert!((a.norm() - (4.0f64 * 2.5 * 2.5).sqrt()).abs() < 1e-9);
         assert!(a.all_finite());
     }
 

@@ -341,7 +341,7 @@ fn grad_of_fused_srbf() {
             let b = t.fused_srbf(x, srbf, 0);
             t.sum_all(t.square(b))
         },
-        &Tensor::col_vec(&[1.0, 2.5, 4.0]),
+        &Tensor::from_vec(Shape::new(3, 1), vec![1.0, 2.5, 4.0]),
     )
     .assert_ok();
 }
@@ -355,7 +355,7 @@ fn grad_of_fused_fourier_and_gate() {
             let f = t.fused_fourier(x, 4, 0);
             t.sum_all(t.square(f))
         },
-        &Tensor::col_vec(&[0.4, 1.1, 2.0]),
+        &Tensor::from_vec(Shape::new(3, 1), vec![0.4, 1.1, 2.0]),
     )
     .assert_ok();
     gradcheck_scalar(

@@ -24,7 +24,6 @@ pub mod dataloader;
 pub mod loss;
 pub mod metrics;
 pub mod optim;
-pub mod quant;
 pub mod sampler;
 pub mod scaling;
 pub mod sched;
@@ -37,7 +36,6 @@ pub use dataloader::epoch_batches;
 pub use loss::{composite_loss, LossParts, LossWeights};
 pub use metrics::{evaluate, evaluate_with_scatter, r2, EvalMetrics, ScatterData};
 pub use optim::{clip_grad_norm, Adam};
-pub use quant::{model_bytes, quantize_store, quantize_tensor, Precision};
 pub use sampler::{device_loads, load_cov, partition, SamplerKind};
 pub use scaling::{
     a100_seconds, fit_linear, strong_efficiency, weak_efficiency, ScalingModel, MPTRJ_EPOCH,

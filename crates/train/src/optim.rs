@@ -30,7 +30,8 @@ impl Adam {
     }
 
     /// Number of steps taken.
-    pub fn steps(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn steps(&self) -> u64 {
         self.step
     }
 

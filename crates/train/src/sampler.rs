@@ -20,10 +20,6 @@ pub enum SamplerKind {
     RoundRobin,
     /// The paper's smallest+largest pairing (Fig. 4).
     LoadBalance,
-    /// Extension (not in the paper): greedy longest-processing-time bin
-    /// packing — sort descending, always assign to the least-loaded
-    /// device. Serves as the ablation upper bound on balance quality.
-    GreedyLpt,
 }
 
 /// Split `features` (workload per sample) into `n_devices` index lists.
@@ -73,23 +69,6 @@ pub fn partition(features: &[usize], n_devices: usize, kind: SamplerKind) -> Vec
             }
             out
         }
-        SamplerKind::GreedyLpt => {
-            let mut order: Vec<usize> = (0..features.len()).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(features[i]));
-            let mut out = vec![Vec::new(); n_devices];
-            let mut loads = vec![0usize; n_devices];
-            for i in order {
-                let d = loads
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &l)| l)
-                    .map(|(d, _)| d)
-                    .expect("at least one device");
-                out[d].push(i);
-                loads[d] += features[i];
-            }
-            out
-        }
     }
 }
 
@@ -121,24 +100,8 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn greedy_lpt_beats_pairing() {
-        let mut lb = 0.0;
-        let mut greedy = 0.0;
-        for seed in 0..30 {
-            let f = long_tail_features(128, seed);
-            lb += load_cov(&f, &partition(&f, 4, SamplerKind::LoadBalance));
-            greedy += load_cov(&f, &partition(&f, 4, SamplerKind::GreedyLpt));
-        }
-        assert!(greedy < lb, "greedy {greedy:.4} vs load-balance {lb:.4}");
-    }
-
-    const ALL_KINDS: [SamplerKind; 4] = [
-        SamplerKind::Default,
-        SamplerKind::RoundRobin,
-        SamplerKind::LoadBalance,
-        SamplerKind::GreedyLpt,
-    ];
+    const ALL_KINDS: [SamplerKind; 3] =
+        [SamplerKind::Default, SamplerKind::RoundRobin, SamplerKind::LoadBalance];
 
     #[test]
     fn every_sample_assigned_once() {

@@ -91,6 +91,9 @@ pub struct TrainReport {
     pub n_params: usize,
     /// Skipped steps over every epoch.
     pub skipped_steps: usize,
+    /// Train samples whose energy label is not finite, which the AtomRef
+    /// fit left out (their steps are skipped all the same).
+    pub left_out_labels: usize,
 }
 
 impl TrainReport {
@@ -112,6 +115,7 @@ impl TrainReport {
             .set_meta("n_devices", cfg.cluster.n_devices)
             .set_meta("n_params", self.n_params)
             .set_meta("skipped_steps", self.skipped_steps)
+            .set_meta("left_out_labels", self.left_out_labels)
             .set_meta("test_e_mae", self.test.e_mae)
             .set_meta("test_f_mae", self.test.f_mae)
             .set_meta("test_s_mae", self.test.s_mae)
@@ -166,7 +170,8 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
     let mut cluster = Cluster::new(cfg.model, cfg.seed, cfg.cluster, lr0);
     // CHGNet's AtomRef composition model, fitted on the train split: the
     // GNN then fits the residual energy.
-    cluster.model.set_atom_ref(fc_core::AtomRef::fit(&train, 1e-6));
+    let (atom_ref, left_out_labels) = fc_core::AtomRef::fit(&train, 1e-6);
+    cluster.model.set_atom_ref(atom_ref);
     let n_params = cluster.store.n_scalars();
 
     let steps_per_epoch = train.len().div_ceil(cfg.global_batch);
@@ -218,7 +223,9 @@ pub fn train_model(data: &SynthMPtrj, cfg: &TrainConfig) -> (Cluster, TrainRepor
         evaluate(&cluster.model, &cluster.store, &test, EVAL_BATCH)
     };
     let skipped_steps = logs.iter().map(|l| l.skipped_steps).sum();
-    (cluster, TrainReport { epochs: logs, test: test_metrics, n_params, skipped_steps })
+    let report =
+        TrainReport { epochs: logs, test: test_metrics, n_params, skipped_steps, left_out_labels };
+    (cluster, report)
 }
 
 #[cfg(test)]
@@ -277,7 +284,13 @@ mod tests {
                 wall_time: 0.1,
             })
             .collect();
-        TrainReport { epochs, test: EvalMetrics::default(), n_params: 42, skipped_steps: 0 }
+        TrainReport {
+            epochs,
+            test: EvalMetrics::default(),
+            n_params: 42,
+            skipped_steps: 0,
+            left_out_labels: 0,
+        }
     }
 
     #[test]
@@ -312,31 +325,39 @@ mod tests {
 
     #[test]
     fn a_nan_label_skips_its_step_and_the_report_counts_it() {
-        let mut data = tiny_dataset();
-        // A force label: `AtomRef::fit` reads every train energy, so a NaN
-        // energy would reach every step's offsets.
-        let bad = data.train[0];
-        data.samples[bad].labels.forces[0][0] = f64::NAN;
-        // One step per epoch holds the NaN sample.
-        let cfg = TrainConfig {
-            model: ModelConfig::tiny(OptLevel::Decoupled),
-            epochs: 2,
-            global_batch: 8,
-            lr: LrPolicy::Fixed(1e-2),
-            ..Default::default()
-        };
-        let (cluster, report) = train_model(&data, &cfg);
-        let skipped: Vec<usize> = report.epochs.iter().map(|l| l.skipped_steps).collect();
-        assert_eq!(skipped, [1, 1]);
-        assert_eq!(report.skipped_steps, 2);
-        // The skipped step changed no parameter: the next epoch trains and
-        // validates on finite numbers.
-        for l in &report.epochs {
-            assert!(l.train_loss.is_finite() && l.val.e_mae.is_finite(), "{l:?}");
+        // A NaN force label, then a NaN energy label, which the AtomRef fit
+        // leaves out so that it reaches no other step's offsets.
+        for (energy, left_out) in [(false, 0usize), (true, 1)] {
+            let mut data = tiny_dataset();
+            let labels = &mut data.samples[data.train[0]].labels;
+            if energy {
+                labels.energy = f64::NAN;
+            } else {
+                labels.forces[0][0] = f64::NAN;
+            }
+            // One step per epoch holds the NaN sample.
+            let cfg = TrainConfig {
+                model: ModelConfig::tiny(OptLevel::Decoupled),
+                epochs: 2,
+                global_batch: 8,
+                lr: LrPolicy::Fixed(1e-2),
+                ..Default::default()
+            };
+            let (cluster, report) = train_model(&data, &cfg);
+            let skipped: Vec<usize> = report.epochs.iter().map(|l| l.skipped_steps).collect();
+            assert_eq!(skipped, [1, 1], "energy label NaN: {energy}");
+            assert_eq!(report.skipped_steps, 2);
+            assert_eq!(report.left_out_labels, left_out);
+            // The skipped step changed no parameter: the next epoch trains
+            // and validates on finite numbers.
+            for l in &report.epochs {
+                assert!(l.train_loss.is_finite() && l.val.e_mae.is_finite(), "{l:?}");
+            }
+            assert!(cluster.store.iter().all(|(_, e)| e.value.all_finite()));
+            let run = report.run_report("nan", &cfg);
+            assert_eq!(run.meta["skipped_steps"], fc_telemetry::Value::from(2usize));
+            assert_eq!(run.meta["left_out_labels"], fc_telemetry::Value::from(left_out));
         }
-        assert!(cluster.store.iter().all(|(_, e)| e.value.data().iter().all(|x| x.is_finite())));
-        let run = report.run_report("nan", &cfg);
-        assert_eq!(run.meta["skipped_steps"], fc_telemetry::Value::from(2usize));
     }
 
     #[test]

@@ -222,7 +222,8 @@ pub fn gradcheck_scalar(
 /// scalar function — for checks where the "input" is not a flat tensor
 /// (e.g. energy vs. a strain component, or a cartesian displacement that
 /// must be re-wrapped into fractional coordinates).
-pub fn central_diff(f: impl Fn(f64) -> f64, h: f64) -> f64 {
+#[cfg(test)]
+fn central_diff(f: impl Fn(f64) -> f64, h: f64) -> f64 {
     (f(h) - f(-h)) / (2.0 * h)
 }
 

@@ -116,9 +116,10 @@ done
 rm -rf "$r1" "$r2"
 
 # No column of table1, fig5, fig6, fig7, fig9, fig10 or ablation is timed
-# (parameter counts, test-set MAEs, losses, sampler CoVs and the
-# counted-work scaling projection), so a fresh run must reproduce each
-# committed table byte for byte.
+# (parameter counts, test-set MAEs, histogram counts, validation MAEs,
+# parity points, per-device feature numbers, and the ablation's sampler
+# CoVs and counted-work scaling projection), so a fresh run must reproduce
+# each committed table byte for byte.
 for fig in table1 fig5 fig6 fig7 fig9 fig10 ablation; do
   echo "== $fig reproduces reports/$fig.tsv (figures $fig, byte for byte) =="
   FASTCHGNET_SCALE=quick FASTCHGNET_REPORTS="$out" "$bin"/figures "$fig" > /dev/null
@@ -145,6 +146,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 
 echo "== benchmark verdict doctests =="
 python3 -m doctest scripts/bench_compare.py
+
+echo "== non-test line count doctests =="
+python3 -m doctest scripts/loc.py
 
 echo "== benchmark against the parent commit (BENCHMARK.json bounds) =="
 python3 scripts/bench_compare.py
