@@ -11,12 +11,14 @@
 //! comparable on this data (Table I).
 
 use crate::element::OracleParams;
-use crate::neighbor::neighbor_list;
+use crate::graph::ATOM_CUTOFF;
+use crate::neighbor::{neighbor_list, Bond};
 use crate::structure::Structure;
 
-/// Cutoff of the oracle potential (Å). Matches the atom-graph cutoff so
-/// the GNN sees every interaction the oracle generates.
-pub const ORACLE_CUTOFF: f64 = 6.0;
+/// Cutoff of the oracle potential (Å): the atom-graph cutoff, so the GNN
+/// sees every interaction the oracle generates and one neighbour list
+/// serves both the labels and the graph.
+pub const ORACLE_CUTOFF: f64 = ATOM_CUTOFF;
 
 /// eV/Å³ to GPa.
 pub const EV_PER_A3_TO_GPA: f64 = 160.217_662_08;
@@ -41,11 +43,6 @@ impl Labels {
     /// Energy per atom (eV/atom), the unit of Table I.
     pub fn energy_per_atom(&self) -> f64 {
         self.energy / self.forces.len() as f64
-    }
-
-    /// |energy per atom| — used by the generator's sanity filter.
-    pub fn energy_per_atom_abs(&self) -> f64 {
-        self.energy_per_atom().abs()
     }
 }
 
@@ -101,26 +98,19 @@ fn embed(rho: f64) -> (f64, f64) {
 /// Evaluate the oracle on a structure: energy, analytic forces, analytic
 /// virial stress and magnetic moments.
 pub fn evaluate(s: &Structure) -> Labels {
+    evaluate_on(s, &neighbor_list(s, ORACLE_CUTOFF))
+}
+
+/// [`evaluate`] on `bonds`, the [`neighbor_list`] of `s` within
+/// [`ORACLE_CUTOFF`].
+pub fn evaluate_on(s: &Structure, bonds: &[Bond]) -> Labels {
     let n = s.n_atoms();
-    let bonds = neighbor_list(s, ORACLE_CUTOFF);
-    let params: Vec<OracleParams> = s.species.iter().map(|e| e.oracle_params()).collect();
-
-    // Densities first (embedding needs the full ρ_i).
-    let mut rho = vec![0.0f64; n];
-    for b in &bonds {
-        rho[b.i as usize] += psi(&params[b.j as usize], b.r).0;
-    }
-
-    let mut energy: f64 = params.iter().map(|p| p.e0 as f64).sum();
-    for (i, &r) in rho.iter().enumerate() {
-        let _ = i;
-        energy += embed(r).0;
-    }
+    let (params, rho, mut energy) = embedding(s, bonds);
 
     let carts = s.cart_coords();
     let mut forces = vec![[0.0f64; 3]; n];
     let mut virial = [[0.0f64; 3]; 3];
-    for b in &bonds {
+    for b in bonds {
         let (i, j, r) = (b.i as usize, b.j as usize, b.r);
         let (phi, phi_p) = morse(&params[i], &params[j], r);
         energy += 0.5 * phi;
@@ -154,6 +144,31 @@ pub fn evaluate(s: &Structure) -> Labels {
         rho.iter().zip(&params).map(|(&r, p)| p.mag_scale as f64 * (r / RHO_REF).tanh()).collect();
 
     Labels { energy, forces, stress, magmoms }
+}
+
+/// The energy [`evaluate_on`] gives, bitwise, summed in the same order but
+/// without the forces, the virial and the magnetic moments.
+pub(crate) fn energy_on(s: &Structure, bonds: &[Bond]) -> f64 {
+    let (params, _, mut energy) = embedding(s, bonds);
+    for b in bonds {
+        energy += 0.5 * morse(&params[b.i as usize], &params[b.j as usize], b.r).0;
+    }
+    energy
+}
+
+/// Per-atom parameters, densities `ρ_i` and the energy before the pair
+/// terms: the reference energies, then each atom's embedding energy.
+fn embedding(s: &Structure, bonds: &[Bond]) -> (Vec<OracleParams>, Vec<f64>, f64) {
+    let params: Vec<OracleParams> = s.species.iter().map(|e| e.oracle_params()).collect();
+    let mut rho = vec![0.0f64; s.n_atoms()];
+    for b in bonds {
+        rho[b.i as usize] += psi(&params[b.j as usize], b.r).0;
+    }
+    let mut energy: f64 = params.iter().map(|p| p.e0 as f64).sum();
+    for &r in &rho {
+        energy += embed(r).0;
+    }
+    (params, rho, energy)
 }
 
 #[cfg(test)]

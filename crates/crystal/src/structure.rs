@@ -117,7 +117,10 @@ impl Structure {
     }
 
     /// Minimum-image distance between two sites (searches neighbor images;
-    /// exact for cutoffs below half the smallest slab height).
+    /// exact for cutoffs below half the smallest slab height). The
+    /// reference for the dataset screen's separation test, which forms the
+    /// same distances with the images and positions computed once.
+    #[cfg(test)]
     pub fn min_image_distance(&self, i: usize, j: usize) -> f64 {
         let xi = self.lattice.frac_to_cart(self.frac_coords[i]);
         let xj = self.lattice.frac_to_cart(self.frac_coords[j]);

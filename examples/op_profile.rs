@@ -7,7 +7,11 @@
 //! * one train-dp4-sized rank step (a quarter of a global batch of 32
 //!   labelled structures from the benchmark's long-tail size distribution)
 //!   at width 1, the width rank workers run at: one table for the forward
-//!   pass and composite loss, one for `backward_final`.
+//!   pass and composite loss, one for `backward_final`;
+//! * the dataset generation behind train-dp4's set-up, on its cell-size
+//!   distribution: ms per structure of `sane_random_structure` and of the
+//!   three parts of `Sample::from_structure` (the neighbour list, the
+//!   oracle's `evaluate_on` and `CrystalGraph::from_bonds`).
 //!
 //! Each table gives kernels, MFLOP, MB moved (the cost model's minimum
 //! traffic, `fc_tensor::cost`) and ms per pass by op kind, then the peak
@@ -29,17 +33,24 @@
 //!
 //! Run: `cargo run --release --example op_profile`
 
-use fastchgnet::crystal::{known, neighbor_list};
+use fastchgnet::crystal::dataset::sane_random_structure;
+use fastchgnet::crystal::oracle::evaluate_on;
+use fastchgnet::crystal::{known, neighbor_list, ATOM_CUTOFF, BOND_CUTOFF};
 use fastchgnet::prelude::*;
 use fastchgnet::tensor::kernels::exp::ExpTier;
 use fastchgnet::tensor::kernels::matmul::GemmTier;
 use fastchgnet::tensor::kernels::trig::TrigTier;
 use fastchgnet::tensor::{par, pool, profiler, OpTotals};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Timed passes per width (after one warm-up pass each).
 const REPS: usize = 20;
+
+/// Timed passes of the dataset-generation table (after one warm-up pass).
+const DATASET_PASSES: usize = 5;
 
 /// train-dp4's global batch and rank count.
 const GLOBAL_BATCH: usize = 32;
@@ -107,16 +118,13 @@ fn main() {
     print_pool_per_call(&Calculator::new(&model, &store), &structure);
     print_split_break_even();
 
-    // train-dp4's pool draws cell sizes like Scale::wide_dataset. A rank
-    // gets every RANKS-th structure of the global batch by size, as
+    // train-dp4's pool draws cell sizes like Scale::wide_dataset.
+    let wide = DatasetConfig { max_atoms: 48, log_mean: 2.5, log_std: 0.85, ..Default::default() };
+    print_dataset_generation(&wide);
+
+    // A rank gets every RANKS-th structure of the global batch by size, as
     // balanced a share as the load-balancing sampler aims for.
-    let data = SynthMPtrj::generate(&DatasetConfig {
-        n_structures: GLOBAL_BATCH,
-        max_atoms: 48,
-        log_mean: 2.5,
-        log_std: 0.85,
-        ..Default::default()
-    });
+    let data = SynthMPtrj::generate(&DatasetConfig { n_structures: GLOBAL_BATCH, ..wide });
     let mut by_size: Vec<&Sample> = data.samples.iter().collect();
     by_size.sort_by_key(|s| s.graph.n_atoms());
     let rank: Vec<&Sample> = by_size.into_iter().step_by(RANKS).collect();
@@ -329,6 +337,61 @@ fn print_graph_stage(structure: &Structure, ac: f64, bc: f64) {
         print!("{name:<18}");
         print_times(times);
     }
+}
+
+/// Print the ms per structure of each stage of generating train-dp4's
+/// 320 labelled structures from `cfg`'s size distribution, the median of
+/// [`DATASET_PASSES`] passes after a warm-up: `sane_random_structure`
+/// (candidates drawn and screened), then `Sample::from_structure` by part.
+fn print_dataset_generation(cfg: &DatasetConfig) {
+    const STRUCTURES: usize = 320;
+    let mut passes: [Vec<f64>; 4] = Default::default();
+    let mut atoms = 0;
+    for pass in 0..=DATASET_PASSES {
+        let mut ms = [0.0f64; 4];
+        atoms = 0;
+        for i in 0..STRUCTURES {
+            let mut rng = StdRng::seed_from_u64(i as u64);
+            let t0 = Instant::now();
+            let s = sane_random_structure(&mut rng, cfg);
+            let t1 = Instant::now();
+            let bonds = neighbor_list(&s, ATOM_CUTOFF);
+            let t2 = Instant::now();
+            let labels = evaluate_on(&s, &bonds);
+            let t3 = Instant::now();
+            let graph = CrystalGraph::from_bonds(s, bonds, ATOM_CUTOFF, BOND_CUTOFF);
+            let t4 = Instant::now();
+            atoms += graph.n_atoms();
+            drop((labels, graph));
+            for (m, d) in ms.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3]) {
+                *m += d.as_secs_f64() * 1e3 / STRUCTURES as f64;
+            }
+        }
+        if pass > 0 {
+            for (p, m) in passes.iter_mut().zip(ms) {
+                p.push(m);
+            }
+        }
+    }
+    println!(
+        "\ndataset generation, train-dp4's size distribution: {STRUCTURES} structures, {:.1} \
+         atoms each on average, ms per structure (median of {DATASET_PASSES} passes)",
+        atoms as f64 / STRUCTURES as f64
+    );
+    let stages = [
+        "sane_random_structure",
+        "from_structure: neighbour list",
+        "from_structure: evaluate_on",
+        "from_structure: from_bonds",
+    ];
+    let mut total = 0.0;
+    for (name, mut times) in stages.iter().zip(passes) {
+        times.sort_by(f64::total_cmp);
+        let median = times[times.len() / 2];
+        total += median;
+        println!("{name:<32} {median:>8.4}");
+    }
+    println!("{:<32} {total:>8.4}", "sum");
 }
 
 /// Print this thread's buffer-pool misses of each of [`REPS`] + 1 md

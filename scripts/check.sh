@@ -85,6 +85,15 @@ cargo test --release -q -p fastchgnet-crystal --test graph_properties
 cargo test --release -q -p fastchgnet-tensor --lib -- \
   first_block_partials strips_across_outputs bases_are_bitwise high_orders_match_the_f64_leibniz_sum
 
+# The screen's separation test against the min-ratio reference, the
+# energy-only oracle pass against the full oracle's energy, one shared
+# neighbour list against the graph and labels built apart, and the
+# generator's output against bits pinned before the pipeline shared work.
+echo "== dataset generation equivalence (release) =="
+cargo test --release -q -p fastchgnet-crystal --lib -- \
+  separation_test_is_the_min_ratio_verdict energy_pass_is_bitwise_the_full_oracle_energy \
+  sample_is_bitwise_the_graph_and_the_oracle_built_apart generate_emits_the_pinned_bits
+
 echo "== final-sweep equivalence smoke (final sweep vs retained backward bitwise, release) =="
 cargo test --release -q -p fc_verify --test equivalence final_sweep_is_bitwise_the_retained_backward
 
