@@ -220,7 +220,7 @@ fn sample_n_atoms(rng: &mut StdRng, cfg: &DatasetConfig) -> usize {
 /// train-dp4's 320 structures 390 fail separation and none fails this
 /// bound, and of the 134 behind the first 64 structures of
 /// `DatasetConfig::default()` 70 and none.
-const MAX_ABS_E_PER_ATOM: f64 = 25.0;
+pub const MAX_ABS_E_PER_ATOM: f64 = 25.0;
 
 /// Smallest allowed `distance / (r0_i + r0_j)` of any atom pair.
 const MIN_SEPARATION_RATIO: f64 = 0.8;
@@ -261,9 +261,11 @@ fn screened_structure(rng: &mut StdRng, cfg: &DatasetConfig) -> (Structure, Vec<
 /// returns at the first pair that does not. A pair distance is the
 /// minimum over the 27 images `(a, b, c) ∈ {-1, 0, 1}³`, formed by the
 /// expressions of `Structure::min_image_distance` with the images and
-/// Cartesian positions computed once; a self-pair takes the shortest
-/// lattice row as its distance.
-fn well_separated(s: &Structure) -> bool {
+/// Cartesian positions computed once, and one square root of the smallest
+/// squared distance (`sqrt` is monotone and correctly rounded, so that is
+/// bitwise the smallest distance); a self-pair takes the shortest lattice
+/// row as its distance.
+pub fn well_separated(s: &Structure) -> bool {
     let m = s.lattice.m;
     let shortest_row = (0..3)
         .map(|k| (m[k][0].powi(2) + m[k][1].powi(2) + m[k][2].powi(2)).sqrt())
@@ -284,12 +286,12 @@ fn well_separated(s: &Structure) -> bool {
                 for img in &images {
                     let d =
                         [xj[0] + img[0] - xi[0], xj[1] + img[1] - xi[1], xj[2] + img[2] - xi[2]];
-                    let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-                    if r < best {
-                        best = r;
+                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                    if r2 < best {
+                        best = r2;
                     }
                 }
-                best
+                best.sqrt()
             };
             let pair_r0 = (r0[i] + r0[j]) as f64;
             if d / pair_r0.max(0.1) <= MIN_SEPARATION_RATIO {
@@ -302,8 +304,9 @@ fn well_separated(s: &Structure) -> bool {
 
 /// Generate one random crystal: weighted species on a jittered grid inside
 /// a sheared cubic cell with a chemically plausible volume per atom (grown
-/// by `volume_boost`).
-fn random_structure_with_boost(
+/// by `volume_boost`). Each candidate of [`sane_random_structure`]'s screen
+/// is one such draw.
+pub fn random_structure_with_boost(
     rng: &mut StdRng,
     cfg: &DatasetConfig,
     volume_boost: f64,
@@ -368,7 +371,7 @@ fn random_structure_with_boost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{evaluate, ORACLE_CUTOFF};
+    use crate::oracle::{evaluate, reference, ORACLE_CUTOFF};
 
     /// The separation measure `well_separated` replaced: the smallest
     /// pairwise `distance / (r0_i + r0_j)` over all pairs (a self-pair
@@ -424,6 +427,22 @@ mod tests {
         }
         let dense = cands.iter().filter(|s| !well_separated(s)).count();
         assert!(dense >= 50, "only {dense} dense candidates");
+    }
+
+    #[test]
+    fn oracle_is_bitwise_the_per_use_reference() {
+        let f = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The candidates of the energy-pass test above, 50 or more dense.
+        for s in &candidates(240) {
+            let bonds = neighbor_list(s, ORACLE_CUTOFF);
+            let (got, want) = (evaluate_on(s, &bonds), reference::evaluate_on(s, &bonds));
+            assert_eq!(got.energy.to_bits(), want.energy.to_bits(), "{}", s.formula());
+            assert_eq!(f(got.forces.as_flattened()), f(want.forces.as_flattened()));
+            assert_eq!(f(got.stress.as_flattened()), f(want.stress.as_flattened()));
+            assert_eq!(f(&got.magmoms), f(&want.magmoms));
+            let e = energy_on(s, &bonds);
+            assert_eq!(e.to_bits(), reference::energy_on(s, &bonds).to_bits(), "{}", s.formula());
+        }
     }
 
     #[test]

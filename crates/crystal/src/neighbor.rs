@@ -3,29 +3,44 @@
 //! Both searches read one **image table** per call: the Cartesian offset
 //! `lattice.frac_to_cart(image)` of every periodic image a bond can use,
 //! computed once per image rather than once per candidate pair, and laid
-//! out as contiguous `x`, `y`, `z` lanes in the exact path's `(a, b, c)`
-//! order. A candidate pair `(i, j)` then tests a box of images, one
-//! contiguous row of `c` lanes per `(a, b)`, with the reference
-//! arithmetic `v = carts[j] + img − carts[i]`, `r2 = v·v` in that order,
-//! so every accepted bond is bitwise what a per-candidate `frac_to_cart`
-//! gives.
+//! out as contiguous `x`, `y`, `z` lanes in `(a, b, c)` order. Every
+//! candidate is tested with the reference arithmetic
+//! `v = carts[j] + img − carts[i]`, `r2 = v0·v0 + v1·v1 + v2·v2` in that
+//! order (no fused multiply-add), and kept when `r2 <= cutoff²` and
+//! `r2 > 1e-12`, so every accepted bond is bitwise what a per-candidate
+//! `frac_to_cart` gives.
 //!
-//! Before testing, each pair's box is cut to the images that can come
-//! within the cutoff. Along lattice direction `d`, a bond vector's
-//! component normal to the other two lattice vectors is
-//! `(f_j − f_i + a_d)·h_d`, with `h_d` the slab thickness of
-//! [`crate::lattice::Lattice::image_ranges`]. So an image with
-//! `|f_j − f_i + a_d| > cutoff / h_d` is farther than the cutoff. The cut
-//! widens `cutoff / h_d` by a relative and an absolute `1e-9`, far above
-//! the rounding of the fractional and Cartesian coordinates, so it only
-//! drops images the `r2` test would reject.
+//! Each search first cuts the images to those that can come within the
+//! cutoff. Along lattice direction `d`, a bond vector's component normal
+//! to the other two lattice vectors is `(f_j − f_i + a_d)·h_d`, with `h_d`
+//! the slab thickness of [`crate::lattice::Lattice::image_ranges`]. So an
+//! image with `|f_j − f_i + a_d| > cutoff / h_d` is farther than the
+//! cutoff. The cut widens `cutoff / h_d` by a relative and an absolute
+//! `1e-9`, far above the rounding of the fractional and Cartesian
+//! coordinates, so it only drops images the `r2` test would reject.
 //!
-//! The atoms `i` split across the [`fc_tensor::par`] helpers. Each atom's
-//! bonds are listed in `(j, image)` order and the lists are concatenated
-//! in atom order, so the result is the same at every width.
+//! * **Exact path** (below [`LINKED_CELL_MIN_ATOMS`] atoms), image-major:
+//!   atom `i`'s box holds every image any pair `(i, j)` can keep, found
+//!   from the smallest and largest fractional coordinate per direction.
+//!   For each image of the box one pass over the coordinate lanes of all
+//!   `j` fills a row of `r2`, which vectorises, and the row's hits are
+//!   kept. A stable counting pass by `j` turns atom `i`'s hits from
+//!   `(image, j)` into `(j, image)` order. It runs on the calling thread,
+//!   in scratch buffers that persist per thread, so a call allocates
+//!   little beyond the returned list.
+//! * **Linked-cell path**: each candidate pair `(i, j)` from nearby bins
+//!   tests its own cut box of images, one contiguous row of `c` lanes per
+//!   `(a, b)`, and each atom's bonds are sorted into `(j, image)` order.
+//!   The atoms `i` split across the [`fc_tensor::par`] helpers and the
+//!   per-atom lists are concatenated in atom order, so the result is the
+//!   same at every width.
+//!
+//! Both paths list bonds by `(i, j, image)`, and test the same candidates
+//! with the same arithmetic, so they return the same list bit for bit.
 
 use crate::lattice::Lattice;
 use crate::structure::Structure;
+use std::cell::RefCell;
 use std::ops::RangeInclusive;
 
 /// A directed bond `i -> j` under periodic boundary conditions.
@@ -60,15 +75,23 @@ impl Bond {
     }
 }
 
-/// Cells with at least this many atoms use the linked-cell (binned) search;
-/// smaller cells use the exact all-pairs search, whose constant factor wins
-/// when N is tiny. All MPtrj-sized fixtures (≲ 32 atoms) stay on the exact
-/// path, so their bond ordering is unchanged.
-pub const LINKED_CELL_MIN_ATOMS: usize = 48;
+/// Cells with at least this many atoms use the linked-cell (binned)
+/// search; smaller cells use the exact all-pairs search, whose image-major
+/// pass over coordinate lanes wins until its O(N²) catches up.
+///
+/// Set from `examples/op_profile`'s "neighbour search by cell size" table
+/// (EXPERIMENTS.md "Neighbour search crossover"), which times both searches
+/// at widths 1 and 2 on two series of cells. On the dataset generator's
+/// sparse cells (8-33 bonds per atom at 6 Å) the binned search at width 2
+/// wins from about 1,024 atoms; on supercells of the md cell's crystal
+/// (107 bonds per atom) the exact search still wins at 4,096. Between the
+/// two, 2,048 keeps either path within about 1.8× of the faster one on
+/// both series. Every benchmark cell (≤ 64 atoms) takes the exact path.
+pub const LINKED_CELL_MIN_ATOMS: usize = 2048;
 
 /// Build the directed neighbor list of `s` within `cutoff` (Å).
 ///
-/// Dispatches to the linked-cell (binned) search above
+/// Dispatches to the linked-cell (binned) search from
 /// [`LINKED_CELL_MIN_ATOMS`] atoms and to the exact all-pairs search below
 /// it. Both return the identical bond list (same bonds, same order, same
 /// floating-point values) — the binned search recomputes every candidate
@@ -85,17 +108,34 @@ pub fn neighbor_list(s: &Structure, cutoff: f64) -> Vec<Bond> {
 /// Exact periodic search: every atom pair over every image within the
 /// lattice's [`crate::lattice::Lattice::image_ranges`]. Self-interactions
 /// in the home image are excluded; an atom may bond to its own periodic
-/// copies. O(N² · images) candidates before the per-pair cut — the
-/// reference the binned search must match.
+/// copies. O(N² · images) candidates — the reference the binned search
+/// must match. Image-major and serial (module docs); the returned list is
+/// allocated once, at its exact length.
 pub fn neighbor_list_exact(s: &Structure, cutoff: f64) -> Vec<Bond> {
     let search = Search::new(s, cutoff);
     let n = s.lattice.image_ranges(cutoff);
-    let images: [RangeInclusive<i32>; 3] = std::array::from_fn(|d| -n[d]..=n[d]);
-    search.per_atom(|i, out| {
-        for j in 0..s.n_atoms() {
-            search.scan_pair(i, j, images.clone(), out);
-        }
-    })
+    SCRATCH.with_borrow_mut(|scratch| search.all_pairs(n, scratch))
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// The exact search's working buffers, kept per thread across calls.
+#[derive(Default)]
+struct Scratch {
+    /// Cartesian `x`, `y`, `z` lanes of the atoms.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    /// `r2` from atom `i` to every `j` at one image.
+    row: Vec<f64>,
+    /// Atom `i`'s bonds in `(image, j)` order.
+    hits: Vec<Bond>,
+    /// Atom `i`'s bonds per `j`, then the first slot of each `j`.
+    slots: Vec<u32>,
+    /// Every bond so far, in the returned order.
+    bonds: Vec<Bond>,
 }
 
 /// Linked-cell (binned) periodic search, O(N · neighbors).
@@ -193,6 +233,9 @@ struct Search<'a> {
     /// `cutoff / h_d`, widened (module docs): the largest
     /// `|f_j − f_i + a_d|` a bond can have.
     reach: [f64; 3],
+    /// Smallest and largest fractional coordinate per direction.
+    fmin: [f64; 3],
+    fmax: [f64; 3],
     table: ImageTable,
 }
 
@@ -217,8 +260,74 @@ impl<'a> Search<'a> {
             carts: s.cart_coords(),
             cutoff2: cutoff * cutoff,
             reach,
+            fmin,
+            fmax,
             table: ImageTable::new(&s.lattice, lo, hi),
         }
+    }
+
+    /// The exact search (see [`neighbor_list_exact`]) over the images
+    /// `-n..=n`.
+    fn all_pairs(&self, n: [i32; 3], scratch: &mut Scratch) -> Vec<Bond> {
+        let Scratch { x, y, z, row, hits, slots, bonds } = scratch;
+        let atoms = self.carts.len();
+        for (lane, d) in [&mut *x, &mut *y, &mut *z].into_iter().zip(0..) {
+            lane.clear();
+            lane.extend(self.carts.iter().map(|c| c[d]));
+        }
+        row.resize(atoms, 0.0);
+        slots.clear();
+        slots.resize(atoms, 0);
+        bonds.clear();
+        let t = &self.table;
+        for i in 0..atoms {
+            // Every image a pair `(i, j)` keeps: `f_i − f_j` lies in
+            // `[f_i − f_max, f_i − f_min]`, and rounding keeps that order.
+            let fi = self.frac[i];
+            let [ra, rb, rc] = std::array::from_fn(|d| {
+                let lo = ((fi[d] - self.fmax[d] - self.reach[d]).ceil() as i32).max(t.lo[d]);
+                let hi = ((fi[d] - self.fmin[d] + self.reach[d]).floor() as i32).min(t.hi[d]);
+                lo.max(-n[d])..=hi.min(n[d])
+            });
+            let (xi, yi, zi) = (x[i], y[i], z[i]);
+            hits.clear();
+            for a in ra {
+                for b in rb.clone() {
+                    for c in rc.clone() {
+                        let k = t.index([a, b, c]);
+                        let (ix, iy, iz) = (t.x[k], t.y[k], t.z[k]);
+                        for (((r2, &xj), &yj), &zj) in row.iter_mut().zip(&*x).zip(&*y).zip(&*z) {
+                            let v = [xj + ix - xi, yj + iy - yi, zj + iz - zi];
+                            *r2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
+                        }
+                        for (j, &r2) in row.iter().enumerate() {
+                            // The home image of `i` itself gives `v = 0`
+                            // exactly, so `r2 > 1e-12` also excludes the
+                            // self-interaction.
+                            if r2 <= self.cutoff2 && r2 > 1e-12 {
+                                let (i, j) = (i as u32, j as u32);
+                                hits.push(Bond { i, j, image: [a, b, c], r: r2.sqrt() });
+                                slots[j as usize] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            // Stable counting pass by `j`: `(image, j)` to `(j, image)`.
+            let base = bonds.len();
+            let mut next = 0;
+            for slot in slots.iter_mut() {
+                (*slot, next) = (next, next + *slot);
+            }
+            bonds.extend_from_slice(hits);
+            for h in hits.iter() {
+                let slot = &mut slots[h.j as usize];
+                bonds[base + *slot as usize] = *h;
+                *slot += 1;
+            }
+            slots.fill(0);
+        }
+        bonds.to_vec()
     }
 
     /// `bonds(i, out)` for every atom `i`, appending atom `i`'s bonds to
@@ -500,6 +609,38 @@ mod tests {
     }
 
     #[test]
+    fn exact_path_is_bitwise_the_per_candidate_search_on_random_cells() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(34);
+        for cell in 0..320 {
+            let n = if cell < 20 { cell + 1 } else { rng.gen_range(1..=200usize) };
+            // A skewed cell of 8-20 Å³ per atom.
+            let a = (n as f64 * rng.gen_range(8.0..20.0)).cbrt();
+            let rows: [[f64; 3]; 3] = std::array::from_fn(|i| {
+                std::array::from_fn(|j| {
+                    a * if i == j { rng.gen_range(0.8..1.2) } else { rng.gen_range(-0.4..0.4) }
+                })
+            });
+            let species = (0..n).map(|_| Element::new(rng.gen_range(1..=20))).collect();
+            let mut s =
+                Structure::new(Lattice::new(rows[0], rows[1], rows[2]), species, vec![[0.0; 3]; n]);
+            // Coordinates as an integrator leaves them: some outside [0, 1).
+            let spill = if cell % 2 == 0 { 0.0 } else { 0.5 };
+            s.frac_coords = (0..n)
+                .map(|_| std::array::from_fn(|_| rng.gen_range(-spill..1.0 + spill)))
+                .collect();
+            for cutoff in [3.0, 6.0] {
+                let (want, _) = per_candidate_reference(&s, cutoff);
+                for width in [1, 2] {
+                    let got = fc_tensor::par::with_width(width, || neighbor_list_exact(&s, cutoff));
+                    let ctx = format!("cell {cell}: {n} atoms, cutoff {cutoff}, width {width}");
+                    assert_bond_lists_identical(&got, &want, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn md_cell_has_one_bin_per_direction_and_the_supercell_many() {
         // The regimes the bitwise test above covers: bins at least one
         // cutoff thick.
@@ -523,15 +664,18 @@ mod tests {
             vec![[0.0; 3], [0.5, 0.5, 0.5]],
         );
         let s = unit.supercell(4, 4, 4);
-        assert!(s.n_atoms() >= LINKED_CELL_MIN_ATOMS);
         for cutoff in [3.7, 5.0, 6.5] {
             let cells = neighbor_list_cells(&s, cutoff);
             let exact = neighbor_list_exact(&s, cutoff);
             assert!(!cells.is_empty());
             assert_bond_lists_identical(&cells, &exact, &format!("cutoff {cutoff}"));
-            // And the dispatching front door picks the binned path's result.
-            assert_eq!(neighbor_list(&s, cutoff).len(), exact.len());
         }
+        // And on a cell at the threshold the dispatching front door picks
+        // the binned path's result.
+        let big = unit.supercell(8, 8, 16);
+        assert!(big.n_atoms() >= LINKED_CELL_MIN_ATOMS);
+        let cells = neighbor_list_cells(&big, 3.7);
+        assert_bond_lists_identical(&neighbor_list(&big, 3.7), &cells, "front door");
     }
 
     #[test]

@@ -46,47 +46,34 @@ impl Labels {
     }
 }
 
-/// Smooth cosine cutoff: 1 at r=0, 0 at r=rc, C¹ everywhere.
+/// Smooth cosine cutoff `fc(r)` (1 at r=0, 0 at r=rc, C¹ everywhere) and
+/// its derivative `fc'(r)`, one `cos` and one `sin`.
 #[inline]
-fn fc(r: f64, rc: f64) -> f64 {
+fn cutoff_pair(r: f64) -> (f64, f64) {
+    let rc = ORACLE_CUTOFF;
     if r >= rc {
-        0.0
-    } else {
-        0.5 * ((std::f64::consts::PI * r / rc).cos() + 1.0)
+        return (0.0, 0.0);
     }
+    let x = std::f64::consts::PI * r / rc;
+    (0.5 * (x.cos() + 1.0), -0.5 * std::f64::consts::PI / rc * x.sin())
 }
 
-/// d fc / dr.
+/// Pairwise Morse term and derivative with mixed parameters, before the
+/// cutoff function.
 #[inline]
-fn fc_prime(r: f64, rc: f64) -> f64 {
-    if r >= rc {
-        0.0
-    } else {
-        -0.5 * std::f64::consts::PI / rc * (std::f64::consts::PI * r / rc).sin()
-    }
-}
-
-/// Pairwise Morse term and derivative, with mixed parameters.
-fn morse(pi: &OracleParams, pj: &OracleParams, r: f64) -> (f64, f64) {
+fn morse_raw(pi: &OracleParams, pj: &OracleParams, r: f64) -> (f64, f64) {
     let d = ((pi.well_depth * pj.well_depth) as f64).sqrt();
     let a = 0.5 * (pi.width + pj.width) as f64;
     let r0 = (pi.r0 + pj.r0) as f64;
     let x = (-a * (r - r0)).exp();
-    let raw = d * ((1.0 - x) * (1.0 - x) - 1.0);
-    let raw_p = 2.0 * d * a * x * (1.0 - x);
-    let f = fc(r, ORACLE_CUTOFF);
-    let fp = fc_prime(r, ORACLE_CUTOFF);
-    (raw * f, raw_p * f + raw * fp)
+    (d * ((1.0 - x) * (1.0 - x) - 1.0), 2.0 * d * a * x * (1.0 - x))
 }
 
-/// Density contribution of neighbor `j` at distance `r`, and derivative.
-fn psi(pj: &OracleParams, r: f64) -> (f64, f64) {
-    let a = pj.density_amp as f64;
-    let b = pj.density_decay as f64;
-    let e = (-b * r).exp();
-    let f = fc(r, ORACLE_CUTOFF);
-    let fp = fc_prime(r, ORACLE_CUTOFF);
-    (a * e * f, a * e * (fp - b * f))
+/// `A_j e^{−b_j r}`, neighbour `j`'s density contribution
+/// `ψ_j(r) = A_j e^{−b_j r} fc(r)` before the cutoff function.
+#[inline]
+fn density(pj: &OracleParams, r: f64) -> f64 {
+    pj.density_amp as f64 * (-(pj.density_decay as f64) * r).exp()
 }
 
 /// Embedding functional `F(ρ) = -√(ρ + ε)` and derivative.
@@ -102,21 +89,39 @@ pub fn evaluate(s: &Structure) -> Labels {
 }
 
 /// [`evaluate`] on `bonds`, the [`neighbor_list`] of `s` within
-/// [`ORACLE_CUTOFF`].
+/// [`ORACLE_CUTOFF`]. Each bond's `fc(r)`, `fc'(r)` and `e^{−b_j r}` and
+/// each atom's `F'(ρ_i)` are computed once.
 pub fn evaluate_on(s: &Structure, bonds: &[Bond]) -> Labels {
     let n = s.n_atoms();
-    let (params, rho, mut energy) = embedding(s, bonds);
+    let params = oracle_params(s);
+    // Per bond: fc(r), fc'(r) and ψ'_j(r).
+    let mut rho = vec![0.0f64; n];
+    let mut terms = Vec::with_capacity(bonds.len());
+    for b in bonds {
+        let (f, fp) = cutoff_pair(b.r);
+        let pj = &params[b.j as usize];
+        let ae = density(pj, b.r);
+        rho[b.i as usize] += ae * f;
+        terms.push([f, fp, ae * (fp - pj.density_decay as f64 * f)]);
+    }
+    let mut energy = reference_energy(&params);
+    let mut embed_p = Vec::with_capacity(n);
+    for &r in &rho {
+        let (e, ep) = embed(r);
+        energy += e;
+        embed_p.push(ep);
+    }
 
     let carts = s.cart_coords();
     let mut forces = vec![[0.0f64; 3]; n];
     let mut virial = [[0.0f64; 3]; 3];
-    for b in bonds {
+    for (b, &[f, fp, psi_p]) in bonds.iter().zip(&terms) {
         let (i, j, r) = (b.i as usize, b.j as usize, b.r);
-        let (phi, phi_p) = morse(&params[i], &params[j], r);
-        energy += 0.5 * phi;
+        let (raw, raw_p) = morse_raw(&params[i], &params[j], r);
+        energy += 0.5 * (raw * f);
         // dE/dr along this directed bond: half the pair term (the reverse
         // bond carries the other half) plus the source atom's density term.
-        let de_dr = 0.5 * phi_p + embed(rho[i]).1 * psi(&params[j], r).1;
+        let de_dr = 0.5 * (raw_p * f + raw * fp) + embed_p[i] * psi_p;
         let v = b.vector(&s.lattice, &carts);
         let unit = [v[0] / r, v[1] / r, v[2] / r];
         // r grows when x_j moves along +unit; F = -dE/dx.
@@ -147,28 +152,141 @@ pub fn evaluate_on(s: &Structure, bonds: &[Bond]) -> Labels {
 }
 
 /// The energy [`evaluate_on`] gives, bitwise, summed in the same order but
-/// without the forces, the virial and the magnetic moments.
-pub(crate) fn energy_on(s: &Structure, bonds: &[Bond]) -> f64 {
-    let (params, _, mut energy) = embedding(s, bonds);
+/// without the forces, the virial and the magnetic moments: each bond's
+/// `fc(r)` and `e^{−b_j r}` are computed once.
+pub fn energy_on(s: &Structure, bonds: &[Bond]) -> f64 {
+    let params = oracle_params(s);
+    let mut rho = vec![0.0f64; s.n_atoms()];
+    let mut cut = Vec::with_capacity(bonds.len());
     for b in bonds {
-        energy += 0.5 * morse(&params[b.i as usize], &params[b.j as usize], b.r).0;
+        let f = cutoff_pair(b.r).0;
+        rho[b.i as usize] += density(&params[b.j as usize], b.r) * f;
+        cut.push(f);
+    }
+    let mut energy = reference_energy(&params);
+    for &r in &rho {
+        energy += embed(r).0;
+    }
+    for (b, &f) in bonds.iter().zip(&cut) {
+        energy += 0.5 * (morse_raw(&params[b.i as usize], &params[b.j as usize], b.r).0 * f);
     }
     energy
 }
 
-/// Per-atom parameters, densities `ρ_i` and the energy before the pair
-/// terms: the reference energies, then each atom's embedding energy.
-fn embedding(s: &Structure, bonds: &[Bond]) -> (Vec<OracleParams>, Vec<f64>, f64) {
-    let params: Vec<OracleParams> = s.species.iter().map(|e| e.oracle_params()).collect();
-    let mut rho = vec![0.0f64; s.n_atoms()];
-    for b in bonds {
-        rho[b.i as usize] += psi(&params[b.j as usize], b.r).0;
+/// Per-atom oracle parameters.
+fn oracle_params(s: &Structure) -> Vec<OracleParams> {
+    s.species.iter().map(|e| e.oracle_params()).collect()
+}
+
+/// The sum of the atoms' reference energies, where the energy sum starts.
+fn reference_energy(params: &[OracleParams]) -> f64 {
+    params.iter().map(|p| p.e0 as f64).sum()
+}
+
+/// The oracle as it was before each bond's terms were computed once:
+/// `fc`, `fc'`, `e^{−b_j r}` and `F'(ρ_i)` recomputed per use. Kept as the
+/// bitwise reference of [`evaluate_on`] and [`energy_on`].
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    fn fc(r: f64, rc: f64) -> f64 {
+        if r >= rc {
+            0.0
+        } else {
+            0.5 * ((std::f64::consts::PI * r / rc).cos() + 1.0)
+        }
     }
-    let mut energy: f64 = params.iter().map(|p| p.e0 as f64).sum();
-    for &r in &rho {
-        energy += embed(r).0;
+
+    fn fc_prime(r: f64, rc: f64) -> f64 {
+        if r >= rc {
+            0.0
+        } else {
+            -0.5 * std::f64::consts::PI / rc * (std::f64::consts::PI * r / rc).sin()
+        }
     }
-    (params, rho, energy)
+
+    fn morse(pi: &OracleParams, pj: &OracleParams, r: f64) -> (f64, f64) {
+        let d = ((pi.well_depth * pj.well_depth) as f64).sqrt();
+        let a = 0.5 * (pi.width + pj.width) as f64;
+        let r0 = (pi.r0 + pj.r0) as f64;
+        let x = (-a * (r - r0)).exp();
+        let raw = d * ((1.0 - x) * (1.0 - x) - 1.0);
+        let raw_p = 2.0 * d * a * x * (1.0 - x);
+        let f = fc(r, ORACLE_CUTOFF);
+        let fp = fc_prime(r, ORACLE_CUTOFF);
+        (raw * f, raw_p * f + raw * fp)
+    }
+
+    fn psi(pj: &OracleParams, r: f64) -> (f64, f64) {
+        let a = pj.density_amp as f64;
+        let b = pj.density_decay as f64;
+        let e = (-b * r).exp();
+        let f = fc(r, ORACLE_CUTOFF);
+        let fp = fc_prime(r, ORACLE_CUTOFF);
+        (a * e * f, a * e * (fp - b * f))
+    }
+
+    pub(crate) fn evaluate_on(s: &Structure, bonds: &[Bond]) -> Labels {
+        let n = s.n_atoms();
+        let (params, rho, mut energy) = embedding(s, bonds);
+
+        let carts = s.cart_coords();
+        let mut forces = vec![[0.0f64; 3]; n];
+        let mut virial = [[0.0f64; 3]; 3];
+        for b in bonds {
+            let (i, j, r) = (b.i as usize, b.j as usize, b.r);
+            let (phi, phi_p) = morse(&params[i], &params[j], r);
+            energy += 0.5 * phi;
+            let de_dr = 0.5 * phi_p + embed(rho[i]).1 * psi(&params[j], r).1;
+            let v = b.vector(&s.lattice, &carts);
+            let unit = [v[0] / r, v[1] / r, v[2] / r];
+            for k in 0..3 {
+                forces[i][k] += de_dr * unit[k];
+                forces[j][k] -= de_dr * unit[k];
+            }
+            for (a, vrow) in virial.iter_mut().enumerate() {
+                for (c, w) in vrow.iter_mut().enumerate() {
+                    *w += de_dr * v[a] * v[c] / r;
+                }
+            }
+        }
+
+        let vol = s.volume();
+        let mut stress = [[0.0f64; 3]; 3];
+        for a in 0..3 {
+            for c in 0..3 {
+                stress[a][c] = virial[a][c] / vol * EV_PER_A3_TO_GPA;
+            }
+        }
+        let magmoms = rho
+            .iter()
+            .zip(&params)
+            .map(|(&r, p)| p.mag_scale as f64 * (r / RHO_REF).tanh())
+            .collect();
+        Labels { energy, forces, stress, magmoms }
+    }
+
+    pub(crate) fn energy_on(s: &Structure, bonds: &[Bond]) -> f64 {
+        let (params, _, mut energy) = embedding(s, bonds);
+        for b in bonds {
+            energy += 0.5 * morse(&params[b.i as usize], &params[b.j as usize], b.r).0;
+        }
+        energy
+    }
+
+    fn embedding(s: &Structure, bonds: &[Bond]) -> (Vec<OracleParams>, Vec<f64>, f64) {
+        let params: Vec<OracleParams> = s.species.iter().map(|e| e.oracle_params()).collect();
+        let mut rho = vec![0.0f64; s.n_atoms()];
+        for b in bonds {
+            rho[b.i as usize] += psi(&params[b.j as usize], b.r).0;
+        }
+        let mut energy: f64 = params.iter().map(|p| p.e0 as f64).sum();
+        for &r in &rho {
+            energy += embed(r).0;
+        }
+        (params, rho, energy)
+    }
 }
 
 #[cfg(test)]

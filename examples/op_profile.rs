@@ -9,9 +9,11 @@
 //!   at width 1, the width rank workers run at: one table for the forward
 //!   pass and composite loss, one for `backward_final`;
 //! * the dataset generation behind train-dp4's set-up, on its cell-size
-//!   distribution: ms per structure of `sane_random_structure` and of the
-//!   three parts of `Sample::from_structure` (the neighbour list, the
-//!   oracle's `evaluate_on` and `CrystalGraph::from_bonds`).
+//!   distribution: ms per structure of the four stages of
+//!   `sane_random_structure` (draw, separation screen, neighbour list,
+//!   `energy_on`) and of the three parts of `Sample::from_structure` (the
+//!   neighbour list, the oracle's `evaluate_on` and
+//!   `CrystalGraph::from_bonds`).
 //!
 //! Each table gives kernels, MFLOP, MB moved (the cost model's minimum
 //! traffic, `fc_tensor::cost`) and ms per pass by op kind, then the peak
@@ -26,16 +28,24 @@
 //! (`CrystalGraph::from_bonds`) and collation, and for [`REPS`] + 1 md
 //! force calls (`Calculator::evaluate`) the buffer-pool misses of each
 //! call and the bytes the pool holds after it, which stay at 0 and level
-//! once the pool has been filled. It ends the md part with the table
+//! once the pool has been filled, and the call's minor page faults. The
+//! "neighbour search by cell size" table, behind `LINKED_CELL_MIN_ATOMS`,
+//! times both neighbour searches at both widths on cells of 64 to 4,096
+//! atoms. It ends the md part with the table
 //! `par::SPLIT_WORK` is set from: a split's break-even, the median µs of
 //! an add over 1K–256K elements on one thread and split. It also prints
 //! the `matmul`, `exp` and `sin`/`cos` kernel tiers this host runs.
 //!
 //! Run: `cargo run --release --example op_profile`
 
-use fastchgnet::crystal::dataset::sane_random_structure;
-use fastchgnet::crystal::oracle::evaluate_on;
-use fastchgnet::crystal::{known, neighbor_list, ATOM_CUTOFF, BOND_CUTOFF};
+use fastchgnet::crystal::dataset::{
+    random_structure_with_boost, sane_random_structure, well_separated, MAX_ABS_E_PER_ATOM,
+};
+use fastchgnet::crystal::oracle::{energy_on, evaluate_on};
+use fastchgnet::crystal::{
+    known, neighbor_list, neighbor_list_cells, neighbor_list_exact, ATOM_CUTOFF, BOND_CUTOFF,
+    LINKED_CELL_MIN_ATOMS,
+};
 use fastchgnet::prelude::*;
 use fastchgnet::tensor::kernels::exp::ExpTier;
 use fastchgnet::tensor::kernels::matmul::GemmTier;
@@ -116,6 +126,7 @@ fn main() {
     print_held(&held);
     print_graph_stage(&structure, ac, bc);
     print_pool_per_call(&Calculator::new(&model, &store), &structure);
+    print_neighbor_crossover(&structure);
     print_split_break_even();
 
     // train-dp4's pool draws cell sizes like Scale::wide_dataset.
@@ -341,31 +352,57 @@ fn print_graph_stage(structure: &Structure, ac: f64, bc: f64) {
 
 /// Print the ms per structure of each stage of generating train-dp4's
 /// 320 labelled structures from `cfg`'s size distribution, the median of
-/// [`DATASET_PASSES`] passes after a warm-up: `sane_random_structure`
-/// (candidates drawn and screened), then `Sample::from_structure` by part.
+/// [`DATASET_PASSES`] passes after a warm-up: `sane_random_structure` by
+/// stage (candidates drawn, screened by separation, and for those that
+/// pass the neighbour list and the energy), then `Sample::from_structure`
+/// by part. The screen is replayed from its public pieces, and each replay
+/// is checked to accept the structure `sane_random_structure` returns.
 fn print_dataset_generation(cfg: &DatasetConfig) {
     const STRUCTURES: usize = 320;
-    let mut passes: [Vec<f64>; 4] = Default::default();
+    const STAGES: usize = 7;
+    let mut passes: [Vec<f64>; STAGES] = Default::default();
     let mut atoms = 0;
     for pass in 0..=DATASET_PASSES {
-        let mut ms = [0.0f64; 4];
+        let mut ms = [0.0f64; STAGES];
+        let mut lap = |stage: usize, t: &mut Instant| {
+            let now = Instant::now();
+            ms[stage] += (now - *t).as_secs_f64() * 1e3 / STRUCTURES as f64;
+            *t = now;
+        };
         atoms = 0;
         for i in 0..STRUCTURES {
             let mut rng = StdRng::seed_from_u64(i as u64);
-            let t0 = Instant::now();
-            let s = sane_random_structure(&mut rng, cfg);
-            let t1 = Instant::now();
-            let bonds = neighbor_list(&s, ATOM_CUTOFF);
-            let t2 = Instant::now();
-            let labels = evaluate_on(&s, &bonds);
-            let t3 = Instant::now();
-            let graph = CrystalGraph::from_bonds(s, bonds, ATOM_CUTOFF, BOND_CUTOFF);
-            let t4 = Instant::now();
-            atoms += graph.n_atoms();
-            drop((labels, graph));
-            for (m, d) in ms.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2, t4 - t3]) {
-                *m += d.as_secs_f64() * 1e3 / STRUCTURES as f64;
+            let mut t = Instant::now();
+            let mut boost = 1.0;
+            let mut accepted = None;
+            for _attempt in 0..8 {
+                let s = random_structure_with_boost(&mut rng, cfg, boost);
+                lap(0, &mut t);
+                let separated = well_separated(&s);
+                lap(1, &mut t);
+                if separated {
+                    let bonds = neighbor_list(&s, ATOM_CUTOFF);
+                    lap(2, &mut t);
+                    let e = energy_on(&s, &bonds);
+                    lap(3, &mut t);
+                    if (e / s.n_atoms() as f64).abs() < MAX_ABS_E_PER_ATOM {
+                        accepted = Some(s);
+                        break;
+                    }
+                }
+                boost *= 1.35;
             }
+            let s = accepted.expect("train-dp4's candidates pass within 8 attempts");
+            let bonds = neighbor_list(&s, ATOM_CUTOFF);
+            lap(4, &mut t);
+            let labels = evaluate_on(&s, &bonds);
+            lap(5, &mut t);
+            let graph = CrystalGraph::from_bonds(s, bonds, ATOM_CUTOFF, BOND_CUTOFF);
+            lap(6, &mut t);
+            atoms += graph.n_atoms();
+            let screened = sane_random_structure(&mut StdRng::seed_from_u64(i as u64), cfg);
+            assert_eq!(graph.structure, screened, "the replayed screen diverged");
+            drop((labels, graph));
         }
         if pass > 0 {
             for (p, m) in passes.iter_mut().zip(ms) {
@@ -378,8 +415,11 @@ fn print_dataset_generation(cfg: &DatasetConfig) {
          atoms each on average, ms per structure (median of {DATASET_PASSES} passes)",
         atoms as f64 / STRUCTURES as f64
     );
-    let stages = [
-        "sane_random_structure",
+    let stages: [&str; STAGES] = [
+        "screen: draw",
+        "screen: separation",
+        "screen: neighbour list",
+        "screen: energy_on",
         "from_structure: neighbour list",
         "from_structure: evaluate_on",
         "from_structure: from_bonds",
@@ -394,19 +434,93 @@ fn print_dataset_generation(cfg: &DatasetConfig) {
     println!("{:<32} {total:>8.4}", "sum");
 }
 
+/// Print the ms per call of `neighbor_list_exact` and
+/// `neighbor_list_cells` at width 1 and at full width, the median of
+/// [`REPS`] calls after a warm-up (the four alternate call by call), at the
+/// atom cutoff on the md cell and on two series of 64 to 4,096 atoms: the
+/// generator's first candidate of that size (its density; at these sizes
+/// the separation screen rejects nearly every candidate and falls back to
+/// one 8× sparser) and supercells of the md cell's crystal (a real
+/// crystal's density, several times the bonds per atom). `LINKED_CELL_MIN_ATOMS` is
+/// set from where the binned search starts to win.
+fn print_neighbor_crossover(md_cell: &Structure) {
+    let width = par::width();
+    println!(
+        "\nneighbour search by cell size at {ATOM_CUTOFF} Å, median ms per call of {REPS} \
+         (LINKED_CELL_MIN_ATOMS = {LINKED_CELL_MIN_ATOMS})"
+    );
+    print!("{:<18} {:>8}", "cell", "bonds");
+    for w in [1, width] {
+        print!(" {:>10} {:>10}", format!("exact @{w}"), format!("cells @{w}"));
+    }
+    println!();
+    let mut cells = vec![("md cell".to_string(), md_cell.clone())];
+    for atoms in [64, 128, 256, 512, 1024, 2048, 4096] {
+        let cfg = DatasetConfig { min_atoms: atoms, max_atoms: atoms, ..DatasetConfig::default() };
+        let s = random_structure_with_boost(&mut StdRng::seed_from_u64(atoms as u64), &cfg, 1.0);
+        cells.push((format!("random {atoms}"), s));
+    }
+    for (a, b, c) in [(2, 2, 1), (2, 2, 2), (4, 2, 2), (4, 4, 2), (4, 4, 4), (8, 4, 4)] {
+        let s = known::li9co7o16().supercell(a, b, c);
+        cells.push((format!("md {a}x{b}x{c} {}", s.n_atoms()), s));
+    }
+    for (name, s) in &cells {
+        let runs = [(1, false), (1, true), (width, false), (width, true)];
+        let mut times = runs.map(|_| Vec::with_capacity(REPS));
+        let mut bonds = 0;
+        for rep in 0..=REPS {
+            for (ts, &(w, binned)) in times.iter_mut().zip(&runs) {
+                let t = Instant::now();
+                let list = par::with_width(w, || {
+                    if binned {
+                        neighbor_list_cells(s, ATOM_CUTOFF)
+                    } else {
+                        neighbor_list_exact(s, ATOM_CUTOFF)
+                    }
+                });
+                let elapsed = t.elapsed().as_secs_f64() * 1e3;
+                bonds = list.len();
+                if rep > 0 {
+                    ts.push(elapsed);
+                }
+            }
+        }
+        print!("{name:<18} {bonds:>8}");
+        for mut ts in times {
+            ts.sort_by(f64::total_cmp);
+            print!(" {:>10.3}", ts[ts.len() / 2]);
+        }
+        println!();
+    }
+}
+
 /// Print this thread's buffer-pool misses of each of [`REPS`] + 1 md
-/// force calls and the KiB the pool holds after it.
+/// force calls, the KiB the pool holds after it, and the process's minor
+/// page faults during it (`minflt`, field 10 of `/proc/self/stat`; blank
+/// where that file does not exist).
 fn print_pool_per_call(calc: &Calculator, structure: &Structure) {
     println!("\nmd force calls (Calculator::evaluate), this thread's buffer pool");
-    println!("{:<18} {:>8} {:>10}", "call", "misses", "pooled KiB");
+    println!("{:<18} {:>8} {:>10} {:>8}", "call", "misses", "pooled KiB", "minflt");
     let mut before = pool::stats();
     for call in 1..=REPS + 1 {
+        let faults = minor_faults();
         calc.evaluate(structure);
+        let faults = minor_faults().zip(faults).map_or(String::new(), |(b, a)| (b - a).to_string());
         let after = pool::stats();
         let kib = after.bytes_pooled as f64 / 1024.0;
-        println!("{call:<18} {:>8} {kib:>10.1}", after.misses - before.misses);
+        println!("{call:<18} {:>8} {kib:>10.1} {faults:>8}", after.misses - before.misses);
         before = after;
     }
+}
+
+/// Minor page faults of this process so far: field 10 of
+/// `/proc/self/stat`, counted after the parenthesised command name (which
+/// may hold spaces).
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let (_, fields) = stat.rsplit_once(')')?;
+    // Field 3 is the first after the name, so field 10 is the 8th.
+    fields.split_whitespace().nth(7)?.parse().ok()
 }
 
 /// Print, for `n` elements around [`par::SPLIT_WORK`] (whose unit is one

@@ -71,7 +71,9 @@ cargo test --release -q -p fastchgnet-tensor --lib kernels::trig::tests::port_is
   -- --ignored --nocapture
 
 # Both neighbour-list paths against the per-candidate search (widths 1
-# and 2), and linear_split with a gathered first block from fewer, as
+# and 2; the image-major exact path also on 320 random skewed cells of
+# 1-200 atoms, some with fractional coordinates outside [0, 1)), and
+# linear_split with a gathered first block from fewer, as
 # many and more source rows, and with outputs whose column strips pair
 # across outputs, against gather + concat + linear (every GEMM tier the
 # host runs, widths 1 and 2), with the fused bases against their scalar
@@ -86,12 +88,14 @@ cargo test --release -q -p fastchgnet-tensor --lib -- \
   first_block_partials strips_across_outputs bases_are_bitwise high_orders_match_the_f64_leibniz_sum
 
 # The screen's separation test against the min-ratio reference, the
-# energy-only oracle pass against the full oracle's energy, one shared
-# neighbour list against the graph and labels built apart, and the
-# generator's output against bits pinned before the pipeline shared work.
+# energy-only oracle pass against the full oracle's energy, the oracle's
+# once-per-bond terms against the per-use reference, one shared neighbour
+# list against the graph and labels built apart, and the generator's
+# output against bits pinned before the pipeline shared work.
 echo "== dataset generation equivalence (release) =="
 cargo test --release -q -p fastchgnet-crystal --lib -- \
   separation_test_is_the_min_ratio_verdict energy_pass_is_bitwise_the_full_oracle_energy \
+  oracle_is_bitwise_the_per_use_reference \
   sample_is_bitwise_the_graph_and_the_oracle_built_apart generate_emits_the_pinned_bits
 
 echo "== final-sweep equivalence smoke (final sweep vs retained backward bitwise, release) =="
