@@ -86,22 +86,26 @@ impl Lattice {
         inv
     }
 
-    /// Number of periodic images to search along each lattice direction so
-    /// that every neighbor within `cutoff` is found: `ceil(cutoff / h_i)`
-    /// where `h_i` is the perpendicular slab thickness along direction `i`.
-    pub fn image_ranges(&self, cutoff: f64) -> [i32; 3] {
+    /// Perpendicular slab thickness `h_i = V / area_i` along each lattice
+    /// direction `i`, `area_i` that of the face spanned by the other two
+    /// lattice vectors.
+    pub fn slab_thickness(&self) -> [f64; 3] {
         let v = self.volume();
-        let mut out = [0i32; 3];
-        for (i, oi) in out.iter_mut().enumerate() {
+        std::array::from_fn(|i| {
             let b = self.m[(i + 1) % 3];
             let c = self.m[(i + 2) % 3];
             let cross =
                 [b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0]];
             let area = (cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2]).sqrt();
-            let h = v / area.max(1e-12);
-            *oi = (cutoff / h).ceil() as i32;
-        }
-        out
+            v / area.max(1e-12)
+        })
+    }
+
+    /// Number of periodic images to search along each lattice direction so
+    /// that every neighbor within `cutoff` is found: `ceil(cutoff / h_i)`
+    /// with `h_i` the [`Lattice::slab_thickness`].
+    pub fn image_ranges(&self, cutoff: f64) -> [i32; 3] {
+        self.slab_thickness().map(|h| (cutoff / h).ceil() as i32)
     }
 
     /// Apply a symmetric strain `(I + ε)` to the lattice (used by the

@@ -1,47 +1,34 @@
-//! Periodic neighbor lists.
+//! Periodic neighbor lists, from one search.
 //!
-//! Both searches read one **image table** per call: the Cartesian offset
-//! `lattice.frac_to_cart(image)` of every periodic image a bond can use,
-//! computed once per image rather than once per candidate pair, and laid
-//! out as contiguous `x`, `y`, `z` lanes in `(a, b, c)` order. Every
-//! candidate is tested with the reference arithmetic
-//! `v = carts[j] + img − carts[i]`, `r2 = v0·v0 + v1·v1 + v2·v2` in that
-//! order (no fused multiply-add), and kept when `r2 <= cutoff²` and
-//! `r2 > 1e-12`, so every accepted bond is bitwise what a per-candidate
-//! `frac_to_cart` gives.
+//! The atoms are counting-sorted into **bins** by raw fractional
+//! coordinate over `[min f, max f]` per direction (no wrapping), and their
+//! Cartesian coordinates laid out as `x`, `y`, `z` lanes in bin order. For
+//! atom `i` and each image `a` that a pair `(i, j)` can keep (from the
+//! smallest and largest coordinate), only the bins that can hold an `f_j`
+//! within `f_i − a_d ± reach_d` are visited: along the last direction one
+//! run of lanes, whose `r2` row is one vectorised pass. The image offsets
+//! come from one table per call (`lattice.frac_to_cart(image)` in
+//! `(a, b, c)` order), and every candidate is tested with the reference
+//! arithmetic `v = carts[j] + img − carts[i]`, `r2 = v0·v0 + v1·v1 + v2·v2`
+//! (no fused multiply-add), kept when `1e-12 < r2 <= cutoff²`. Each `j`
+//! lies in one bin, so its hits come in image order, and a stable counting
+//! pass by `j` gives `(j, image)` order. So every bin count returns the
+//! per-candidate search's list bit for bit; one bin is the exact all-pairs
+//! search ([`neighbor_list_exact`]).
 //!
-//! Each search first cuts the images to those that can come within the
-//! cutoff. Along lattice direction `d`, a bond vector's component normal
-//! to the other two lattice vectors is `(f_j − f_i + a_d)·h_d`, with `h_d`
-//! the slab thickness of [`crate::lattice::Lattice::image_ranges`]. So an
-//! image with `|f_j − f_i + a_d| > cutoff / h_d` is farther than the
-//! cutoff. The cut widens `cutoff / h_d` by a relative and an absolute
-//! `1e-9`, far above the rounding of the fractional and Cartesian
-//! coordinates, so it only drops images the `r2` test would reject.
-//!
-//! * **Exact path** (below [`LINKED_CELL_MIN_ATOMS`] atoms), image-major:
-//!   atom `i`'s box holds every image any pair `(i, j)` can keep, found
-//!   from the smallest and largest fractional coordinate per direction.
-//!   For each image of the box one pass over the coordinate lanes of all
-//!   `j` fills a row of `r2`, which vectorises, and the row's hits are
-//!   kept. A stable counting pass by `j` turns atom `i`'s hits from
-//!   `(image, j)` into `(j, image)` order. It runs on the calling thread,
-//!   in scratch buffers that persist per thread, so a call allocates
-//!   little beyond the returned list.
-//! * **Linked-cell path**: each candidate pair `(i, j)` from nearby bins
-//!   tests its own cut box of images, one contiguous row of `c` lanes per
-//!   `(a, b)`, and each atom's bonds are sorted into `(j, image)` order.
-//!   The atoms `i` split across the [`fc_tensor::par`] helpers and the
-//!   per-atom lists are concatenated in atom order, so the result is the
-//!   same at every width.
-//!
-//! Both paths list bonds by `(i, j, image)`, and test the same candidates
-//! with the same arithmetic, so they return the same list bit for bit.
+//! Two cuts skip candidates: `|f_j − f_i + a_d| > reach_d = cutoff / h_d`
+//! (a bond vector's component normal to the other two lattice vectors is
+//! `(f_j − f_i + a_d)·h_d`, `h_d` the
+//! [`crate::lattice::Lattice::slab_thickness`]), and an image that puts the
+//! atoms' Cartesian bounding box beyond the cutoff from atom `i`. Both
+//! widen the cutoff by a relative and an absolute `1e-9`, far above the
+//! coordinates' rounding, so they drop only candidates the `r2` test would
+//! reject.
 
 use crate::lattice::Lattice;
 use crate::structure::Structure;
 use std::cell::RefCell;
-use std::ops::RangeInclusive;
+use std::ops::Range;
 
 /// A directed bond `i -> j` under periodic boundary conditions.
 ///
@@ -75,28 +62,19 @@ impl Bond {
     }
 }
 
-/// Cells with at least this many atoms use the linked-cell (binned)
-/// search; smaller cells use the exact all-pairs search, whose image-major
-/// pass over coordinate lanes wins until its O(N²) catches up.
+/// Cells with at least this many atoms bin their atoms
+/// ([`neighbor_list_cells`]); smaller cells search with one bin
+/// ([`neighbor_list_exact`]).
 ///
 /// Set from `examples/op_profile`'s "neighbour search by cell size" table
-/// (EXPERIMENTS.md "Neighbour search crossover"), which times both searches
-/// at widths 1 and 2 on two series of cells. On the dataset generator's
-/// sparse cells (8-33 bonds per atom at 6 Å) the binned search at width 2
-/// wins from about 1,024 atoms; on supercells of the md cell's crystal
-/// (107 bonds per atom) the exact search still wins at 4,096. Between the
-/// two, 2,048 keeps either path within about 1.8× of the faster one on
-/// both series. Every benchmark cell (≤ 64 atoms) takes the exact path.
-pub const LINKED_CELL_MIN_ATOMS: usize = 2048;
+/// (EXPERIMENTS.md "Neighbour search crossover"), which times one bin
+/// against bins at width 1 on two series of cells: bins win or tie from
+/// 128 atoms on both. It stays above every benchmark cell (≤ 64 atoms), so
+/// those search with one bin.
+pub const LINKED_CELL_MIN_ATOMS: usize = 128;
 
-/// Build the directed neighbor list of `s` within `cutoff` (Å).
-///
-/// Dispatches to the linked-cell (binned) search from
-/// [`LINKED_CELL_MIN_ATOMS`] atoms and to the exact all-pairs search below
-/// it. Both return the identical bond list (same bonds, same order, same
-/// floating-point values) — the binned search recomputes every candidate
-/// bond with the exact formula and sorts into the exact path's (i, j,
-/// image) iteration order.
+/// Build the directed neighbor list of `s` within `cutoff` (Å), binned
+/// from [`LINKED_CELL_MIN_ATOMS`] atoms up (the same list either way).
 pub fn neighbor_list(s: &Structure, cutoff: f64) -> Vec<Bond> {
     if s.n_atoms() >= LINKED_CELL_MIN_ATOMS {
         neighbor_list_cells(s, cutoff)
@@ -105,127 +83,59 @@ pub fn neighbor_list(s: &Structure, cutoff: f64) -> Vec<Bond> {
     }
 }
 
-/// Exact periodic search: every atom pair over every image within the
-/// lattice's [`crate::lattice::Lattice::image_ranges`]. Self-interactions
-/// in the home image are excluded; an atom may bond to its own periodic
-/// copies. O(N² · images) candidates — the reference the binned search
-/// must match. Image-major and serial (module docs); the returned list is
-/// allocated once, at its exact length.
+/// Exact periodic search with one bin: every atom pair over every image
+/// within [`crate::lattice::Lattice::image_ranges`], the reference.
+/// Self-interactions in the home image are excluded; an atom may bond to
+/// its own periodic copies.
 pub fn neighbor_list_exact(s: &Structure, cutoff: f64) -> Vec<Bond> {
+    Search::new(s, cutoff).pairs([1; 3])
+}
+
+/// Binned periodic search, O(N · neighbors): bins at least one `reach`
+/// thick, so a visit reads at most three per direction.
+pub fn neighbor_list_cells(s: &Structure, cutoff: f64) -> Vec<Bond> {
     let search = Search::new(s, cutoff);
-    let n = s.lattice.image_ranges(cutoff);
-    SCRATCH.with_borrow_mut(|scratch| search.all_pairs(n, scratch))
+    search.pairs(search.bins())
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// The exact search's working buffers, kept per thread across calls.
+/// The search's working buffers, kept per thread across calls.
 #[derive(Default)]
 struct Scratch {
-    /// Cartesian `x`, `y`, `z` lanes of the atoms.
-    x: Vec<f64>,
-    y: Vec<f64>,
-    z: Vec<f64>,
-    /// `r2` from atom `i` to every `j` at one image.
-    row: Vec<f64>,
-    /// Atom `i`'s bonds in `(image, j)` order.
-    hits: Vec<Bond>,
-    /// Atom `i`'s bonds per `j`, then the first slot of each `j`.
-    slots: Vec<u32>,
+    /// The first lane of each bin, then the number of atoms.
+    start: Vec<u32>,
+    /// Atom `i`'s first and last bin along the last direction at each
+    /// image component of its box there.
+    windows: Vec<(usize, usize)>,
+    pass: Pass,
     /// Every bond so far, in the returned order.
     bonds: Vec<Bond>,
 }
 
-/// Linked-cell (binned) periodic search, O(N · neighbors).
-///
-/// The home cell is carved into fractional bins at least one cutoff thick
-/// along each lattice direction (measured by the perpendicular slab
-/// thickness `h_i = V / area_i`, the same geometry as
-/// [`crate::lattice::Lattice::image_ranges`]). Each atom is bucketed by its
-/// wrapped fractional coordinate; a query then visits only the bins whose
-/// fractional span can hold a point within the cutoff. A visited bin may
-/// lie in several periodic copies of the home cell (when the reach wraps
-/// around it); those copies form a contiguous box of wrapped-space images
-/// `m`, and each of the bin's atoms `j` is tested over the raw images
-/// `m + shift_i − shift_j` with the exact bond formula, so accepted bonds
-/// are bitwise identical to [`neighbor_list_exact`]. Sorting each atom's
-/// bonds by `(j, image)` restores the exact path's order.
-pub fn neighbor_list_cells(s: &Structure, cutoff: f64) -> Vec<Bond> {
-    let search = Search::new(s, cutoff);
-    let h = slab_thickness(&s.lattice);
-    // Bin counts: bins at least `cutoff` thick (≥ 1 per direction), and the
-    // bin reach needed so every point within `cutoff` of a query is visited:
-    // |Δfrac_d| ≤ cutoff / h_d, hence |Δbin_d| ≤ ⌊cutoff·n_d/h_d⌋ + 1.
-    let mut nbins = [1i64; 3];
-    let mut reach = [1i64; 3];
-    for d in 0..3 {
-        nbins[d] = ((h[d] / cutoff).floor() as i64).max(1);
-        reach[d] = (cutoff * nbins[d] as f64 / h[d]).floor() as i64 + 1;
-    }
-    let flat = |b: [i64; 3]| (b[0] + nbins[0] * (b[1] + nbins[1] * b[2])) as usize;
-
-    // Bucket atoms by wrapped fractional coordinate; remember the integer
-    // shift so raw periodic images can be reconstructed exactly.
-    let mut shift = vec![[0i64; 3]; s.n_atoms()];
-    let mut bin_of = vec![[0i64; 3]; s.n_atoms()];
-    let mut cells: Vec<Vec<u32>> = vec![Vec::new(); flat(nbins.map(|n| n - 1)) + 1];
-    for (a, f) in s.frac_coords.iter().enumerate() {
-        for d in 0..3 {
-            let fl = f[d].floor();
-            shift[a][d] = fl as i64;
-            let w = f[d] - fl;
-            bin_of[a][d] = ((w * nbins[d] as f64) as i64).min(nbins[d] - 1);
-        }
-        cells[flat(bin_of[a])].push(a as u32);
-    }
-
-    search.per_atom(|i, out| {
-        // Per direction, the wrapped bins the query reaches, each with the
-        // contiguous wrapped-space images `m` it is reached at: raw bin
-        // `t = m·n + b` runs over `bin_of[i] ± reach`.
-        let spans: [Vec<(i64, i64, i64)>; 3] = std::array::from_fn(|d| {
-            let (lo, hi, n) = (bin_of[i][d] - reach[d], bin_of[i][d] + reach[d], nbins[d]);
-            (0..n)
-                .map(|b| (b, -(b - lo).div_euclid(n), (hi - b).div_euclid(n)))
-                .filter(|&(_, m0, m1)| m0 <= m1)
-                .collect()
-        });
-        for &(b0, m0a, m0b) in &spans[0] {
-            for &(b1, m1a, m1b) in &spans[1] {
-                for &(b2, m2a, m2b) in &spans[2] {
-                    for &j in &cells[flat([b0, b1, b2])] {
-                        let j = j as usize;
-                        let m = [(m0a, m0b), (m1a, m1b), (m2a, m2b)];
-                        let images = std::array::from_fn(|d| {
-                            let off = shift[i][d] - shift[j][d];
-                            (m[d].0 + off) as i32..=(m[d].1 + off) as i32
-                        });
-                        search.scan_pair(i, j, images, out);
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|x| (x.j, x.image));
-    })
+/// What a visit reads and writes.
+#[derive(Default)]
+struct Pass {
+    /// Cartesian lanes of the atoms in bin order, and the atom of each.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    atom: Vec<u32>,
+    /// `r2` from atom `i` to the lanes of one visit.
+    row: Vec<f64>,
+    /// The positions in `row` within the cutoff, and one spare slot.
+    keep: Vec<u32>,
+    /// Atom `i`'s bonds in visit order.
+    hits: Vec<Bond>,
+    /// Each atom's bin while sorting; then atom `i`'s bonds per `j`, then
+    /// the first slot of each `j`.
+    per_j: Vec<u32>,
 }
 
-/// Perpendicular slab thickness `h_d = V / area_d` per lattice direction.
-fn slab_thickness(lattice: &Lattice) -> [f64; 3] {
-    let vol = lattice.volume();
-    std::array::from_fn(|d| {
-        let b = lattice.m[(d + 1) % 3];
-        let c = lattice.m[(d + 2) % 3];
-        let cross =
-            [b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0]];
-        let area = (cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2]).sqrt();
-        vol / area.max(1e-12)
-    })
-}
-
-/// What both searches share for one call: the coordinates, the per-pair
-/// cut and the image table.
+/// One call's search: the coordinates, the cuts and the image
+/// table.
 struct Search<'a> {
     frac: &'a [[f64; 3]],
     carts: Vec<[f64; 3]>,
@@ -236,49 +146,104 @@ struct Search<'a> {
     /// Smallest and largest fractional coordinate per direction.
     fmin: [f64; 3],
     fmax: [f64; 3],
+    /// Smallest and largest Cartesian coordinate per axis.
+    cmin: [f64; 3],
+    cmax: [f64; 3],
+    /// The squared cutoff, widened (module docs).
+    box_cut2: f64,
     table: ImageTable,
 }
 
 impl<'a> Search<'a> {
     fn new(s: &'a Structure, cutoff: f64) -> Search<'a> {
         assert!(cutoff > 0.0, "cutoff must be positive");
-        let h = slab_thickness(&s.lattice);
-        let reach = h.map(|h| cutoff / h * (1.0 + 1e-9) + 1e-9);
-        // Every image a pair keeps lies within `reach` of some
-        // `f_i − f_j`, which spans `[min f − max f, max f − min f]`.
-        let (mut fmin, mut fmax) = ([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]);
-        for f in &s.frac_coords {
-            for d in 0..3 {
-                fmin[d] = fmin[d].min(f[d]);
-                fmax[d] = fmax[d].max(f[d]);
-            }
-        }
-        let lo = std::array::from_fn(|d| (fmin[d] - fmax[d] - reach[d]).ceil() as i32);
-        let hi = std::array::from_fn(|d| (fmax[d] - fmin[d] + reach[d]).floor() as i32);
+        let reach = s.lattice.slab_thickness().map(|h| cutoff / h * (1.0 + 1e-9) + 1e-9);
+        let carts = s.cart_coords();
+        let (fmin, fmax) = bounds(&s.frac_coords);
+        let (cmin, cmax) = bounds(&carts);
+        // Every image a pair keeps lies within `reach` of some `f_i − f_j`,
+        // which spans `[min f − max f, max f − min f]`, and within
+        // `image_ranges`.
+        let n = s.lattice.image_ranges(cutoff);
+        let lo = std::array::from_fn(|d| ((fmin[d] - fmax[d] - reach[d]).ceil() as i32).max(-n[d]));
+        let hi = std::array::from_fn(|d| ((fmax[d] - fmin[d] + reach[d]).floor() as i32).min(n[d]));
         Search {
             frac: &s.frac_coords,
-            carts: s.cart_coords(),
+            carts,
             cutoff2: cutoff * cutoff,
             reach,
             fmin,
             fmax,
+            cmin,
+            cmax,
+            box_cut2: (cutoff * (1.0 + 1e-9) + 1e-9).powi(2),
             table: ImageTable::new(&s.lattice, lo, hi),
         }
     }
 
-    /// The exact search (see [`neighbor_list_exact`]) over the images
-    /// `-n..=n`.
-    fn all_pairs(&self, n: [i32; 3], scratch: &mut Scratch) -> Vec<Bond> {
-        let Scratch { x, y, z, row, hits, slots, bonds } = scratch;
+    /// Bins per direction: as many as fit `reach` thick into the span of
+    /// the coordinates, at least one.
+    fn bins(&self) -> [usize; 3] {
+        std::array::from_fn(|d| (((self.fmax[d] - self.fmin[d]) / self.reach[d]) as usize).max(1))
+    }
+
+    /// Every bond in `(i, j, image)` order, the atoms sorted into
+    /// `bins[d]` bins along each direction `d` (module docs).
+    fn pairs(&self, bins: [usize; 3]) -> Vec<Bond> {
+        SCRATCH.with_borrow_mut(|scratch| self.pairs_in(bins, scratch))
+    }
+
+    fn pairs_in(&self, bins: [usize; 3], scratch: &mut Scratch) -> Vec<Bond> {
+        let Scratch { start, windows, pass, bonds } = scratch;
         let atoms = self.carts.len();
-        for (lane, d) in [&mut *x, &mut *y, &mut *z].into_iter().zip(0..) {
-            lane.clear();
-            lane.extend(self.carts.iter().map(|c| c[d]));
+        // The bin of coordinate `f` along `d`. It is monotone in `f`, so
+        // the bins of a window's ends bound the bins of every coordinate
+        // inside it (`as` saturates, so a zero span gives the first or the
+        // last bin).
+        let scale: [f64; 3] =
+            std::array::from_fn(|d| bins[d] as f64 / (self.fmax[d] - self.fmin[d]));
+        let bin = |d: usize, f: f64| {
+            if bins[d] == 1 {
+                return 0;
+            }
+            (((f - self.fmin[d]) * scale[d]) as usize).min(bins[d] - 1)
+        };
+        let flat = |b0: usize, b1: usize, b2: usize| (b0 * bins[1] + b1) * bins[2] + b2;
+
+        // Counting sort by bin, stable in the atom index. Placing leaves
+        // each bin's entry at the next bin's first lane: shift them back.
+        let n_bins = bins.iter().product::<usize>();
+        start.clear();
+        start.resize(n_bins + 1, 0);
+        let bin_of = &mut pass.per_j;
+        bin_of.clear();
+        bin_of.extend(
+            self.frac.iter().map(|f| flat(bin(0, f[0]), bin(1, f[1]), bin(2, f[2])) as u32),
+        );
+        for &b in bin_of.iter() {
+            start[b as usize + 1] += 1;
         }
-        row.resize(atoms, 0.0);
-        slots.clear();
-        slots.resize(atoms, 0);
+        for k in 0..n_bins {
+            start[k + 1] += start[k];
+        }
+        pass.atom.resize(atoms, 0);
+        for (i, &b) in bin_of.iter().enumerate() {
+            let lane = &mut start[b as usize];
+            pass.atom[*lane as usize] = i as u32;
+            *lane += 1;
+        }
+        start.rotate_right(1);
+        start[0] = 0;
+        bin_of.fill(0);
+        let Pass { x, y, z, atom, .. } = pass;
+        for (lane, d) in [x, y, z].into_iter().zip(0..) {
+            lane.clear();
+            lane.extend(atom.iter().map(|&j| self.carts[j as usize][d]));
+        }
+        pass.row.resize(atoms, 0.0);
+        pass.keep.resize(atoms + 1, 0);
         bonds.clear();
+
         let t = &self.table;
         for i in 0..atoms {
             // Every image a pair `(i, j)` keeps: `f_i − f_j` lies in
@@ -287,98 +252,103 @@ impl<'a> Search<'a> {
             let [ra, rb, rc] = std::array::from_fn(|d| {
                 let lo = ((fi[d] - self.fmax[d] - self.reach[d]).ceil() as i32).max(t.lo[d]);
                 let hi = ((fi[d] - self.fmin[d] + self.reach[d]).floor() as i32).min(t.hi[d]);
-                lo.max(-n[d])..=hi.min(n[d])
+                lo..=hi
             });
-            let (xi, yi, zi) = (x[i], y[i], z[i]);
-            hits.clear();
+            // The first and last bin along `d` that can hold an `f_j`
+            // within `reach` of `f_i − k`.
+            let window = |d: usize, k: i32| {
+                let g = fi[d] - k as f64;
+                (bin(d, g - self.reach[d]), bin(d, g + self.reach[d]))
+            };
+            windows.clear();
+            windows.extend(rc.clone().map(|c| window(2, c)));
+            pass.hits.clear();
             for a in ra {
+                let (lo0, hi0) = window(0, a);
                 for b in rb.clone() {
-                    for c in rc.clone() {
-                        let k = t.index([a, b, c]);
-                        let (ix, iy, iz) = (t.x[k], t.y[k], t.z[k]);
-                        for (((r2, &xj), &yj), &zj) in row.iter_mut().zip(&*x).zip(&*y).zip(&*z) {
-                            let v = [xj + ix - xi, yj + iy - yi, zj + iz - zi];
-                            *r2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
-                        }
-                        for (j, &r2) in row.iter().enumerate() {
-                            // The home image of `i` itself gives `v = 0`
-                            // exactly, so `r2 > 1e-12` also excludes the
-                            // self-interaction.
-                            if r2 <= self.cutoff2 && r2 > 1e-12 {
-                                let (i, j) = (i as u32, j as u32);
-                                hits.push(Bond { i, j, image: [a, b, c], r: r2.sqrt() });
-                                slots[j as usize] += 1;
+                    let (lo1, hi1) = window(1, b);
+                    let first = t.index([a, b, *rc.start()]);
+                    // Atom `j` lies in one `(b0, b1)` row of bins, so its
+                    // hits come in `(a, b, c)` order.
+                    for b0 in lo0..=hi0 {
+                        for b1 in lo1..=hi1 {
+                            let row = flat(b0, b1, 0);
+                            for (k, (c, &(lo2, hi2))) in rc.clone().zip(&*windows).enumerate() {
+                                let img = [t.x[first + k], t.y[first + k], t.z[first + k]];
+                                let run = start[row + lo2] as usize..start[row + hi2 + 1] as usize;
+                                self.visit(i, [a, b, c], img, run, pass);
                             }
                         }
                     }
                 }
             }
-            // Stable counting pass by `j`: `(image, j)` to `(j, image)`.
+            // Stable counting pass by `j`: hits to `(j, image)` order.
+            let Pass { hits, per_j, .. } = &mut *pass;
             let base = bonds.len();
             let mut next = 0;
-            for slot in slots.iter_mut() {
+            for slot in per_j.iter_mut() {
                 (*slot, next) = (next, next + *slot);
             }
             bonds.extend_from_slice(hits);
             for h in hits.iter() {
-                let slot = &mut slots[h.j as usize];
+                let slot = &mut per_j[h.j as usize];
                 bonds[base + *slot as usize] = *h;
                 *slot += 1;
             }
-            slots.fill(0);
+            per_j.fill(0);
         }
         bonds.to_vec()
     }
 
-    /// `bonds(i, out)` for every atom `i`, appending atom `i`'s bonds to
-    /// its own list, concatenated in atom order. Large searches split the
-    /// atoms across the [`fc_tensor::par`] helpers.
-    fn per_atom(&self, bonds: impl Fn(usize, &mut Vec<Bond>) + Sync) -> Vec<Bond> {
-        let n = self.carts.len();
-        let mut lists = vec![Vec::new(); n];
-        // About 8 image tests per pair, each a few `bin.add` elements.
-        fc_tensor::par::for_each_chunk(&mut lists, 24 * n * n, |atoms, lists| {
-            for (i, out) in atoms.zip(lists) {
-                bonds(i, out);
-            }
-        });
-        lists.concat()
-    }
-
-    /// Append the bonds `i → j` over the box of `images`, in `(a, b, c)`
-    /// order, after cutting the box to the images that can come within
-    /// the cutoff (module docs).
-    fn scan_pair(&self, i: usize, j: usize, images: [RangeInclusive<i32>; 3], out: &mut Vec<Bond>) {
-        let t = &self.table;
-        let (fi, fj) = (self.frac[i], self.frac[j]);
-        let [ra, rb, rc] = std::array::from_fn(|d| {
-            let g = fi[d] - fj[d];
-            let lo = ((g - self.reach[d]).ceil() as i32).max(*images[d].start()).max(t.lo[d]);
-            let hi = ((g + self.reach[d]).floor() as i32).min(*images[d].end()).min(t.hi[d]);
-            lo..=hi
-        });
-        if rc.is_empty() {
+    /// Atom `i`'s bonds to the atoms of lanes `run` at `image`, whose
+    /// Cartesian offset is `img`, appended to `p.hits`. Nothing if `img`
+    /// puts the atoms' bounding box beyond the widened cutoff (module docs).
+    fn visit(&self, i: usize, image: [i32; 3], img: [f64; 3], run: Range<usize>, p: &mut Pass) {
+        let ci = self.carts[i];
+        let gap = |d: usize| (self.cmin[d] + img[d] - ci[d]).max(ci[d] - self.cmax[d] - img[d]);
+        let [g0, g1, g2] = [gap(0).max(0.0), gap(1).max(0.0), gap(2).max(0.0)];
+        if g0 * g0 + g1 * g1 + g2 * g2 > self.box_cut2 {
             return;
         }
-        let width = (rc.end() - rc.start() + 1) as usize;
-        let (ci, cj) = (self.carts[i], self.carts[j]);
-        for a in ra {
-            for b in rb.clone() {
-                let row = t.index([a, b, *rc.start()]);
-                let lanes = row..row + width;
-                let (xs, ys, zs) = (&t.x[lanes.clone()], &t.y[lanes.clone()], &t.z[lanes]);
-                for (k, c) in rc.clone().enumerate() {
-                    let v = [cj[0] + xs[k] - ci[0], cj[1] + ys[k] - ci[1], cj[2] + zs[k] - ci[2]];
-                    let r2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
-                    // The home image of `i` itself gives `v = 0` exactly, so
-                    // `r2 > 1e-12` also excludes the self-interaction.
-                    if r2 <= self.cutoff2 && r2 > 1e-12 {
-                        out.push(Bond { i: i as u32, j: j as u32, image: [a, b, c], r: r2.sqrt() });
-                    }
-                }
+        let [xi, yi, zi] = self.carts[i];
+        let [ix, iy, iz] = img;
+        let row = &mut p.row[..run.len()];
+        let (xs, ys, zs) = (&p.x[run.clone()], &p.y[run.clone()], &p.z[run.clone()]);
+        for (((r2, &xj), &yj), &zj) in row.iter_mut().zip(xs).zip(ys).zip(zs) {
+            let v = [xj + ix - xi, yj + iy - yi, zj + iz - zi];
+            *r2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
+        }
+        // Without a branch per lane: every position is written, and those
+        // within the cutoff advance the count.
+        let keep = &mut p.keep[..=row.len()];
+        let mut n = 0;
+        for (k, &r2) in row.iter().enumerate() {
+            keep[n] = k as u32;
+            n += (r2 <= self.cutoff2) as usize;
+        }
+        for &k in &keep[..n] {
+            let r2 = row[k as usize];
+            // The home image of `i` itself gives `v = 0` exactly, so
+            // `r2 > 1e-12` also excludes the self-interaction.
+            if r2 > 1e-12 {
+                let j = p.atom[run.start + k as usize];
+                p.hits.push(Bond { i: i as u32, j, image, r: r2.sqrt() });
+                p.per_j[j as usize] += 1;
             }
         }
     }
+}
+
+/// Smallest and largest coordinate per axis of `points`.
+fn bounds(points: &[[f64; 3]]) -> ([f64; 3], [f64; 3]) {
+    let (mut lo, mut hi) = ([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]);
+    for p in points {
+        for d in 0..3 {
+            lo[d] = lo[d].min(p[d]);
+            hi[d] = hi[d].max(p[d]);
+        }
+    }
+    (lo, hi)
 }
 
 /// `lattice.frac_to_cart(image)` of every image in the box `lo..=hi`, as
@@ -516,7 +486,7 @@ mod tests {
         }
     }
 
-    /// The per-candidate search both paths replaced: `frac_to_cart` per
+    /// The per-candidate search the binned search replaced: `frac_to_cart` per
     /// candidate over every image in `image_ranges`, no cut. Returns the
     /// bonds and the vector each was cut by.
     fn per_candidate_reference(s: &Structure, cutoff: f64) -> (Vec<Bond>, Vec<[f64; 3]>) {
@@ -566,9 +536,8 @@ mod tests {
         )
         .supercell(2, 2, 3);
         // Bonds exactly at the cutoff along a lattice normal, where the
-        // per-pair cut has no slack: images 2 cells away at cutoff 2a, and
-        // the body centre 1.5 cells away at cutoff 1.5a (48 atoms, so the
-        // binned path runs too).
+        // cut has no slack: images 2 cells away at cutoff 2a, and the body
+        // centre 1.5 cells away at cutoff 1.5a.
         let at_cutoff = Structure::new(
             Lattice::orthorhombic(3.0, 4.0, 5.0),
             vec![Element::new(3), Element::new(8)],
@@ -631,10 +600,16 @@ mod tests {
                 .collect();
             for cutoff in [3.0, 6.0] {
                 let (want, _) = per_candidate_reference(&s, cutoff);
-                for width in [1, 2] {
-                    let got = fc_tensor::par::with_width(width, || neighbor_list_exact(&s, cutoff));
-                    let ctx = format!("cell {cell}: {n} atoms, cutoff {cutoff}, width {width}");
-                    assert_bond_lists_identical(&got, &want, &ctx);
+                let ctx = format!("cell {cell}: {n} atoms, cutoff {cutoff}");
+                assert_bond_lists_identical(&neighbor_list_exact(&s, cutoff), &want, &ctx);
+                // The binned pass at the geometric bin count, at 1-4 bins
+                // in every direction (bins thinner than `reach` too) and
+                // at a mixed count.
+                let search = Search::new(&s, cutoff);
+                let mixed = std::array::from_fn(|_| rng.gen_range(1..=4));
+                for bins in [search.bins(), [1; 3], [2; 3], [3; 3], [4; 3], mixed] {
+                    let got = search.pairs(bins);
+                    assert_bond_lists_identical(&got, &want, &format!("{ctx}, bins {bins:?}"));
                 }
             }
         }
@@ -642,22 +617,21 @@ mod tests {
 
     #[test]
     fn md_cell_has_one_bin_per_direction_and_the_supercell_many() {
-        // The regimes the bitwise test above covers: bins at least one
-        // cutoff thick.
-        let bins = |s: &Structure, cutoff: f64| {
-            slab_thickness(&s.lattice).map(|h| (h / cutoff).floor().max(1.0))
-        };
+        // The regimes the bitwise tests cover: bins at least one `reach`
+        // thick over the coordinates' span.
+        let bins = |s: &Structure, cutoff: f64| Search::new(s, cutoff).bins();
         let md_cell = crate::known::li9co7o16().supercell(2, 1, 1);
         assert_eq!(md_cell.n_atoms(), 64);
-        assert_eq!(bins(&md_cell, 6.0), [1.0; 3]);
+        assert_eq!(bins(&md_cell, 6.0), [1; 3]);
+        // 16.8 Å wide, atoms over 7/8 of it: 14.7 Å / 3.7 Å.
         let unit = Structure::new(Lattice::cubic(4.2), vec![Element::new(3)], vec![[0.0; 3]]);
-        assert_eq!(bins(&unit.supercell(4, 4, 4), 3.7), [4.0; 3]);
+        assert_eq!(bins(&unit.supercell(4, 4, 4), 3.7), [3; 3]);
     }
 
     #[test]
-    fn linked_cell_matches_exact_on_supercell() {
+    fn binned_matches_exact_on_supercell() {
         // 4x4x4 supercell of a two-atom rocksalt-ish motif: 128 atoms,
-        // several bins per direction — the real linked-cell regime.
+        // several bins per direction — the real binned regime.
         let unit = Structure::new(
             Lattice::cubic(4.2),
             vec![Element::new(3), Element::new(8)],
@@ -670,8 +644,8 @@ mod tests {
             assert!(!cells.is_empty());
             assert_bond_lists_identical(&cells, &exact, &format!("cutoff {cutoff}"));
         }
-        // And on a cell at the threshold the dispatching front door picks
-        // the binned path's result.
+        // And above the threshold the dispatching front door returns the
+        // binned search's result.
         let big = unit.supercell(8, 8, 16);
         assert!(big.n_atoms() >= LINKED_CELL_MIN_ATOMS);
         let cells = neighbor_list_cells(&big, 3.7);
@@ -679,9 +653,10 @@ mod tests {
     }
 
     #[test]
-    fn linked_cell_matches_exact_when_cell_smaller_than_cutoff() {
-        // Degenerate regime: one bin per direction, images found via bin
-        // wrap-around — must still agree with the exact image loop.
+    fn binned_matches_exact_when_cell_smaller_than_cutoff() {
+        // Degenerate regime: one bin per direction and several images of
+        // every atom within the cutoff — must still agree with the exact
+        // image loop.
         let s = Structure::new(
             Lattice::new([3.0, 0.4, 0.0], [0.0, 2.8, 0.5], [0.6, 0.0, 3.2]),
             vec![Element::new(3), Element::new(8), Element::new(26)],

@@ -49,7 +49,7 @@ fn neighbor_list_is_symmetric_and_bounded() {
 }
 
 #[test]
-fn linked_cell_bond_set_equals_exact_reference() {
+fn binned_bond_set_equals_exact_reference() {
     check_cases(CASES, |rng| {
         let a = rng.gen_range(2.5f64..6.0);
         let shear_ab = rng.gen_range(-0.2f64..0.2);
@@ -62,7 +62,7 @@ fn linked_cell_bond_set_equals_exact_reference() {
             .map(|_| [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)])
             .collect();
         let cutoff = rng.gen_range(2.5f64..6.5);
-        // Random skewed lattices and random site sets: the linked-cell
+        // Random skewed lattices and random site sets: the binned
         // search must reproduce the exact reference's bond set verbatim —
         // same bonds, same order, bitwise-equal geometry.
         let lat = Lattice::new(

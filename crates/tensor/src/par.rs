@@ -97,7 +97,8 @@ pub(crate) fn chunks(work: usize, rows: usize) -> usize {
 /// items of `range`: split across the helpers like a kernel of `work`
 /// ([`SPLIT_WORK`] units) at this thread's width, else one call on the
 /// calling thread. For work outside this crate that fills one slot per
-/// item (the neighbour search's per-atom lists).
+/// item; its one caller is `examples/op_profile.rs`'s split break-even
+/// table, which [`SPLIT_WORK`] is set from.
 pub fn for_each_chunk<T: Send>(
     items: &mut [T],
     work: usize,

@@ -30,8 +30,8 @@
 //! call and the bytes the pool holds after it, which stay at 0 and level
 //! once the pool has been filled, and the call's minor page faults. The
 //! "neighbour search by cell size" table, behind `LINKED_CELL_MIN_ATOMS`,
-//! times both neighbour searches at both widths on cells of 64 to 4,096
-//! atoms. It ends the md part with the table
+//! times the neighbour search with one bin and binned at width 1 on cells
+//! of 64 to 4,096 atoms. It ends the md part with the table
 //! `par::SPLIT_WORK` is set from: a split's break-even, the median µs of
 //! an add over 1K–256K elements on one thread and split. It also prints
 //! the `matmul`, `exp` and `sin`/`cos` kernel tiers this host runs.
@@ -434,26 +434,21 @@ fn print_dataset_generation(cfg: &DatasetConfig) {
     println!("{:<32} {total:>8.4}", "sum");
 }
 
-/// Print the ms per call of `neighbor_list_exact` and
-/// `neighbor_list_cells` at width 1 and at full width, the median of
-/// [`REPS`] calls after a warm-up (the four alternate call by call), at the
-/// atom cutoff on the md cell and on two series of 64 to 4,096 atoms: the
-/// generator's first candidate of that size (its density; at these sizes
-/// the separation screen rejects nearly every candidate and falls back to
-/// one 8× sparser) and supercells of the md cell's crystal (a real
-/// crystal's density, several times the bonds per atom). `LINKED_CELL_MIN_ATOMS` is
-/// set from where the binned search starts to win.
+/// Print the ms per call of the neighbour search with one bin
+/// (`neighbor_list_exact`) and binned (`neighbor_list_cells`) at width 1,
+/// the median of [`REPS`] calls after a warm-up (the two alternate call by
+/// call), at the atom cutoff on the md cell and on two series of 64 to
+/// 4,096 atoms: the generator's first candidate of that size (its density;
+/// at these sizes the separation screen rejects nearly every candidate and
+/// falls back to one 8× sparser) and supercells of the md cell's crystal (a
+/// real crystal's density, several times the bonds per atom).
+/// `LINKED_CELL_MIN_ATOMS` is set from where binning starts to win.
 fn print_neighbor_crossover(md_cell: &Structure) {
-    let width = par::width();
     println!(
-        "\nneighbour search by cell size at {ATOM_CUTOFF} Å, median ms per call of {REPS} \
-         (LINKED_CELL_MIN_ATOMS = {LINKED_CELL_MIN_ATOMS})"
+        "\nneighbour search by cell size at {ATOM_CUTOFF} Å, width 1, median ms per call of \
+         {REPS} (LINKED_CELL_MIN_ATOMS = {LINKED_CELL_MIN_ATOMS})"
     );
-    print!("{:<18} {:>8}", "cell", "bonds");
-    for w in [1, width] {
-        print!(" {:>10} {:>10}", format!("exact @{w}"), format!("cells @{w}"));
-    }
-    println!();
+    println!("{:<18} {:>8} {:>10} {:>10}", "cell", "bonds", "one bin", "binned");
     let mut cells = vec![("md cell".to_string(), md_cell.clone())];
     for atoms in [64, 128, 256, 512, 1024, 2048, 4096] {
         let cfg = DatasetConfig { min_atoms: atoms, max_atoms: atoms, ..DatasetConfig::default() };
@@ -464,34 +459,28 @@ fn print_neighbor_crossover(md_cell: &Structure) {
         let s = known::li9co7o16().supercell(a, b, c);
         cells.push((format!("md {a}x{b}x{c} {}", s.n_atoms()), s));
     }
-    for (name, s) in &cells {
-        let runs = [(1, false), (1, true), (width, false), (width, true)];
-        let mut times = runs.map(|_| Vec::with_capacity(REPS));
-        let mut bonds = 0;
-        for rep in 0..=REPS {
-            for (ts, &(w, binned)) in times.iter_mut().zip(&runs) {
-                let t = Instant::now();
-                let list = par::with_width(w, || {
-                    if binned {
-                        neighbor_list_cells(s, ATOM_CUTOFF)
-                    } else {
-                        neighbor_list_exact(s, ATOM_CUTOFF)
+    let searches = [neighbor_list_exact, neighbor_list_cells];
+    par::with_width(1, || {
+        for (name, s) in &cells {
+            let mut times = searches.map(|_| Vec::with_capacity(REPS));
+            let mut bonds = 0;
+            for rep in 0..=REPS {
+                for (ts, search) in times.iter_mut().zip(searches) {
+                    let t = Instant::now();
+                    bonds = search(s, ATOM_CUTOFF).len();
+                    if rep > 0 {
+                        ts.push(t.elapsed().as_secs_f64() * 1e3);
                     }
-                });
-                let elapsed = t.elapsed().as_secs_f64() * 1e3;
-                bonds = list.len();
-                if rep > 0 {
-                    ts.push(elapsed);
                 }
             }
+            print!("{name:<18} {bonds:>8}");
+            for mut ts in times {
+                ts.sort_by(f64::total_cmp);
+                print!(" {:>10.3}", ts[ts.len() / 2]);
+            }
+            println!();
         }
-        print!("{name:<18} {bonds:>8}");
-        for mut ts in times {
-            ts.sort_by(f64::total_cmp);
-            print!(" {:>10.3}", ts[ts.len() / 2]);
-        }
-        println!();
-    }
+    });
 }
 
 /// Print this thread's buffer-pool misses of each of [`REPS`] + 1 md

@@ -70,9 +70,9 @@ echo "== trig tier equivalence (exhaustive, release) =="
 cargo test --release -q -p fastchgnet-tensor --lib kernels::trig::tests::port_is_libm_at_every_input \
   -- --ignored --nocapture
 
-# Both neighbour-list paths against the per-candidate search (widths 1
-# and 2; the image-major exact path also on 320 random skewed cells of
-# 1-200 atoms, some with fractional coordinates outside [0, 1)), and
+# The neighbour search with one bin and binned against the per-candidate
+# search (on 320 random skewed cells of 1-200 atoms, some with fractional
+# coordinates outside [0, 1), also at forced bin counts), and
 # linear_split with a gathered first block from fewer, as
 # many and more source rows, and with outputs whose column strips pair
 # across outputs, against gather + concat + linear (every GEMM tier the
