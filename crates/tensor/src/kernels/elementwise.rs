@@ -1,7 +1,7 @@
 //! Elementwise unary and binary kernels with broadcast support.
 
-use crate::kernels::exp::{self, ExpOp};
-use crate::kernels::trig;
+use crate::kernels::exp::{self, expf, ExpOp};
+use crate::kernels::trig::{self, sincosf};
 use crate::par;
 use crate::shape::{Bcast, Shape};
 use crate::tensor::Tensor;
@@ -65,11 +65,11 @@ impl UnKind {
     pub fn apply(self, x: f32) -> f32 {
         match self {
             UnKind::Neg => -x,
-            UnKind::Exp => x.exp(),
+            UnKind::Exp => expf(x),
             UnKind::Ln => x.ln(),
             UnKind::Sqrt => x.sqrt(),
-            UnKind::Sin => x.sin(),
-            UnKind::Cos => x.cos(),
+            UnKind::Sin => sincosf(x).0,
+            UnKind::Cos => sincosf(x).1,
             UnKind::Arccos => x.clamp(-1.0, 1.0).acos(),
             UnKind::Sigmoid => sigmoid(x),
             UnKind::Silu => x * sigmoid(x),
@@ -119,7 +119,7 @@ impl UnKind {
 #[inline(always)]
 pub fn sigmoid(x: f32) -> f32 {
     let pos = x >= 0.0;
-    let z = (if pos { -x } else { x }).exp();
+    let z = expf(if pos { -x } else { x });
     let num = if pos { 1.0 } else { z };
     num / (1.0 + z)
 }
@@ -299,9 +299,9 @@ mod tests {
     /// reference.
     fn sigmoid_branchy(x: f32) -> f32 {
         if x >= 0.0 {
-            1.0 / (1.0 + (-x).exp())
+            1.0 / (1.0 + expf(-x))
         } else {
-            let e = x.exp();
+            let e = expf(x);
             e / (1.0 + e)
         }
     }

@@ -1,12 +1,12 @@
-//! `exp`, the logistic sigmoid, SiLU and the fused gate, 8 lanes at a
-//! time on hosts with AVX2 and FMA and 16 on hosts with AVX-512F, with
-//! libm's bits.
+//! `exp`, the logistic sigmoid, SiLU and the fused gate: one scalar port
+//! of glibc's `expf`, and the same port 8 lanes at a time on
+//! [`Tier::Avx2`] and 16 on [`Tier::Avx512`], all with the same bits.
 //!
-//! The vector body is a port of glibc's `expf` (glibc ≥ 2.27,
+//! The port follows glibc's `expf` (glibc ≥ 2.27,
 //! `sysdeps/ieee754/flt-32/e_expf.c`) as GCC compiles it into
 //! `__expf_fma`, the variant glibc itself runs on a host with AVX2 and
-//! FMA. Every lane takes the same double-precision steps, with a fused
-//! multiply-add exactly where that build has one:
+//! FMA. Every element or lane takes the same double-precision steps, with
+//! a fused multiply-add exactly where that build has one:
 //!
 //! * `xd = x as f64`, `kd0 = fma(32/ln 2, xd, SHIFT)`: adding
 //!   `SHIFT = 1.5·2^52` rounds `xd·32/ln 2` to an integer `k`, which sits
@@ -18,43 +18,30 @@
 //! * `exp(x) = s · 2^(r/32) ≈ s · (fma(fma(C0, r, C1), r², fma(C2, r, 1)))`
 //!   with glibc's minimax coefficients, rounded once to `f32`;
 //! * `x > 0x1.62e42ep6` gives `+inf`, `x < -0x1.9fe368p6` and `-inf` give
-//!   `+0`, and NaN gives `x + x`, by selects rather than branches.
+//!   `+0`, and NaN gives `x + x`.
 //!
-//! [`ExpTier::Avx2Fma`] runs these steps on two halves of 4 `f64` lanes
-//! and reads `T` with `vpgatherqq`; [`ExpTier::Avx512`] runs them on two
-//! halves of 8 `f64` lanes with the same FMAs, holds `T` in four `zmm`
-//! registers and reads it with two `vpermt2q` and a blend, and masks off
-//! the lanes past a slice's end instead of finishing it in scalar code.
+//! [`expf`] takes these steps on one element with `f64::mul_add`, which
+//! rounds once on every host (an FMA instruction where the calling code
+//! is compiled with `fma`, a correctly rounded `fma` call otherwise): it
+//! is the [`Tier::Scalar`] body, the AVX2 tier's tail, and the reference
+//! of every test. [`Tier::Avx2`] runs the steps on two halves of 4 `f64`
+//! lanes and reads `T` with `vpgatherqq`; [`Tier::Avx512`] runs them on
+//! two halves of 8 `f64` lanes, holds `T` in four `zmm` registers and
+//! reads it with two `vpermt2q` and a blend, and masks off the lanes past
+//! a slice's end instead of finishing it in scalar code.
 //!
-//! Both ports equal `f32::exp` at all 2³² inputs on a host that runs them
+//! With glibc 2.36 on an AVX2+FMA CPU (where glibc runs its FMA builds)
+//! every tier equals `f32::exp` at all 2³² inputs
 //! (`tests::port_is_libm_at_every_input`, run by `scripts/check.sh`);
-//! [`ExpTier::host`] picks the widest one only after it matched the host's
-//! libm on a fixed probe set, and falls back to the narrower one, then to
-//! libm. Elsewhere everything runs the scalar [`sigmoid`] and `f32::exp`,
-//! which stay the reference the ports are tested against.
+//! that comparison is informative, the in-tree port is the definition.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
-use crate::kernels::elementwise::{sigmoid, UnKind};
+use crate::kernels::elementwise::sigmoid;
+use crate::kernels::Tier;
 use crate::par::{self, Rows};
 
-/// The instruction sets the kernels of this module run on. All give the
-/// same bits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExpTier {
-    /// One scalar libm `expf` per exponential: the reference.
-    Libm,
-    /// The 8-lane port of glibc's `__expf_fma`, on x86-64 with AVX2 and
-    /// FMA.
-    Avx2Fma,
-    /// The same port 16 lanes wide, on x86-64 with AVX-512F (and AVX2 and
-    /// FMA): two halves of 8 `f64` lanes, the table held in four registers
-    /// and read by `vpermt2q` instead of a gather.
-    Avx512,
-}
-
-/// What an [`ExpTier`] kernel writes per element `x` (and `y`).
+/// What an exp kernel writes per element `x` (and `y`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ExpOp<'a> {
     /// `exp(x)`
@@ -82,18 +69,18 @@ impl ExpOp<'_> {
 /// kernel behind `unary`'s `Exp`, `Sigmoid` and `Silu` and `fused_gate`. A
 /// large call splits its elements across [`crate::par`]'s threads.
 pub(crate) fn kernel(op: ExpOp<'_>, x: &[f32]) -> Vec<f32> {
-    let tier = ExpTier::host();
+    let tier = Tier::host();
     let n = x.len();
     let mut out = crate::pool::with_capacity(n);
-    let chunks = par::chunks(n * tier.work_per_elem(op), n);
-    par::fill_rows(&mut out, n, 1, chunks, |r, w| tier.run(op.rows(r.clone()), &x[r], w));
+    let chunks = par::chunks(n * work_per_elem(tier, op), n);
+    par::fill_rows(&mut out, n, 1, chunks, |r, w| run(tier, op.rows(r.clone()), &x[r], w));
     out
 }
 
 /// The cotangents `[ga, gb]` of the fused gate `sigmoid(a) ⊙ silu(b)` for
 /// the output cotangent `g`, in one pass on the host's tier. With
 /// `sa = sigmoid(a)`, `sb = sigmoid(b)` and `bs = b·sb` (which is `silu(b)`
-/// bitwise on both tiers):
+/// bitwise on every tier):
 ///
 /// * `ga = (g·bs)·(sa − sa·sa)`,
 /// * `gb = (g·sa)·(sb + (bs − bs·sb))`,
@@ -103,200 +90,178 @@ pub(crate) fn kernel(op: ExpOp<'_>, x: &[f32]) -> Vec<f32> {
 /// evaluates four. A large call splits its elements across
 /// [`crate::par`]'s threads.
 pub(crate) fn gate_vjp(a: &[f32], b: &[f32], g: &[f32]) -> [Vec<f32>; 2] {
-    ExpTier::host().gate_vjp(a, b, g)
+    gate_vjp_on(Tier::host(), a, b, g)
 }
 
 /// Append the fused gate `sigmoid(a) ⊙ silu(b)` of every element pair to
 /// `out`, on the host's tier and the calling thread.
 pub(crate) fn gate_rows(a: &[f32], b: &[f32], out: &mut Rows<'_>) {
-    ExpTier::host().run(ExpOp::Gate(b), a, out)
+    run(Tier::host(), ExpOp::Gate(b), a, out)
 }
 
-/// Inputs at which [`ExpTier::host`] checks the port against libm before
-/// using it: ordinary values, `0xc27c65d9` and `0x4202422f` (the only two
-/// inputs where a build without the FMAs on `kd0` and `r` is off), `±0`,
-/// subnormals, `±inf`, NaNs, and both range edges with a neighbour outside
-/// and the start of the subnormal results. A multiple of 16 long, so every
-/// input runs in a vector lane on every tier.
-const PROBE: [u32; 32] = [
-    0x3f80_0000, // 1
-    0xbf80_0000, // -1
-    0x3f00_0000, // 0.5
-    0xc0a0_0000, // -5
-    0x4120_0000, // 10
-    0x3e4c_cccd, // 0.2
-    0xc27c_65d9, // -63.099...: needs the FMAs
-    0x4202_422f, // 32.564...: needs the FMAs
-    0x0000_0000, // +0
-    0x8000_0000, // -0
-    0x0000_0001, // smallest subnormal
-    0x807f_ffff, // largest negative subnormal
-    0x7f80_0000, // +inf
-    0xff80_0000, // -inf
-    0x7fc0_0000, // NaN
-    0xffc0_1234, // NaN with sign and payload
-    0x42b1_7217, // 0x1.62e42ep6: largest finite result
-    0x42b1_7218, // next up: +inf
-    0xc2cf_f1b4, // -0x1.9fe368p6: smallest nonzero result
-    0xc2cf_f1b5, // next down: 0
-    0x42b0_0000, // 88: glibc's slow-path cutoff
-    0xc2b0_0000, // -88
-    0xc2ae_0000, // -87: result just above the subnormals
-    0xc2c8_0000, // -100: subnormal result
-    0x7f7f_ffff, // f32::MAX
-    0xff7f_ffff, // f32::MIN
-    0x3380_0000, // 2^-24
-    0xb380_0000, // -2^-24
-    0x41a0_0000, // 20
-    0xc1a0_0000, // -20
-    0x42a0_0000, // 80
-    0xc2a0_0000, // -80
+/// `bits(2^(i/32)) - (i << 47)`, `2^(i/32)` correctly rounded to `f64`:
+/// glibc's `__exp2f_data.tab`.
+const T: [u64; 32] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
 ];
+/// `0x1.71547652b82fep0 · 32`: 32/ln 2.
+const INV_LN2_N: f64 = 46.16624130844683;
+/// `0x1.8p52`.
+const SHIFT: f64 = 6755399441055744.0;
+/// `0x1.c6af84b912394p-5 / 32³`, `0x1.ebfce50fac4f3p-3 / 32²` and
+/// `0x1.62e42ff0c52d6p-1 / 32`.
+const C: [f64; 3] = [1.6938359250920212e-06, 0.00023459809789509004, 0.021660849396613134];
+/// `0x1.62e42ep6`: above it `exp` overflows to `+inf`.
+const HI: f32 = 88.72283;
+/// `-0x1.9fe368p6`: below it `exp` underflows to `+0`.
+const LO: f32 = -103.97208;
 
-impl ExpTier {
-    /// The widest tier this host runs, probed once per process.
-    pub fn host() -> ExpTier {
-        static HOST: OnceLock<ExpTier> = OnceLock::new();
-        *HOST.get_or_init(|| {
-            ExpTier::select(ExpTier::runs_here, |t, xs| t.map(ExpOp::Exp, xs), f32::exp)
-        })
+/// `exp(x)` by the port's steps (module docs) on one element: glibc's
+/// `__expf_fma` in scalar `f64` arithmetic.
+#[inline(always)]
+pub(crate) fn expf(x: f32) -> f32 {
+    if x.is_nan() {
+        return x + x;
     }
-
-    /// The first of [`ExpTier::Avx512`] and [`ExpTier::Avx2Fma`] that the
-    /// host `runs` and whose `port` of `exp` equals `reference` bit for bit
-    /// (NaN for NaN) at every [`PROBE`] input; [`ExpTier::Libm`] when
-    /// neither does.
-    fn select(
-        runs: impl Fn(ExpTier) -> bool,
-        port: impl Fn(ExpTier, &[f32]) -> Vec<f32>,
-        reference: impl Fn(f32) -> f32,
-    ) -> ExpTier {
-        let xs = PROBE.map(f32::from_bits);
-        let want = xs.map(reference);
-        let same =
-            |(&a, &b): (&f32, &f32)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
-        [ExpTier::Avx512, ExpTier::Avx2Fma]
-            .into_iter()
-            .find(|&t| runs(t) && port(t, &xs).iter().zip(&want).all(same))
-            .unwrap_or(ExpTier::Libm)
+    if x > HI {
+        return f32::INFINITY;
     }
-
-    /// Whether this host has the instructions of this tier.
-    fn runs_here(self) -> bool {
-        match self {
-            ExpTier::Libm => true,
-            ExpTier::Avx2Fma => has_avx2_fma(),
-            ExpTier::Avx512 => has_avx512(),
-        }
+    if x < LO {
+        return 0.0;
     }
+    let xd = x as f64;
+    let kd0 = INV_LN2_N.mul_add(xd, SHIFT);
+    let ki = kd0.to_bits();
+    let kd = kd0 - SHIFT;
+    let r = INV_LN2_N.mul_add(xd, -kd);
+    let s = f64::from_bits(T[(ki % 32) as usize].wrapping_add(ki << 47));
+    let y = C[0].mul_add(r, C[1]).mul_add(r * r, C[2].mul_add(r, 1.0));
+    (y * s) as f32
+}
 
-    /// Relative cost of one element of `op` on this tier, in
-    /// [`par::SPLIT_WORK`] units (one `bin.add` element). `Avx2Fma`'s are
-    /// read off the width-1 per-op tables of EXPERIMENTS.md "Bitwise
-    /// vector expf": a sigmoid or SiLU element takes 2.5–2.8 times a
-    /// `bin.add` element, a gate element 4.5 times (`exp`, which no model
-    /// kernel runs, shares the sigmoid's weight). `Avx512`'s are read off
-    /// the tables of EXPERIMENTS.md "AVX-512 tier". `Libm`'s are the
-    /// weights these kernels had before the port.
-    fn work_per_elem(self, op: ExpOp<'_>) -> usize {
-        match (self, op) {
-            (ExpTier::Libm, ExpOp::Exp) => 4,
-            (ExpTier::Libm, ExpOp::Sigmoid | ExpOp::Silu) => 7,
-            (ExpTier::Libm, ExpOp::Gate(_)) => 16,
-            (ExpTier::Avx2Fma, ExpOp::Exp | ExpOp::Sigmoid | ExpOp::Silu) => 3,
-            (ExpTier::Avx2Fma, ExpOp::Gate(_)) => 5,
-            (ExpTier::Avx512, ExpOp::Exp | ExpOp::Sigmoid | ExpOp::Silu) => 2,
-            (ExpTier::Avx512, ExpOp::Gate(_)) => 3,
-        }
+/// Relative cost of one element of `op` on `tier`, in
+/// [`par::SPLIT_WORK`] units (one `bin.add` element). `Avx2`'s are read
+/// off the width-1 per-op tables of EXPERIMENTS.md "Bitwise vector expf":
+/// a sigmoid or SiLU element takes 2.5–2.8 times a `bin.add` element, a
+/// gate element 4.5 times (`exp`, which no model kernel runs, shares the
+/// sigmoid's weight). `Avx512`'s are read off the tables of EXPERIMENTS.md
+/// "AVX-512 tier". `Scalar`'s are the weights these kernels had when they
+/// called libm.
+fn work_per_elem(tier: Tier, op: ExpOp<'_>) -> usize {
+    match (tier, op) {
+        (Tier::Scalar, ExpOp::Exp) => 4,
+        (Tier::Scalar, ExpOp::Sigmoid | ExpOp::Silu) => 7,
+        (Tier::Scalar, ExpOp::Gate(_)) => 16,
+        (Tier::Avx2, ExpOp::Exp | ExpOp::Sigmoid | ExpOp::Silu) => 3,
+        (Tier::Avx2, ExpOp::Gate(_)) => 5,
+        (Tier::Avx512, ExpOp::Exp | ExpOp::Sigmoid | ExpOp::Silu) => 2,
+        (Tier::Avx512, ExpOp::Gate(_)) => 3,
     }
+}
 
-    /// [`gate_vjp`] on this tier.
-    fn gate_vjp(self, a: &[f32], b: &[f32], g: &[f32]) -> [Vec<f32>; 2] {
-        assert!(a.len() == b.len() && a.len() == g.len(), "gate VJP operands differ in length");
-        let n = a.len();
-        let mut out = [crate::pool::with_capacity(n), crate::pool::with_capacity(n)];
-        let work = match self {
-            ExpTier::Libm => 18,
-            ExpTier::Avx2Fma => 6,
-            ExpTier::Avx512 => 4,
-        };
-        par::fill_rows_n(out.each_mut(), n, [1, 1], par::chunks(n * work, n), |r, w| {
-            let (a, b, g) = (&a[r.clone()], &b[r.clone()], &g[r]);
-            #[cfg(target_arch = "x86_64")]
-            if self == ExpTier::Avx512 && has_avx512() {
+/// [`gate_vjp`] on `tier`.
+fn gate_vjp_on(tier: Tier, a: &[f32], b: &[f32], g: &[f32]) -> [Vec<f32>; 2] {
+    assert!(a.len() == b.len() && a.len() == g.len(), "gate VJP operands differ in length");
+    let n = a.len();
+    let mut out = [crate::pool::with_capacity(n), crate::pool::with_capacity(n)];
+    let work = match tier {
+        Tier::Scalar => 18,
+        Tier::Avx2 => 6,
+        Tier::Avx512 => 4,
+    };
+    par::fill_rows_n(out.each_mut(), n, [1, 1], par::chunks(n * work, n), |r, w| {
+        let (a, b, g) = (&a[r.clone()], &b[r.clone()], &g[r]);
+        #[cfg(target_arch = "x86_64")]
+        if tier.runs_here() {
+            match tier {
                 // SAFETY: the host has AVX-512F, AVX2 and FMA, checked just
                 // above.
-                return unsafe { avx512::gate_vjp(a, b, g, w) };
-            }
-            #[cfg(target_arch = "x86_64")]
-            if self == ExpTier::Avx2Fma && has_avx2_fma() {
+                Tier::Avx512 => return unsafe { avx512::gate_vjp(a, b, g, w) },
                 // SAFETY: the host has AVX2 and FMA, checked just above.
-                return unsafe { avx2_fma::gate_vjp(a, b, g, w) };
+                Tier::Avx2 => return unsafe { avx2_fma::gate_vjp(a, b, g, w) },
+                Tier::Scalar => {}
             }
-            gate_vjp_libm(a, b, g, w)
-        });
-        out
-    }
-
-    /// `op` of every element of `x` on this tier and the calling thread,
-    /// into a buffer of its own.
-    fn map(self, op: ExpOp<'_>, x: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(x.len());
-        par::fill_rows(&mut out, x.len(), 1, 1, |_, w| self.run(op, x, w));
-        out
-    }
-
-    /// Append `op` of every element of `x` to `out`.
-    fn run(self, op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
-        if let ExpOp::Gate(y) = op {
-            assert_eq!(x.len(), y.len(), "gate operands differ in length");
         }
-        #[cfg(target_arch = "x86_64")]
-        if self == ExpTier::Avx512 && has_avx512() {
+        gate_vjp_scalar(a, b, g, w)
+    });
+    out
+}
+
+/// `op` of every element of `x` on `tier` and the calling thread, into a
+/// buffer of its own.
+#[cfg(test)]
+fn map(tier: Tier, op: ExpOp<'_>, x: &[f32]) -> Vec<f32> {
+    let mut out = Vec::with_capacity(x.len());
+    par::fill_rows(&mut out, x.len(), 1, 1, |_, w| run(tier, op, x, w));
+    out
+}
+
+/// Append `op` of every element of `x` to `out`, on `tier`.
+fn run(tier: Tier, op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
+    if let ExpOp::Gate(y) = op {
+        assert_eq!(x.len(), y.len(), "gate operands differ in length");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier.runs_here() {
+        match tier {
             // SAFETY: the host has AVX-512F, AVX2 and FMA, checked just
             // above.
-            return unsafe { avx512::run(op, x, out) };
-        }
-        #[cfg(target_arch = "x86_64")]
-        if self == ExpTier::Avx2Fma && has_avx2_fma() {
+            Tier::Avx512 => return unsafe { avx512::run(op, x, out) },
             // SAFETY: the host has AVX2 and FMA, checked just above.
-            return unsafe { avx2_fma::run(op, x, out) };
+            Tier::Avx2 => return unsafe { avx2_fma::run(op, x, out) },
+            Tier::Scalar => {}
         }
-        run_libm(op, x, out)
     }
+    run_scalar(op, x, out)
 }
 
-/// Whether the host has AVX2 and FMA: glibc's condition for `__expf_fma`.
-fn has_avx2_fma() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        return true;
-    }
-    false
-}
-
-/// Whether the host has AVX-512F as well as AVX2 and FMA.
-fn has_avx512() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2_fma() && is_x86_feature_detected!("avx512f") {
-        return true;
-    }
-    false
-}
-
-/// [`ExpTier::run`] on [`ExpTier::Libm`]: one scalar libm call per
-/// exponential.
-fn run_libm(op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
+/// [`run`] on [`Tier::Scalar`]: one [`expf`] per exponential. Inlined
+/// into the AVX2 tier's tail, where its `mul_add`s compile to FMA
+/// instructions.
+#[inline(always)]
+fn run_scalar(op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
     match op {
-        ExpOp::Exp => out.extend(x.iter().map(|&x| x.exp())),
+        ExpOp::Exp => out.extend(x.iter().map(|&x| expf(x))),
         ExpOp::Sigmoid => out.extend(x.iter().map(|&x| sigmoid(x))),
-        ExpOp::Silu => out.extend(x.iter().map(|&x| UnKind::Silu.apply(x))),
+        ExpOp::Silu => out.extend(x.iter().map(|&x| x * sigmoid(x))),
         ExpOp::Gate(y) => out.extend(x.iter().zip(y).map(|(&x, &y)| sigmoid(x) * y * sigmoid(y))),
     }
 }
 
-/// [`gate_vjp`] on [`ExpTier::Libm`]: one scalar [`sigmoid`] per operand.
-fn gate_vjp_libm(a: &[f32], b: &[f32], g: &[f32], [ga, gb]: [&mut Rows<'_>; 2]) {
+/// [`gate_vjp`] on [`Tier::Scalar`]: one scalar [`sigmoid`] per operand.
+#[inline(always)]
+fn gate_vjp_scalar(a: &[f32], b: &[f32], g: &[f32], [ga, gb]: [&mut Rows<'_>; 2]) {
     for ((&a, &b), &g) in a.iter().zip(b).zip(g) {
         let (sa, sb) = (sigmoid(a), sigmoid(b));
         let bs = b * sb;
@@ -307,61 +272,12 @@ fn gate_vjp_libm(a: &[f32], b: &[f32], g: &[f32], [ga, gb]: [&mut Rows<'_>; 2]) 
 
 #[cfg(target_arch = "x86_64")]
 mod avx2_fma {
-    use super::{gate_vjp_libm, run_libm, ExpOp};
+    use super::{gate_vjp_scalar, run_scalar, ExpOp, C, HI, INV_LN2_N, LO, SHIFT, T};
     use crate::par::Rows;
     use std::arch::x86_64::*;
 
-    /// `bits(2^(i/32)) - (i << 47)`, `2^(i/32)` correctly rounded to `f64`:
-    /// glibc's `__exp2f_data.tab`.
-    pub(super) const T: [u64; 32] = [
-        0x3ff0000000000000,
-        0x3fefd9b0d3158574,
-        0x3fefb5586cf9890f,
-        0x3fef9301d0125b51,
-        0x3fef72b83c7d517b,
-        0x3fef54873168b9aa,
-        0x3fef387a6e756238,
-        0x3fef1e9df51fdee1,
-        0x3fef06fe0a31b715,
-        0x3feef1a7373aa9cb,
-        0x3feedea64c123422,
-        0x3feece086061892d,
-        0x3feebfdad5362a27,
-        0x3feeb42b569d4f82,
-        0x3feeab07dd485429,
-        0x3feea47eb03a5585,
-        0x3feea09e667f3bcd,
-        0x3fee9f75e8ec5f74,
-        0x3feea11473eb0187,
-        0x3feea589994cce13,
-        0x3feeace5422aa0db,
-        0x3feeb737b0cdc5e5,
-        0x3feec49182a3f090,
-        0x3feed503b23e255d,
-        0x3feee89f995ad3ad,
-        0x3feeff76f2fb5e47,
-        0x3fef199bdd85529c,
-        0x3fef3720dcef9069,
-        0x3fef5818dcfba487,
-        0x3fef7c97337b9b5f,
-        0x3fefa4afa2a490da,
-        0x3fefd0765b6e4540,
-    ];
-    /// `0x1.71547652b82fep0 · 32`: 32/ln 2.
-    pub(super) const INV_LN2_N: f64 = 46.16624130844683;
-    /// `0x1.8p52`.
-    pub(super) const SHIFT: f64 = 6755399441055744.0;
-    /// `0x1.c6af84b912394p-5 / 32³`, `0x1.ebfce50fac4f3p-3 / 32²` and
-    /// `0x1.62e42ff0c52d6p-1 / 32`.
-    pub(super) const C: [f64; 3] =
-        [1.6938359250920212e-06, 0.00023459809789509004, 0.021660849396613134];
-    /// `0x1.62e42ep6`: above it `exp` overflows to `+inf`.
-    pub(super) const HI: f32 = 88.72283;
-    /// `-0x1.9fe368p6`: below it `exp` underflows to `+0`.
-    pub(super) const LO: f32 = -103.97208;
-
-    /// [`super::ExpTier::run`] on the AVX2+FMA tier: whole 8-lane chunks in
-    /// vectors, the rest through [`run_libm`] (the same bits).
+    /// [`super::run`] on [`super::Tier::Avx2`]: whole 8-lane chunks in
+    /// vectors, the rest through [`run_scalar`] (the same bits).
     #[target_feature(enable = "avx2,fma")]
     pub(super) fn run(op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
         let body = x.len() / 8 * 8;
@@ -391,12 +307,12 @@ mod avx2_fma {
                 }
             }
         }
-        run_libm(op.rows(body..x.len()), &x[body..], out)
+        run_scalar(op.rows(body..x.len()), &x[body..], out)
     }
 
-    /// [`super::gate_vjp`] on the AVX2+FMA tier: whole 8-lane chunks in
+    /// [`super::gate_vjp`] on [`super::Tier::Avx2`]: whole 8-lane chunks in
     /// vectors (no FMA in the VJP's own arithmetic), the rest through
-    /// [`gate_vjp_libm`] (the same bits).
+    /// [`gate_vjp_scalar`] (the same bits).
     #[target_feature(enable = "avx2,fma")]
     pub(super) fn gate_vjp(a: &[f32], b: &[f32], g: &[f32], [ga, gb]: [&mut Rows<'_>; 2]) {
         let body = a.len() / 8 * 8;
@@ -410,7 +326,7 @@ mod avx2_fma {
             ga.extend_from_slice(&store(_mm256_mul_ps(_mm256_mul_ps(g, bs), dsig)));
             gb.extend_from_slice(&store(_mm256_mul_ps(_mm256_mul_ps(g, sa), dsilu)));
         }
-        gate_vjp_libm(&a[body..], &b[body..], &g[body..], [ga, gb])
+        gate_vjp_scalar(&a[body..], &b[body..], &g[body..], [ga, gb])
     }
 
     /// The 8 lanes of `x`, which holds exactly 8.
@@ -484,15 +400,14 @@ mod avx2_fma {
 /// vector too, its missing lanes masked off on load and dropped on store.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::avx2_fma::{C, HI, INV_LN2_N, LO, SHIFT, T};
-    use super::ExpOp;
+    use super::{ExpOp, C, HI, INV_LN2_N, LO, SHIFT, T};
     use crate::par::Rows;
     use std::arch::x86_64::*;
 
     /// `f32` lanes per register.
     const LANES: usize = 16;
 
-    /// [`super::ExpTier::run`] on the AVX-512 tier.
+    /// [`super::run`] on [`super::Tier::Avx512`].
     #[target_feature(enable = "avx512f")]
     pub(super) fn run(op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
         let chunks = x.chunks(LANES);
@@ -622,12 +537,9 @@ mod tests {
     use crate::kernels::bits;
     use rand::{rngs::StdRng, SeedableRng};
 
-    /// The decimal constants are exactly glibc's hex literals. (The table
-    /// is checked by the tier tests: an entry off by one fails them.)
-    #[cfg(target_arch = "x86_64")]
+    /// The decimal constants are exactly glibc's hex literals.
     #[test]
     fn constants_are_glibcs() {
-        use avx2_fma::*;
         assert_eq!(INV_LN2_N.to_bits(), 0x4047_1547_652b_82fe);
         assert_eq!(SHIFT.to_bits(), 0x4338_0000_0000_0000);
         assert_eq!(
@@ -637,24 +549,108 @@ mod tests {
         assert_eq!((HI.to_bits(), LO.to_bits()), (0x42b1_7217, 0xc2cf_f1b4));
     }
 
-    /// The inputs of the tier tests: a strided sweep of bit patterns, every
-    /// probe input and random `test_value`s (specials included).
+    /// Every `T[i]` stands for `2^(i/32)` correctly rounded to `f64`: with
+    /// `t` its value and `u` the spacing of `f64`s at `t`, the double-double
+    /// powers `(t − u/2)^32` and `(t + u/2)^32` bracket `2^i`.
+    #[test]
+    fn table_is_two_to_the_i_over_32_correctly_rounded() {
+        /// `(a + b)^32` as a double-double, by five squarings.
+        fn pow32(a: f64, b: f64) -> (f64, f64) {
+            (0..5).fold((a, b), |(hi, lo), _| {
+                let p = hi * hi;
+                let e = hi.mul_add(hi, -p) + 2.0 * hi * lo;
+                let s = p + e;
+                (s, e - (s - p))
+            })
+        }
+        for (i, &t) in T.iter().enumerate() {
+            let t = f64::from_bits(t + ((i as u64) << 47));
+            let half_ulp = (f64::from_bits(t.to_bits() + 1) - t) / 2.0;
+            let two_i = (1u64 << i) as f64;
+            let (below, above) = (pow32(t, -half_ulp), pow32(t, half_ulp));
+            assert!(below.0 - two_i + below.1 < 0.0 && above.0 - two_i + above.1 > 0.0, "T[{i}]");
+        }
+    }
+
+    /// `expf` at the inputs where a build without the FMAs on `kd0` and `r`
+    /// differs, at both range edges and at the specials: glibc 2.36's
+    /// `__expf_fma` bits.
+    #[test]
+    fn expf_is_glibcs_fma_build_at_its_witnesses() {
+        for (x, want) in [
+            (0xc27c_65d9, 0x11fa_2993), // -63.099...: needs the FMAs
+            (0x4202_422f, 0x56fc_9f1c), // 32.564...: needs the FMAs
+            (0x3f80_0000, 0x402d_f854), // 1: e
+            (0x42b1_7217, 0x7f7f_ff84), // largest finite result
+            (0x42b1_7218, 0x7f80_0000), // next up: +inf
+            (0xc2cf_f1b4, 0x0000_0001), // smallest nonzero result
+            (0xc2cf_f1b5, 0x0000_0000), // next down: +0
+            (0x8000_0000, 0x3f80_0000), // -0
+            (0xff80_0000, 0x0000_0000), // -inf
+            (0x7f80_0000, 0x7f80_0000), // +inf
+        ] {
+            assert_eq!(expf(f32::from_bits(x)).to_bits(), want, "x = {x:#x}");
+        }
+        assert!(expf(f32::NAN).is_nan());
+    }
+
+    /// Inputs at the edges of the port: ordinary values, the two inputs
+    /// where a build without the FMAs on `kd0` and `r` is off, `±0`,
+    /// subnormals, `±inf`, NaNs, and both range edges with a neighbour
+    /// outside and the start of the subnormal results.
+    const EDGES: [u32; 32] = [
+        0x3f80_0000, // 1
+        0xbf80_0000, // -1
+        0x3f00_0000, // 0.5
+        0xc0a0_0000, // -5
+        0x4120_0000, // 10
+        0x3e4c_cccd, // 0.2
+        0xc27c_65d9, // -63.099...: needs the FMAs
+        0x4202_422f, // 32.564...: needs the FMAs
+        0x0000_0000, // +0
+        0x8000_0000, // -0
+        0x0000_0001, // smallest subnormal
+        0x807f_ffff, // largest negative subnormal
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x7fc0_0000, // NaN
+        0xffc0_1234, // NaN with sign and payload
+        0x42b1_7217, // 0x1.62e42ep6: largest finite result
+        0x42b1_7218, // next up: +inf
+        0xc2cf_f1b4, // -0x1.9fe368p6: smallest nonzero result
+        0xc2cf_f1b5, // next down: 0
+        0x42b0_0000, // 88: glibc's slow-path cutoff
+        0xc2b0_0000, // -88
+        0xc2ae_0000, // -87: result just above the subnormals
+        0xc2c8_0000, // -100: subnormal result
+        0x7f7f_ffff, // f32::MAX
+        0xff7f_ffff, // f32::MIN
+        0x3380_0000, // 2^-24
+        0xb380_0000, // -2^-24
+        0x41a0_0000, // 20
+        0xc1a0_0000, // -20
+        0x42a0_0000, // 80
+        0xc2a0_0000, // -80
+    ];
+
+    /// The inputs of the tier tests: a strided sweep of bit patterns, the
+    /// edge inputs and random `test_value`s (specials included).
     fn inputs() -> Vec<f32> {
         let mut xs: Vec<f32> =
             (0..1u64 << 32).step_by(65_537).map(|b| f32::from_bits(b as u32)).collect();
-        xs.extend(PROBE.map(f32::from_bits));
+        xs.extend(EDGES.map(f32::from_bits));
         let mut rng = StdRng::seed_from_u64(13);
         xs.extend((0..4099).map(|_| crate::kernels::test_value(&mut rng)));
         xs
     }
 
     /// The vector tiers this host runs.
-    fn vector_tiers() -> Vec<ExpTier> {
-        [ExpTier::Avx2Fma, ExpTier::Avx512].into_iter().filter(|t| t.runs_here()).collect()
+    fn vector_tiers() -> Vec<Tier> {
+        Tier::on_host().filter(|&t| t != Tier::Scalar).collect()
     }
 
-    /// Every vector tier the host runs (`Avx2Fma`, `Avx512`), forced past
-    /// the probe, against `Libm`.
+    /// Every vector tier the host runs (`Avx2`, `Avx512`) against
+    /// `Scalar`, the in-tree port of libm's `expf`.
     #[test]
     fn avx2_fma_tier_is_bitwise_libm() {
         let xs = inputs();
@@ -669,17 +665,17 @@ mod tests {
                     .into_iter()
                     .flat_map(|op| vector_tiers().into_iter().map(move |t| (op, t)))
                 {
-                    let (port, libm) = (bits(&tier.map(op, x)), bits(&ExpTier::Libm.map(op, x)));
+                    let (port, scalar) = (bits(&map(tier, op, x)), bits(&map(Tier::Scalar, op, x)));
                     assert_eq!(port.len(), len);
-                    if let Some(i) = (0..len).find(|&i| port[i] != libm[i]) {
+                    if let Some(i) = (0..len).find(|&i| port[i] != scalar[i]) {
                         panic!(
                             "{tier:?} {} len {len} from {start}: x = {:#x}, y = {:#x}: {:#x}, \
-                             libm {:#x}",
+                             scalar {:#x}",
                             format!("{op:?}").split('(').next().unwrap_or_default(),
                             x[i].to_bits(),
                             y[i].to_bits(),
                             port[i],
-                            libm[i]
+                            scalar[i]
                         );
                     }
                 }
@@ -696,15 +692,15 @@ mod tests {
             for start in [0, xs.len() - len] {
                 let r = start..start + len;
                 let (a, b, g) = (&xs[r.clone()], &ys[r.clone()], &gs[r]);
-                let libm = ExpTier::Libm.gate_vjp(a, b, g);
+                let scalar = gate_vjp_on(Tier::Scalar, a, b, g);
                 for tier in vector_tiers() {
-                    let port = tier.gate_vjp(a, b, g);
-                    for (which, (p, l)) in ["a", "b"].iter().zip(port.iter().zip(&libm)) {
+                    let port = gate_vjp_on(tier, a, b, g);
+                    for (which, (p, l)) in ["a", "b"].iter().zip(port.iter().zip(&scalar)) {
                         let (p, l) = (bits(p), bits(l));
                         if let Some(i) = (0..len).find(|&i| p[i] != l[i]) {
                             panic!(
                                 "{tier:?} d{which} len {len} from {start}: a = {:#x}, b = {:#x}, \
-                                 g = {:#x}: {:#x}, libm {:#x}",
+                                 g = {:#x}: {:#x}, scalar {:#x}",
                                 a[i].to_bits(),
                                 b[i].to_bits(),
                                 g[i].to_bits(),
@@ -718,69 +714,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_disagreeing_probe_reference_selects_libm() {
-        let port = |t: ExpTier, xs: &[f32]| t.map(ExpOp::Exp, xs);
-        let host = ExpTier::select(ExpTier::runs_here, port, f32::exp);
-        assert_eq!(host, ExpTier::host());
-        // A libm one ulp off at a single probe input.
-        let off_by_one_ulp = |x: f32| {
-            let y = x.exp();
-            if x.to_bits() == 0xc27c_65d9 {
-                f32::from_bits(y.to_bits() + 1)
-            } else {
-                y
-            }
-        };
-        assert_eq!(ExpTier::select(ExpTier::runs_here, port, off_by_one_ulp), ExpTier::Libm);
-        assert_eq!(ExpTier::select(|t| t == ExpTier::Libm, port, f32::exp), ExpTier::Libm);
-    }
-
-    #[test]
-    fn a_host_without_avx512_or_a_failing_port_falls_back_to_avx2_fma() {
-        let port = |t: ExpTier, xs: &[f32]| t.map(ExpOp::Exp, xs);
-        // What the host picks when it runs `Avx2Fma`, and `Libm` else.
-        let fallback = if ExpTier::Avx2Fma.runs_here() { ExpTier::Avx2Fma } else { ExpTier::Libm };
-        // A host without AVX-512.
-        let no_avx512 = |t: ExpTier| t != ExpTier::Avx512 && t.runs_here();
-        assert_eq!(ExpTier::select(no_avx512, port, f32::exp), fallback);
-        // A 16-lane port one ulp off at the last probe input.
-        let broken = |t: ExpTier, xs: &[f32]| {
-            let mut y = t.map(ExpOp::Exp, xs);
-            if t == ExpTier::Avx512 {
-                let last = y.len() - 1;
-                y[last] = f32::from_bits(y[last].to_bits() + 1);
-            }
-            y
-        };
-        assert_eq!(ExpTier::select(ExpTier::runs_here, broken, f32::exp), fallback);
-        // Where the host runs both, the 16-lane port comes first.
-        if ExpTier::Avx512.runs_here() {
-            assert_eq!(ExpTier::select(ExpTier::runs_here, port, f32::exp), ExpTier::Avx512);
-        }
-    }
-
-    /// Every `f32` input, through every vector tier the host runs, against
-    /// `f32::exp`, split across the host's threads. Slow outside a
+    /// Every `f32` input, through every tier the host runs (`Scalar`
+    /// included), against this host's `f32::exp`, split across the host's
+    /// threads. Informative: the in-tree port is the definition, and this
+    /// shows whether the host's libm agrees with it. Slow outside a
     /// release build: run by `scripts/check.sh` with `--ignored`.
     #[test]
     #[ignore = "2^32 inputs per tier: run in release"]
     fn port_is_libm_at_every_input() {
-        if ExpTier::host() == ExpTier::Libm {
-            // Without AVX2+FMA, or the probe found a libm the ports do not
-            // reproduce: nothing runs a port on this host.
-            println!("exp tier: Libm (AVX2 and FMA: {}), not compared", has_avx2_fma());
-            return;
-        }
-        for tier in vector_tiers() {
+        for tier in Tier::on_host() {
             let mismatches = mismatches_at_every_input(tier);
-            println!("exp port {tier:?} vs f32::exp over 2^32 inputs: {mismatches} mismatches");
+            println!(
+                "exp {tier:?} vs this host's f32::exp over 2^32 inputs (informative): \
+                 {mismatches} mismatches"
+            );
             assert_eq!(mismatches, 0, "{tier:?}");
         }
     }
 
     /// The inputs where `tier` differs from `f32::exp`, each printed.
-    fn mismatches_at_every_input(tier: ExpTier) -> u64 {
+    fn mismatches_at_every_input(tier: Tier) -> u64 {
         const BLOCK: u64 = 1 << 16;
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
         std::thread::scope(|s| {
@@ -792,7 +745,7 @@ mod tests {
                             let xs: Vec<f32> = (block * BLOCK..(block + 1) * BLOCK)
                                 .map(|b| f32::from_bits(b as u32))
                                 .collect();
-                            let port = tier.map(ExpOp::Exp, &xs);
+                            let port = map(tier, ExpOp::Exp, &xs);
                             for (x, y) in xs.iter().zip(port) {
                                 let want = x.exp();
                                 if y.to_bits() != want.to_bits() && !(y.is_nan() && want.is_nan()) {

@@ -10,11 +10,11 @@
 //! (energy-derivative-force) training mode of FastCHGNet "w/o head".
 
 use crate::kernels::exp::{self, ExpOp};
-use crate::kernels::matmul::GemmTier;
 use crate::kernels::reduce;
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::reduce::{lane_sum, transpose, with_lanes, Lanes, LANES, LANES_AVX512};
-use crate::kernels::trig::TrigTier;
+use crate::kernels::trig;
+use crate::kernels::Tier;
 use crate::par::{self, Rows};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -118,7 +118,7 @@ pub fn fused_srbf(r: &Tensor, cfg: SrbfCfg, order: u8) -> Tensor {
 /// digits below about 0.3 Å.
 ///
 /// Each block of rows takes its `sin(x)` and `cos(x)` from the host's
-/// [`TrigTier`] in one call and its envelope only to the order it reads;
+/// trig tier in one call and its envelope only to the order it reads;
 /// the recurrence then runs [`SRBF_LANES`] rows at a time, one row per
 /// lane with the row's own operations, so that the rows' dependency
 /// chains overlap.
@@ -129,7 +129,7 @@ fn srbf_order<const ORDER: usize>(r: &Tensor, cfg: SrbfCfg) -> Tensor {
     let norm = (2.0 / cfg.r_cut).sqrt();
     let w1 = std::f32::consts::PI / cfg.r_cut;
     let rd = r.data();
-    let tier = TrigTier::host();
+    let tier = Tier::host();
     let mut out = crate::pool::with_capacity(n * nb);
     par::fill_rows(&mut out, n, nb, par::chunks(10 * n * nb, n), |rows, out| {
         TRIG_SCRATCH.with_borrow_mut(|[x, sin, cos, lanes]| {
@@ -138,7 +138,7 @@ fn srbf_order<const ORDER: usize>(r: &Tensor, cfg: SrbfCfg) -> Tensor {
                 x.extend(block.iter().map(|&ri| w1 * ri.max(1e-6)));
                 sin.resize(x.len(), 0.0);
                 cos.resize(x.len(), 0.0);
-                tier.sin_cos(x, Some(sin), Some(cos));
+                trig::sin_cos(tier, x, Some(sin), Some(cos));
                 lanes.resize(nb * L, 0.0);
                 for (g, group) in block.chunks(L).enumerate() {
                     // A short last group repeats its last row in the
@@ -229,7 +229,7 @@ pub fn fused_fourier(theta: &Tensor, harmonics: usize, order: u8) -> Tensor {
     let scale: Vec<f32> =
         (1..harmonics + 1).map(|k| cnorm * (k as f32).powi(order as i32)).collect();
     let td = theta.data();
-    let tier = TrigTier::host();
+    let tier = Tier::host();
     let mut out = crate::pool::with_capacity(n * nb);
     par::fill_rows(&mut out, n, nb, par::chunks(10 * n * nb, n), |rows, out| {
         TRIG_SCRATCH.with_borrow_mut(|[arg, sin, cos, _]| {
@@ -244,7 +244,7 @@ pub fn fused_fourier(theta: &Tensor, harmonics: usize, order: u8) -> Tensor {
                 }
                 sin.resize(arg.len(), 0.0);
                 cos.resize(arg.len(), 0.0);
-                tier.sin_cos(arg, Some(sin), Some(cos));
+                trig::sin_cos(tier, arg, Some(sin), Some(cos));
                 for r in 0..block.len() {
                     let row = r * harmonics..(r + 1) * harmonics;
                     out.extend([if order == 0 { dc } else { 0.0 }]);
@@ -260,8 +260,7 @@ pub fn fused_fourier(theta: &Tensor, harmonics: usize, order: u8) -> Tensor {
 /// Fused GatedMLP gate: `out = sigmoid(a) ⊙ silu(b)`, one kernel instead of
 /// the reference's three (sigmoid, silu, multiply). The `silu = x·sigmoid`
 /// identity from Fig. 3(b) means only one `exp` pair is evaluated per
-/// element pair, 8 pairs at a time on the host's
-/// [`ExpTier`](crate::kernels::exp::ExpTier).
+/// element pair, 8 or 16 pairs at a time on the host's [`Tier`].
 pub fn fused_gate(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape(), b.shape(), "fused_gate shape mismatch");
     Tensor::from_vec(a.shape(), exp::kernel(ExpOp::Gate(b.data()), a.data()))
@@ -273,11 +272,11 @@ pub fn fused_gate(a: &Tensor, b: &Tensor) -> Tensor {
 /// The mean and variance are `f64` sums, 8 rows at a time on an AVX2
 /// host and bitwise the per-row loops (DESIGN.md §2.2, row-lane sums).
 pub fn fused_layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
-    layer_norm_on(GemmTier::host(), x, gamma, beta, eps)
+    layer_norm_on(Tier::host(), x, gamma, beta, eps)
 }
 
 /// [`fused_layer_norm`] on `tier`.
-fn layer_norm_on(tier: GemmTier, x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
+fn layer_norm_on(tier: Tier, x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
     let m = x.cols();
     assert_eq!(gamma.shape(), Shape::new(1, m), "gamma shape");
     assert_eq!(beta.shape(), Shape::new(1, m), "beta shape");
@@ -293,7 +292,7 @@ fn layer_norm_on(tier: GemmTier, x: &Tensor, gamma: &Tensor, beta: &Tensor, eps:
 /// [`fused_layer_norm`] of rows `rs` of `xd` (rows `m = γ.len()` long)
 /// on `tier`, appended to `out`.
 fn layer_norm_rows(
-    tier: GemmTier,
+    tier: Tier,
     rs: std::ops::Range<usize>,
     xd: &[f32],
     [g, b]: [&[f32]; 2],
@@ -305,7 +304,7 @@ fn layer_norm_rows(
     #[cfg(target_arch = "x86_64")]
     if !lanes.is_empty() {
         let rows = lanes.clone();
-        if tier == GemmTier::Avx512 {
+        if tier == Tier::Avx512 {
             // SAFETY: `lane_rows` covers rows on the AVX-512 tier only on a
             // host with AVX-512F and AVX2.
             with_lanes(2 * m, |xt| unsafe { avx512::layer_norm(rows, xd, g, b, eps, out, xt) });
@@ -341,11 +340,11 @@ thread_local! {
 /// `f32`) and gated on the host's exp tier; large inputs split their rows
 /// across threads.
 pub(crate) fn ln_gate(h: [&Tensor; 2], ln: [[&Tensor; 2]; 2], eps: f32) -> Tensor {
-    ln_gate_on(GemmTier::host(), h, ln, eps)
+    ln_gate_on(Tier::host(), h, ln, eps)
 }
 
 /// [`ln_gate`] on `tier`.
-fn ln_gate_on(tier: GemmTier, h: [&Tensor; 2], ln: [[&Tensor; 2]; 2], eps: f32) -> Tensor {
+fn ln_gate_on(tier: Tier, h: [&Tensor; 2], ln: [[&Tensor; 2]; 2], eps: f32) -> Tensor {
     assert_eq!(h[0].shape(), h[1].shape(), "ln_gate halves differ in shape");
     let (rows, m) = (h[0].rows(), h[0].cols());
     for p in ln.iter().flatten() {
@@ -427,12 +426,12 @@ fn layer_norm_lanes(
 /// `dγ` pass, which runs on the calling thread after the `dx` rows (split
 /// across threads when large) are done.
 pub fn layer_norm_vjp(x: &Tensor, gamma: &Tensor, g: &Tensor, eps: f32) -> (Tensor, Tensor) {
-    layer_norm_vjp_on(GemmTier::host(), x, gamma, g, eps)
+    layer_norm_vjp_on(Tier::host(), x, gamma, g, eps)
 }
 
 /// [`layer_norm_vjp`] on `tier`.
 fn layer_norm_vjp_on(
-    tier: GemmTier,
+    tier: Tier,
     x: &Tensor,
     gamma: &Tensor,
     g: &Tensor,
@@ -449,7 +448,7 @@ fn layer_norm_vjp_on(
     par::fill_rows_n([&mut dx, &mut stats], rows, [m, 2], chunks, |rs, [dx, stats]| {
         // Mostly `f32` work in 8-lane registers either way: the AVX-512
         // tier runs the AVX2 lanes here, which it measured no slower than.
-        let tier = if tier == GemmTier::Avx512 { GemmTier::Avx2 } else { tier };
+        let tier = if tier == Tier::Avx512 { Tier::Avx2 } else { tier };
         let lanes = reduce::lane_rows(tier, rs.clone(), m);
         #[cfg(target_arch = "x86_64")]
         if !lanes.is_empty() {
@@ -684,9 +683,9 @@ mod tests {
     }
 
     /// The per-row loops the order-0/1 sRBF and the Fourier basis ran
-    /// before the trig tier: scalar libm `sin_cos` per row and all four
-    /// envelope orders for the sRBF, libm `cos`/`sin` per element for the
-    /// Fourier basis.
+    /// before the trig tier: one scalar `sincosf` per row and all four
+    /// envelope orders for the sRBF, one per element for the Fourier
+    /// basis.
     fn srbf_per_row(r: &[f32], cfg: SrbfCfg, order: usize) -> Vec<f32> {
         let (norm, w1) = ((2.0 / cfg.r_cut).sqrt(), std::f32::consts::PI / cfg.r_cut);
         let mut out = Vec::new();
@@ -694,7 +693,7 @@ mod tests {
             let ri = ri.max(1e-6);
             let u = envelope_upto(ri, cfg, 4);
             let inv_r = 1.0 / ri;
-            let (sin1, cos1) = (w1 * ri).sin_cos();
+            let (sin1, cos1) = trig::sincosf(w1 * ri);
             let (mut s, mut c) = (sin1, cos1);
             for k in 0..cfg.n_basis {
                 let w = (k as f32 + 1.0) * w1;
@@ -720,8 +719,9 @@ mod tests {
         let mut out = Vec::new();
         for &th in theta {
             out.push(if order == 0 { dc } else { 0.0 });
-            out.extend((1..harmonics + 1).map(|k| scale(k) * (k as f32 * th + shift).cos()));
-            out.extend((1..harmonics + 1).map(|k| scale(k) * (k as f32 * th + shift).sin()));
+            let sc = |k: usize| trig::sincosf(k as f32 * th + shift);
+            out.extend((1..harmonics + 1).map(|k| scale(k) * sc(k).1));
+            out.extend((1..harmonics + 1).map(|k| scale(k) * sc(k).0));
         }
         out
     }
@@ -853,7 +853,7 @@ mod tests {
     fn row_lane_layer_norm_and_its_vjp_are_bitwise_the_per_row_loops() {
         use crate::kernels::{bits, test_param, test_rows, TEST_COLS, TEST_ROWS};
         use rand::{rngs::StdRng, SeedableRng};
-        // The baseline tier runs every row through the scalar per-row
+        // The scalar tier runs every row through the scalar per-row
         // loops, the reference; every other tier the host runs takes whole
         // blocks in lanes.
         let mut case = 0;
@@ -863,9 +863,9 @@ mod tests {
                 let rng = &mut StdRng::seed_from_u64(case);
                 let (x, g) = (test_rows(rng, rows, m), test_rows(rng, rows, m));
                 let (gamma, beta) = (test_param(rng, m), test_param(rng, m));
-                let want = layer_norm_on(GemmTier::Baseline, &x, &gamma, &beta, 1e-5);
-                let (dx, dgamma) = layer_norm_vjp_on(GemmTier::Baseline, &x, &gamma, &g, 1e-5);
-                for tier in GemmTier::on_host() {
+                let want = layer_norm_on(Tier::Scalar, &x, &gamma, &beta, 1e-5);
+                let (dx, dgamma) = layer_norm_vjp_on(Tier::Scalar, &x, &gamma, &g, 1e-5);
+                for tier in Tier::on_host() {
                     let what = format!("{tier:?} {rows}x{m} (seed {case})");
                     let got = layer_norm_on(tier, &x, &gamma, &beta, 1e-5);
                     assert_eq!(bits(got.data()), bits(want.data()), "forward {what}");
@@ -889,14 +889,14 @@ mod tests {
                 let h = [(); 2].map(|_| test_rows(rng, rows, m));
                 let ln = [(); 2].map(|_| [(); 2].map(|_| test_param(rng, m)));
                 let [[gg, bg], [gc, bc]] = &ln;
-                // The composed kernels on the baseline tier: two
+                // The composed kernels on the scalar tier: two
                 // LayerNorms and the gate.
-                let yg = layer_norm_on(GemmTier::Baseline, &h[0], gg, bg, 1e-5);
-                let yc = layer_norm_on(GemmTier::Baseline, &h[1], gc, bc, 1e-5);
+                let yg = layer_norm_on(Tier::Scalar, &h[0], gg, bg, 1e-5);
+                let yc = layer_norm_on(Tier::Scalar, &h[1], gc, bc, 1e-5);
                 let want = bits(fused_gate(&yg, &yc).data());
                 let hr = [&h[0], &h[1]];
                 let lnr = [[gg, bg], [gc, bc]];
-                for tier in GemmTier::on_host() {
+                for tier in Tier::on_host() {
                     for width in [1, 2] {
                         let what = format!("{rows}x{m} {tier:?} width {width} (seed {case})");
                         let got = par::with_width(width, || ln_gate_on(tier, hr, lnr, 1e-5));

@@ -1,6 +1,7 @@
 //! Dense GEMM and block-diagonal GEMM kernels.
 
 use crate::kernels::gather::Block;
+use crate::kernels::Tier;
 use crate::par;
 use crate::shape::{Bcast, Shape};
 use crate::tensor::Tensor;
@@ -12,89 +13,42 @@ const TILE: usize = 16;
 /// Output rows held in registers per tile of [`matmul`]'s blocked kernel.
 const BLOCK: usize = 4;
 
-/// The instruction sets [`matmul`]'s kernel runs on. Every tier gives the
-/// same bits. Baseline and AVX2 compile one body; AVX2 holds a 16-column
-/// tile row in two registers instead of four. AVX-512 runs explicit
-/// `__m512` register tiles ([`avx512`]). The row-lane sums of the
-/// LayerNorm kernels and `sum(Axis::Cols)` run on the same test
-/// (DESIGN.md §2.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GemmTier {
-    /// The build target's baseline instructions (SSE2 on x86-64).
-    Baseline,
-    /// AVX2, when the host has it. `fma` is never enabled.
-    Avx2,
-    /// AVX-512F (and AVX2), when the host has them. No FMA is issued.
-    Avx512,
+/// `row += bias` for every row of `out` (rows `bias.len()` wide) on
+/// `tier`, one `f32` add per element.
+fn add_bias(tier: Tier, bias: &[f32], out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 && tier.runs_here() {
+        // SAFETY: the host has AVX-512F, checked just above.
+        return unsafe { avx512::add_bias(bias, out) };
+    }
+    for row in out.chunks_exact_mut(bias.len()) {
+        for (o, &c) in row.iter_mut().zip(bias) {
+            *o += c;
+        }
+    }
 }
 
-impl GemmTier {
-    /// The widest tier this host runs; [`matmul`] checks once per call.
-    pub fn host() -> GemmTier {
-        [GemmTier::Avx512, GemmTier::Avx2]
-            .into_iter()
-            .find(|t| t.runs_here())
-            .unwrap_or(GemmTier::Baseline)
+/// One pass of a product on `tier`: `outs[j] += a @ b_j` for the rows of
+/// the product `a` reads, each output `n` columns wide and `b_j` B's
+/// columns `b.col + j·n..b.col + (j + 1)·n`. [`Tier::Scalar`] and
+/// [`Tier::Avx2`] compile one body; AVX2 holds a 16-column tile row in
+/// two registers instead of four and enables no `fma`. [`Tier::Avx512`]
+/// runs explicit `__m512` register tiles ([`avx512`]).
+fn run<const N: usize>(tier: Tier, a: impl Lhs, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 && tier.runs_here() {
+        // SAFETY: the host has AVX-512F, checked just above.
+        return unsafe { avx512::kernel(a, b, n, outs) };
     }
-
-    /// Whether this host has the instructions of this tier.
-    pub(crate) fn runs_here(self) -> bool {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        let avx2 = is_x86_feature_detected!("avx2");
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        let avx2 = false;
+    for (j, out) in outs.into_iter().enumerate() {
+        let b = Rhs { col: b.col + j * n, ..b };
         #[cfg(target_arch = "x86_64")]
-        let avx512 = avx2 && is_x86_feature_detected!("avx512f");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx512 = false;
-        match self {
-            GemmTier::Baseline => true,
-            GemmTier::Avx2 => avx2,
-            GemmTier::Avx512 => avx512,
+        if tier != Tier::Scalar && tier.runs_here() {
+            // SAFETY: the host has AVX2, checked just above.
+            unsafe { kernel_avx2(a, b, n, out) };
+            continue;
         }
-    }
-
-    /// Every tier this host runs, narrowest first: what the bitwise tests
-    /// compare.
-    #[cfg(test)]
-    pub(crate) fn on_host() -> impl Iterator<Item = GemmTier> {
-        [GemmTier::Baseline, GemmTier::Avx2, GemmTier::Avx512].into_iter().filter(|t| t.runs_here())
-    }
-
-    /// `row += bias` for every row of `out` (rows `bias.len()` wide), one
-    /// `f32` add per element.
-    fn add_bias(self, bias: &[f32], out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if self == GemmTier::Avx512 && is_x86_feature_detected!("avx512f") {
-            // SAFETY: the host has AVX-512F, checked just above.
-            return unsafe { avx512::add_bias(bias, out) };
-        }
-        for row in out.chunks_exact_mut(bias.len()) {
-            for (o, &c) in row.iter_mut().zip(bias) {
-                *o += c;
-            }
-        }
-    }
-
-    /// One pass of a product on this tier: `outs[j] += a @ b_j` for the
-    /// rows of the product `a` reads, each output `n` columns wide and `b_j`
-    /// B's columns `b.col + j·n..b.col + (j + 1)·n`.
-    fn run<const N: usize>(self, a: impl Lhs, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
-        #[cfg(target_arch = "x86_64")]
-        if self == GemmTier::Avx512 && is_x86_feature_detected!("avx512f") {
-            // SAFETY: the host has AVX-512F, checked just above.
-            return unsafe { avx512::kernel(a, b, n, outs) };
-        }
-        for (j, out) in outs.into_iter().enumerate() {
-            let b = Rhs { col: b.col + j * n, ..b };
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            if self != GemmTier::Baseline && is_x86_feature_detected!("avx2") {
-                // SAFETY: the host has AVX2, checked just above.
-                unsafe { kernel_avx2(a, b, n, out) };
-                continue;
-            }
-            kernel(a, b, n, out)
-        }
+        kernel(a, b, n, out)
     }
 }
 
@@ -113,7 +67,7 @@ impl GemmTier {
 /// `k`; rows left over after the last whole block run one at a time. The
 /// body is one `#[inline(always)]` function, compiled at the target
 /// baseline and again with AVX2, and AVX-512 has register tiles of its own
-/// ([`GemmTier`]); the host's tier is picked once per call. Rows not
+/// ([`Tier`]); the host's tier is picked once per call. Rows not
 /// divisible by [`BLOCK`] and columns not divisible by [`TILE`] go through
 /// narrower instances of the same body.
 /// Large products split their rows across threads ([`crate::par`]); a
@@ -123,7 +77,7 @@ impl GemmTier {
 /// # Panics
 /// Panics when the inner dimensions disagree.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    gemm(GemmTier::host(), a, b)
+    gemm(Tier::host(), a, b)
 }
 
 /// `C = aᵀ @ b` without materialising `aᵀ`: bitwise
@@ -137,7 +91,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// # Panics
 /// Panics when `a` and `b` have different row counts.
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
-    gemm_at(GemmTier::host(), a, b)
+    gemm_at(Tier::host(), a, b)
 }
 
 /// `x @ w + b` for the left operand `x` made of the column `blocks`
@@ -157,7 +111,7 @@ pub(crate) fn linear_split<const N: usize>(
     w: &Tensor,
     b: &Tensor,
 ) -> [Tensor; N] {
-    linear_split_on(GemmTier::host(), blocks, rows, w, b)
+    linear_split_on(Tier::host(), blocks, rows, w, b)
 }
 
 /// `xᵀ @ g` for the left operand `x` made of the column `blocks`
@@ -168,7 +122,7 @@ pub(crate) fn linear_split<const N: usize>(
 /// # Panics
 /// Panics when the shapes disagree. The caller checks the indices.
 pub(crate) fn matmul_at_blocks(blocks: &[Block], g: &Tensor) -> Tensor {
-    matmul_at_blocks_on(GemmTier::host(), blocks, g)
+    matmul_at_blocks_on(Tier::host(), blocks, g)
 }
 
 /// The `(dx, dw, db)` of [`linear_split`] for the cotangents `g` of its
@@ -246,7 +200,7 @@ pub(crate) fn bias_grad(dh: &Tensor) -> Tensor {
 }
 
 /// [`matmul`] on `tier`.
-fn gemm(tier: GemmTier, a: &Tensor, b: &Tensor) -> Tensor {
+fn gemm(tier: Tier, a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     assert_eq!(k, b.rows(), "matmul inner dim mismatch: {} vs {}", a.shape(), b.shape());
     let ad = a.data();
@@ -259,14 +213,14 @@ fn gemm(tier: GemmTier, a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// [`matmul_at`] on `tier`.
-fn gemm_at(tier: GemmTier, a: &Tensor, b: &Tensor) -> Tensor {
+fn gemm_at(tier: Tier, a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rows(), b.rows(), "matmul_at inner dim mismatch: {} vs {}", a.shape(), b.shape());
     matmul_at_blocks_on(tier, &[Block { src: a, idx: None }], b)
 }
 
 /// [`linear_split`] on `tier`.
 fn linear_split_on<const N: usize>(
-    tier: GemmTier,
+    tier: Tier,
     blocks: &[Block],
     rows: usize,
     w: &Tensor,
@@ -326,7 +280,7 @@ pub(crate) fn seeds_first_block(src_rows: usize, rows: usize) -> bool {
 }
 
 /// [`matmul_at_blocks`] on `tier`.
-fn matmul_at_blocks_on(tier: GemmTier, blocks: &[Block], g: &Tensor) -> Tensor {
+fn matmul_at_blocks_on(tier: Tier, blocks: &[Block], g: &Tensor) -> Tensor {
     let (k, n) = (g.rows(), g.cols());
     let m_all: usize = blocks.iter().map(|x| x.src.cols()).sum();
     let passes: Vec<Range<usize>> =
@@ -393,7 +347,7 @@ struct Plan<'a, const N: usize> {
 /// threads ([`crate::par`]); each thread's rows run through all passes in
 /// blocks of [`PASS_ROWS`].
 fn product<L: Pass, const N: usize>(
-    tier: GemmTier,
+    tier: Tier,
     m: usize,
     b: &Tensor,
     plan: &Plan<N>,
@@ -408,7 +362,7 @@ fn product<L: Pass, const N: usize>(
     // About 1 ns per 12 multiply-adds at width 1 (EXPERIMENTS.md
     // "Blocked GEMM"), per 16 on the AVX-512 tier (EXPERIMENTS.md
     // "AVX-512 tier"), in `par::SPLIT_WORK` units.
-    let per_unit = if tier == GemmTier::Avx512 { 16 } else { 12 };
+    let per_unit = if tier == Tier::Avx512 { 16 } else { 12 };
     let work = m * ld * plan.passes.iter().map(Range::len).sum::<usize>() / per_unit;
     par::for_row_chunks_n(outs, m, [n; N], par::chunks(work, m), |rows, mut outs| {
         let mut r0 = rows.start;
@@ -429,7 +383,7 @@ fn product<L: Pass, const N: usize>(
             }
             // The epilogue, on rows still in cache.
             for (bias, out) in plan.bias.iter().flat_map(|b| b.chunks_exact(n)).zip(&mut outs) {
-                tier.add_bias(bias, &mut out[local.clone()]);
+                add_bias(tier, bias, &mut out[local.clone()]);
             }
             r0 = r1;
         }
@@ -445,13 +399,13 @@ trait Lhs: Copy {
 
 /// One pass of a [`product`]: the left operand it reads.
 trait Pass: Copy {
-    /// `outs[j] += self @ b_j` on `tier` ([`GemmTier::run`]).
-    fn run<const N: usize>(self, tier: GemmTier, b: Rhs, n: usize, outs: [&mut [f32]; N]);
+    /// `outs[j] += self @ b_j` on `tier` ([`run`]).
+    fn run<const N: usize>(self, tier: Tier, b: Rhs, n: usize, outs: [&mut [f32]; N]);
 }
 
 impl<L: Lhs> Pass for L {
-    fn run<const N: usize>(self, tier: GemmTier, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
-        tier.run(self, b, n, outs)
+    fn run<const N: usize>(self, tier: Tier, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
+        run(tier, self, b, n, outs)
     }
 }
 
@@ -507,10 +461,10 @@ enum BlockRows<'a> {
 }
 
 impl Pass for BlockRows<'_> {
-    fn run<const N: usize>(self, tier: GemmTier, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
+    fn run<const N: usize>(self, tier: Tier, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
         match self {
-            BlockRows::Whole(a) => tier.run(a, b, n, outs),
-            BlockRows::Gathered(a) => tier.run(a, b, n, outs),
+            BlockRows::Whole(a) => run(tier, a, b, n, outs),
+            BlockRows::Gathered(a) => run(tier, a, b, n, outs),
         }
     }
 }
@@ -618,7 +572,7 @@ mod avx512 {
         }
     }
 
-    /// `outs[j] += a @ b_j` ([`super::GemmTier::run`]): every pair of
+    /// `outs[j] += a @ b_j` ([`super::run`]): every pair of
     /// strips (and a last single one) through all rows.
     #[target_feature(enable = "avx512f")]
     pub(super) fn kernel<const N: usize>(a: impl Lhs, b: Rhs, n: usize, mut outs: [&mut [f32]; N]) {
@@ -643,7 +597,7 @@ mod avx512 {
         }
     }
 
-    /// `row += bias` for every row of `out` ([`super::GemmTier::add_bias`]),
+    /// `row += bias` for every row of `out` ([`super::add_bias`]),
     /// 16 columns per register.
     #[target_feature(enable = "avx512f")]
     pub(super) fn add_bias(bias: &[f32], out: &mut [f32]) {
@@ -759,13 +713,13 @@ mod avx512 {
 }
 
 /// [`kernel`] compiled with AVX2 enabled.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn kernel_avx2(a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
     kernel(a, b, n, out)
 }
 
-/// The GEMM body the baseline and AVX2 tiers compile: [`BLOCK`]-row
+/// The GEMM body the scalar and AVX2 tiers compile: [`BLOCK`]-row
 /// blocks, then the rows left over one at a time.
 #[inline(always)]
 fn kernel(a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
@@ -929,7 +883,7 @@ mod tests {
 
     #[test]
     fn tiled_matmul_is_bitwise_the_ikj_loop() {
-        let tiers: Vec<GemmTier> = GemmTier::on_host().collect();
+        let tiers: Vec<Tier> = Tier::on_host().collect();
         let mut case = 0u64;
         for m in [0, 1, 3, 4, 5, 7, 8, 33] {
             for n in [1, 3, 15, 16, 17, 32, 33, 48, 64] {
@@ -977,7 +931,7 @@ mod tests {
                 let mut b = Tensor::full(3, n, 0.5);
                 *b.at_mut(1, inf) = f32::INFINITY;
                 let whole = [Block { src: &a, idx: None }];
-                for tier in GemmTier::on_host() {
+                for tier in Tier::on_host() {
                     let [split] = linear_split_on::<1>(tier, &whole, m, &b, &Tensor::zeros(1, n));
                     let products = [
                         ("matmul", gemm(tier, &a, &b)),
@@ -1000,7 +954,7 @@ mod tests {
 
     #[test]
     fn transposed_a_matmul_is_bitwise_transpose_then_matmul() {
-        let tiers: Vec<GemmTier> = GemmTier::on_host().collect();
+        let tiers: Vec<Tier> = Tier::on_host().collect();
         let mut case = 0u64;
         for rows in [0, 1, 3, 4, 5, 7, 8, 9, 33, 257] {
             for m in [1, 3, 4, 5, 16, 17, 64] {
@@ -1021,7 +975,7 @@ mod tests {
                             let at = rng.gen_range(0..rows * n);
                             *g.at_mut(at / n, at % n) = x;
                         }
-                        let want = bits(gemm(GemmTier::Baseline, &a.transposed(), &g).data());
+                        let want = bits(gemm(Tier::Scalar, &a.transposed(), &g).data());
                         let what =
                             format!("{rows}x{m}ᵀ @ {rows}x{n} g holding {poison:?} (seed {case})");
                         for &tier in &tiers {
@@ -1088,7 +1042,7 @@ mod tests {
     /// [`linear_split_on`] of `blocks` with `N` outputs `n` wide, on every
     /// tier the host runs at widths 1 and 2 and with `w` finite, holding an
     /// inf and holding a NaN, against `bin.add(matmul)` of their
-    /// materialised concatenation `x` on the baseline tier, sliced.
+    /// materialised concatenation `x` on the scalar tier, sliced.
     #[allow(clippy::type_complexity)]
     fn check_split_of<const N: usize>(
         rng: &mut StdRng,
@@ -1099,12 +1053,12 @@ mod tests {
     ) {
         use crate::kernels::elementwise::{binary, BinKind};
         use crate::shape::Bcast;
-        let tiers: Vec<GemmTier> = GemmTier::on_host().collect();
+        let tiers: Vec<Tier> = Tier::on_host().collect();
         let rows = x.rows();
         let b = draw(rng, 1, N * n);
         for (poison, w) in poisoned(rng, x.cols(), N * n).into_iter().enumerate() {
             for &tier in &tiers {
-                let h = gemm(GemmTier::Baseline, x, &w);
+                let h = gemm(Tier::Scalar, x, &w);
                 let h = binary(BinKind::Add, &h, Bcast::Full, &b, Bcast::Row, h.shape());
                 let want: [_; N] = std::array::from_fn(|i| {
                     bits(crate::kernels::gather::slice_cols(&h, i * n, n).data())
@@ -1190,7 +1144,7 @@ mod tests {
 
     #[test]
     fn view_weight_gradient_is_bitwise_matmul_at_of_the_concat() {
-        let tiers: Vec<GemmTier> = GemmTier::on_host().collect();
+        let tiers: Vec<Tier> = Tier::on_host().collect();
         let mut case = 0;
         for rows in [0, 1, 3, 4, 5, 33, 4099] {
             for n in [1, 3, 16, 34] {
@@ -1199,7 +1153,7 @@ mod tests {
                 let (blocks, x) = test_blocks(rng, rows);
                 for (poison, g) in poisoned(rng, rows, n).into_iter().enumerate() {
                     for &tier in &tiers {
-                        let want = gemm_at(GemmTier::Baseline, &x, &g);
+                        let want = gemm_at(Tier::Scalar, &x, &g);
                         let what = format!("{rows} rows, n={n}, poison {poison} (seed {case})");
                         for width in [1, 2] {
                             let got = par::with_width(width, || {

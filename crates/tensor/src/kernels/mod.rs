@@ -19,6 +19,53 @@ pub mod reduce;
 pub mod segment;
 pub mod trig;
 
+use std::sync::OnceLock;
+
+/// The instruction sets the kernels run on, picked from the CPU alone.
+/// Every tier gives the same bits; only the speed differs (DESIGN.md
+/// §2.2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// The build target's baseline instructions (SSE2 on x86-64): the
+    /// GEMM's generic body, the per-row loops, and the in-tree scalar
+    /// ports `exp::expf` and `trig::sincosf`.
+    Scalar,
+    /// AVX2 and FMA on x86-64: the GEMM's generic body compiled with AVX2
+    /// (no FMA issued), 8-row lane sums, and the 8-lane `exp`, `sin` and
+    /// `cos` ports.
+    Avx2,
+    /// AVX-512F, AVX2 and FMA on x86-64: the GEMM's `zmm` register tiles,
+    /// 16-row LayerNorm lanes and the 16-lane `exp` port. `sin` and `cos`
+    /// run their AVX2 port here.
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier this host's CPU runs, read once per process.
+    pub fn host() -> Tier {
+        static HOST: OnceLock<Tier> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                return if is_x86_feature_detected!("avx512f") { Tier::Avx512 } else { Tier::Avx2 };
+            }
+            Tier::Scalar
+        })
+    }
+
+    /// Whether this host has the instructions of this tier.
+    pub(crate) fn runs_here(self) -> bool {
+        self <= Tier::host()
+    }
+
+    /// Every tier this host runs, narrowest first: what the bitwise tests
+    /// compare.
+    #[cfg(test)]
+    pub(crate) fn on_host() -> impl Iterator<Item = Tier> {
+        [Tier::Scalar, Tier::Avx2, Tier::Avx512].into_iter().filter(|t| t.runs_here())
+    }
+}
+
 /// Random kernel inputs for the bitwise tests: mostly uniform values in
 /// `[-4, 4)`, with exact `±0.0`, NaN, `±inf` and subnormals mixed in.
 #[cfg(test)]
@@ -91,4 +138,43 @@ pub(crate) const TEST_COLS: [usize; 7] = [1, 3, 4, 5, 16, 17, 64];
 #[cfg(test)]
 pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    /// Set in the child processes of [`kernels_pass_under_a_foreign_libm`],
+    /// so that they start no children of their own.
+    const CHILD: &str = "FASTCHGNET_FOREIGN_LIBM_CHILD";
+
+    /// The `kernels::` tests again, in child processes of this test binary
+    /// that glibc runs without its AVX2 and FMA builds (`GLIBC_TUNABLES`,
+    /// which only the child's dynamic loader reads): libm then returns
+    /// other bits at some inputs, and the kernels, whose tier comes from
+    /// cpuid and whose references are the in-tree ports, must not change.
+    #[test]
+    fn kernels_pass_under_a_foreign_libm() {
+        if std::env::var_os(CHILD).is_some() {
+            return;
+        }
+        if !cfg!(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")) {
+            println!("skipped: the foreign-libm check runs on x86-64 Linux glibc only");
+            return;
+        }
+        let exe = std::env::current_exe().expect("the test binary's path");
+        for hwcaps in ["-AVX2,-FMA", "-FMA"] {
+            let out = std::process::Command::new(&exe)
+                .args(["kernels::", "--quiet"])
+                .env("GLIBC_TUNABLES", format!("glibc.cpu.hwcaps={hwcaps}"))
+                .env(CHILD, "1")
+                .output()
+                .expect("run the test binary");
+            assert!(
+                out.status.success(),
+                "kernels:: tests with glibc.cpu.hwcaps={hwcaps}: {}\n{}\n{}",
+                out.status,
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Reduction kernels (row / column / full sums), and the row-lane `f64`
 //! sums that column sums and the LayerNorm kernels share.
 
-use crate::kernels::matmul::GemmTier;
+use crate::kernels::Tier;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -45,7 +45,7 @@ pub fn sum(a: &Tensor, axis: Axis) -> Tensor {
             }
             Tensor::from_vec(Shape::new(1, m), out)
         }
-        Axis::Cols => Tensor::from_vec(Shape::new(n, 1), sum_cols(GemmTier::host(), d, n, m)),
+        Axis::Cols => Tensor::from_vec(Shape::new(n, 1), sum_cols(Tier::host(), d, n, m)),
         Axis::All => Tensor::scalar(d.iter().map(|&x| x as f64).sum::<f64>() as f32),
     }
 }
@@ -53,10 +53,10 @@ pub fn sum(a: &Tensor, axis: Axis) -> Tensor {
 /// `sum(Axis::Cols)` of the row-major `n × m` data `d` on `tier`: each
 /// row's sum in `f64` (column sums feed LayerNorm statistics), rounded
 /// once to `f32`.
-fn sum_cols(tier: GemmTier, d: &[f32], n: usize, m: usize) -> Vec<f32> {
+fn sum_cols(tier: Tier, d: &[f32], n: usize, m: usize) -> Vec<f32> {
     let mut out = crate::pool::zeroed(n);
     // One sum per row: the AVX-512 tier runs the AVX2 lanes here.
-    let tier = if tier == GemmTier::Avx512 { GemmTier::Avx2 } else { tier };
+    let tier = if tier == Tier::Avx512 { Tier::Avx2 } else { tier };
     let lanes = lane_rows(tier, 0..n, m);
     #[cfg(target_arch = "x86_64")]
     if !lanes.is_empty() {
@@ -102,9 +102,9 @@ const LANE_MIN_COLS: usize = 16;
 /// Row-lane `f64` sums (DESIGN.md §2.2): the rows of `rows` (each `m`
 /// wide) that run in blocks on `tier`, whole blocks from `rows.start` when
 /// the host runs the tier and `m` is at least [`LANE_MIN_COLS`], none
-/// otherwise: [`LANES`]-row blocks on [`GemmTier::Avx2`],
-/// [`LANES_AVX512`]-row blocks on [`GemmTier::Avx512`], none on the
-/// baseline. The rest run the kernel's scalar per-row loop.
+/// otherwise: [`LANES`]-row blocks on [`Tier::Avx2`],
+/// [`LANES_AVX512`]-row blocks on [`Tier::Avx512`], none on
+/// [`Tier::Scalar`]. The rest run the kernel's scalar per-row loop.
 ///
 /// A block's body is compiled with its tier's instructions enabled (`fma`
 /// never is). It [`transpose`]s its rows (8 at a time) so that each column
@@ -114,13 +114,13 @@ const LANE_MIN_COLS: usize = 16;
 /// bitwise that loop's, while the block's rows' adds overlap instead of
 /// waiting on one another. The AVX2 body sums with [`lane_sum`], the
 /// AVX-512 one in two 8-lane `__m512d` chains.
-pub(crate) fn lane_rows(tier: GemmTier, rows: Range<usize>, m: usize) -> Range<usize> {
+pub(crate) fn lane_rows(tier: Tier, rows: Range<usize>, m: usize) -> Range<usize> {
     let block = match tier {
-        GemmTier::Baseline => 0,
-        GemmTier::Avx2 => LANES,
-        GemmTier::Avx512 => LANES_AVX512,
+        Tier::Scalar => 0,
+        Tier::Avx2 => LANES,
+        Tier::Avx512 => LANES_AVX512,
     };
-    if block == 0 || m < LANE_MIN_COLS || !tier.runs_here() || !cfg!(target_arch = "x86_64") {
+    if block == 0 || m < LANE_MIN_COLS || !tier.runs_here() {
         return rows.start..rows.start;
     }
     rows.start..rows.start + rows.len() / block * block
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn row_lane_column_sums_are_bitwise_the_per_row_loop() {
-        // On the baseline tier every row runs the scalar per-row loop, the
+        // On the scalar tier every row runs the scalar per-row loop, the
         // reference; on every other tier the host runs, whole blocks run in
         // row lanes.
         let mut case = 0;
@@ -228,8 +228,8 @@ mod tests {
             for m in TEST_COLS {
                 case += 1;
                 let x = test_rows(&mut StdRng::seed_from_u64(case), rows, m);
-                let want = bits(&sum_cols(GemmTier::Baseline, x.data(), rows, m));
-                for tier in GemmTier::on_host() {
+                let want = bits(&sum_cols(Tier::Scalar, x.data(), rows, m));
+                for tier in Tier::on_host() {
                     let lanes = sum_cols(tier, x.data(), rows, m);
                     assert_eq!(bits(&lanes), want, "{tier:?} {rows}x{m} (seed {case})");
                 }
@@ -261,7 +261,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn transpose_puts_row_l_in_lane_l() {
-        if lane_rows(GemmTier::Avx2, 0..LANES, LANE_MIN_COLS).is_empty() {
+        if lane_rows(Tier::Avx2, 0..LANES, LANE_MIN_COLS).is_empty() {
             return; // no AVX2: nothing runs in lanes
         }
         for m in [0, 3, 8, 19] {

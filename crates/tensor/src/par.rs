@@ -40,11 +40,12 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 /// the row-lane LayerNorm and the VJPs; "AVX-512 tier" for that tier's
 /// weights; "A pool that stops growing" for the scalar libm unaries):
 /// copies 1/2, `matmul` (and `matmul_at`) `k/12` (`k/16` on
-/// `GemmTier::Avx512`), `fused.layer_norm` 2, `fused.ln_vjp` 4, `arccos`,
-/// `ln` and `tanh` 32, other unaries up to 2, sigmoid and SiLU 3 (7 on
-/// `ExpTier::Libm`, 2 on `ExpTier::Avx512`), `fused.gate` 5 (16 on `Libm`,
-/// 3 on `Avx512`), `fused.gate_vjp` 6 (18 on `Libm`, 4 on `Avx512`) and
-/// the fused bases 10.
+/// `Tier::Avx512`), `fused.layer_norm` 2, `fused.ln_vjp` 4, `arccos`,
+/// `ln` and `tanh` 32, other unaries up to 2, sigmoid and SiLU 3 on
+/// `Tier::Avx2` (7 on `Tier::Scalar`, 2 on `Tier::Avx512`), `fused.gate`
+/// 5 (16 on `Scalar`, 3 on `Avx512`), `fused.gate_vjp` 6 (18 on `Scalar`,
+/// 4 on `Avx512`) and the fused bases 10. The `Scalar` weights are those
+/// the scalar libm calls had before the vector ports.
 ///
 /// The threshold comes from two measurements (EXPERIMENTS.md "A pool that
 /// stops growing"). `examples/op_profile`'s "split break-even" table:

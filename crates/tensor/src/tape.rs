@@ -1259,7 +1259,11 @@ mod tests {
         assert_eq!(t.profiler().snapshot().bytes_live, 64, "a nested scope keeps the outer on");
         assert_eq!(t.shape(a), Shape::new(4, 4), "the shape stays readable");
         t.release(&[b]);
-        assert_eq!(t.value(b).data(), &[1f32.exp(); 16], "released outside a scope: kept");
+        assert_eq!(
+            t.value(b).data(),
+            &[crate::kernels::exp::expf(1.0); 16],
+            "released outside a scope: kept"
+        );
         let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.neg(a)));
         let err = read.expect_err("reading a released buffer panics");
         let msg = err.downcast_ref::<String>().expect("a formatted message");

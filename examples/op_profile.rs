@@ -34,7 +34,7 @@
 //! of 64 to 4,096 atoms. It ends the md part with the table
 //! `par::SPLIT_WORK` is set from: a split's break-even, the median µs of
 //! an add over 1K–256K elements on one thread and split. It also prints
-//! the `matmul`, `exp` and `sin`/`cos` kernel tiers this host runs.
+//! the kernel tier this host runs.
 //!
 //! Run: `cargo run --release --example op_profile`
 
@@ -47,9 +47,7 @@ use fastchgnet::crystal::{
     LINKED_CELL_MIN_ATOMS,
 };
 use fastchgnet::prelude::*;
-use fastchgnet::tensor::kernels::exp::ExpTier;
-use fastchgnet::tensor::kernels::matmul::GemmTier;
-use fastchgnet::tensor::kernels::trig::TrigTier;
+use fastchgnet::tensor::kernels::Tier;
 use fastchgnet::tensor::{par, pool, profiler, OpTotals};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,12 +75,7 @@ type Phase = (Table, u64);
 type Held = (Vec<(&'static str, u64, usize)>, u64);
 
 fn main() {
-    println!(
-        "matmul tier: {:?}, exp tier: {:?}, trig tier: {:?}",
-        GemmTier::host(),
-        ExpTier::host(),
-        TrigTier::host()
-    );
+    println!("kernel tier: {:?}", Tier::host());
     // perfbench's model: Scale::quick() at OptLevel::Decoupled.
     let cfg = ModelConfig {
         fea: 16,
