@@ -12,9 +12,11 @@
 use crate::element::{Element, N_ELEMENTS};
 use crate::graph::{CrystalGraph, ATOM_CUTOFF, BOND_CUTOFF};
 use crate::lattice::Lattice;
+use crate::math::{self, LanePass, Lanes};
 use crate::neighbor::{neighbor_list, Bond};
 use crate::oracle::{energy_on, evaluate_on, Labels};
 use crate::structure::Structure;
+use fc_tensor::kernels::Tier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -264,42 +266,76 @@ fn screened_structure(rng: &mut StdRng, cfg: &DatasetConfig) -> (Structure, Vec<
 /// Cartesian positions computed once, and one square root of the smallest
 /// squared distance (`sqrt` is monotone and correctly rounded, so that is
 /// bitwise the smallest distance); a self-pair takes the shortest lattice
-/// row as its distance.
+/// row as its distance. Each pair's 27 squared distances are computed in
+/// the host's lanes.
 pub fn well_separated(s: &Structure) -> bool {
+    well_separated_on(Tier::host(), s)
+}
+
+/// [`well_separated`] on `tier`'s lanes.
+fn well_separated_on(tier: Tier, s: &Structure) -> bool {
     let m = s.lattice.m;
     let shortest_row = (0..3)
         .map(|k| (m[k][0].powi(2) + m[k][1].powi(2) + m[k][2].powi(2)).sqrt())
         .fold(f64::INFINITY, f64::min);
-    let images: [[f64; 3]; 27] = std::array::from_fn(|k| {
-        s.lattice.frac_to_cart([k / 9, k / 3 % 3, k % 3].map(|n| n as f64 - 1.0))
-    });
-    let carts = s.cart_coords();
-    let r0: Vec<f32> = s.species.iter().map(|e| e.oracle_params().r0).collect();
-    for i in 0..s.n_atoms() {
-        let xi = carts[i];
-        for j in i..s.n_atoms() {
-            let d = if i == j {
-                shortest_row
-            } else {
-                let xj = carts[j];
-                let mut best = f64::INFINITY;
-                for img in &images {
-                    let d =
-                        [xj[0] + img[0] - xi[0], xj[1] + img[1] - xi[1], xj[2] + img[2] - xi[2]];
-                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                    if r2 < best {
-                        best = r2;
-                    }
-                }
-                best.sqrt()
-            };
-            let pair_r0 = (r0[i] + r0[j]) as f64;
-            if d / pair_r0.max(0.1) <= MIN_SEPARATION_RATIO {
-                return false;
-            }
+    // The images' Cartesian offsets by axis, padded with `+inf`, whose
+    // squared distance is `+inf` and never the smallest.
+    let mut images = [[f64::INFINITY; IMAGE_LANES]; 3];
+    for k in 0..27 {
+        let img = s.lattice.frac_to_cart([k / 9, k / 3 % 3, k % 3].map(|n| n as f64 - 1.0));
+        for (axis, x) in images.iter_mut().zip(img) {
+            axis[k] = x;
         }
     }
-    true
+    let carts = s.cart_coords();
+    let r0: Vec<f32> = s.species.iter().map(|e| e.oracle_params().r0).collect();
+    math::run_on(tier, Separation { carts: &carts, r0: &r0, images: &images, shortest_row })
+}
+
+/// The 27 images padded to whole chunks of the widest lanes.
+const IMAGE_LANES: usize = 32;
+
+/// [`well_separated`]'s pair loop over one structure.
+struct Separation<'a> {
+    carts: &'a [[f64; 3]],
+    r0: &'a [f32],
+    images: &'a [[f64; IMAGE_LANES]; 3],
+    shortest_row: f64,
+}
+
+impl LanePass for Separation<'_> {
+    type Out = bool;
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) -> bool {
+        let (carts, r0, images) = (self.carts, self.r0, self.images);
+        for i in 0..carts.len() {
+            let xi = carts[i];
+            for j in i..carts.len() {
+                let d = if i == j {
+                    self.shortest_row
+                } else {
+                    let xj = carts[j];
+                    let mut best = V::splat(f64::INFINITY);
+                    for k in (0..IMAGE_LANES).step_by(V::N) {
+                        // `xj + img − xi` per axis, then `dx² + dy² + dz²`
+                        // (no closure: see `math::by_row`).
+                        let dx = V::splat(xj[0]).add(V::load(&images[0][k..])).sub(V::splat(xi[0]));
+                        let dy = V::splat(xj[1]).add(V::load(&images[1][k..])).sub(V::splat(xi[1]));
+                        let dz = V::splat(xj[2]).add(V::load(&images[2][k..])).sub(V::splat(xi[2]));
+                        let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
+                        best = r2.min(best);
+                    }
+                    best.min_lane().sqrt()
+                };
+                let pair_r0 = (r0[i] + r0[j]) as f64;
+                if d / pair_r0.max(0.1) <= MIN_SEPARATION_RATIO {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 }
 
 /// Generate one random crystal: weighted species on a jittered grid inside
@@ -371,7 +407,7 @@ pub fn random_structure_with_boost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{evaluate, reference, ORACLE_CUTOFF};
+    use crate::oracle::{energy_on_tier, evaluate, evaluate_on_tier, reference, ORACLE_CUTOFF};
 
     /// The separation measure `well_separated` replaced: the smallest
     /// pairwise `distance / (r0_i + r0_j)` over all pairs (a self-pair
@@ -412,7 +448,9 @@ mod tests {
         let mut failing = 0;
         for s in &cands {
             let reference = min_separation_ratio(s) > MIN_SEPARATION_RATIO;
-            assert_eq!(well_separated(s), reference, "{}", s.formula());
+            for tier in Tier::on_host() {
+                assert_eq!(well_separated_on(tier, s), reference, "{tier:?} {}", s.formula());
+            }
             failing += usize::from(!reference);
         }
         assert!(failing >= 100, "only {failing} of {} candidates fail", cands.len());
@@ -435,13 +473,17 @@ mod tests {
         // The candidates of the energy-pass test above, 50 or more dense.
         for s in &candidates(240) {
             let bonds = neighbor_list(s, ORACLE_CUTOFF);
-            let (got, want) = (evaluate_on(s, &bonds), reference::evaluate_on(s, &bonds));
-            assert_eq!(got.energy.to_bits(), want.energy.to_bits(), "{}", s.formula());
-            assert_eq!(f(got.forces.as_flattened()), f(want.forces.as_flattened()));
-            assert_eq!(f(got.stress.as_flattened()), f(want.stress.as_flattened()));
-            assert_eq!(f(&got.magmoms), f(&want.magmoms));
-            let e = energy_on(s, &bonds);
-            assert_eq!(e.to_bits(), reference::energy_on(s, &bonds).to_bits(), "{}", s.formula());
+            let want = reference::evaluate_on(s, &bonds);
+            let want_e = reference::energy_on(s, &bonds);
+            for tier in Tier::on_host() {
+                let got = evaluate_on_tier(tier, s, &bonds);
+                assert_eq!(got.energy.to_bits(), want.energy.to_bits(), "{tier:?} {}", s.formula());
+                assert_eq!(f(got.forces.as_flattened()), f(want.forces.as_flattened()));
+                assert_eq!(f(got.stress.as_flattened()), f(want.stress.as_flattened()));
+                assert_eq!(f(&got.magmoms), f(&want.magmoms));
+                let e = energy_on_tier(tier, s, &bonds);
+                assert_eq!(e.to_bits(), want_e.to_bits(), "{tier:?} {}", s.formula());
+            }
         }
     }
 

@@ -82,9 +82,14 @@ impl Element {
         TABLE.iter().position(|&(s, _, _)| s == sym).map(|i| Element(i as u8 + 1))
     }
 
-    /// Deterministic per-element oracle parameters.
+    /// Deterministic per-element oracle parameters
+    /// ([`OracleParams::for_element`], tabulated once per process).
     pub fn oracle_params(self) -> OracleParams {
-        OracleParams::for_element(self)
+        static PARAMS: std::sync::OnceLock<[OracleParams; MAX_Z as usize]> =
+            std::sync::OnceLock::new();
+        PARAMS.get_or_init(|| {
+            std::array::from_fn(|i| OracleParams::for_element(Element(i as u8 + 1)))
+        })[self.0 as usize - 1]
     }
 }
 

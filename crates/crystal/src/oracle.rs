@@ -12,8 +12,10 @@
 
 use crate::element::OracleParams;
 use crate::graph::ATOM_CUTOFF;
+use crate::math::{self, LanePass, Lanes};
 use crate::neighbor::{neighbor_list, Bond};
 use crate::structure::Structure;
+use fc_tensor::kernels::Tier;
 
 /// Cutoff of the oracle potential (Å): the atom-graph cutoff, so the GNN
 /// sees every interaction the oracle generates and one neighbour list
@@ -46,36 +48,6 @@ impl Labels {
     }
 }
 
-/// Smooth cosine cutoff `fc(r)` (1 at r=0, 0 at r=rc, C¹ everywhere) and
-/// its derivative `fc'(r)`, one `cos` and one `sin`.
-#[inline]
-fn cutoff_pair(r: f64) -> (f64, f64) {
-    let rc = ORACLE_CUTOFF;
-    if r >= rc {
-        return (0.0, 0.0);
-    }
-    let x = std::f64::consts::PI * r / rc;
-    (0.5 * (x.cos() + 1.0), -0.5 * std::f64::consts::PI / rc * x.sin())
-}
-
-/// Pairwise Morse term and derivative with mixed parameters, before the
-/// cutoff function.
-#[inline]
-fn morse_raw(pi: &OracleParams, pj: &OracleParams, r: f64) -> (f64, f64) {
-    let d = ((pi.well_depth * pj.well_depth) as f64).sqrt();
-    let a = 0.5 * (pi.width + pj.width) as f64;
-    let r0 = (pi.r0 + pj.r0) as f64;
-    let x = (-a * (r - r0)).exp();
-    (d * ((1.0 - x) * (1.0 - x) - 1.0), 2.0 * d * a * x * (1.0 - x))
-}
-
-/// `A_j e^{−b_j r}`, neighbour `j`'s density contribution
-/// `ψ_j(r) = A_j e^{−b_j r} fc(r)` before the cutoff function.
-#[inline]
-fn density(pj: &OracleParams, r: f64) -> f64 {
-    pj.density_amp as f64 * (-(pj.density_decay as f64) * r).exp()
-}
-
 /// Embedding functional `F(ρ) = -√(ρ + ε)` and derivative.
 fn embed(rho: f64) -> (f64, f64) {
     let s = (rho + 1e-9).sqrt();
@@ -89,88 +61,308 @@ pub fn evaluate(s: &Structure) -> Labels {
 }
 
 /// [`evaluate`] on `bonds`, the [`neighbor_list`] of `s` within
-/// [`ORACLE_CUTOFF`]. Each bond's `fc(r)`, `fc'(r)` and `e^{−b_j r}` and
-/// each atom's `F'(ρ_i)` are computed once.
+/// [`ORACLE_CUTOFF`], on the host's lanes ([`evaluate_on_tier`]).
 pub fn evaluate_on(s: &Structure, bonds: &[Bond]) -> Labels {
+    evaluate_on_tier(Tier::host(), s, bonds)
+}
+
+/// [`evaluate_on`] on `tier`'s lanes, bitwise the same on every tier.
+///
+/// Per bond, with `x = πr/r_c` and the Morse and density exponentials of
+/// [`math`]: the cutoff `fc = (cos x + 1)/2` and its derivative `fc'`, the
+/// density term `ψ_j = A_j e^{−b_j r} fc` and its derivative, the Morse
+/// energy `φ fc / 2`, and, once each atom's `F'(ρ_i)` is known, `dE/dr`
+/// times the unit bond vector and the bond's virial `(dE/dr) v_a v_b / r`.
+/// Two lane passes compute these into reused per-thread columns; the sums
+/// over bonds run afterwards in bond order, as a per-bond loop would.
+pub(crate) fn evaluate_on_tier(tier: Tier, s: &Structure, bonds: &[Bond]) -> Labels {
     let n = s.n_atoms();
     let params = oracle_params(s);
-    // Per bond: fc(r), fc'(r) and ψ'_j(r).
-    let mut rho = vec![0.0f64; n];
-    let mut terms = Vec::with_capacity(bonds.len());
-    for b in bonds {
-        let (f, fp) = cutoff_pair(b.r);
-        let pj = &params[b.j as usize];
-        let ae = density(pj, b.r);
-        rho[b.i as usize] += ae * f;
-        terms.push([f, fp, ae * (fp - pj.density_decay as f64 * f)]);
-    }
-    let mut energy = reference_energy(&params);
-    let mut embed_p = Vec::with_capacity(n);
-    for &r in &rho {
-        let (e, ep) = embed(r);
-        energy += e;
-        embed_p.push(ep);
-    }
-
-    let carts = s.cart_coords();
-    let mut forces = vec![[0.0f64; 3]; n];
-    let mut virial = [[0.0f64; 3]; 3];
-    for (b, &[f, fp, psi_p]) in bonds.iter().zip(&terms) {
-        let (i, j, r) = (b.i as usize, b.j as usize, b.r);
-        let (raw, raw_p) = morse_raw(&params[i], &params[j], r);
-        energy += 0.5 * (raw * f);
-        // dE/dr along this directed bond: half the pair term (the reverse
-        // bond carries the other half) plus the source atom's density term.
-        let de_dr = 0.5 * (raw_p * f + raw * fp) + embed_p[i] * psi_p;
-        let v = b.vector(&s.lattice, &carts);
-        let unit = [v[0] / r, v[1] / r, v[2] / r];
-        // r grows when x_j moves along +unit; F = -dE/dx.
-        for k in 0..3 {
-            forces[i][k] += de_dr * unit[k];
-            forces[j][k] -= de_dr * unit[k];
+    SCRATCH.with_borrow_mut(|cols| {
+        let len = cols.fill(s, &params, bonds, true);
+        let (inp, mid, out) = (&mut cols.inp, &mut cols.mid, &mut cols.out);
+        math::run_on(tier, BondTerms::<true> { inp, mid, len });
+        let (rho, mut energy) = embedding(&params, bonds, mid, len);
+        let mut embed_p = Vec::with_capacity(n);
+        for &r in &rho {
+            let (e, ep) = embed(r);
+            energy += e;
+            embed_p.push(ep);
         }
-        // Virial: dE/dε_ab = Σ (dE/dr) v_a v_b / r.
-        for (a, vrow) in virial.iter_mut().enumerate() {
-            for (c, w) in vrow.iter_mut().enumerate() {
-                *w += de_dr * v[a] * v[c] / r;
+        for (k, b) in bonds.iter().enumerate() {
+            inp[EMBED_P * len + k] = embed_p[b.i as usize];
+        }
+        math::run_on(tier, BondForces { inp, mid, out, len });
+
+        // Every sum in bond order: the energy, each atom's force component
+        // and each virial entry are separate chains, run side by side. The
+        // force on the source atom of the current run of bonds (the list
+        // comes sorted by `i`) is held in `acc`, not in memory.
+        let mut forces = vec![[0.0f64; 3]; n];
+        let mut virial = [0.0f64; 9];
+        let (mut src, mut acc) = (bonds.first().map_or(0, |b| b.i as usize), [0.0f64; 3]);
+        for (k, b) in bonds.iter().enumerate() {
+            let (i, j) = (b.i as usize, b.j as usize);
+            if i != src {
+                forces[src] = acc;
+                (src, acc) = (i, forces[i]);
+            }
+            energy += mid[PAIR_E * len + k];
+            for (c, a) in acc.iter_mut().enumerate() {
+                let f = out[(FORCE + c) * len + k];
+                *a += f;
+                if j == i {
+                    *a -= f;
+                } else {
+                    forces[j][c] -= f;
+                }
+            }
+            for (v, w) in virial.iter_mut().enumerate() {
+                *w += out[(VIRIAL + v) * len + k];
             }
         }
-    }
-
-    let vol = s.volume();
-    let mut stress = [[0.0f64; 3]; 3];
-    for a in 0..3 {
-        for c in 0..3 {
-            stress[a][c] = virial[a][c] / vol * EV_PER_A3_TO_GPA;
+        if let Some(f) = forces.get_mut(src) {
+            *f = acc;
         }
-    }
-
-    let magmoms =
-        rho.iter().zip(&params).map(|(&r, p)| p.mag_scale as f64 * (r / RHO_REF).tanh()).collect();
-
-    Labels { energy, forces, stress, magmoms }
+        let vol = s.volume();
+        let stress = std::array::from_fn(|a| {
+            std::array::from_fn(|c| virial[3 * a + c] / vol * EV_PER_A3_TO_GPA)
+        });
+        let magmoms = math::run_on(tier, Magmoms { rho: &rho, params: &params });
+        Labels { energy, forces, stress, magmoms }
+    })
 }
 
 /// The energy [`evaluate_on`] gives, bitwise, summed in the same order but
-/// without the forces, the virial and the magnetic moments: each bond's
-/// `fc(r)` and `e^{−b_j r}` are computed once.
+/// without the forces, the virial and the magnetic moments: one lane pass
+/// of each bond's `fc`, density term and Morse energy.
 pub fn energy_on(s: &Structure, bonds: &[Bond]) -> f64 {
+    energy_on_tier(Tier::host(), s, bonds)
+}
+
+/// [`energy_on`] on `tier`'s lanes.
+pub(crate) fn energy_on_tier(tier: Tier, s: &Structure, bonds: &[Bond]) -> f64 {
     let params = oracle_params(s);
-    let mut rho = vec![0.0f64; s.n_atoms()];
-    let mut cut = Vec::with_capacity(bonds.len());
-    for b in bonds {
-        let f = cutoff_pair(b.r).0;
-        rho[b.i as usize] += density(&params[b.j as usize], b.r) * f;
-        cut.push(f);
+    SCRATCH.with_borrow_mut(|cols| {
+        let len = cols.fill(s, &params, bonds, false);
+        math::run_on(tier, BondTerms::<false> { inp: &cols.inp, mid: &mut cols.mid, len });
+        let (rho, mut energy) = embedding(&params, bonds, &cols.mid, len);
+        for &r in &rho {
+            energy += embed(r).0;
+        }
+        add_pair_energies(energy, bonds, &cols.mid, len)
+    })
+}
+
+/// Each atom's density `ρ_i`, summed over its bonds in bond order, and
+/// the sum of the reference energies.
+fn embedding(params: &[OracleParams], bonds: &[Bond], mid: &[f64], len: usize) -> (Vec<f64>, f64) {
+    let mut rho = vec![0.0f64; params.len()];
+    for (b, &psi) in bonds.iter().zip(&mid[PSI * len..]) {
+        rho[b.i as usize] += psi;
     }
-    let mut energy = reference_energy(&params);
-    for &r in &rho {
-        energy += embed(r).0;
+    (rho, reference_energy(params))
+}
+
+/// Each atom's magnetic moment `m_i tanh(ρ_i / ρ_ref)`: per atom, with
+/// the scalar port inlined into the tier's entry point.
+struct Magmoms<'a> {
+    rho: &'a [f64],
+    params: &'a [OracleParams],
+}
+
+impl LanePass for Magmoms<'_> {
+    type Out = Vec<f64>;
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) -> Vec<f64> {
+        let mut magmoms = Vec::with_capacity(self.rho.len());
+        for (&r, p) in self.rho.iter().zip(self.params) {
+            magmoms.push(p.mag_scale as f64 * math::tanh_port(r / RHO_REF));
+        }
+        magmoms
     }
-    for (b, &f) in bonds.iter().zip(&cut) {
-        energy += 0.5 * (morse_raw(&params[b.i as usize], &params[b.j as usize], b.r).0 * f);
+}
+
+/// `energy` plus each bond's Morse energy `φ fc / 2`, added one at a time
+/// in bond order.
+fn add_pair_energies(energy: f64, bonds: &[Bond], mid: &[f64], len: usize) -> f64 {
+    mid[PAIR_E * len..][..bonds.len()].iter().fold(energy, |e, &p| e + p)
+}
+
+/// Columns of the input block, one `f64` per bond, padded to whole lane
+/// chunks: the bond length, `D_i D_j`, `w_i + w_j`, `r0_i + r0_j`, `A_j`,
+/// `b_j`, the bond vector and `F'(ρ_i)`. The mixed parameters are formed
+/// in `f32` as the per-bond expressions form them.
+const R: usize = 0;
+const DEPTH2: usize = 1;
+const WIDTH2: usize = 2;
+const R0: usize = 3;
+const AMP: usize = 4;
+const DECAY: usize = 5;
+const VEC: usize = 6;
+const EMBED_P: usize = 9;
+const IN_COLS: usize = 10;
+/// Columns of the first pass's output: `A_j e^{−b_j r} fc` (the density
+/// term), its derivative `ψ'_j`, the Morse energy `φ fc / 2`, the pair
+/// part `(φ' fc + φ fc') / 2` of `dE/dr`, and the unit bond vector.
+const PSI: usize = 0;
+const PSI_P: usize = 1;
+const PAIR_E: usize = 2;
+const PAIR_DE: usize = 3;
+const UNIT: usize = 4;
+const MID_COLS: usize = 7;
+/// Columns of the second pass's output: `(dE/dr)·unit` and the virial
+/// `(dE/dr) v_a v_b / r`, row-major.
+const FORCE: usize = 0;
+const VIRIAL: usize = 3;
+const OUT_COLS: usize = 12;
+/// Bonds per chunk of the widest lanes; the columns are padded to it.
+const CHUNK: usize = 8;
+
+/// The per-thread columns of the oracle's lane passes, reused across
+/// calls.
+#[derive(Default)]
+struct Columns {
+    inp: Vec<f64>,
+    mid: Vec<f64>,
+    out: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Columns> = std::cell::RefCell::default();
+}
+
+impl Columns {
+    /// Fill the input columns for `bonds` (the bond vectors only with
+    /// `vectors`), padding bonds set to 1 (inside every port's range), and
+    /// size the output blocks; returns the padded column length.
+    fn fill(
+        &mut self,
+        s: &Structure,
+        params: &[OracleParams],
+        bonds: &[Bond],
+        vectors: bool,
+    ) -> usize {
+        let len = bonds.len().div_ceil(CHUNK) * CHUNK;
+        self.inp.resize(IN_COLS * len, 0.0);
+        self.mid.resize(MID_COLS * len, 0.0);
+        self.out.resize(OUT_COLS * len, 0.0);
+        let carts = if vectors { s.cart_coords() } else { Vec::new() };
+        let inp = &mut self.inp;
+        for (k, b) in bonds.iter().enumerate() {
+            let (pi, pj) = (&params[b.i as usize], &params[b.j as usize]);
+            inp[R * len + k] = b.r;
+            inp[DEPTH2 * len + k] = (pi.well_depth * pj.well_depth) as f64;
+            inp[WIDTH2 * len + k] = (pi.width + pj.width) as f64;
+            inp[R0 * len + k] = (pi.r0 + pj.r0) as f64;
+            inp[AMP * len + k] = pj.density_amp as f64;
+            inp[DECAY * len + k] = pj.density_decay as f64;
+            if vectors {
+                for (a, v) in b.vector(&s.lattice, &carts).into_iter().enumerate() {
+                    inp[(VEC + a) * len + k] = v;
+                }
+            }
+        }
+        for c in 0..IN_COLS {
+            inp[c * len + bonds.len()..(c + 1) * len].fill(1.0);
+        }
+        len
     }
-    energy
+}
+
+/// `V::N` lanes of column `c` of `cols` from bond `k`.
+#[inline(always)]
+fn lanes<V: Lanes>(cols: &[f64], len: usize, c: usize, k: usize) -> V {
+    V::load(&cols[c * len + k..])
+}
+
+/// Store `v` to column `c` of `cols` from bond `k`.
+#[inline(always)]
+fn put<V: Lanes>(cols: &mut [f64], len: usize, c: usize, k: usize, v: V) {
+    v.store(&mut cols[c * len + k..]);
+}
+
+/// The first pass: each bond's cutoff, density and Morse terms, and with
+/// `FORCES` the derivatives and the unit vector, each by the expression of
+/// the per-bond oracle ([`reference`] in the tests).
+struct BondTerms<'a, const FORCES: bool> {
+    inp: &'a [f64],
+    mid: &'a mut [f64],
+    len: usize,
+}
+
+impl<const FORCES: bool> LanePass for BondTerms<'_, FORCES> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let (inp, mid, len) = (self.inp, self.mid, self.len);
+        let c = V::splat;
+        let (pi, rc) = (std::f64::consts::PI, ORACLE_CUTOFF);
+        for k in (0..len).step_by(V::N) {
+            let r = lanes::<V>(inp, len, R, k);
+            // fc(r) = (cos(πr/rc) + 1)/2 and fc'(r) = −π/(2rc)·sin(πr/rc)
+            // below the cutoff, 0 from it.
+            let inside = r.lt(c(rc));
+            let (sin, cos) = V::select(inside, c(pi).mul(r).div(c(rc)), c(0.0)).sin_cos();
+            let f = V::select(inside, c(0.5).mul(cos.add(c(1.0))), c(0.0));
+            let fp = V::select(inside, c(-0.5 * pi / rc).mul(sin), c(0.0));
+            let decay = lanes::<V>(inp, len, DECAY, k);
+            let ae = lanes::<V>(inp, len, AMP, k).mul(decay.neg().mul(r).exp());
+            put(mid, len, PSI, k, ae.mul(f));
+            // The Morse term with mixed parameters.
+            let d = lanes::<V>(inp, len, DEPTH2, k).sqrt();
+            let a = c(0.5).mul(lanes(inp, len, WIDTH2, k));
+            let x = a.neg().mul(r.sub(lanes(inp, len, R0, k))).exp();
+            let raw = d.mul(c(1.0).sub(x).mul(c(1.0).sub(x)).sub(c(1.0)));
+            put(mid, len, PAIR_E, k, c(0.5).mul(raw.mul(f)));
+            if FORCES {
+                let raw_p = c(2.0).mul(d).mul(a).mul(x).mul(c(1.0).sub(x));
+                put(mid, len, PAIR_DE, k, c(0.5).mul(raw_p.mul(f).add(raw.mul(fp))));
+                put(mid, len, PSI_P, k, ae.mul(fp.sub(decay.mul(f))));
+                for a in 0..3 {
+                    put(mid, len, UNIT + a, k, lanes::<V>(inp, len, VEC + a, k).div(r));
+                }
+            }
+        }
+    }
+}
+
+/// The second pass: `dE/dr = (φ' fc + φ fc')/2 + F'(ρ_i) ψ'_j`, its force
+/// terms and its virial, each by the per-bond oracle's expression.
+struct BondForces<'a> {
+    inp: &'a [f64],
+    mid: &'a [f64],
+    out: &'a mut [f64],
+    len: usize,
+}
+
+impl LanePass for BondForces<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let (inp, mid, out, len) = (self.inp, self.mid, self.out, self.len);
+        for k in (0..len).step_by(V::N) {
+            // dE/dr along this directed bond: half the pair term (the
+            // reverse bond carries the other half) plus the source atom's
+            // density term. r grows when x_j moves along +unit, and
+            // F = −dE/dx; the virial is dE/dε_ab = Σ (dE/dr) v_a v_b / r.
+            let psi_p = lanes::<V>(mid, len, PSI_P, k);
+            let de_dr =
+                lanes::<V>(mid, len, PAIR_DE, k).add(lanes::<V>(inp, len, EMBED_P, k).mul(psi_p));
+            let r = lanes::<V>(inp, len, R, k);
+            let v: [V; 3] =
+                [lanes(inp, len, VEC, k), lanes(inp, len, VEC + 1, k), lanes(inp, len, VEC + 2, k)];
+            for a in 0..3 {
+                put(out, len, FORCE + a, k, de_dr.mul(lanes(mid, len, UNIT + a, k)));
+                for b in 0..3 {
+                    put(out, len, VIRIAL + 3 * a + b, k, de_dr.mul(v[a]).mul(v[b]).div(r));
+                }
+            }
+        }
+    }
 }
 
 /// Per-atom oracle parameters.
@@ -183,9 +375,9 @@ fn reference_energy(params: &[OracleParams]) -> f64 {
     params.iter().map(|p| p.e0 as f64).sum()
 }
 
-/// The oracle as it was before each bond's terms were computed once:
-/// `fc`, `fc'`, `e^{−b_j r}` and `F'(ρ_i)` recomputed per use. Kept as the
-/// bitwise reference of [`evaluate_on`] and [`energy_on`].
+/// The oracle as a per-bond loop, with `fc`, `fc'`, `e^{−b_j r}` and
+/// `F'(ρ_i)` recomputed per use and the scalar ports of [`math`]: the
+/// bitwise reference of [`evaluate_on`] and [`energy_on`] on every tier.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -194,7 +386,7 @@ pub(crate) mod reference {
         if r >= rc {
             0.0
         } else {
-            0.5 * ((std::f64::consts::PI * r / rc).cos() + 1.0)
+            0.5 * (math::cos(std::f64::consts::PI * r / rc) + 1.0)
         }
     }
 
@@ -202,7 +394,7 @@ pub(crate) mod reference {
         if r >= rc {
             0.0
         } else {
-            -0.5 * std::f64::consts::PI / rc * (std::f64::consts::PI * r / rc).sin()
+            -0.5 * std::f64::consts::PI / rc * math::sin(std::f64::consts::PI * r / rc)
         }
     }
 
@@ -210,7 +402,7 @@ pub(crate) mod reference {
         let d = ((pi.well_depth * pj.well_depth) as f64).sqrt();
         let a = 0.5 * (pi.width + pj.width) as f64;
         let r0 = (pi.r0 + pj.r0) as f64;
-        let x = (-a * (r - r0)).exp();
+        let x = math::exp(-a * (r - r0));
         let raw = d * ((1.0 - x) * (1.0 - x) - 1.0);
         let raw_p = 2.0 * d * a * x * (1.0 - x);
         let f = fc(r, ORACLE_CUTOFF);
@@ -221,7 +413,7 @@ pub(crate) mod reference {
     fn psi(pj: &OracleParams, r: f64) -> (f64, f64) {
         let a = pj.density_amp as f64;
         let b = pj.density_decay as f64;
-        let e = (-b * r).exp();
+        let e = math::exp(-b * r);
         let f = fc(r, ORACLE_CUTOFF);
         let fp = fc_prime(r, ORACLE_CUTOFF);
         (a * e * f, a * e * (fp - b * f))
@@ -262,7 +454,7 @@ pub(crate) mod reference {
         let magmoms = rho
             .iter()
             .zip(&params)
-            .map(|(&r, p)| p.mag_scale as f64 * (r / RHO_REF).tanh())
+            .map(|(&r, p)| p.mag_scale as f64 * math::tanh(r / RHO_REF))
             .collect();
         Labels { energy, forces, stress, magmoms }
     }

@@ -54,14 +54,13 @@ impl Tier {
     }
 
     /// Whether this host has the instructions of this tier.
-    pub(crate) fn runs_here(self) -> bool {
+    pub fn runs_here(self) -> bool {
         self <= Tier::host()
     }
 
     /// Every tier this host runs, narrowest first: what the bitwise tests
     /// compare.
-    #[cfg(test)]
-    pub(crate) fn on_host() -> impl Iterator<Item = Tier> {
+    pub fn on_host() -> impl Iterator<Item = Tier> {
         [Tier::Scalar, Tier::Avx2, Tier::Avx512].into_iter().filter(|t| t.runs_here())
     }
 }

@@ -13,7 +13,10 @@
 //!   `sane_random_structure` (draw, separation screen, neighbour list,
 //!   `energy_on`) and of the three parts of `Sample::from_structure` (the
 //!   neighbour list, the oracle's `evaluate_on` and
-//!   `CrystalGraph::from_bonds`).
+//!   `CrystalGraph::from_bonds`), then ns per element of this host's libm
+//!   against the in-tree `fc_crystal::math` ports in the host tier's
+//!   lanes, for the oracle's `exp` and `sin`+`cos` over the pool's bond
+//!   lengths.
 //!
 //! Each table gives kernels, MFLOP, MB moved (the cost model's minimum
 //! traffic, `fc_tensor::cost`) and ms per pass by op kind, then the peak
@@ -41,6 +44,7 @@
 use fastchgnet::crystal::dataset::{
     random_structure_with_boost, sane_random_structure, well_separated, MAX_ABS_E_PER_ATOM,
 };
+use fastchgnet::crystal::math;
 use fastchgnet::crystal::oracle::{energy_on, evaluate_on};
 use fastchgnet::crystal::{
     known, neighbor_list, neighbor_list_cells, neighbor_list_exact, ATOM_CUTOFF, BOND_CUTOFF,
@@ -355,6 +359,7 @@ fn print_dataset_generation(cfg: &DatasetConfig) {
     const STAGES: usize = 7;
     let mut passes: [Vec<f64>; STAGES] = Default::default();
     let mut atoms = 0;
+    let mut bond_lengths = Vec::new();
     for pass in 0..=DATASET_PASSES {
         let mut ms = [0.0f64; STAGES];
         let mut lap = |stage: usize, t: &mut Instant| {
@@ -395,6 +400,9 @@ fn print_dataset_generation(cfg: &DatasetConfig) {
             atoms += graph.n_atoms();
             let screened = sane_random_structure(&mut StdRng::seed_from_u64(i as u64), cfg);
             assert_eq!(graph.structure, screened, "the replayed screen diverged");
+            if pass == 0 {
+                bond_lengths.extend(graph.bonds.iter().map(|b| b.r));
+            }
             drop((labels, graph));
         }
         if pass > 0 {
@@ -425,6 +433,58 @@ fn print_dataset_generation(cfg: &DatasetConfig) {
         println!("{name:<32} {median:>8.4}");
     }
     println!("{:<32} {total:>8.4}", "sum");
+    print_libm_pairs(&bond_lengths);
+}
+
+/// Print the ns per element of this host's libm and of the in-tree ports'
+/// lanes on the host's tier (`fc_crystal::math`), for the oracle's
+/// calls over the pool's bond lengths `r`: `exp(−r)` and `sin`+`cos` of
+/// `πr/r_c`, the median of [`REPS`] timed calls after a warm-up (the two
+/// alternate call by call).
+fn print_libm_pairs(r: &[f64]) {
+    let exp_x: Vec<f64> = r.iter().map(|&r| -r).collect();
+    let angle: Vec<f64> = r.iter().map(|&r| std::f64::consts::PI * r / ATOM_CUTOFF).collect();
+    let (mut a, mut b) = (vec![0.0; r.len()], vec![0.0; r.len()]);
+    let per_element = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64() * 1e9 / r.len() as f64
+    };
+    let mut ns = [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]];
+    for rep in 0..=REPS {
+        let exp = [
+            per_element(&mut || a.iter_mut().zip(&exp_x).for_each(|(y, x)| *y = x.exp())),
+            per_element(&mut || math::exp_into(Tier::host(), &exp_x, &mut a)),
+        ];
+        let trig = [
+            per_element(&mut || {
+                for ((s, c), x) in a.iter_mut().zip(b.iter_mut()).zip(&angle) {
+                    (*s, *c) = (x.sin(), x.cos());
+                }
+            }),
+            per_element(&mut || math::sin_cos_into(Tier::host(), &angle, &mut a, &mut b)),
+        ];
+        std::hint::black_box((&a, &b));
+        if rep > 0 {
+            for (row, t) in ns.iter_mut().zip([exp, trig]) {
+                row[0].push(t[0]);
+                row[1].push(t[1]);
+            }
+        }
+    }
+    println!(
+        "oracle math over the pool's {} bond lengths, ns per element (median of {REPS}): \
+         host libm vs in-tree lanes ({:?})",
+        r.len(),
+        Tier::host()
+    );
+    for (name, row) in ["exp(-r)", "sin+cos(πr/rc)"].iter().zip(&mut ns) {
+        let [libm, lanes] = row.each_mut().map(|t| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        });
+        println!("{name:<32} {libm:>8.2} {lanes:>8.2}");
+    }
 }
 
 /// Print the ms per call of the neighbour search with one bin

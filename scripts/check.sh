@@ -73,6 +73,16 @@ echo "== trig port vs this host's libm (exhaustive, every tier, informative, rel
 cargo test --release -q -p fastchgnet-tensor --lib kernels::trig::tests::port_is_libm_at_every_input \
   -- --ignored --nocapture
 
+# The f64 ports the oracle and the separation screen call
+# (fc_crystal::math: exp, sin, cos and tanh) against this host's glibc at
+# 2^24 random inputs each over the callers' ranges, the count of
+# mismatches printed. Informative, as the two steps above: the scalar
+# ports are the definition (every lane tier is tested against them), and
+# glibc 2.36's FMA builds agree with them. A few seconds.
+echo "== f64 oracle ports vs this host's libm (callers' ranges, informative, release) =="
+cargo test --release -q -p fastchgnet-crystal --lib math::tests::ports_match_this_hosts_libm_over_the_callers_ranges \
+  -- --ignored --nocapture
+
 # The neighbour search with one bin and binned against the per-candidate
 # search (on 320 random skewed cells of 1-200 atoms, some with fractional
 # coordinates outside [0, 1), also at forced bin counts), and
@@ -92,9 +102,10 @@ cargo test --release -q -p fastchgnet-tensor --lib -- \
 
 # The screen's separation test against the min-ratio reference, the
 # energy-only oracle pass against the full oracle's energy, the oracle's
-# once-per-bond terms against the per-use reference, one shared neighbour
-# list against the graph and labels built apart, and the generator's
-# output against bits pinned before the pipeline shared work.
+# lane passes against the per-bond reference (every tier the host runs),
+# one shared neighbour list against the graph and labels built apart, and
+# the generator's output against bits pinned before the pipeline shared
+# work.
 echo "== dataset generation equivalence (release) =="
 cargo test --release -q -p fastchgnet-crystal --lib -- \
   separation_test_is_the_min_ratio_verdict energy_pass_is_bitwise_the_full_oracle_energy \

@@ -282,6 +282,8 @@ fn cmd_md(flags: &HashMap<String, String>, positional: &[String]) -> Result<(), 
             f.step, f.potential, f.temperature, f.max_force
         );
     }
-    println!("mean step time: {:.4} s", traj.mean_step_time);
+    // In ms to the nanosecond: an oracle step on a small cell takes a few
+    // microseconds.
+    println!("mean step time: {:.6} ms", traj.mean_step_time * 1e3);
     Ok(())
 }

@@ -56,7 +56,12 @@ fn generate_train_predict_relax_md() {
     assert_eq!(s.n_atoms(), generated[0].n_atoms());
 
     let md = run(&dir, &["md", "--steps", "5", "--temp", "100", poscar]);
-    assert!(md.contains("mean step time"), "{md}");
+    let step_ms: f64 = md
+        .lines()
+        .find_map(|l| l.strip_prefix("mean step time: ")?.strip_suffix(" ms"))
+        .and_then(|ms| ms.parse().ok())
+        .unwrap_or_else(|| panic!("no parsable mean step time in: {md}"));
+    assert!(step_ms > 0.0, "{md}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
