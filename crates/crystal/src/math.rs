@@ -253,13 +253,6 @@ const EXPM1_Q: [f64; 5] = [
 /// # Panics
 /// If `x` is negative, infinite or NaN.
 pub fn tanh(x: f64) -> f64 {
-    tanh_port(x)
-}
-
-/// [`tanh`], inlined where it is called: in a [`LanePass`] its `mul_add`s
-/// compile to the tier's FMA instructions.
-#[inline(always)]
-pub(crate) fn tanh_port(x: f64) -> f64 {
     assert!(x >= 0.0 && x.is_finite(), "tanh({x}): the port covers finite x ≥ 0");
     let ix = (x.to_bits() >> 32) as u32;
     if x == 0.0 {
@@ -280,7 +273,6 @@ pub(crate) fn tanh_port(x: f64) -> f64 {
 }
 
 /// `exp(x) − 1`: glibc 2.36's `__expm1_fma` for `−56·ln 2 < x < 709.78`.
-#[inline(always)]
 fn expm1(x: f64) -> f64 {
     let hx = (x.to_bits() >> 32) as u32 & 0x7fff_ffff;
     let neg = x.is_sign_negative();

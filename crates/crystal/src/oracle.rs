@@ -73,14 +73,16 @@ pub fn evaluate_on(s: &Structure, bonds: &[Bond]) -> Labels {
 /// density term `ψ_j = A_j e^{−b_j r} fc` and its derivative, the Morse
 /// energy `φ fc / 2`, and, once each atom's `F'(ρ_i)` is known, `dE/dr`
 /// times the unit bond vector and the bond's virial `(dE/dr) v_a v_b / r`.
-/// Two lane passes compute these into reused per-thread columns; the sums
-/// over bonds run afterwards in bond order, as a per-bond loop would.
+/// The first lane pass computes the per-bond terms into reused per-thread
+/// columns; the second computes the force and virial terms a chunk of
+/// bonds at a time and adds each chunk's into the sums before the next.
+/// Every sum runs in bond order, as a per-bond loop's would.
 pub(crate) fn evaluate_on_tier(tier: Tier, s: &Structure, bonds: &[Bond]) -> Labels {
     let n = s.n_atoms();
     let params = oracle_params(s);
     SCRATCH.with_borrow_mut(|cols| {
         let len = cols.fill(s, &params, bonds, true);
-        let (inp, mid, out) = (&mut cols.inp, &mut cols.mid, &mut cols.out);
+        let (inp, mid) = (&mut cols.inp, &mut cols.mid);
         math::run_on(tier, BondTerms::<true> { inp, mid, len });
         let (rho, mut energy) = embedding(&params, bonds, mid, len);
         let mut embed_p = Vec::with_capacity(n);
@@ -92,43 +94,23 @@ pub(crate) fn evaluate_on_tier(tier: Tier, s: &Structure, bonds: &[Bond]) -> Lab
         for (k, b) in bonds.iter().enumerate() {
             inp[EMBED_P * len + k] = embed_p[b.i as usize];
         }
-        math::run_on(tier, BondForces { inp, mid, out, len });
-
-        // Every sum in bond order: the energy, each atom's force component
-        // and each virial entry are separate chains, run side by side. The
-        // force on the source atom of the current run of bonds (the list
-        // comes sorted by `i`) is held in `acc`, not in memory.
+        let energy = add_pair_energies(energy, bonds, mid, len);
         let mut forces = vec![[0.0f64; 3]; n];
         let mut virial = [0.0f64; 9];
-        let (mut src, mut acc) = (bonds.first().map_or(0, |b| b.i as usize), [0.0f64; 3]);
-        for (k, b) in bonds.iter().enumerate() {
-            let (i, j) = (b.i as usize, b.j as usize);
-            if i != src {
-                forces[src] = acc;
-                (src, acc) = (i, forces[i]);
-            }
-            energy += mid[PAIR_E * len + k];
-            for (c, a) in acc.iter_mut().enumerate() {
-                let f = out[(FORCE + c) * len + k];
-                *a += f;
-                if j == i {
-                    *a -= f;
-                } else {
-                    forces[j][c] -= f;
-                }
-            }
-            for (v, w) in virial.iter_mut().enumerate() {
-                *w += out[(VIRIAL + v) * len + k];
-            }
-        }
-        if let Some(f) = forces.get_mut(src) {
-            *f = acc;
-        }
+        math::run_on(
+            tier,
+            BondForces { inp, mid, len, bonds, forces: &mut forces, virial: &mut virial },
+        );
+        cols.trim();
         let vol = s.volume();
         let stress = std::array::from_fn(|a| {
             std::array::from_fn(|c| virial[3 * a + c] / vol * EV_PER_A3_TO_GPA)
         });
-        let magmoms = math::run_on(tier, Magmoms { rho: &rho, params: &params });
+        let magmoms = rho
+            .iter()
+            .zip(&params)
+            .map(|(&r, p)| p.mag_scale as f64 * math::tanh(r / RHO_REF))
+            .collect();
         Labels { energy, forces, stress, magmoms }
     })
 }
@@ -150,7 +132,9 @@ pub(crate) fn energy_on_tier(tier: Tier, s: &Structure, bonds: &[Bond]) -> f64 {
         for &r in &rho {
             energy += embed(r).0;
         }
-        add_pair_energies(energy, bonds, &cols.mid, len)
+        let energy = add_pair_energies(energy, bonds, &cols.mid, len);
+        cols.trim();
+        energy
     })
 }
 
@@ -162,26 +146,6 @@ fn embedding(params: &[OracleParams], bonds: &[Bond], mid: &[f64], len: usize) -
         rho[b.i as usize] += psi;
     }
     (rho, reference_energy(params))
-}
-
-/// Each atom's magnetic moment `m_i tanh(ρ_i / ρ_ref)`: per atom, with
-/// the scalar port inlined into the tier's entry point.
-struct Magmoms<'a> {
-    rho: &'a [f64],
-    params: &'a [OracleParams],
-}
-
-impl LanePass for Magmoms<'_> {
-    type Out = Vec<f64>;
-
-    #[inline(always)]
-    fn run<V: Lanes>(self) -> Vec<f64> {
-        let mut magmoms = Vec::with_capacity(self.rho.len());
-        for (&r, p) in self.rho.iter().zip(self.params) {
-            magmoms.push(p.mag_scale as f64 * math::tanh_port(r / RHO_REF));
-        }
-        magmoms
-    }
 }
 
 /// `energy` plus each bond's Morse energy `φ fc / 2`, added one at a time
@@ -212,13 +176,16 @@ const PAIR_E: usize = 2;
 const PAIR_DE: usize = 3;
 const UNIT: usize = 4;
 const MID_COLS: usize = 7;
-/// Columns of the second pass's output: `(dE/dr)·unit` and the virial
-/// `(dE/dr) v_a v_b / r`, row-major.
+/// Columns of the second pass's per-chunk block: `(dE/dr)·unit` and the
+/// virial `(dE/dr) v_a v_b / r`, row-major.
 const FORCE: usize = 0;
 const VIRIAL: usize = 3;
 const OUT_COLS: usize = 12;
 /// Bonds per chunk of the widest lanes; the columns are padded to it.
 const CHUNK: usize = 8;
+/// Padded bonds up to which the columns stay allocated after a call; a
+/// larger structure's are freed when its call returns.
+const KEEP_BONDS: usize = 4096;
 
 /// The per-thread columns of the oracle's lane passes, reused across
 /// calls.
@@ -226,7 +193,6 @@ const CHUNK: usize = 8;
 struct Columns {
     inp: Vec<f64>,
     mid: Vec<f64>,
-    out: Vec<f64>,
 }
 
 thread_local! {
@@ -247,7 +213,6 @@ impl Columns {
         let len = bonds.len().div_ceil(CHUNK) * CHUNK;
         self.inp.resize(IN_COLS * len, 0.0);
         self.mid.resize(MID_COLS * len, 0.0);
-        self.out.resize(OUT_COLS * len, 0.0);
         let carts = if vectors { s.cart_coords() } else { Vec::new() };
         let inp = &mut self.inp;
         for (k, b) in bonds.iter().enumerate() {
@@ -268,6 +233,13 @@ impl Columns {
             inp[c * len + bonds.len()..(c + 1) * len].fill(1.0);
         }
         len
+    }
+
+    /// Free the columns if they outgrew [`KEEP_BONDS`].
+    fn trim(&mut self) {
+        if self.inp.len() > IN_COLS * KEEP_BONDS {
+            *self = Columns::default();
+        }
     }
 }
 
@@ -330,12 +302,16 @@ impl<const FORCES: bool> LanePass for BondTerms<'_, FORCES> {
 }
 
 /// The second pass: `dE/dr = (φ' fc + φ fc')/2 + F'(ρ_i) ψ'_j`, its force
-/// terms and its virial, each by the per-bond oracle's expression.
+/// terms and its virial, each by the per-bond oracle's expression, into a
+/// block of [`CHUNK`] bonds that is added into the forces and the virial
+/// before the next chunk.
 struct BondForces<'a> {
     inp: &'a [f64],
     mid: &'a [f64],
-    out: &'a mut [f64],
     len: usize,
+    bonds: &'a [Bond],
+    forces: &'a mut [[f64; 3]],
+    virial: &'a mut [f64; 9],
 }
 
 impl LanePass for BondForces<'_> {
@@ -343,24 +319,60 @@ impl LanePass for BondForces<'_> {
 
     #[inline(always)]
     fn run<V: Lanes>(self) {
-        let (inp, mid, out, len) = (self.inp, self.mid, self.out, self.len);
-        for k in (0..len).step_by(V::N) {
-            // dE/dr along this directed bond: half the pair term (the
-            // reverse bond carries the other half) plus the source atom's
-            // density term. r grows when x_j moves along +unit, and
-            // F = −dE/dx; the virial is dE/dε_ab = Σ (dE/dr) v_a v_b / r.
-            let psi_p = lanes::<V>(mid, len, PSI_P, k);
-            let de_dr =
-                lanes::<V>(mid, len, PAIR_DE, k).add(lanes::<V>(inp, len, EMBED_P, k).mul(psi_p));
-            let r = lanes::<V>(inp, len, R, k);
-            let v: [V; 3] =
-                [lanes(inp, len, VEC, k), lanes(inp, len, VEC + 1, k), lanes(inp, len, VEC + 2, k)];
-            for a in 0..3 {
-                put(out, len, FORCE + a, k, de_dr.mul(lanes(mid, len, UNIT + a, k)));
-                for b in 0..3 {
-                    put(out, len, VIRIAL + 3 * a + b, k, de_dr.mul(v[a]).mul(v[b]).div(r));
+        let (inp, mid, len, bonds) = (self.inp, self.mid, self.len, self.bonds);
+        let (forces, virial) = (self.forces, self.virial);
+        let mut out = [0.0f64; OUT_COLS * CHUNK];
+        // The force on the source atom of the current run of bonds (the
+        // list comes sorted by `i`) is held in `acc`, not in memory.
+        let (mut src, mut acc) = (bonds.first().map_or(0, |b| b.i as usize), [0.0f64; 3]);
+        for k0 in (0..len).step_by(CHUNK) {
+            for k in (k0..k0 + CHUNK).step_by(V::N) {
+                // dE/dr along this directed bond: half the pair term (the
+                // reverse bond carries the other half) plus the source
+                // atom's density term. r grows when x_j moves along +unit,
+                // and F = −dE/dx; the virial is dE/dε_ab = Σ (dE/dr) v_a v_b / r.
+                let psi_p = lanes::<V>(mid, len, PSI_P, k);
+                let de_dr = lanes::<V>(mid, len, PAIR_DE, k)
+                    .add(lanes::<V>(inp, len, EMBED_P, k).mul(psi_p));
+                let r = lanes::<V>(inp, len, R, k);
+                let v: [V; 3] = [
+                    lanes(inp, len, VEC, k),
+                    lanes(inp, len, VEC + 1, k),
+                    lanes(inp, len, VEC + 2, k),
+                ];
+                let at = k - k0;
+                for a in 0..3 {
+                    put(&mut out, CHUNK, FORCE + a, at, de_dr.mul(lanes(mid, len, UNIT + a, k)));
+                    for b in 0..3 {
+                        let w = de_dr.mul(v[a]).mul(v[b]).div(r);
+                        put(&mut out, CHUNK, VIRIAL + 3 * a + b, at, w);
+                    }
                 }
             }
+            // Each atom's force component and each virial entry is its own
+            // chain, in bond order.
+            for (at, b) in bonds[k0..].iter().take(CHUNK).enumerate() {
+                let (i, j) = (b.i as usize, b.j as usize);
+                if i != src {
+                    forces[src] = acc;
+                    (src, acc) = (i, forces[i]);
+                }
+                for (c, a) in acc.iter_mut().enumerate() {
+                    let f = out[(FORCE + c) * CHUNK + at];
+                    *a += f;
+                    if j == i {
+                        *a -= f;
+                    } else {
+                        forces[j][c] -= f;
+                    }
+                }
+                for (v, w) in virial.iter_mut().enumerate() {
+                    *w += out[(VIRIAL + v) * CHUNK + at];
+                }
+            }
+        }
+        if let Some(f) = forces.get_mut(src) {
+            *f = acc;
         }
     }
 }

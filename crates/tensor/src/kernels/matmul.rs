@@ -35,12 +35,6 @@ fn add_bias(tier: Tier, bias: &[f32], out: &mut [f32]) {
 /// two registers instead of four and enables no `fma`. [`Tier::Avx512`]
 /// runs explicit `__m512` register tiles ([`avx512`]).
 fn run<const N: usize>(tier: Tier, a: impl Lhs, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
-    if n == 1 {
-        for (j, out) in outs.into_iter().enumerate() {
-            column_on(tier, a, Rhs { col: b.col + j, ..b }, out);
-        }
-        return;
-    }
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx512 && tier.runs_here() {
         // SAFETY: the host has AVX-512F, checked just above.
@@ -725,63 +719,6 @@ fn kernel_avx2(a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
     kernel(a, b, n, out)
 }
 
-/// Rows per block of [`column`]: the block's row pointers stay in
-/// registers (16 spill and ran 1.2× slower on the md-nve64 force head).
-const COLUMN_ROWS: usize = 8;
-
-/// `out += a @ b` for a one-column output (a force or energy head) on
-/// `tier`: [`column`] compiled with the tier's instructions.
-fn column_on(tier: Tier, a: impl Lhs, b: Rhs, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if tier.runs_here() {
-        match tier {
-            // SAFETY: the host has AVX-512F, checked just above.
-            Tier::Avx512 => return unsafe { column_avx512(a, b, out) },
-            // SAFETY: the host has AVX2, checked just above.
-            Tier::Avx2 => return unsafe { column_avx2(a, b, out) },
-            Tier::Scalar => {}
-        }
-    }
-    column(a, b, out)
-}
-
-/// [`column`] compiled with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn column_avx512(a: impl Lhs, b: Rhs, out: &mut [f32]) {
-    column(a, b, out)
-}
-
-/// [`column`] compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn column_avx2(a: impl Lhs, b: Rhs, out: &mut [f32]) {
-    column(a, b, out)
-}
-
-/// `out += a @ b` for a one-column output, rows in lanes: [`tile`]s of
-/// [`COLUMN_ROWS`] rows × 1 column (a one-column tile of the GEMM body
-/// would leave all but one lane of a register idle), then 4-row and
-/// single-row tiles. Each row still adds its products `a[i,k] · b[k]` in
-/// ascending `k` from its stored value, a multiply then an add, so the
-/// bits are [`kernel`]'s.
-#[inline(always)]
-fn column(a: impl Lhs, b: Rhs, out: &mut [f32]) {
-    let rows = out.len();
-    let mut r0 = 0;
-    while r0 + COLUMN_ROWS <= rows {
-        tile::<COLUMN_ROWS, 1>(a.rows(r0, b.k), b, 1, 0, &mut out[r0..]);
-        r0 += COLUMN_ROWS;
-    }
-    while r0 + BLOCK <= rows {
-        tile::<BLOCK, 1>(a.rows(r0, b.k), b, 1, 0, &mut out[r0..]);
-        r0 += BLOCK;
-    }
-    for r in r0..rows {
-        tile::<1, 1>(a.rows(r, b.k), b, 1, 0, &mut out[r..]);
-    }
-}
-
 /// The GEMM body the scalar and AVX2 tiers compile: [`BLOCK`]-row
 /// blocks, then the rows left over one at a time.
 #[inline(always)]
@@ -1148,19 +1085,6 @@ mod tests {
                 check_linear_split::<2>(case, rows, n);
                 check_linear_split::<3>(case, rows, n);
             }
-        }
-    }
-
-    /// One-column outputs ([`column`]: rows in lanes) at row counts on
-    /// both sides of whole 8- and 4-row blocks and of a pass block, and at
-    /// the md-nve64 force head's 6,852 rows.
-    #[test]
-    fn one_column_outputs_are_bitwise_gather_concat_linear_slice() {
-        let mut case = 3000;
-        for rows in [2, 7, 15, 16, 17, 31, 32, 47, 63, 64, 65, 129, 6852] {
-            case += 1;
-            check_linear_split::<1>(case, rows, 1);
-            check_linear_split::<2>(case, rows, 1);
         }
     }
 
