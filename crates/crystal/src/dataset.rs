@@ -318,8 +318,7 @@ impl LanePass for Separation<'_> {
                     let xj = carts[j];
                     let mut best = V::splat(f64::INFINITY);
                     for k in (0..IMAGE_LANES).step_by(V::N) {
-                        // `xj + img − xi` per axis, then `dx² + dy² + dz²`
-                        // (no closure: see `math::by_row`).
+                        // `xj + img − xi` per axis, then `dx² + dy² + dz²`.
                         let dx = V::splat(xj[0]).add(V::load(&images[0][k..])).sub(V::splat(xi[0]));
                         let dy = V::splat(xj[1]).add(V::load(&images[1][k..])).sub(V::splat(xi[1]));
                         let dz = V::splat(xj[2]).add(V::load(&images[2][k..])).sub(V::splat(xi[2]));

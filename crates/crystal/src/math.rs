@@ -28,10 +28,13 @@
 //!   magnetic moments' `ρ/ρ_ref`).
 //!
 //! The scalar functions are the definition and every test's reference.
-//! [`Lanes`] runs `exp` and `sin`/`cos` in the lanes of one
-//! [`Tier`]: one `f64` on [`Tier::Scalar`] (the scalar functions
-//! themselves), 4 on [`Tier::Avx2`] and 8 on [`Tier::Avx512`], with the
-//! same bits; [`run_on`] runs a [`LanePass`] on a tier's lanes. The
+//! [`Lanes`] runs `exp` and `sin`/`cos` in the lanes of one [`Tier`],
+//! with the same bits: one `f64` on [`Tier::Scalar`] (the scalar
+//! functions themselves), 4 on [`Tier::Avx2`] and 8 on [`Tier::Avx512`].
+//! Both widths are one type, `Wide<N>`, whose every operation is the
+//! scalar one on each lane in plain Rust; the compiler writes each tier's
+//! instructions for it, and its table gathers are the module's only x86
+//! intrinsics. [`run_on`] runs a [`LanePass`] on a tier's lanes. The
 //! tables and constants are read off glibc 2.36's `libm.so.6`.
 //!
 //! With glibc 2.36 on an AVX2+FMA CPU the ports equal the host's
@@ -609,9 +612,9 @@ pub(crate) fn run_on<P: LanePass>(tier: Tier, pass: P) -> P::Out {
         match tier {
             // SAFETY: the host has AVX-512F, AVX2 and FMA, checked just
             // above.
-            Tier::Avx512 => return unsafe { x86::on_avx512(pass) },
+            Tier::Avx512 => return unsafe { on_avx512(pass) },
             // SAFETY: the host has AVX2 and FMA, checked just above.
-            Tier::Avx2 => return unsafe { x86::on_avx2(pass) },
+            Tier::Avx2 => return unsafe { on_avx2(pass) },
             Tier::Scalar => {}
         }
     }
@@ -731,9 +734,7 @@ fn sin_cos_lanes<V: Lanes>(x: V) -> (V, V) {
 }
 
 /// `d` in the lanes below [`TABLE_EDGE`] (`rows[0]`), else `m` below
-/// [`REDUCE_EDGE`] (`rows[1]`), else `r`. (The lane bodies take no
-/// closures: a closure does not get the instructions of the tier whose
-/// entry point it runs in.)
+/// [`REDUCE_EDGE`] (`rows[1]`), else `r`.
 #[inline(always)]
 fn by_row<V: Lanes>(rows: [V::Mask; 2], d: V, m: V, r: V) -> V {
     V::select(rows[0], d, V::select(rows[1], m, r))
@@ -879,329 +880,199 @@ impl Lanes for f64 {
     }
 }
 
+/// `pass` on 8 lanes.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::{LanePass, Lanes};
-    use std::arch::x86_64::*;
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn on_avx512<P: LanePass>(pass: P) -> P::Out {
+    pass.run::<Wide<8>>()
+}
 
-    /// `pass` on [`Avx512`] lanes.
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) fn on_avx512<P: LanePass>(pass: P) -> P::Out {
-        pass.run::<Avx512>()
-    }
+/// `pass` on 4 lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn on_avx2<P: LanePass>(pass: P) -> P::Out {
+    pass.run::<Wide<4>>()
+}
 
-    /// `pass` on [`Avx2`] lanes.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn on_avx2<P: LanePass>(pass: P) -> P::Out {
-        pass.run::<Avx2>()
-    }
+/// `N` lanes: each operation is the scalar operation on each lane, in a
+/// loop that the compiler turns into the instructions of the entry point
+/// ([`on_avx2`], [`on_avx512`]) the lane body is inlined into. A mask lane
+/// is all ones or zero. `Wide` is private to this module and only those
+/// entry points name a width, so a `Wide<4>` runs only on a host with AVX2
+/// and FMA, and a `Wide<8>` only on one that also has AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Wide<const N: usize>([f64; N]);
 
-    /// 8 lanes in a `zmm` register. Only [`on_avx512`] makes them, so
-    /// every intrinsic below runs on a host with AVX-512F, AVX2 and FMA.
-    #[derive(Clone, Copy)]
-    pub(super) struct Avx512(__m512d);
-
-    /// 4 lanes in a `ymm` register. Only [`on_avx2`] (and [`Avx512`]'s
-    /// lane minimum) makes them, so every intrinsic below runs on a host
-    /// with AVX2 and FMA.
-    #[derive(Clone, Copy)]
-    pub(super) struct Avx2(__m256d);
-
-    impl Lanes for Avx512 {
-        const N: usize = 8;
-        type Mask = __mmask8;
-        #[inline(always)]
-        fn splat(x: f64) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_set1_pd(x) })
-        }
-        #[inline(always)]
-        fn load(x: &[f64]) -> Self {
-            let x: &[f64; 8] = x[..8].try_into().expect("8 lanes");
-            // SAFETY: `x` holds 8 readable `f64`s; `loadu` needs no alignment.
-            Self(unsafe { _mm512_loadu_pd(x.as_ptr()) })
-        }
-        #[inline(always)]
-        fn store(self, out: &mut [f64]) {
-            let out: &mut [f64; 8] = (&mut out[..8]).try_into().expect("8 lanes");
-            // SAFETY: `out` holds 8 writable `f64`s; `storeu` needs no alignment.
-            unsafe { _mm512_storeu_pd(out.as_mut_ptr(), self.0) }
-        }
-        #[inline(always)]
-        fn add(self, o: Self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_add_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn sub(self, o: Self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_sub_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn mul(self, o: Self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_mul_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn div(self, o: Self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_div_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn sqrt(self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_sqrt_pd(self.0) })
-        }
-        #[inline(always)]
-        fn mul_add(self, b: Self, c: Self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_fmadd_pd(self.0, b.0, c.0) })
-        }
-        #[inline(always)]
-        fn neg(self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_castsi512_pd(_mm512_xor_si512(self.bits(), sign())) })
-        }
-        #[inline(always)]
-        fn abs(self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_castsi512_pd(_mm512_andnot_si512(sign(), self.bits())) })
-        }
-        #[inline(always)]
-        fn copysign(self, s: Self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            let mag = unsafe { _mm512_andnot_si512(sign(), self.bits()) };
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            let sgn = unsafe { _mm512_and_si512(sign(), s.bits()) };
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_castsi512_pd(_mm512_or_si512(mag, sgn)) })
-        }
-        #[inline(always)]
-        fn min(self, o: Self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_min_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn min_lane(self) -> f64 {
-            let (lo, hi) =
-                // SAFETY: the host has AVX-512F (see [`Avx512`]).
-                unsafe { (_mm512_castpd512_pd256(self.0), _mm512_extractf64x4_pd::<1>(self.0)) };
-            Avx2(lo).min(Avx2(hi)).min_lane()
-        }
-        #[inline(always)]
-        fn lt(self, o: Self) -> __mmask8 {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            unsafe { _mm512_cmp_pd_mask::<_CMP_LT_OQ>(self.0, o.0) }
-        }
-        #[inline(always)]
-        fn le(self, o: Self) -> __mmask8 {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            unsafe { _mm512_cmp_pd_mask::<_CMP_LE_OQ>(self.0, o.0) }
-        }
-        #[inline(always)]
-        fn all(m: __mmask8) -> bool {
-            m == 0xff
-        }
-        #[inline(always)]
-        fn select(m: __mmask8, a: Self, b: Self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_mask_blend_pd(m, b.0, a.0) })
-        }
-        #[inline(always)]
-        fn bit(self, bit: u32) -> __mmask8 {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            unsafe { _mm512_test_epi64_mask(self.bits(), _mm512_set1_epi64(1 << bit)) }
-        }
-        #[inline(always)]
-        fn shl(self, s: u32) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            let s = unsafe { _mm512_set1_epi64(i64::from(s)) };
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_castsi512_pd(_mm512_sllv_epi64(self.bits(), s)) })
-        }
-        #[inline(always)]
-        fn or_bits(self, m: u64) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            let m = unsafe { _mm512_set1_epi64(m as i64) };
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_castsi512_pd(_mm512_or_si512(self.bits(), m)) })
-        }
-        #[inline(always)]
-        fn add_bits(self, o: Self) -> Self {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            Self(unsafe { _mm512_castsi512_pd(_mm512_add_epi64(self.bits(), o.bits())) })
-        }
-        #[inline(always)]
-        fn gather<const L: usize>(table: &[u64; L], idx: Self) -> Self {
-            const { assert!(L.is_power_of_two()) };
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            let idx = unsafe { _mm512_and_si512(idx.bits(), _mm512_set1_epi64(L as i64 - 1)) };
-            // SAFETY: every index is masked to `0..L`, inside `table`.
-            Self(unsafe { _mm512_i64gather_pd::<8>(idx, table.as_ptr().cast()) })
-        }
-    }
-
-    impl Avx512 {
-        /// The lanes' bit patterns.
-        #[inline(always)]
-        fn bits(self) -> __m512i {
-            // SAFETY: the host has AVX-512F (see [`Avx512`]).
-            unsafe { _mm512_castpd_si512(self.0) }
-        }
-    }
-
-    /// Every lane's sign bit.
+#[cfg(target_arch = "x86_64")]
+impl<const N: usize> Lanes for Wide<N> {
+    const N: usize = N;
+    type Mask = [u64; N];
     #[inline(always)]
-    fn sign() -> __m512i {
-        // SAFETY: the host has AVX-512F (see [`Avx512`]).
-        unsafe { _mm512_set1_epi64(i64::MIN) }
+    fn splat(x: f64) -> Self {
+        Self([x; N])
     }
-
-    impl Lanes for Avx2 {
-        const N: usize = 4;
-        type Mask = __m256d;
-        #[inline(always)]
-        fn splat(x: f64) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_set1_pd(x) })
-        }
-        #[inline(always)]
-        fn load(x: &[f64]) -> Self {
-            let x: &[f64; 4] = x[..4].try_into().expect("4 lanes");
-            // SAFETY: `x` holds 4 readable `f64`s; `loadu` needs no alignment.
-            Self(unsafe { _mm256_loadu_pd(x.as_ptr()) })
-        }
-        #[inline(always)]
-        fn store(self, out: &mut [f64]) {
-            let out: &mut [f64; 4] = (&mut out[..4]).try_into().expect("4 lanes");
-            // SAFETY: `out` holds 4 writable `f64`s; `storeu` needs no alignment.
-            unsafe { _mm256_storeu_pd(out.as_mut_ptr(), self.0) }
-        }
-        #[inline(always)]
-        fn add(self, o: Self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_add_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn sub(self, o: Self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_sub_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn mul(self, o: Self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_mul_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn div(self, o: Self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_div_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn sqrt(self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_sqrt_pd(self.0) })
-        }
-        #[inline(always)]
-        fn mul_add(self, b: Self, c: Self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_fmadd_pd(self.0, b.0, c.0) })
-        }
-        #[inline(always)]
-        fn neg(self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_xor_pd(self.0, _mm256_set1_pd(-0.0)) })
-        }
-        #[inline(always)]
-        fn abs(self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0) })
-        }
-        #[inline(always)]
-        fn copysign(self, s: Self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            let sign = unsafe { _mm256_set1_pd(-0.0) };
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            let mag = unsafe { _mm256_andnot_pd(sign, self.0) };
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_or_pd(mag, _mm256_and_pd(sign, s.0)) })
-        }
-        #[inline(always)]
-        fn min(self, o: Self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_min_pd(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn min_lane(self) -> f64 {
-            let mut v = [0.0; 4];
-            self.store(&mut v);
-            v[0].min(v[1]).min(v[2].min(v[3]))
-        }
-        #[inline(always)]
-        fn lt(self, o: Self) -> __m256d {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            unsafe { _mm256_cmp_pd::<_CMP_LT_OQ>(self.0, o.0) }
-        }
-        #[inline(always)]
-        fn le(self, o: Self) -> __m256d {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            unsafe { _mm256_cmp_pd::<_CMP_LE_OQ>(self.0, o.0) }
-        }
-        #[inline(always)]
-        fn all(m: __m256d) -> bool {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            unsafe { _mm256_movemask_pd(m) == 0xf }
-        }
-        #[inline(always)]
-        fn select(m: __m256d, a: Self, b: Self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_blendv_pd(b.0, a.0, m) })
-        }
-        #[inline(always)]
-        fn bit(self, bit: u32) -> __m256d {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            let one = unsafe { _mm256_set1_epi64x(1 << bit) };
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            let set = unsafe { _mm256_cmpeq_epi64(_mm256_and_si256(self.bits(), one), one) };
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            unsafe { _mm256_castsi256_pd(set) }
-        }
-        #[inline(always)]
-        fn shl(self, s: u32) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            let s = unsafe { _mm256_set1_epi64x(i64::from(s)) };
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_castsi256_pd(_mm256_sllv_epi64(self.bits(), s)) })
-        }
-        #[inline(always)]
-        fn or_bits(self, m: u64) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            let m = unsafe { _mm256_set1_epi64x(m as i64) };
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_castsi256_pd(_mm256_or_si256(self.bits(), m)) })
-        }
-        #[inline(always)]
-        fn add_bits(self, o: Self) -> Self {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            Self(unsafe { _mm256_castsi256_pd(_mm256_add_epi64(self.bits(), o.bits())) })
-        }
-        #[inline(always)]
-        fn gather<const L: usize>(table: &[u64; L], idx: Self) -> Self {
-            const { assert!(L.is_power_of_two()) };
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            let idx = unsafe { _mm256_and_si256(idx.bits(), _mm256_set1_epi64x(L as i64 - 1)) };
-            // SAFETY: every index is masked to `0..L`, inside `table`.
-            Self(unsafe { _mm256_i64gather_pd::<8>(table.as_ptr().cast(), idx) })
-        }
+    #[inline(always)]
+    fn load(x: &[f64]) -> Self {
+        Self(x[..N].try_into().expect("N lanes"))
     }
-
-    impl Avx2 {
-        /// The lanes' bit patterns.
-        #[inline(always)]
-        fn bits(self) -> __m256i {
-            // SAFETY: the host has AVX2 (see [`Avx2`]).
-            unsafe { _mm256_castpd_si256(self.0) }
+    #[inline(always)]
+    fn store(self, out: &mut [f64]) {
+        out[..N].copy_from_slice(&self.0);
+    }
+    #[inline(always)]
+    fn add(mut self, o: Self) -> Self {
+        for (a, b) in self.0.iter_mut().zip(o.0) {
+            *a += b;
         }
+        self
+    }
+    #[inline(always)]
+    fn sub(mut self, o: Self) -> Self {
+        for (a, b) in self.0.iter_mut().zip(o.0) {
+            *a -= b;
+        }
+        self
+    }
+    #[inline(always)]
+    fn mul(mut self, o: Self) -> Self {
+        for (a, b) in self.0.iter_mut().zip(o.0) {
+            *a *= b;
+        }
+        self
+    }
+    #[inline(always)]
+    fn div(mut self, o: Self) -> Self {
+        for (a, b) in self.0.iter_mut().zip(o.0) {
+            *a /= b;
+        }
+        self
+    }
+    #[inline(always)]
+    fn sqrt(mut self) -> Self {
+        for a in &mut self.0 {
+            *a = a.sqrt();
+        }
+        self
+    }
+    #[inline(always)]
+    fn mul_add(mut self, b: Self, c: Self) -> Self {
+        for ((a, b), c) in self.0.iter_mut().zip(b.0).zip(c.0) {
+            *a = a.mul_add(b, c);
+        }
+        self
+    }
+    #[inline(always)]
+    fn neg(mut self) -> Self {
+        for a in &mut self.0 {
+            *a = -*a;
+        }
+        self
+    }
+    #[inline(always)]
+    fn abs(mut self) -> Self {
+        for a in &mut self.0 {
+            *a = a.abs();
+        }
+        self
+    }
+    #[inline(always)]
+    fn copysign(mut self, sign: Self) -> Self {
+        for (a, s) in self.0.iter_mut().zip(sign.0) {
+            *a = a.copysign(s);
+        }
+        self
+    }
+    #[inline(always)]
+    fn min(mut self, o: Self) -> Self {
+        for (a, b) in self.0.iter_mut().zip(o.0) {
+            *a = if *a < b { *a } else { b };
+        }
+        self
+    }
+    #[inline(always)]
+    fn min_lane(self) -> f64 {
+        self.0.into_iter().fold(f64::INFINITY, f64::min)
+    }
+    #[inline(always)]
+    fn lt(self, o: Self) -> [u64; N] {
+        let mut m = [0; N];
+        for ((m, a), b) in m.iter_mut().zip(self.0).zip(o.0) {
+            *m = if a < b { !0 } else { 0 };
+        }
+        m
+    }
+    #[inline(always)]
+    fn le(self, o: Self) -> [u64; N] {
+        let mut m = [0; N];
+        for ((m, a), b) in m.iter_mut().zip(self.0).zip(o.0) {
+            *m = if a <= b { !0 } else { 0 };
+        }
+        m
+    }
+    #[inline(always)]
+    fn all(m: [u64; N]) -> bool {
+        m.into_iter().all(|m| m != 0)
+    }
+    #[inline(always)]
+    fn select(m: [u64; N], mut a: Self, b: Self) -> Self {
+        for ((a, b), m) in a.0.iter_mut().zip(b.0).zip(m) {
+            if m == 0 {
+                *a = b;
+            }
+        }
+        a
+    }
+    #[inline(always)]
+    fn bit(self, bit: u32) -> [u64; N] {
+        let mut m = [0; N];
+        for (m, a) in m.iter_mut().zip(self.0) {
+            *m = (a.to_bits() >> bit & 1).wrapping_neg();
+        }
+        m
+    }
+    #[inline(always)]
+    fn shl(mut self, s: u32) -> Self {
+        for a in &mut self.0 {
+            *a = f64::from_bits(a.to_bits() << s);
+        }
+        self
+    }
+    #[inline(always)]
+    fn or_bits(mut self, m: u64) -> Self {
+        for a in &mut self.0 {
+            *a = f64::from_bits(a.to_bits() | m);
+        }
+        self
+    }
+    #[inline(always)]
+    fn add_bits(mut self, o: Self) -> Self {
+        for (a, b) in self.0.iter_mut().zip(o.0) {
+            *a = f64::from_bits(a.to_bits().wrapping_add(b.to_bits()));
+        }
+        self
+    }
+    /// One hardware gather at each width [`run_on`] runs.
+    #[inline(always)]
+    fn gather<const L: usize>(table: &[u64; L], idx: Self) -> Self {
+        use std::arch::x86_64::*;
+        const { assert!(L.is_power_of_two()) };
+        let (mut at, mut out) = ([0u64; N], [0.0; N]);
+        for (i, x) in at.iter_mut().zip(idx.0) {
+            *i = x.to_bits() & (L as u64 - 1);
+        }
+        let (t, i, o) = (table.as_ptr().cast(), at.as_ptr(), out.as_mut_ptr());
+        // SAFETY: a `Wide<4>` runs only on a host with AVX2 and a `Wide<8>`
+        // only on one with AVX-512F (see [`Wide`]), `at` and `out` hold `N`
+        // lanes, and every index is masked to `0..L`, inside `table`.
+        unsafe {
+            match N {
+                4 => _mm256_storeu_pd(o, _mm256_i64gather_pd::<8>(t, _mm256_loadu_si256(i.cast()))),
+                8 => _mm512_storeu_pd(o, _mm512_i64gather_pd::<8>(_mm512_loadu_si512(i.cast()), t)),
+                _ => unreachable!("only `on_avx2` and `on_avx512` run a `Wide`"),
+            }
+        }
+        Self(out)
     }
 }
 
@@ -1403,7 +1274,9 @@ mod tests {
     }
 
     /// On every tier the host runs, `exp_into` and `sin_cos_into` are the
-    /// scalar ports bitwise, at lengths that leave every tail length.
+    /// scalar ports bitwise, at lengths that leave every tail length, and
+    /// [`Lanes::min`] (the separation screen's) is the scalar one, ties of
+    /// the two zeros included.
     #[test]
     fn lanes_are_the_scalar_ports_on_every_tier() {
         let (xs, angles) = (inputs(false), inputs(true));
@@ -1430,6 +1303,26 @@ mod tests {
             }
         }
         assert!(checked > 0);
+        struct Min<'a>(&'a [f64; 8], &'a [f64; 8], &'a mut [f64; 8]);
+        impl LanePass for Min<'_> {
+            type Out = ();
+            #[inline(always)]
+            fn run<V: Lanes>(self) {
+                for k in (0..8).step_by(V::N) {
+                    V::load(&self.0[k..]).min(V::load(&self.1[k..])).store(&mut self.2[k..]);
+                }
+            }
+        }
+        let a = [-0.0, 0.0, 1.0, -2.0, 0.0, 2.0, 3.0, -0.0];
+        let b = [0.0, -0.0, 1.0, -1.0, 0.0, 1.0, -3.0, -0.0];
+        for tier in Tier::on_host() {
+            let mut out = [0.0; 8];
+            run_on(tier, Min(&a, &b, &mut out));
+            for ((&a, &b), m) in a.iter().zip(&b).zip(out) {
+                let want = <f64 as Lanes>::min(a, b);
+                assert_eq!(m.to_bits(), want.to_bits(), "{tier:?} min({a:?}, {b:?})");
+            }
+        }
     }
 
     #[test]

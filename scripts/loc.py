@@ -7,11 +7,13 @@ A non-test line is any line of a `src/**/*.rs` file outside a
 `#[cfg(test)]` item, blank and comment lines included. An item starts at
 its `#[cfg(test)]` (or at the `///` doc and `#[...]` attribute lines right
 above it) and ends at the `;` or the closing `}` that ends it. Prints one
-row per crate under `crates/`, one for the root package (`src/`) and a
-total; the `cfg(test)` column counts the lines inside such items, so that
-code moved under `#[cfg(test)]` shows as moved, not as deleted. `REPO`
-defaults to the repository that holds this script, so the same script can
-count another checkout (a parent commit, say).
+row per crate under `crates/`, one for the root package (`src/`), one for
+`examples/*.rs` and a total; the `cfg(test)` column counts the lines
+inside such items, so that code moved under `#[cfg(test)]` shows as
+moved, not as deleted, and the `unsafe` column counts the `unsafe` blocks
+and functions on non-test lines. `REPO` defaults to the repository that
+holds this script, so the same script can count another checkout (a
+parent commit, say).
 """
 
 import re
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 CFG_TEST = re.compile(r"#\[cfg\(test\)\]")
+UNSAFE = re.compile(r"\bunsafe\s*\{|\bunsafe\s+(?:extern\s+)?fn\b")
 OPEN, CLOSE = "([{", ")]}"
 
 
@@ -126,31 +129,51 @@ def test_lines(src):
     return inside
 
 
-def count(src_dir):
-    """`(non-test lines, cfg(test) lines)` over every `.rs` file in `src_dir`."""
-    non_test = in_test = 0
-    for path in sorted(src_dir.rglob("*.rs")):
+def unsafe_count(src):
+    """The `unsafe` blocks and functions of `src` outside `#[cfg(test)]` items.
+
+    >>> unsafe_count('''// unsafe { in a comment }
+    ... pub unsafe fn f() {}
+    ... unsafe extern "C" fn g() {}
+    ... fn h() { let s = "unsafe {"; unsafe { f() } }
+    ... #[cfg(test)]
+    ... mod tests { fn t() { unsafe { super::f() } } }
+    ... ''')
+    3
+    """
+    tests = test_lines(src)
+    code = blank_literals(src).splitlines()
+    return sum(len(UNSAFE.findall(line)) for k, line in enumerate(code) if k not in tests)
+
+
+def count(paths):
+    """`(non-test lines, cfg(test) lines, unsafe)` over the `.rs` files `paths`."""
+    non_test = in_test = unsafe = 0
+    for path in sorted(paths):
         src = path.read_text()
         tests = len(test_lines(src))
         in_test += tests
         non_test += len(src.splitlines()) - tests
-    return non_test, in_test
+        unsafe += unsafe_count(src)
+    return non_test, in_test, unsafe
 
 
 def main(argv):
     repo = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
     crates = sorted(d for d in (repo / "crates").iterdir() if (d / "src").is_dir())
-    rows = [(d.name, count(d / "src")) for d in crates]
+    rows = [(d.name, count((d / "src").rglob("*.rs"))) for d in crates]
     in_crates = tuple(map(sum, zip(*(r[1] for r in rows))))
-    root = count(repo / "src")
+    root = count((repo / "src").rglob("*.rs"))
+    examples = count((repo / "examples").glob("*.rs"))
     rows += [
         ("crates total", in_crates),
         ("root (src/)", root),
-        ("total", (in_crates[0] + root[0], in_crates[1] + root[1])),
+        ("examples", examples),
+        ("total", tuple(map(sum, zip(in_crates, root, examples)))),
     ]
-    print(f"{'package':<14}{'non-test':>10}{'cfg(test)':>11}")
-    for name, (non_test, in_test) in rows:
-        print(f"{name:<14}{non_test:>10,}{in_test:>11,}")
+    print(f"{'package':<14}{'non-test':>10}{'cfg(test)':>11}{'unsafe':>8}")
+    for name, (non_test, in_test, unsafe) in rows:
+        print(f"{name:<14}{non_test:>10,}{in_test:>11,}{unsafe:>8,}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@
 //! * [`core`] — CHGNet / FastCHGNet models (Force/Stress heads,
 //!   dependency elimination, Alg. 1 / Alg. 2 basis paths),
 //! * [`train`] — Huber loss, Adam + cosine annealing + Eq. 14 LR scaling,
-//!   samplers, ring all-reduce, the simulated multi-GPU cluster, metrics,
+//!   samplers, the simulated multi-GPU cluster (rank gradients combined
+//!   by one serial tree reduction; the ring all-reduce is only
+//!   `CommModel`'s cost), metrics,
 //! * [`md`] — velocity-Verlet MD driven by the models,
 //! * [`telemetry`] — scoped spans, metrics registry, and structured run
 //!   reports written as a JSONL event stream.
@@ -47,7 +49,7 @@ pub use fc_train as train;
 
 /// One-line imports for examples and downstream users.
 pub mod prelude {
-    pub use fc_core::{Chgnet, ModelConfig, ModelVariant, OptLevel, Prediction};
+    pub use fc_core::{Chgnet, ModelConfig, ModelVariant, OptLevel};
     pub use fc_crystal::{
         evaluate as oracle_evaluate, CrystalGraph, DatasetConfig, Element, GraphBatch, Labels,
         Lattice, Sample, Structure, SynthMPtrj,
@@ -55,11 +57,9 @@ pub mod prelude {
     pub use fc_md::{
         relax, run_md, Calculator, Ensemble, FireConfig, ForceField, MdConfig, OracleField,
     };
-    pub use fc_telemetry::RunReport;
-    pub use fc_tensor::{ParamStore, Shape, Tape, Tensor, Var};
+    pub use fc_tensor::{ParamStore, Shape, Tape, Tensor};
     pub use fc_train::{
-        composite_loss, evaluate, train_model, Adam, Cluster, ClusterConfig, CommModel,
-        CosineAnnealing, EvalMetrics, ExecutionMode, LossWeights, LrPolicy, SamplerKind,
-        TrainConfig,
+        composite_loss, evaluate, Cluster, ClusterConfig, CommModel, EvalMetrics, LossWeights,
+        LrPolicy, SamplerKind, TrainConfig,
     };
 }
