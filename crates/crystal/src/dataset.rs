@@ -12,10 +12,10 @@
 use crate::element::{Element, N_ELEMENTS};
 use crate::graph::{CrystalGraph, ATOM_CUTOFF, BOND_CUTOFF};
 use crate::lattice::Lattice;
-use crate::math::{self, LanePass, Lanes};
 use crate::neighbor::{neighbor_list, Bond};
 use crate::oracle::{energy_on, evaluate_on, Labels};
 use crate::structure::Structure;
+use fc_tensor::kernels::lanes::{run_on, LanePass, Lanes};
 use fc_tensor::kernels::Tier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -289,7 +289,7 @@ fn well_separated_on(tier: Tier, s: &Structure) -> bool {
     }
     let carts = s.cart_coords();
     let r0: Vec<f32> = s.species.iter().map(|e| e.oracle_params().r0).collect();
-    math::run_on(tier, Separation { carts: &carts, r0: &r0, images: &images, shortest_row })
+    run_on(tier, Separation { carts: &carts, r0: &r0, images: &images, shortest_row })
 }
 
 /// The 27 images padded to whole chunks of the widest lanes.

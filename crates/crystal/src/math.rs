@@ -28,20 +28,18 @@
 //!   magnetic moments' `ρ/ρ_ref`).
 //!
 //! The scalar functions are the definition and every test's reference.
-//! [`Lanes`] runs `exp` and `sin`/`cos` in the lanes of one [`Tier`],
-//! with the same bits: one `f64` on [`Tier::Scalar`] (the scalar
-//! functions themselves), 4 on [`Tier::Avx2`] and 8 on [`Tier::Avx512`].
-//! Both widths are one type, `Wide<N>`, whose every operation is the
-//! scalar one on each lane in plain Rust; the compiler writes each tier's
-//! instructions for it, and its table gathers are the module's only x86
-//! intrinsics. [`run_on`] runs a [`LanePass`] on a tier's lanes. The
-//! tables and constants are read off glibc 2.36's `libm.so.6`.
+//! [`LanePorts`] runs `exp` and `sin`/`cos` on any [`Lanes`] of
+//! `fc_tensor::kernels::lanes` with the same bits: one `f64` on
+//! [`Tier::Scalar`], 4 on [`Tier::Avx2`] and 8 on [`Tier::Avx512`], each
+//! step the scalar one on every lane. The tables and constants are read
+//! off glibc 2.36's `libm.so.6`.
 //!
 //! With glibc 2.36 on an AVX2+FMA CPU the ports equal the host's
 //! `f64::exp`, `sin`, `cos` and `tanh` on the callers' ranges
 //! (`tests::ports_match_this_hosts_libm_over_the_callers_ranges`, run by
 //! `scripts/check.sh`); that comparison is informative.
 
+use fc_tensor::kernels::lanes::{run_on, LanePass, Lanes};
 use fc_tensor::kernels::Tier;
 
 /// `0x1.71547652b82fep0 · 128`: 128/ln 2.
@@ -534,91 +532,23 @@ const fn zero_padded<const N: usize, const L: usize>(t: [u64; N]) -> [u64; L] {
     out
 }
 
-/// The `f64` lanes of one [`Tier`], with the operations the lane bodies
-/// take. Each arithmetic operation rounds as the scalar operation of the
-/// same name on every lane, so a lane body that spells out a scalar
-/// expression's operations in its order gives that expression's bits.
-pub(crate) trait Lanes: Copy {
-    /// Lanes per value.
-    const N: usize;
-    /// A per-lane condition.
-    type Mask: Copy;
-    fn splat(x: f64) -> Self;
-    /// The first [`Self::N`] elements of `x`.
-    fn load(x: &[f64]) -> Self;
-    /// Write the lanes to the first [`Self::N`] elements of `out`.
-    fn store(self, out: &mut [f64]);
-    fn add(self, o: Self) -> Self;
-    fn sub(self, o: Self) -> Self;
-    fn mul(self, o: Self) -> Self;
-    fn div(self, o: Self) -> Self;
-    fn sqrt(self) -> Self;
-    /// `self·b + c`, rounded once.
-    fn mul_add(self, b: Self, c: Self) -> Self;
-    fn neg(self) -> Self;
-    fn abs(self) -> Self;
-    /// `self`'s magnitude with `sign`'s sign.
-    fn copysign(self, sign: Self) -> Self;
-    /// `self` where `self < o`, else `o`.
-    fn min(self, o: Self) -> Self;
-    /// The smallest lane (no lane NaN).
-    fn min_lane(self) -> f64;
-    fn lt(self, o: Self) -> Self::Mask;
-    fn le(self, o: Self) -> Self::Mask;
-    /// Whether every lane's condition holds.
-    fn all(m: Self::Mask) -> bool;
-    /// `a` where `m` holds, else `b`.
-    fn select(m: Self::Mask, a: Self, b: Self) -> Self;
-    /// Whether bit `bit` of each lane's bit pattern is set.
-    fn bit(self, bit: u32) -> Self::Mask;
-    /// Each lane's bit pattern shifted left by `s`.
-    fn shl(self, s: u32) -> Self;
-    /// Each lane's bit pattern with `m` or-ed in.
-    fn or_bits(self, m: u64) -> Self;
-    /// The sum of the bit patterns of each lane, as integers.
-    fn add_bits(self, o: Self) -> Self;
-    /// `table[i % L]` for each lane's bit pattern `i`; `L` is a power of
-    /// two.
-    fn gather<const L: usize>(table: &[u64; L], idx: Self) -> Self;
+/// [`exp`] and [`sin`]/[`cos`] on lanes: bitwise the scalar ports on
+/// every lane.
+pub(crate) trait LanePorts: Lanes {
+    fn exp(self) -> Self;
+    fn sin_cos(self) -> (Self, Self);
+}
 
-    /// [`exp`] of each lane.
+impl<V: Lanes> LanePorts for V {
     #[inline(always)]
-    fn exp(self) -> Self {
+    fn exp(self) -> V {
         exp_lanes(self)
     }
 
-    /// [`sin`] and [`cos`] of each lane.
     #[inline(always)]
-    fn sin_cos(self) -> (Self, Self) {
+    fn sin_cos(self) -> (V, V) {
         sin_cos_lanes(self)
     }
-}
-
-/// A body over the lanes of whichever tier [`run_on`] picks.
-pub(crate) trait LanePass {
-    type Out;
-    /// The body on lanes `V`. Implementations are `#[inline(always)]`, so
-    /// that they compile into [`run_on`]'s per-tier entry points with that
-    /// tier's instructions.
-    fn run<V: Lanes>(self) -> Self::Out;
-}
-
-/// `pass` on `tier`'s lanes: `f64` on [`Tier::Scalar`] or on a host
-/// without `tier`'s instructions, 4 lanes on [`Tier::Avx2`], 8 on
-/// [`Tier::Avx512`].
-pub(crate) fn run_on<P: LanePass>(tier: Tier, pass: P) -> P::Out {
-    #[cfg(target_arch = "x86_64")]
-    if tier.runs_here() {
-        match tier {
-            // SAFETY: the host has AVX-512F, AVX2 and FMA, checked just
-            // above.
-            Tier::Avx512 => return unsafe { on_avx512(pass) },
-            // SAFETY: the host has AVX2 and FMA, checked just above.
-            Tier::Avx2 => return unsafe { on_avx2(pass) },
-            Tier::Scalar => {}
-        }
-    }
-    pass.run::<f64>()
 }
 
 /// `exp` of each element of `x` into `out` on `tier`'s lanes: bitwise
@@ -726,8 +656,8 @@ fn sin_cos_lanes<V: Lanes>(x: V) -> (V, V) {
     // 1 of `n` is set; quadrant `n + 1` is negated when exactly one of
     // bits 0 and 1 of `n` is set.
     let (odd, two) = (t.bit(0), t.bit(1));
-    let q_sin = negate_where(two, V::select(odd, vc, vs));
-    let q_cos = negate_where(odd, negate_where(two, V::select(odd, vs, vc)));
+    let q_sin = V::select(odd, vc, vs).neg_where(two);
+    let q_cos = V::select(odd, vs, vc).neg_where(two).neg_where(odd);
     let sin = V::select(x.lt(c(SIN_TINY)), x, by_row(rows, vs, vc.abs(), q_sin));
     let cos = V::select(x.lt(c(COS_TINY)), c(1.0), by_row(rows, vc, vs, q_cos));
     (sin, cos)
@@ -738,12 +668,6 @@ fn sin_cos_lanes<V: Lanes>(x: V) -> (V, V) {
 #[inline(always)]
 fn by_row<V: Lanes>(rows: [V::Mask; 2], d: V, m: V, r: V) -> V {
     V::select(rows[0], d, V::select(rows[1], m, r))
-}
-
-/// `−v` where `m` holds, else `v`.
-#[inline(always)]
-fn negate_where<V: Lanes>(m: V::Mask, v: V) -> V {
-    V::select(m, v.neg(), v)
 }
 
 /// The table entries `[sn, ssn, cs, ccs]` for `u = big + |x|` on lanes.
@@ -789,291 +713,6 @@ fn do_cos_lanes<V: Lanes>(x: V, dx: V) -> V {
     let [sn, ssn, cs, ccs] = table_row_lanes(u);
     let cor = s.neg().mul_add(sn, cc.neg().mul_add(cs, s.neg().mul_add(ssn, ccs)));
     cs.add(cor)
-}
-
-/// [`Tier::Scalar`]: one lane, the scalar ports themselves.
-impl Lanes for f64 {
-    const N: usize = 1;
-    type Mask = bool;
-    fn splat(x: f64) -> f64 {
-        x
-    }
-    fn load(x: &[f64]) -> f64 {
-        x[0]
-    }
-    fn store(self, out: &mut [f64]) {
-        out[0] = self;
-    }
-    fn add(self, o: f64) -> f64 {
-        self + o
-    }
-    fn sub(self, o: f64) -> f64 {
-        self - o
-    }
-    fn mul(self, o: f64) -> f64 {
-        self * o
-    }
-    fn div(self, o: f64) -> f64 {
-        self / o
-    }
-    fn sqrt(self) -> f64 {
-        f64::sqrt(self)
-    }
-    fn mul_add(self, b: f64, c: f64) -> f64 {
-        f64::mul_add(self, b, c)
-    }
-    fn neg(self) -> f64 {
-        -self
-    }
-    fn abs(self) -> f64 {
-        f64::abs(self)
-    }
-    fn copysign(self, sign: f64) -> f64 {
-        f64::copysign(self, sign)
-    }
-    fn min(self, o: f64) -> f64 {
-        if self < o {
-            self
-        } else {
-            o
-        }
-    }
-    fn min_lane(self) -> f64 {
-        self
-    }
-    fn lt(self, o: f64) -> bool {
-        self < o
-    }
-    fn le(self, o: f64) -> bool {
-        self <= o
-    }
-    fn all(m: bool) -> bool {
-        m
-    }
-    fn select(m: bool, a: f64, b: f64) -> f64 {
-        if m {
-            a
-        } else {
-            b
-        }
-    }
-    fn bit(self, bit: u32) -> bool {
-        self.to_bits() >> bit & 1 == 1
-    }
-    fn shl(self, s: u32) -> f64 {
-        f64::from_bits(self.to_bits() << s)
-    }
-    fn or_bits(self, m: u64) -> f64 {
-        f64::from_bits(self.to_bits() | m)
-    }
-    fn add_bits(self, o: f64) -> f64 {
-        f64::from_bits(self.to_bits().wrapping_add(o.to_bits()))
-    }
-    fn gather<const L: usize>(table: &[u64; L], idx: f64) -> f64 {
-        f64::from_bits(table[idx.to_bits() as usize % L])
-    }
-    fn exp(self) -> f64 {
-        exp(self)
-    }
-    fn sin_cos(self) -> (f64, f64) {
-        (sin(self), cos(self))
-    }
-}
-
-/// `pass` on 8 lanes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-fn on_avx512<P: LanePass>(pass: P) -> P::Out {
-    pass.run::<Wide<8>>()
-}
-
-/// `pass` on 4 lanes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn on_avx2<P: LanePass>(pass: P) -> P::Out {
-    pass.run::<Wide<4>>()
-}
-
-/// `N` lanes: each operation is the scalar operation on each lane, in a
-/// loop that the compiler turns into the instructions of the entry point
-/// ([`on_avx2`], [`on_avx512`]) the lane body is inlined into. A mask lane
-/// is all ones or zero. `Wide` is private to this module and only those
-/// entry points name a width, so a `Wide<4>` runs only on a host with AVX2
-/// and FMA, and a `Wide<8>` only on one that also has AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct Wide<const N: usize>([f64; N]);
-
-#[cfg(target_arch = "x86_64")]
-impl<const N: usize> Lanes for Wide<N> {
-    const N: usize = N;
-    type Mask = [u64; N];
-    #[inline(always)]
-    fn splat(x: f64) -> Self {
-        Self([x; N])
-    }
-    #[inline(always)]
-    fn load(x: &[f64]) -> Self {
-        Self(x[..N].try_into().expect("N lanes"))
-    }
-    #[inline(always)]
-    fn store(self, out: &mut [f64]) {
-        out[..N].copy_from_slice(&self.0);
-    }
-    #[inline(always)]
-    fn add(mut self, o: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(o.0) {
-            *a += b;
-        }
-        self
-    }
-    #[inline(always)]
-    fn sub(mut self, o: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(o.0) {
-            *a -= b;
-        }
-        self
-    }
-    #[inline(always)]
-    fn mul(mut self, o: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(o.0) {
-            *a *= b;
-        }
-        self
-    }
-    #[inline(always)]
-    fn div(mut self, o: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(o.0) {
-            *a /= b;
-        }
-        self
-    }
-    #[inline(always)]
-    fn sqrt(mut self) -> Self {
-        for a in &mut self.0 {
-            *a = a.sqrt();
-        }
-        self
-    }
-    #[inline(always)]
-    fn mul_add(mut self, b: Self, c: Self) -> Self {
-        for ((a, b), c) in self.0.iter_mut().zip(b.0).zip(c.0) {
-            *a = a.mul_add(b, c);
-        }
-        self
-    }
-    #[inline(always)]
-    fn neg(mut self) -> Self {
-        for a in &mut self.0 {
-            *a = -*a;
-        }
-        self
-    }
-    #[inline(always)]
-    fn abs(mut self) -> Self {
-        for a in &mut self.0 {
-            *a = a.abs();
-        }
-        self
-    }
-    #[inline(always)]
-    fn copysign(mut self, sign: Self) -> Self {
-        for (a, s) in self.0.iter_mut().zip(sign.0) {
-            *a = a.copysign(s);
-        }
-        self
-    }
-    #[inline(always)]
-    fn min(mut self, o: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(o.0) {
-            *a = if *a < b { *a } else { b };
-        }
-        self
-    }
-    #[inline(always)]
-    fn min_lane(self) -> f64 {
-        self.0.into_iter().fold(f64::INFINITY, f64::min)
-    }
-    #[inline(always)]
-    fn lt(self, o: Self) -> [u64; N] {
-        let mut m = [0; N];
-        for ((m, a), b) in m.iter_mut().zip(self.0).zip(o.0) {
-            *m = if a < b { !0 } else { 0 };
-        }
-        m
-    }
-    #[inline(always)]
-    fn le(self, o: Self) -> [u64; N] {
-        let mut m = [0; N];
-        for ((m, a), b) in m.iter_mut().zip(self.0).zip(o.0) {
-            *m = if a <= b { !0 } else { 0 };
-        }
-        m
-    }
-    #[inline(always)]
-    fn all(m: [u64; N]) -> bool {
-        m.into_iter().all(|m| m != 0)
-    }
-    #[inline(always)]
-    fn select(m: [u64; N], mut a: Self, b: Self) -> Self {
-        for ((a, b), m) in a.0.iter_mut().zip(b.0).zip(m) {
-            if m == 0 {
-                *a = b;
-            }
-        }
-        a
-    }
-    #[inline(always)]
-    fn bit(self, bit: u32) -> [u64; N] {
-        let mut m = [0; N];
-        for (m, a) in m.iter_mut().zip(self.0) {
-            *m = (a.to_bits() >> bit & 1).wrapping_neg();
-        }
-        m
-    }
-    #[inline(always)]
-    fn shl(mut self, s: u32) -> Self {
-        for a in &mut self.0 {
-            *a = f64::from_bits(a.to_bits() << s);
-        }
-        self
-    }
-    #[inline(always)]
-    fn or_bits(mut self, m: u64) -> Self {
-        for a in &mut self.0 {
-            *a = f64::from_bits(a.to_bits() | m);
-        }
-        self
-    }
-    #[inline(always)]
-    fn add_bits(mut self, o: Self) -> Self {
-        for (a, b) in self.0.iter_mut().zip(o.0) {
-            *a = f64::from_bits(a.to_bits().wrapping_add(b.to_bits()));
-        }
-        self
-    }
-    /// One hardware gather at each width [`run_on`] runs.
-    #[inline(always)]
-    fn gather<const L: usize>(table: &[u64; L], idx: Self) -> Self {
-        use std::arch::x86_64::*;
-        const { assert!(L.is_power_of_two()) };
-        let (mut at, mut out) = ([0u64; N], [0.0; N]);
-        for (i, x) in at.iter_mut().zip(idx.0) {
-            *i = x.to_bits() & (L as u64 - 1);
-        }
-        let (t, i, o) = (table.as_ptr().cast(), at.as_ptr(), out.as_mut_ptr());
-        // SAFETY: a `Wide<4>` runs only on a host with AVX2 and a `Wide<8>`
-        // only on one with AVX-512F (see [`Wide`]), `at` and `out` hold `N`
-        // lanes, and every index is masked to `0..L`, inside `table`.
-        unsafe {
-            match N {
-                4 => _mm256_storeu_pd(o, _mm256_i64gather_pd::<8>(t, _mm256_loadu_si256(i.cast()))),
-                8 => _mm512_storeu_pd(o, _mm512_i64gather_pd::<8>(_mm512_loadu_si512(i.cast()), t)),
-                _ => unreachable!("only `on_avx2` and `on_avx512` run a `Wide`"),
-            }
-        }
-        Self(out)
-    }
 }
 
 #[cfg(test)]
@@ -1274,9 +913,7 @@ mod tests {
     }
 
     /// On every tier the host runs, `exp_into` and `sin_cos_into` are the
-    /// scalar ports bitwise, at lengths that leave every tail length, and
-    /// [`Lanes::min`] (the separation screen's) is the scalar one, ties of
-    /// the two zeros included.
+    /// scalar ports bitwise, at lengths that leave every tail length.
     #[test]
     fn lanes_are_the_scalar_ports_on_every_tier() {
         let (xs, angles) = (inputs(false), inputs(true));
@@ -1303,26 +940,6 @@ mod tests {
             }
         }
         assert!(checked > 0);
-        struct Min<'a>(&'a [f64; 8], &'a [f64; 8], &'a mut [f64; 8]);
-        impl LanePass for Min<'_> {
-            type Out = ();
-            #[inline(always)]
-            fn run<V: Lanes>(self) {
-                for k in (0..8).step_by(V::N) {
-                    V::load(&self.0[k..]).min(V::load(&self.1[k..])).store(&mut self.2[k..]);
-                }
-            }
-        }
-        let a = [-0.0, 0.0, 1.0, -2.0, 0.0, 2.0, 3.0, -0.0];
-        let b = [0.0, -0.0, 1.0, -1.0, 0.0, 1.0, -3.0, -0.0];
-        for tier in Tier::on_host() {
-            let mut out = [0.0; 8];
-            run_on(tier, Min(&a, &b, &mut out));
-            for ((&a, &b), m) in a.iter().zip(&b).zip(out) {
-                let want = <f64 as Lanes>::min(a, b);
-                assert_eq!(m.to_bits(), want.to_bits(), "{tier:?} min({a:?}, {b:?})");
-            }
-        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 
 use crate::element::OracleParams;
 use crate::graph::ATOM_CUTOFF;
-use crate::math::{self, LanePass, Lanes};
+use crate::math::{self, LanePorts};
 use crate::neighbor::{neighbor_list, Bond};
 use crate::structure::Structure;
+use fc_tensor::kernels::lanes::{run_on, LanePass, Lanes};
 use fc_tensor::kernels::Tier;
 
 /// Cutoff of the oracle potential (Å): the atom-graph cutoff, so the GNN
@@ -83,7 +84,7 @@ pub(crate) fn evaluate_on_tier(tier: Tier, s: &Structure, bonds: &[Bond]) -> Lab
     SCRATCH.with_borrow_mut(|cols| {
         let len = cols.fill(s, &params, bonds, true);
         let (inp, mid) = (&mut cols.inp, &mut cols.mid);
-        math::run_on(tier, BondTerms::<true> { inp, mid, len });
+        run_on(tier, BondTerms::<true> { inp, mid, len });
         let (rho, mut energy) = embedding(&params, bonds, mid, len);
         let mut embed_p = Vec::with_capacity(n);
         for &r in &rho {
@@ -97,10 +98,7 @@ pub(crate) fn evaluate_on_tier(tier: Tier, s: &Structure, bonds: &[Bond]) -> Lab
         let energy = add_pair_energies(energy, bonds, mid, len);
         let mut forces = vec![[0.0f64; 3]; n];
         let mut virial = [0.0f64; 9];
-        math::run_on(
-            tier,
-            BondForces { inp, mid, len, bonds, forces: &mut forces, virial: &mut virial },
-        );
+        run_on(tier, BondForces { inp, mid, len, bonds, forces: &mut forces, virial: &mut virial });
         cols.trim();
         let vol = s.volume();
         let stress = std::array::from_fn(|a| {
@@ -127,7 +125,7 @@ pub(crate) fn energy_on_tier(tier: Tier, s: &Structure, bonds: &[Bond]) -> f64 {
     let params = oracle_params(s);
     SCRATCH.with_borrow_mut(|cols| {
         let len = cols.fill(s, &params, bonds, false);
-        math::run_on(tier, BondTerms::<false> { inp: &cols.inp, mid: &mut cols.mid, len });
+        run_on(tier, BondTerms::<false> { inp: &cols.inp, mid: &mut cols.mid, len });
         let (rho, mut energy) = embedding(&params, bonds, &cols.mid, len);
         for &r in &rho {
             energy += embed(r).0;

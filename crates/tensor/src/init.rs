@@ -1,5 +1,6 @@
 //! Parameter initialisation schemes.
 
+use crate::kernels::{trig, Tier};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -28,20 +29,28 @@ pub fn uniform(rng: &mut StdRng, rows: usize, cols: usize, lo: f32, hi: f32) -> 
     Tensor::from_vec(Shape::new(rows, cols), data)
 }
 
-/// Normal init `N(mean, std²)` via Box-Muller.
+/// Normal init `N(mean, std²)` via Box-Muller: one `(u1, u2)` draw per
+/// pair of elements, `r·cos t` then `r·sin t`, the pairs' sines and
+/// cosines in one call of the host tier's `sin`/`cos` kernel (bitwise
+/// [`trig::sincosf`]).
 pub fn normal(rng: &mut StdRng, rows: usize, cols: usize, mean: f32, std: f32) -> Tensor {
     let n = rows * cols;
-    let mut data = Vec::with_capacity(n);
-    while data.len() < n {
+    let pairs = n.div_ceil(2);
+    let (mut r, mut t) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
+    for _ in 0..pairs {
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
         let u2: f32 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
-        let t = 2.0 * std::f32::consts::PI * u2;
-        data.push(mean + std * r * t.cos());
-        if data.len() < n {
-            data.push(mean + std * r * t.sin());
-        }
+        r.push((-2.0 * u1.ln()).sqrt());
+        t.push(2.0 * std::f32::consts::PI * u2);
     }
+    let (mut sin, mut cos) = (vec![0.0; pairs], vec![0.0; pairs]);
+    trig::sin_cos(Tier::host(), &t, Some(&mut sin), Some(&mut cos));
+    let data = r
+        .iter()
+        .zip(cos.iter().zip(&sin))
+        .flat_map(|(&r, (&c, &s))| [mean + std * r * c, mean + std * r * s])
+        .take(n)
+        .collect();
     Tensor::from_vec(Shape::new(rows, cols), data)
 }
 

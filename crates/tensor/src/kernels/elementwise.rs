@@ -118,9 +118,13 @@ impl UnKind {
 /// the same, signed zeros and infinities included.
 #[inline(always)]
 pub fn sigmoid(x: f32) -> f32 {
-    let pos = x >= 0.0;
-    let z = expf(if pos { -x } else { x });
-    let num = if pos { 1.0 } else { z };
+    sigmoid_with(x, expf(if x >= 0.0 { -x } else { x }))
+}
+
+/// [`sigmoid`] of `x` from its exponential `z = exp(x >= 0 ? -x : x)`.
+#[inline(always)]
+pub(crate) fn sigmoid_with(x: f32, z: f32) -> f32 {
+    let num = if x >= 0.0 { 1.0 } else { z };
     num / (1.0 + z)
 }
 

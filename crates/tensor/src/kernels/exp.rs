@@ -1,6 +1,6 @@
 //! `exp`, the logistic sigmoid, SiLU and the fused gate: one scalar port
-//! of glibc's `expf`, and the same port 8 lanes at a time on
-//! [`Tier::Avx2`] and 16 on [`Tier::Avx512`], all with the same bits.
+//! of glibc's `expf`, and the same port in the `f64` lanes of
+//! [`Tier::Avx2`] and [`Tier::Avx512`], all with the same bits.
 //!
 //! The port follows glibc's `expf` (glibc ≥ 2.27,
 //! `sysdeps/ieee754/flt-32/e_expf.c`) as GCC compiles it into
@@ -23,12 +23,14 @@
 //! [`expf`] takes these steps on one element with `f64::mul_add`, which
 //! rounds once on every host (an FMA instruction where the calling code
 //! is compiled with `fma`, a correctly rounded `fma` call otherwise): it
-//! is the [`Tier::Scalar`] body, the AVX2 tier's tail, and the reference
-//! of every test. [`Tier::Avx2`] runs the steps on two halves of 4 `f64`
-//! lanes and reads `T` with `vpgatherqq`; [`Tier::Avx512`] runs them on
-//! two halves of 8 `f64` lanes, holds `T` in four `zmm` registers and
-//! reads it with two `vpermt2q` and a blend, and masks off the lanes past
-//! a slice's end instead of finishing it in scalar code.
+//! is the [`Tier::Scalar`] body, the vector tiers' chunk tails, and the
+//! reference of every test. The vector tiers run the same steps as a
+//! [`LanePass`] body on [`crate::kernels::lanes`]' `f64` lanes (4 on
+//! `Avx2`, 8 on `Avx512`, which reads `T` from registers with two
+//! `vpermt2q`): each block of 64 elements takes its exponentials in lanes,
+//! rounded to `f32`, then the sigmoid's, SiLU's, the gate's and the VJP's
+//! `f32` operations element by element ([`sigmoid_with`]), as the scalar
+//! path does.
 //!
 //! With glibc 2.36 on an AVX2+FMA CPU (where glibc runs its FMA builds)
 //! every tier equals `f32::exp` at all 2³² inputs
@@ -37,7 +39,8 @@
 
 use std::ops::Range;
 
-use crate::kernels::elementwise::sigmoid;
+use crate::kernels::elementwise::{sigmoid, sigmoid_with};
+use crate::kernels::lanes::{run_on, LanePass, Lanes};
 use crate::kernels::Tier;
 use crate::par::{self, Rows};
 
@@ -202,18 +205,10 @@ fn gate_vjp_on(tier: Tier, a: &[f32], b: &[f32], g: &[f32]) -> [Vec<f32>; 2] {
     };
     par::fill_rows_n(out.each_mut(), n, [1, 1], par::chunks(n * work, n), |r, w| {
         let (a, b, g) = (&a[r.clone()], &b[r.clone()], &g[r]);
-        #[cfg(target_arch = "x86_64")]
-        if tier.runs_here() {
-            match tier {
-                // SAFETY: the host has AVX-512F, AVX2 and FMA, checked just
-                // above.
-                Tier::Avx512 => return unsafe { avx512::gate_vjp(a, b, g, w) },
-                // SAFETY: the host has AVX2 and FMA, checked just above.
-                Tier::Avx2 => return unsafe { avx2_fma::gate_vjp(a, b, g, w) },
-                Tier::Scalar => {}
-            }
+        match tier {
+            Tier::Scalar => gate_vjp_scalar(a, b, g, w),
+            _ => run_on(tier, GateVjp { a, b, g, w }),
         }
-        gate_vjp_scalar(a, b, g, w)
     });
     out
 }
@@ -232,24 +227,13 @@ fn run(tier: Tier, op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
     if let ExpOp::Gate(y) = op {
         assert_eq!(x.len(), y.len(), "gate operands differ in length");
     }
-    #[cfg(target_arch = "x86_64")]
-    if tier.runs_here() {
-        match tier {
-            // SAFETY: the host has AVX-512F, AVX2 and FMA, checked just
-            // above.
-            Tier::Avx512 => return unsafe { avx512::run(op, x, out) },
-            // SAFETY: the host has AVX2 and FMA, checked just above.
-            Tier::Avx2 => return unsafe { avx2_fma::run(op, x, out) },
-            Tier::Scalar => {}
-        }
+    match tier {
+        Tier::Scalar => run_scalar(op, x, out),
+        _ => run_on(tier, Run { op, x, out }),
     }
-    run_scalar(op, x, out)
 }
 
-/// [`run`] on [`Tier::Scalar`]: one [`expf`] per exponential. Inlined
-/// into the AVX2 tier's tail, where its `mul_add`s compile to FMA
-/// instructions.
-#[inline(always)]
+/// [`run`] on [`Tier::Scalar`]: one [`expf`] per exponential.
 fn run_scalar(op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
     match op {
         ExpOp::Exp => out.extend(x.iter().map(|&x| expf(x))),
@@ -260,275 +244,128 @@ fn run_scalar(op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
 }
 
 /// [`gate_vjp`] on [`Tier::Scalar`]: one scalar [`sigmoid`] per operand.
-#[inline(always)]
 fn gate_vjp_scalar(a: &[f32], b: &[f32], g: &[f32], [ga, gb]: [&mut Rows<'_>; 2]) {
     for ((&a, &b), &g) in a.iter().zip(b).zip(g) {
-        let (sa, sb) = (sigmoid(a), sigmoid(b));
-        let bs = b * sb;
-        ga.push((g * bs) * (sa - sa * sa));
-        gb.push((g * sa) * (sb + (bs - bs * sb)));
+        let [da, db] = gate_vjp_of(sigmoid(a), b, sigmoid(b), g);
+        ga.push(da);
+        gb.push(db);
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod avx2_fma {
-    use super::{gate_vjp_scalar, run_scalar, ExpOp, C, HI, INV_LN2_N, LO, SHIFT, T};
-    use crate::par::Rows;
-    use std::arch::x86_64::*;
+/// The gate VJP's `f32` operations on one element pair, from
+/// `sa = sigmoid(a)` and `sb = sigmoid(b)`: `[ga, gb]`.
+#[inline(always)]
+fn gate_vjp_of(sa: f32, b: f32, sb: f32, g: f32) -> [f32; 2] {
+    let bs = b * sb;
+    [(g * bs) * (sa - sa * sa), (g * sa) * (sb + (bs - bs * sb))]
+}
 
-    /// [`super::run`] on [`super::Tier::Avx2`]: whole 8-lane chunks in
-    /// vectors, the rest through [`run_scalar`] (the same bits).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn run(op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
-        let body = x.len() / 8 * 8;
-        let chunks = x[..body].chunks_exact(8);
-        match op {
-            ExpOp::Exp => {
-                for a in chunks {
-                    out.extend_from_slice(&store(exp8(load(a))));
+/// Elements per block on the vector tiers, a whole number of chunks at
+/// every lane width: a block's exponentials run in lanes into a buffer,
+/// then its `f32` operations element by element.
+const BLOCK: usize = 64;
+
+/// [`run`] on the vector tiers.
+struct Run<'a, 'o, 'r> {
+    op: ExpOp<'a>,
+    x: &'a [f32],
+    out: &'o mut Rows<'r>,
+}
+
+impl LanePass for Run<'_, '_, '_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let mut z = [[0.0; BLOCK]; 2];
+        for (k, x) in self.x.chunks(BLOCK).enumerate() {
+            let [za, zb] = &mut z;
+            match self.op.rows(k * BLOCK..k * BLOCK + x.len()) {
+                ExpOp::Exp => {
+                    exp_block::<V>(x, false, za);
+                    self.out.extend_from_slice(&za[..x.len()]);
                 }
-            }
-            ExpOp::Sigmoid => {
-                for a in chunks {
-                    out.extend_from_slice(&store(sigmoid8(load(a))));
+                ExpOp::Sigmoid => {
+                    exp_block::<V>(x, true, za);
+                    self.out.extend(x.iter().zip(&*za).map(|(&x, &z)| sigmoid_with(x, z)));
                 }
-            }
-            ExpOp::Silu => {
-                for a in chunks {
-                    let a = load(a);
-                    out.extend_from_slice(&store(_mm256_mul_ps(a, sigmoid8(a))));
+                ExpOp::Silu => {
+                    exp_block::<V>(x, true, za);
+                    self.out.extend(x.iter().zip(&*za).map(|(&x, &z)| x * sigmoid_with(x, z)));
                 }
-            }
-            ExpOp::Gate(y) => {
-                for (a, b) in chunks.zip(y.chunks_exact(8)) {
-                    let (a, b) = (load(a), load(b));
-                    let gate = _mm256_mul_ps(_mm256_mul_ps(sigmoid8(a), b), sigmoid8(b));
-                    out.extend_from_slice(&store(gate));
+                ExpOp::Gate(y) => {
+                    exp_block::<V>(x, true, za);
+                    exp_block::<V>(y, true, zb);
+                    let (x, y) = (x.iter().zip(&*za), y.iter().zip(&*zb));
+                    self.out.extend(x.zip(y).map(|((&x, &za), (&y, &zb))| {
+                        sigmoid_with(x, za) * y * sigmoid_with(y, zb)
+                    }));
                 }
             }
         }
-        run_scalar(op.rows(body..x.len()), &x[body..], out)
-    }
-
-    /// [`super::gate_vjp`] on [`super::Tier::Avx2`]: whole 8-lane chunks in
-    /// vectors (no FMA in the VJP's own arithmetic), the rest through
-    /// [`gate_vjp_scalar`] (the same bits).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn gate_vjp(a: &[f32], b: &[f32], g: &[f32], [ga, gb]: [&mut Rows<'_>; 2]) {
-        let body = a.len() / 8 * 8;
-        let lanes = a[..body].chunks_exact(8).zip(b.chunks_exact(8)).zip(g.chunks_exact(8));
-        for ((a, b), g) in lanes {
-            let (a, b, g) = (load(a), load(b), load(g));
-            let (sa, sb) = (sigmoid8(a), sigmoid8(b));
-            let bs = _mm256_mul_ps(b, sb);
-            let dsig = _mm256_sub_ps(sa, _mm256_mul_ps(sa, sa));
-            let dsilu = _mm256_add_ps(sb, _mm256_sub_ps(bs, _mm256_mul_ps(bs, sb)));
-            ga.extend_from_slice(&store(_mm256_mul_ps(_mm256_mul_ps(g, bs), dsig)));
-            gb.extend_from_slice(&store(_mm256_mul_ps(_mm256_mul_ps(g, sa), dsilu)));
-        }
-        gate_vjp_scalar(&a[body..], &b[body..], &g[body..], [ga, gb])
-    }
-
-    /// The 8 lanes of `x`, which holds exactly 8.
-    #[target_feature(enable = "avx2,fma")]
-    fn load(x: &[f32]) -> __m256 {
-        let x: &[f32; 8] = x.try_into().expect("an 8-lane chunk");
-        // SAFETY: `x` is 8 readable `f32`s; `loadu` needs no alignment.
-        unsafe { _mm256_loadu_ps(x.as_ptr()) }
-    }
-
-    /// The 8 lanes of `v`.
-    #[target_feature(enable = "avx2,fma")]
-    fn store(v: __m256) -> [f32; 8] {
-        let mut out = [0.0; 8];
-        // SAFETY: `out` is 8 writable `f32`s; `storeu` needs no alignment.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) };
-        out
-    }
-
-    /// The scalar [`super::sigmoid`] on 8 lanes: `num / (1 + z)` with
-    /// `z = exp(-|x|)` (`exp(-x)` for `x >= 0`, else `exp(x)`) and
-    /// `num = 1` for `x >= 0`, else `z`.
-    #[target_feature(enable = "avx2,fma")]
-    fn sigmoid8(x: __m256) -> __m256 {
-        let pos = _mm256_cmp_ps::<_CMP_GE_OQ>(x, _mm256_setzero_ps());
-        let neg = _mm256_xor_ps(x, _mm256_set1_ps(-0.0));
-        let z = exp8(_mm256_blendv_ps(x, neg, pos));
-        let one = _mm256_set1_ps(1.0);
-        _mm256_div_ps(_mm256_blendv_ps(z, one, pos), _mm256_add_ps(one, z))
-    }
-
-    /// `f32::exp` on 8 lanes: two halves of 4 `f64` lanes, then the
-    /// overflow, underflow and NaN lanes selected in.
-    #[target_feature(enable = "avx2,fma")]
-    fn exp8(x: __m256) -> __m256 {
-        let lo = exp4(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
-        let hi = exp4(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
-        let y = _mm256_set_m128(hi, lo);
-        let over = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_set1_ps(HI));
-        let y = _mm256_blendv_ps(y, _mm256_set1_ps(f32::INFINITY), over);
-        let under = _mm256_cmp_ps::<_CMP_NGE_UQ>(x, _mm256_set1_ps(LO));
-        let y = _mm256_blendv_ps(y, _mm256_setzero_ps(), under);
-        let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
-        _mm256_blendv_ps(y, _mm256_add_ps(x, x), nan)
-    }
-
-    /// `exp(xd)` rounded to `f32` on 4 lanes, by glibc's steps (module
-    /// docs), for `xd` inside the range edges.
-    #[target_feature(enable = "avx2,fma")]
-    fn exp4(xd: __m256d) -> __m128 {
-        let inv_ln2_n = _mm256_set1_pd(INV_LN2_N);
-        let shift = _mm256_set1_pd(SHIFT);
-        let kd0 = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
-        let ki = _mm256_castpd_si256(kd0);
-        let kd = _mm256_sub_pd(kd0, shift);
-        let r = _mm256_fmsub_pd(inv_ln2_n, xd, kd);
-        let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
-        // SAFETY: every index is masked to `0..32`, inside `T`.
-        let t = unsafe { _mm256_i64gather_epi64::<8>(T.as_ptr().cast(), idx) };
-        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
-        let (c0, c1, c2) = (_mm256_set1_pd(C[0]), _mm256_set1_pd(C[1]), _mm256_set1_pd(C[2]));
-        let p = _mm256_fmadd_pd(c0, r, c1);
-        let q = _mm256_fmadd_pd(c2, r, _mm256_set1_pd(1.0));
-        let y = _mm256_fmadd_pd(p, _mm256_mul_pd(r, r), q);
-        _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
     }
 }
 
-/// The 16-lane port: [`avx2_fma`]'s steps on two halves of 8 `f64` lanes,
-/// with the same FMAs. A slice's last chunk shorter than 16 runs in the
-/// vector too, its missing lanes masked off on load and dropped on store.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{ExpOp, C, HI, INV_LN2_N, LO, SHIFT, T};
-    use crate::par::Rows;
-    use std::arch::x86_64::*;
+/// [`gate_vjp`] on the vector tiers.
+struct GateVjp<'a, 'o, 'r> {
+    a: &'a [f32],
+    b: &'a [f32],
+    g: &'a [f32],
+    w: [&'o mut Rows<'r>; 2],
+}
 
-    /// `f32` lanes per register.
-    const LANES: usize = 16;
+impl LanePass for GateVjp<'_, '_, '_> {
+    type Out = ();
 
-    /// [`super::run`] on [`super::Tier::Avx512`].
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn run(op: ExpOp<'_>, x: &[f32], out: &mut Rows<'_>) {
-        let chunks = x.chunks(LANES);
-        match op {
-            ExpOp::Exp => {
-                for a in chunks {
-                    store(exp16(load(a)), a.len(), out);
-                }
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let [ga, gb] = self.w;
+        let (mut z, mut d) = ([[0.0; BLOCK]; 2], [[0.0; BLOCK]; 2]);
+        let blocks = self.a.chunks(BLOCK).zip(self.b.chunks(BLOCK)).zip(self.g.chunks(BLOCK));
+        for ((a, b), g) in blocks {
+            let [za, zb] = &mut z;
+            exp_block::<V>(a, true, za);
+            exp_block::<V>(b, true, zb);
+            let [da, db] = &mut d;
+            let pairs = a.iter().zip(&*za).zip(b.iter().zip(&*zb)).zip(g);
+            for ((((&a, &za), (&b, &zb)), &g), (da, db)) in pairs.zip(da.iter_mut().zip(&mut *db)) {
+                [*da, *db] = gate_vjp_of(sigmoid_with(a, za), b, sigmoid_with(b, zb), g);
             }
-            ExpOp::Sigmoid => {
-                for a in chunks {
-                    store(sigmoid16(load(a)), a.len(), out);
-                }
-            }
-            ExpOp::Silu => {
-                for a in chunks {
-                    let v = load(a);
-                    store(_mm512_mul_ps(v, sigmoid16(v)), a.len(), out);
-                }
-            }
-            ExpOp::Gate(y) => {
-                for (a, b) in chunks.zip(y.chunks(LANES)) {
-                    let (va, vb) = (load(a), load(b));
-                    let gate = _mm512_mul_ps(_mm512_mul_ps(sigmoid16(va), vb), sigmoid16(vb));
-                    store(gate, a.len(), out);
-                }
-            }
+            ga.extend_from_slice(&da[..a.len()]);
+            gb.extend_from_slice(&db[..a.len()]);
         }
     }
+}
 
-    /// [`super::gate_vjp`] on the AVX-512 tier (no FMA in the VJP's own
-    /// arithmetic).
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn gate_vjp(a: &[f32], b: &[f32], g: &[f32], [ga, gb]: [&mut Rows<'_>; 2]) {
-        let lanes = a.chunks(LANES).zip(b.chunks(LANES)).zip(g.chunks(LANES));
-        for ((a, b), g) in lanes {
-            let len = a.len();
-            let (a, b, g) = (load(a), load(b), load(g));
-            let (sa, sb) = (sigmoid16(a), sigmoid16(b));
-            let bs = _mm512_mul_ps(b, sb);
-            let dsig = _mm512_sub_ps(sa, _mm512_mul_ps(sa, sa));
-            let dsilu = _mm512_add_ps(sb, _mm512_sub_ps(bs, _mm512_mul_ps(bs, sb)));
-            store(_mm512_mul_ps(_mm512_mul_ps(g, bs), dsig), len, ga);
-            store(_mm512_mul_ps(_mm512_mul_ps(g, sa), dsilu), len, gb);
-        }
+/// `expf(x)` of every element of `x` into `z` on lanes `V`, or with
+/// `sigmoid` the exponential [`sigmoid`] takes, `expf(x >= 0 ? -x : x)`.
+/// Whole chunks run [`expf_lanes`], the rest of `x` [`expf`] itself.
+#[inline(always)]
+fn exp_block<V: Lanes>(x: &[f32], sigmoid: bool, z: &mut [f32]) {
+    let body = x.len() / V::N * V::N;
+    for (x, z) in x[..body].chunks_exact(V::N).zip(z.chunks_exact_mut(V::N)) {
+        let x = V::load_f32(x);
+        let x = if sigmoid { V::select(V::splat(0.0).le(x), x.neg(), x) } else { x };
+        expf_lanes(x).store_f32(z);
     }
+    for (&x, z) in x[body..].iter().zip(&mut z[body..]) {
+        *z = expf(if sigmoid && x >= 0.0 { -x } else { x });
+    }
+}
 
-    /// The lanes of `x` (at most 16), the rest `+0.0`.
-    #[target_feature(enable = "avx512f")]
-    fn load(x: &[f32]) -> __m512 {
-        let x = &x[..x.len().min(LANES)];
-        let mask = ((1u32 << x.len()) - 1) as __mmask16;
-        // SAFETY: `x` holds a readable `f32` for every lane of `mask`;
-        // masked-off lanes are not read.
-        unsafe { _mm512_maskz_loadu_ps(mask, x.as_ptr()) }
-    }
-
-    /// Append the first `len` lanes of `v` (at most 16) to `out`.
-    #[target_feature(enable = "avx512f")]
-    fn store(v: __m512, len: usize, out: &mut Rows<'_>) {
-        let len = len.min(LANES);
-        let mask = ((1u32 << len) - 1) as __mmask16;
-        // SAFETY: the masked store writes exactly the `len` slots.
-        unsafe { out.extend_raw(len, |p| _mm512_mask_storeu_ps(p, mask, v)) };
-    }
-
-    /// The scalar [`super::sigmoid`] on 16 lanes (`avx2_fma::sigmoid8`).
-    #[target_feature(enable = "avx512f")]
-    fn sigmoid16(x: __m512) -> __m512 {
-        let pos = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_setzero_ps());
-        let sign = _mm512_set1_epi32(i32::MIN);
-        let neg = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(x), sign));
-        let z = exp16(_mm512_mask_blend_ps(pos, x, neg));
-        let one = _mm512_set1_ps(1.0);
-        _mm512_div_ps(_mm512_mask_blend_ps(pos, z, one), _mm512_add_ps(one, z))
-    }
-
-    /// `f32::exp` on 16 lanes: two halves of 8 `f64` lanes, then the
-    /// overflow, underflow and NaN lanes selected in.
-    #[target_feature(enable = "avx512f")]
-    fn exp16(x: __m512) -> __m512 {
-        let x_hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
-        let lo = _mm256_castps_pd(exp8(_mm512_cvtps_pd(_mm512_castps512_ps256(x))));
-        let hi = _mm256_castps_pd(exp8(_mm512_cvtps_pd(x_hi)));
-        let y = _mm512_castpd_ps(_mm512_insertf64x4::<1>(_mm512_castpd256_pd512(lo), hi));
-        let over = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, _mm512_set1_ps(HI));
-        let y = _mm512_mask_blend_ps(over, y, _mm512_set1_ps(f32::INFINITY));
-        let under = _mm512_cmp_ps_mask::<_CMP_NGE_UQ>(x, _mm512_set1_ps(LO));
-        let y = _mm512_mask_blend_ps(under, y, _mm512_setzero_ps());
-        let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x);
-        _mm512_mask_blend_ps(nan, y, _mm512_add_ps(x, x))
-    }
-
-    /// `exp(xd)` rounded to `f32` on 8 lanes, by glibc's steps (module
-    /// docs), for `xd` inside the range edges. `T[k % 32]` comes from two
-    /// `vpermt2q` lookups, entries 0–15 and 16–31 (each reads bits 0–3 of
-    /// the index), and bit 4 of `k` picks between them.
-    #[target_feature(enable = "avx512f")]
-    fn exp8(xd: __m512d) -> __m256 {
-        let inv_ln2_n = _mm512_set1_pd(INV_LN2_N);
-        let shift = _mm512_set1_pd(SHIFT);
-        let kd0 = _mm512_fmadd_pd(inv_ln2_n, xd, shift);
-        let ki = _mm512_castpd_si512(kd0);
-        let kd = _mm512_sub_pd(kd0, shift);
-        let r = _mm512_fmsub_pd(inv_ln2_n, xd, kd);
-        let [t0, t1, t2, t3] = [0, 8, 16, 24].map(|i| {
-            let t: [u64; 8] = T[i..i + 8].try_into().expect("8 table entries");
-            // SAFETY: `t` is 8 readable `u64`s; `loadu` needs no alignment.
-            unsafe { _mm512_loadu_si512(t.as_ptr().cast()) }
-        });
-        let low = _mm512_permutex2var_epi64(t0, ki, t1);
-        let high = _mm512_permutex2var_epi64(t2, ki, t3);
-        let upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
-        let t = _mm512_mask_blend_epi64(upper, low, high);
-        let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
-        let (c0, c1, c2) = (_mm512_set1_pd(C[0]), _mm512_set1_pd(C[1]), _mm512_set1_pd(C[2]));
-        let p = _mm512_fmadd_pd(c0, r, c1);
-        let q = _mm512_fmadd_pd(c2, r, _mm512_set1_pd(1.0));
-        let y = _mm512_fmadd_pd(p, _mm512_mul_pd(r, r), q);
-        _mm512_cvtpd_ps(_mm512_mul_pd(y, s))
-    }
+/// [`expf`] on lanes of `f32` values, up to its rounding to `f32`: the
+/// port's steps on every lane, then `+inf` above [`HI`] and `+0` below
+/// [`LO`]. A NaN lane stays NaN through the steps.
+#[inline(always)]
+fn expf_lanes<V: Lanes>(xd: V) -> V {
+    let c = V::splat;
+    let kd0 = c(INV_LN2_N).mul_add(xd, c(SHIFT));
+    let kd = kd0.sub(c(SHIFT));
+    let r = c(INV_LN2_N).mul_add(xd, kd.neg());
+    let s = V::gather(&T, kd0).add_bits(kd0.shl(47));
+    let y = c(C[0]).mul_add(r, c(C[1])).mul_add(r.mul(r), c(C[2]).mul_add(r, c(1.0)));
+    let y = V::select(c(HI as f64).lt(xd), c(f64::INFINITY), y.mul(s));
+    V::select(xd.lt(c(LO as f64)), c(0.0), y)
 }
 
 #[cfg(test)]
@@ -644,6 +481,11 @@ mod tests {
         xs
     }
 
+    /// The lengths of the tier tests: both sides of whole chunks of 4 and
+    /// 8 lanes, of 16, and of one and two 64-element blocks.
+    const TEST_LENS: [usize; 19] =
+        [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 4099, 4100];
+
     /// The vector tiers this host runs.
     fn vector_tiers() -> Vec<Tier> {
         Tier::on_host().filter(|&t| t != Tier::Scalar).collect()
@@ -652,11 +494,11 @@ mod tests {
     /// Every vector tier the host runs (`Avx2`, `Avx512`) against
     /// `Scalar`, the in-tree port of libm's `expf`.
     #[test]
-    fn avx2_fma_tier_is_bitwise_libm() {
+    fn vector_tiers_are_bitwise_the_scalar_port() {
         let xs = inputs();
         // Rotated, so the gate pairs each input with a different one.
         let ys: Vec<f32> = xs.iter().cycle().skip(7).take(xs.len()).copied().collect();
-        for len in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4099, xs.len()] {
+        for len in TEST_LENS.into_iter().chain([xs.len()]) {
             // Each length at the start and at the end of the inputs; the
             // full length runs all but the last few in vector lanes.
             for start in [0, xs.len() - len] {
@@ -688,7 +530,7 @@ mod tests {
         let xs = inputs();
         let ys: Vec<f32> = xs.iter().cycle().skip(7).take(xs.len()).copied().collect();
         let gs: Vec<f32> = xs.iter().cycle().skip(3001).take(xs.len()).copied().collect();
-        for len in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4099, xs.len()] {
+        for len in TEST_LENS.into_iter().chain([xs.len()]) {
             for start in [0, xs.len() - len] {
                 let r = start..start + len;
                 let (a, b, g) = (&xs[r.clone()], &ys[r.clone()], &gs[r]);

@@ -12,7 +12,7 @@
 use crate::kernels::exp::{self, ExpOp};
 use crate::kernels::reduce;
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::reduce::{lane_sum, transpose, with_lanes, Lanes, LANES, LANES_AVX512};
+use crate::kernels::reduce::{lane_sum, transpose, with_lanes, Column, LANES, LANES_AVX512};
 use crate::kernels::trig;
 use crate::kernels::Tier;
 use crate::par::{self, Rows};
@@ -392,7 +392,7 @@ fn layer_norm_lanes(
     b: &[f32],
     eps: f32,
     out: &mut Rows<'_>,
-    xt: &mut [Lanes<f32>],
+    xt: &mut [Column<f32>],
 ) {
     let m = g.len();
     for r0 in rows.step_by(LANES) {
@@ -514,7 +514,7 @@ fn layer_norm_vjp_lanes(
     eps: f32,
     dx: &mut Rows<'_>,
     stats: &mut Rows<'_>,
-    scratch: &mut [Lanes<f32>],
+    scratch: &mut [Column<f32>],
 ) {
     let m = k.len();
     let inv_m = 1.0 / m.max(1) as f32;
@@ -523,7 +523,7 @@ fn layer_norm_vjp_lanes(
         transpose(&xd[r0 * m..], m, xt);
         transpose(&gd[r0 * m..], m, gt);
         let mean = lane_sum(m, |c| xt[c].map(f64::from)).map(|s| inv_m * s as f32);
-        let centred = |c: usize| -> Lanes<f32> { std::array::from_fn(|l| xt[c][l] - mean[l]) };
+        let centred = |c: usize| -> Column<f32> { std::array::from_fn(|l| xt[c][l] - mean[l]) };
         let gx = |c: usize| gt[c].map(|g| g * k[c]);
         let var = lane_sum(m, |c| centred(c).map(|d| (d * d) as f64));
         let inv = var.map(|s| 1.0 / (inv_m * s as f32 + eps).sqrt());
@@ -549,14 +549,14 @@ fn layer_norm_vjp_lanes(
 /// every bit is theirs. No FMA is issued.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{Lanes, Rows, LANES, LANES_AVX512};
+    use super::{Column, Rows, LANES, LANES_AVX512};
     use crate::kernels::reduce::transpose;
     use std::arch::x86_64::*;
     use std::ops::Range;
 
     /// Both halves of a block's column `c`, as `f64` lanes.
     #[target_feature(enable = "avx512f")]
-    fn column(xt: &[Lanes<f32>], m: usize, c: usize) -> [__m512d; 2] {
+    fn column(xt: &[Column<f32>], m: usize, c: usize) -> [__m512d; 2] {
         [&xt[c], &xt[m + c]].map(|half| {
             // SAFETY: `half` is 8 readable `f32`s; `loadu` needs no
             // alignment.
@@ -567,7 +567,7 @@ mod avx512 {
     /// Rows `r0..r0 + 16` of `xd` (rows `m` long) into `xt`: the first 8
     /// rows' columns, then the last 8 rows'.
     #[target_feature(enable = "avx512f")]
-    fn transpose16(xd: &[f32], r0: usize, m: usize, xt: &mut [Lanes<f32>]) {
+    fn transpose16(xd: &[f32], r0: usize, m: usize, xt: &mut [Column<f32>]) {
         let (lo, hi) = xt.split_at_mut(m);
         transpose(&xd[r0 * m..], m, lo);
         transpose(&xd[(r0 + LANES) * m..], m, hi);
@@ -595,7 +595,7 @@ mod avx512 {
         b: &[f32],
         eps: f32,
         out: &mut Rows<'_>,
-        xt: &mut [Lanes<f32>],
+        xt: &mut [Column<f32>],
     ) {
         let m = g.len();
         let md = _mm512_set1_pd(m as f64);

@@ -14,6 +14,7 @@ pub mod elementwise;
 pub mod exp;
 pub mod fused;
 pub mod gather;
+pub mod lanes;
 pub mod matmul;
 pub mod reduce;
 pub mod segment;
@@ -31,12 +32,12 @@ pub enum Tier {
     /// ports `exp::expf` and `trig::sincosf`.
     Scalar,
     /// AVX2 and FMA on x86-64: the GEMM's generic body compiled with AVX2
-    /// (no FMA issued), 8-row lane sums, and the 8-lane `exp`, `sin` and
-    /// `cos` ports.
+    /// (no FMA issued), 8-row lane sums, and 4 `f64` lanes
+    /// ([`lanes`]) for the `exp`, `sin` and `cos` ports and the oracle.
     Avx2,
     /// AVX-512F, AVX2 and FMA on x86-64: the GEMM's `zmm` register tiles,
-    /// 16-row LayerNorm lanes and the 16-lane `exp` port. `sin` and `cos`
-    /// run their AVX2 port here.
+    /// 16-row LayerNorm lanes, and 8 `f64` lanes ([`lanes`]) for the
+    /// `exp`, `sin` and `cos` ports and the oracle.
     Avx512,
 }
 

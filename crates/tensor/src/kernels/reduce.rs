@@ -76,7 +76,7 @@ fn sum_cols(tier: Tier, d: &[f32], n: usize, m: usize) -> Vec<f32> {
 /// [`sum_cols`] of the first `out.len()` rows, whole [`LANES`]-row blocks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sum_cols_lanes(d: &[f32], m: usize, out: &mut [f32], xt: &mut [Lanes<f32>]) {
+fn sum_cols_lanes(d: &[f32], m: usize, out: &mut [f32], xt: &mut [Column<f32>]) {
     for (b, out) in out.chunks_exact_mut(LANES).enumerate() {
         transpose(&d[b * LANES * m..], m, xt);
         let s = lane_sum(m, |c| xt[c].map(f64::from));
@@ -93,7 +93,7 @@ pub(crate) const LANES: usize = 8;
 pub(crate) const LANES_AVX512: usize = 16;
 
 /// One column of a [`LANES`]-row block: lane `l` holds row `l`'s value.
-pub(crate) type Lanes<T> = [T; LANES];
+pub(crate) type Column<T> = [T; LANES];
 
 /// Rows narrower than this run the per-row loop on every tier: their
 /// short sums gain less from overlapping than the transpose costs.
@@ -108,7 +108,7 @@ const LANE_MIN_COLS: usize = 16;
 ///
 /// A block's body is compiled with its tier's instructions enabled (`fma`
 /// never is). It [`transpose`]s its rows (8 at a time) so that each column
-/// is one [`Lanes`] value, and sums each row in its own lane: every lane
+/// is one [`Column`] value, and sums each row in its own lane: every lane
 /// adds its row's terms in the order of the per-row loop
 /// (`Iterator::sum`: ascending column, from `-0.0`), so the sums are
 /// bitwise that loop's, while the block's rows' adds overlap instead of
@@ -126,11 +126,11 @@ pub(crate) fn lane_rows(tier: Tier, rows: Range<usize>, m: usize) -> Range<usize
     rows.start..rows.start + rows.len() / block * block
 }
 
-/// Each lane's sum of `term(c)` over columns `c` in `0..m` (one [`Lanes`]
+/// Each lane's sum of `term(c)` over columns `c` in `0..m` (one [`Column`]
 /// of `f64` terms per column), in column order from `-0.0`:
 /// `Iterator::sum`'s order, lane by lane.
 #[inline(always)]
-pub(crate) fn lane_sum(m: usize, term: impl Fn(usize) -> Lanes<f64>) -> Lanes<f64> {
+pub(crate) fn lane_sum(m: usize, term: impl Fn(usize) -> Column<f64>) -> Column<f64> {
     let mut acc = [-0.0; LANES];
     for c in 0..m {
         for (a, t) in acc.iter_mut().zip(term(c)) {
@@ -145,9 +145,9 @@ pub(crate) fn lane_sum(m: usize, term: impl Fn(usize) -> Lanes<f64>) -> Lanes<f6
 /// columns at a time by register shuffles, then the rest one by one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) fn transpose(x: &[f32], m: usize, out: &mut [Lanes<f32>]) {
+pub(crate) fn transpose(x: &[f32], m: usize, out: &mut [Column<f32>]) {
     use std::arch::x86_64::*;
-    let rows: Lanes<&[f32]> = std::array::from_fn(|l| &x[l * m..(l + 1) * m]);
+    let rows: Column<&[f32]> = std::array::from_fn(|l| &x[l * m..(l + 1) * m]);
     let out = &mut out[..m];
     let whole = m / 8 * 8;
     for (c0, cols) in (0..whole).step_by(8).zip(out.chunks_exact_mut(8)) {
@@ -198,11 +198,11 @@ pub(crate) fn transpose(x: &[f32], m: usize, out: &mut [Lanes<f32>]) {
 thread_local! {
     /// Column scratch of the row-lane blocks, per thread (kernel helpers
     /// included), grown to the widest block seen and reused.
-    static SCRATCH: RefCell<Vec<Lanes<f32>>> = const { RefCell::new(Vec::new()) };
+    static SCRATCH: RefCell<Vec<Column<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// `f(scratch)` with a scratch of `len` block columns of this thread.
-pub(crate) fn with_lanes<R>(len: usize, f: impl FnOnce(&mut [Lanes<f32>]) -> R) -> R {
+pub(crate) fn with_lanes<R>(len: usize, f: impl FnOnce(&mut [Column<f32>]) -> R) -> R {
     SCRATCH.with_borrow_mut(|s| {
         if s.len() < len {
             s.resize(len, [0.0; LANES]);
@@ -249,7 +249,7 @@ mod tests {
     fn lane_sum_adds_each_lane_in_column_order_from_negative_zero() {
         assert_eq!(lane_sum(0, |_| [1.0; LANES]).map(f64::to_bits), [(-0.0f64).to_bits(); LANES]);
         // 1e16 + 1 + 1 rounds each 1 away; the other order keeps 2.
-        let cols: [Lanes<f64>; 3] =
+        let cols: [Column<f64>; 3] =
             [1e16, 1.0, 1.0].map(|v| std::array::from_fn(|l| v * (l + 1) as f64));
         let s = lane_sum(3, |c| cols[c]);
         for (l, s) in s.into_iter().enumerate() {

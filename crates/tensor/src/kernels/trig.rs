@@ -1,5 +1,5 @@
 //! `sin` and `cos` of `f32`: one scalar port of glibc's `sinf` and
-//! `cosf`, and the same port 8 lanes at a time on [`Tier::Avx2`] and
+//! `cosf`, and the same port in the `f64` lanes of [`Tier::Avx2`] and
 //! [`Tier::Avx512`], all with the same bits.
 //!
 //! The port follows glibc's `sinf` and `cosf` (glibc ≥ 2.28,
@@ -32,17 +32,19 @@
 //!
 //! [`sincosf`] takes these steps on one element with `f64::mul_add`,
 //! which rounds once on every host: it is the [`Tier::Scalar`] body, the
-//! vector tier's tail and its lanes with `|x| ≥ 120`, an infinity or a
-//! NaN, and the reference of every test. The vector tier runs
-//! `reduce_fast` and both polynomials in two halves of 4 `f64` lanes; it
-//! has no AVX-512 body, so [`Tier::Avx512`] runs it too. The constants are
-//! glibc 2.36's `__sincosf_table` and `__inv_pio4`, read off `libm.so.6`.
+//! vector tiers' chunk tails and their lanes with `|x| ≥ 120`, an infinity
+//! or a NaN, and the reference of every test. The vector tiers run
+//! `reduce_fast` and both polynomials as a [`LanePass`] body on
+//! [`crate::kernels::lanes`]' `f64` lanes, 4 on `Avx2` and 8 on `Avx512`.
+//! The constants are glibc 2.36's `__sincosf_table` and `__inv_pio4`,
+//! read off `libm.so.6`.
 //!
 //! With glibc 2.36 on an AVX2+FMA CPU (where glibc runs its FMA builds)
 //! every tier equals `f32::sin` and `f32::cos` at all 2³² inputs
 //! (`tests::port_is_libm_at_every_input`, run by `scripts/check.sh`);
 //! that comparison is informative, the in-tree port is the definition.
 
+use crate::kernels::lanes::{run_on, LanePass, Lanes};
 use crate::kernels::Tier;
 use crate::par;
 
@@ -78,17 +80,14 @@ pub(crate) fn sin_cos(tier: Tier, x: &[f32], sin: Option<&mut [f32]>, cos: Optio
     for out in [&sin, &cos].into_iter().flatten() {
         assert_eq!(out.len(), x.len(), "sin_cos output length");
     }
-    #[cfg(target_arch = "x86_64")]
-    if tier != Tier::Scalar && tier.runs_here() {
-        // SAFETY: the host has AVX2 and FMA (every tier past `Scalar`),
-        // checked just above.
-        return unsafe { avx2_fma::sin_cos(x, sin, cos) };
+    match tier {
+        Tier::Scalar => sin_cos_scalar(x, sin, cos),
+        _ => run_on(tier, SinCos { x, sin, cos }),
     }
-    sin_cos_scalar(x, sin, cos)
 }
 
 /// [`sin_cos`] on [`Tier::Scalar`]: one [`sincosf`] per element. Inlined
-/// into the vector tier's tail, where its `mul_add`s compile to FMA
+/// into the vector tiers' tails, where its `mul_add`s compile to FMA
 /// instructions.
 #[inline(always)]
 fn sin_cos_scalar(x: &[f32], mut sin: Option<&mut [f32]>, mut cos: Option<&mut [f32]>) {
@@ -101,6 +100,77 @@ fn sin_cos_scalar(x: &[f32], mut sin: Option<&mut [f32]>, mut cos: Option<&mut [
             cos[i] = c;
         }
     }
+}
+
+/// [`sin_cos`] on the vector tiers: whole chunks in lanes, their lanes
+/// with `|x| ≥ 120`, an infinity or a NaN through [`sincosf`], and the
+/// rest of `x` through [`sin_cos_scalar`] (the same bits).
+struct SinCos<'a> {
+    x: &'a [f32],
+    sin: Option<&'a mut [f32]>,
+    cos: Option<&'a mut [f32]>,
+}
+
+impl LanePass for SinCos<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let SinCos { x, mut sin, mut cos } = self;
+        let body = x.len() / V::N * V::N;
+        for k in (0..body).step_by(V::N) {
+            let xd = V::load_f32(&x[k..]);
+            let (s, c) = sin_cos_lanes(xd);
+            if let Some(sin) = sin.as_deref_mut() {
+                s.store_f32(&mut sin[k..]);
+            }
+            if let Some(cos) = cos.as_deref_mut() {
+                c.store_f32(&mut cos[k..]);
+            }
+            if !V::all(xd.abs().lt(V::splat(f32::from_bits(LARGE) as f64))) {
+                for i in (k..k + V::N).filter(|&i| x[i].to_bits() & 0x7fff_ffff >= LARGE) {
+                    let (s, c) = (sin.as_deref_mut(), cos.as_deref_mut());
+                    sin_cos_scalar(&x[i..=i], s.map(|s| &mut s[i..=i]), c.map(|c| &mut c[i..=i]));
+                }
+            }
+        }
+        sin_cos_scalar(&x[body..], sin.map(|s| &mut s[body..]), cos.map(|c| &mut c[body..]))
+    }
+}
+
+/// `sin` and `cos` of `xd` on lanes, by the port's steps (module docs) for
+/// `|xd| < 120`, up to their rounding to `f32`.
+#[inline(always)]
+fn sin_cos_lanes<V: Lanes>(xd: V) -> (V, V) {
+    let c = V::splat;
+    // `n = ((xd·HPI_INV) as i32 + 2^23) >> 24`, each step exact in `f64`.
+    let n = xd.mul(c(HPI_INV)).trunc().add(c(8_388_608.0));
+    let n = n.mul(c(1.0 / 16_777_216.0)).floor();
+    let r = n.neg().mul_add(c(HPI), xd);
+    // `n + 1.5·2^52` holds `n` in its low bits, two's complement.
+    let q = n.add(c(6_755_399_441_055_744.0));
+    let (odd, q2) = (q.bit(0), q.bit(1));
+    // glibc's sign[n & 3] = [1, -1, -1, 1].
+    let rs = r.neg_where(q2).neg_where(odd);
+    let r2 = r.mul(r);
+    let sin_poly = {
+        let r3 = r2.mul(rs);
+        let s1 = r2.mul_add(c(S[2]), c(S[1]));
+        let r7 = r2.mul(r3);
+        let s = r3.mul_add(c(S[0]), rs);
+        s1.mul_add(r7, s)
+    };
+    let cos_poly = {
+        let r4 = r2.mul(r2);
+        let c1 = r2.mul_add(c(C[1]), c(C[0]));
+        let c2 = r2.mul_add(c(C[4]), c(C[3]));
+        let r6 = r2.mul(r4);
+        c2.mul_add(r6, r4.mul_add(c(C[2]), c1)).neg_where(q2)
+    };
+    let tiny = xd.abs().lt(c(f32::from_bits(TINY) as f64));
+    let sin = V::select(tiny, xd, V::select(odd, cos_poly, sin_poly));
+    let cos = V::select(tiny, c(1.0), V::select(odd, sin_poly, cos_poly));
+    (sin, cos)
 }
 
 /// `2/π · 2^24`: glibc's `hpi_inv` for a build without `roundtoint`.
@@ -141,7 +211,7 @@ const LARGE: u32 = 0x42f0_0000;
 /// `(sin x, cos x)` by the port's steps (module docs) on one element:
 /// glibc's `__sinf_fma` and `__cosf_fma` in scalar `f64` arithmetic.
 #[inline(always)]
-pub(crate) fn sincosf(x: f32) -> (f32, f32) {
+pub fn sincosf(x: f32) -> (f32, f32) {
     let abs = x.to_bits() & 0x7fff_ffff;
     if abs < TINY {
         return (x, 1.0);
@@ -202,115 +272,6 @@ fn reduce_large(xi: u32) -> (f64, i32) {
     let n = res0.wrapping_add(1 << 61) >> 62;
     let r = res0.wrapping_sub(n << 62) as i64 as f64;
     (r * PI63, n as i32)
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2_fma {
-    use super::{sin_cos_scalar, sincosf, C, HPI, HPI_INV, LARGE, S, TINY};
-    use std::arch::x86_64::*;
-
-    /// [`super::sin_cos`] on the vector tiers: whole 8-lane chunks in
-    /// vectors, their large, infinite and NaN lanes through [`sincosf`] and
-    /// the rest of `x` through [`sin_cos_scalar`] (the same bits).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn sin_cos(x: &[f32], mut sin: Option<&mut [f32]>, mut cos: Option<&mut [f32]>) {
-        let body = x.len() / 8 * 8;
-        for (c, xc) in x[..body].chunks_exact(8).enumerate() {
-            let r = c * 8..c * 8 + 8;
-            let (s8, c8, slow) = sin_cos8(load(xc));
-            if let Some(sin) = sin.as_deref_mut() {
-                store(s8, &mut sin[r.clone()]);
-            }
-            if let Some(cos) = cos.as_deref_mut() {
-                store(c8, &mut cos[r.clone()]);
-            }
-            for i in (0..8).filter(|l| slow & (1 << l) != 0).map(|l| r.start + l) {
-                let (s, c) = sincosf(x[i]);
-                if let Some(sin) = sin.as_deref_mut() {
-                    sin[i] = s;
-                }
-                if let Some(cos) = cos.as_deref_mut() {
-                    cos[i] = c;
-                }
-            }
-        }
-        sin_cos_scalar(&x[body..], sin.map(|s| &mut s[body..]), cos.map(|c| &mut c[body..]))
-    }
-
-    /// The 8 lanes of `x`, which holds exactly 8.
-    #[target_feature(enable = "avx2,fma")]
-    fn load(x: &[f32]) -> __m256 {
-        let x: &[f32; 8] = x.try_into().expect("an 8-lane chunk");
-        // SAFETY: `x` is 8 readable `f32`s; `loadu` needs no alignment.
-        unsafe { _mm256_loadu_ps(x.as_ptr()) }
-    }
-
-    /// Store the 8 lanes of `v` into `out`, which holds exactly 8.
-    #[target_feature(enable = "avx2,fma")]
-    fn store(v: __m256, out: &mut [f32]) {
-        let out: &mut [f32; 8] = out.try_into().expect("an 8-lane chunk");
-        // SAFETY: `out` is 8 writable `f32`s; `storeu` needs no alignment.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) }
-    }
-
-    /// `sin` and `cos` on 8 lanes, and the mask of lanes (bit `l` for lane
-    /// `l`) that need [`sincosf`] instead: two halves of 4 `f64` lanes, then
-    /// the tiny lanes selected in.
-    #[target_feature(enable = "avx2,fma")]
-    fn sin_cos8(x: __m256) -> (__m256, __m256, i32) {
-        let (slo, clo) = sin_cos4(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
-        let (shi, chi) = sin_cos4(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
-        let (s, c) = (_mm256_set_m128(shi, slo), _mm256_set_m128(chi, clo));
-        let abs = _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(i32::MAX));
-        let tiny = _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(TINY as i32), abs));
-        let s = _mm256_blendv_ps(s, x, tiny);
-        let c = _mm256_blendv_ps(c, _mm256_set1_ps(1.0), tiny);
-        let slow = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(LARGE as i32 - 1));
-        (s, c, _mm256_movemask_ps(_mm256_castsi256_ps(slow)))
-    }
-
-    /// `sin` and `cos` of `xd` rounded to `f32` on 4 lanes, by glibc's
-    /// steps (module docs), for `|xd| < 120`.
-    #[target_feature(enable = "avx2,fma")]
-    fn sin_cos4(xd: __m256d) -> (__m128, __m128) {
-        let n = _mm256_cvttpd_epi32(_mm256_mul_pd(xd, _mm256_set1_pd(HPI_INV)));
-        let n = _mm_srai_epi32::<24>(_mm_add_epi32(n, _mm_set1_epi32(0x80_0000)));
-        let r = _mm256_fnmadd_pd(_mm256_cvtepi32_pd(n), _mm256_set1_pd(HPI), xd);
-        // All-ones in the lanes where bit `b` of the quadrant is set.
-        let n = _mm256_cvtepi32_epi64(n);
-        let bit = |b: i64| {
-            let b = _mm256_set1_epi64x(b);
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(n, b), b))
-        };
-        let (odd, q2) = (bit(1), bit(2));
-        // glibc's sign[n & 3] = [1, -1, -1, 1].
-        let sign =
-            _mm256_blendv_pd(_mm256_set1_pd(1.0), _mm256_set1_pd(-1.0), _mm256_xor_pd(odd, q2));
-        let rs = _mm256_mul_pd(r, sign);
-        let r2 = _mm256_mul_pd(r, r);
-        let sin_poly = {
-            let r3 = _mm256_mul_pd(r2, rs);
-            let s1 = _mm256_fmadd_pd(r2, _mm256_set1_pd(S[2]), _mm256_set1_pd(S[1]));
-            let r7 = _mm256_mul_pd(r2, r3);
-            let s = _mm256_fmadd_pd(r3, _mm256_set1_pd(S[0]), rs);
-            _mm256_fmadd_pd(s1, r7, s)
-        };
-        let cos_poly = {
-            let c = |i: usize| _mm256_set1_pd(C[i]);
-            let r4 = _mm256_mul_pd(r2, r2);
-            let c1 = _mm256_fmadd_pd(r2, c(1), c(0));
-            let c2 = _mm256_fmadd_pd(r2, c(4), c(3));
-            let r6 = _mm256_mul_pd(r2, r4);
-            let c = _mm256_fmadd_pd(r4, c(2), c1);
-            // The negated table's polynomial is this one negated: every
-            // step is a product or an FMA of negated operands, and
-            // round-to-nearest is symmetric in sign.
-            _mm256_xor_pd(_mm256_fmadd_pd(c2, r6, c), _mm256_and_pd(q2, _mm256_set1_pd(-0.0)))
-        };
-        let sin = _mm256_blendv_pd(sin_poly, cos_poly, odd);
-        let cos = _mm256_blendv_pd(cos_poly, sin_poly, odd);
-        (_mm256_cvtpd_ps(sin), _mm256_cvtpd_ps(cos))
-    }
 }
 
 #[cfg(test)]
@@ -434,10 +395,10 @@ mod tests {
     /// Every vector tier the host runs against `Scalar`, the in-tree port
     /// of libm's `sinf` and `cosf`.
     #[test]
-    fn avx2_fma_tier_is_bitwise_libm() {
+    fn vector_tiers_are_bitwise_the_scalar_port() {
         let xs = inputs();
         for tier in Tier::on_host().filter(|&t| t != Tier::Scalar) {
-            for len in [0, 1, 7, 8, 9, 63, 64, 65, 4099, xs.len()] {
+            for len in [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4099, xs.len()] {
                 // Each length at the start and at the end of the inputs;
                 // the full length runs all but the last few in vector
                 // lanes.

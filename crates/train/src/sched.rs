@@ -1,5 +1,7 @@
 //! Learning-rate schedules, including the paper's large-batch scaling rule.
 
+use fc_tensor::kernels::trig::sincosf;
+
 /// The paper's base learning rate (§IV: 0.0003).
 pub const BASE_LR: f32 = 3e-4;
 
@@ -36,7 +38,8 @@ impl CosineAnnealing {
     /// Learning rate at step `t` (clamped to the schedule end).
     pub fn lr_at(&self, t: usize) -> f32 {
         let t = t.min(self.t_max) as f32 / self.t_max as f32;
-        self.lr_min + 0.5 * (self.lr0 - self.lr_min) * (1.0 + (std::f32::consts::PI * t).cos())
+        let cos = sincosf(std::f32::consts::PI * t).1;
+        self.lr_min + 0.5 * (self.lr0 - self.lr_min) * (1.0 + cos)
     }
 }
 
