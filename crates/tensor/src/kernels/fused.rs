@@ -8,11 +8,16 @@
 //! the tape's VJP of `FusedSRBF{order}` references `FusedSRBF{order+1}`.
 //! This keeps the fused fast path valid even inside the second-order
 //! (energy-derivative-force) training mode of FastCHGNet "w/o head".
+//!
+//! The LayerNorm kernels ([`fused_layer_norm`], [`ln_gate`]'s rows and
+//! [`layer_norm_vjp`]) are lane bodies on [`crate::kernels::lanes`]: their
+//! `f64` row statistics run one row per `f32` lane of the tier
+//! ([`crate::kernels::reduce::row_blocks`]), and the rows left over run
+//! the same body on one lane.
 
 use crate::kernels::exp::{self, ExpOp};
-use crate::kernels::reduce;
-#[cfg(target_arch = "x86_64")]
-use crate::kernels::reduce::{lane_sum, transpose, with_lanes, Column, LANES, LANES_AVX512};
+use crate::kernels::lanes::{f32_lanes, run_on, LanePass, Lanes, LanesF32};
+use crate::kernels::reduce::{chains, lane_sums, row_blocks, transpose_block, widen, with_lanes};
 use crate::kernels::trig;
 use crate::kernels::Tier;
 use crate::par::{self, Rows};
@@ -269,8 +274,9 @@ pub fn fused_gate(a: &Tensor, b: &Tensor) -> Tensor {
 /// Fused row-wise LayerNorm: per row, `(x - mean) / sqrt(var + eps)`
 /// scaled by `gamma` and shifted by `beta` (both `(1, m)` rows), in one
 /// pass. Replaces the ~10-kernel primitive chain of the reference path.
-/// The mean and variance are `f64` sums, 8 rows at a time on an AVX2
-/// host and bitwise the per-row loops (DESIGN.md §2.2, row-lane sums).
+/// The mean and variance are `f64` sums, 16 rows at a time on an AVX-512
+/// host and 8 on an AVX2 one, bitwise the per-row loops (DESIGN.md §2.2,
+/// row-lane sums).
 pub fn fused_layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
     layer_norm_on(Tier::host(), x, gamma, beta, eps)
 }
@@ -299,26 +305,75 @@ fn layer_norm_rows(
     eps: f32,
     out: &mut Rows<'_>,
 ) {
-    let m = g.len();
-    let lanes = reduce::lane_rows(tier, rs.clone(), m);
-    #[cfg(target_arch = "x86_64")]
-    if !lanes.is_empty() {
-        let rows = lanes.clone();
-        if tier == Tier::Avx512 {
-            // SAFETY: `lane_rows` covers rows on the AVX-512 tier only on a
-            // host with AVX-512F and AVX2.
-            with_lanes(2 * m, |xt| unsafe { avx512::layer_norm(rows, xd, g, b, eps, out, xt) });
-        } else {
-            // SAFETY: `lane_rows` covers rows only on a host with AVX2.
-            with_lanes(m, |xt| unsafe { layer_norm_lanes(rows, xd, g, b, eps, out, xt) });
+    struct LayerNormRows<'a, 'o, 'r> {
+        rs: std::ops::Range<usize>,
+        xd: &'a [f32],
+        gb: [&'a [f32]; 2],
+        eps: f32,
+        out: &'o mut Rows<'r>,
+        cols: &'o mut [f32],
+    }
+    impl LanePass for LayerNormRows<'_, '_, '_> {
+        type Out = ();
+        #[inline(always)]
+        fn run<V: Lanes>(self) {
+            let LayerNormRows { rs, xd, gb, eps, out, cols } = self;
+            let done = layer_norm_blocks::<V>(rs.clone(), xd, gb, eps, out, cols);
+            layer_norm_blocks::<f64>(done..rs.end, xd, gb, eps, out, cols);
         }
     }
-    for r in lanes.end..rs.end {
-        let row = &xd[r * m..(r + 1) * m];
-        let mean = row.iter().map(|&v| v as f64).sum::<f64>() / m as f64;
-        let var = row.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / m as f64;
-        layer_norm_row(row, g, b, mean, 1.0 / (var + eps as f64).sqrt(), out);
+    // The scratch is taken out here: a thread-local's closure would be
+    // compiled without the tier's instructions.
+    with_lanes(g.len() * f32_lanes(tier), |cols| {
+        run_on(tier, LayerNormRows { rs, xd, gb: [g, b], eps, out, cols })
+    })
+}
+
+/// [`fused_layer_norm`] of the whole [`row_blocks`] of `rows` on `V`'s
+/// lanes, appended to `out`, with `cols` the block's column scratch;
+/// returns the first row not written. Each lane
+/// takes its row's operations of the per-row loop in their order: the
+/// mean `sum/m`, the variance `Σ(v − mean)²/m`, `1/sqrt(var + eps)`, all
+/// in `f64`.
+#[inline(always)]
+fn layer_norm_blocks<V: Lanes>(
+    rows: std::ops::Range<usize>,
+    xd: &[f32],
+    [g, b]: [&[f32]; 2],
+    eps: f32,
+    out: &mut Rows<'_>,
+    cols: &mut [f32],
+) -> usize {
+    let (m, lanes) = (g.len(), V::F32::N);
+    let blocks = row_blocks::<V>(rows, m);
+    let md = V::splat(m as f64);
+    for r0 in blocks.clone().step_by(lanes) {
+        let cols = transpose_block::<V>(xd, m, r0, cols);
+        let sums = lane_sums::<V>(m, |c| widen(&cols[c * lanes..]));
+        let mut mean = [V::splat(0.0); 2];
+        for (h, mean) in mean[..chains::<V>()].iter_mut().enumerate() {
+            *mean = V::load(&sums[h * V::N..]).div(md);
+        }
+        let vars = lane_sums::<V>(m, |c| {
+            let mut d = widen::<V>(&cols[c * lanes..]);
+            for (d, &mean) in d.iter_mut().zip(&mean) {
+                *d = d.sub(mean);
+                *d = d.mul(*d);
+            }
+            d
+        });
+        let (mut mean_l, mut inv_l) = ([0.0; 16], [0.0; 16]);
+        for (h, mean) in mean[..chains::<V>()].iter().enumerate() {
+            let var = V::load(&vars[h * V::N..]).div(md);
+            let inv = V::splat(1.0).div(var.add(V::splat(eps as f64)).sqrt());
+            mean.store(&mut mean_l[h * V::N..]);
+            inv.store(&mut inv_l[h * V::N..]);
+        }
+        for l in 0..lanes {
+            layer_norm_row(&xd[(r0 + l) * m..][..m], g, b, mean_l[l], inv_l[l], out);
+        }
     }
+    blocks.end
 }
 
 /// Rows per block of [`ln_gate`]: both LayerNorm outputs of a block sit in
@@ -372,43 +427,24 @@ fn ln_gate_on(tier: Tier, h: [&Tensor; 2], ln: [[&Tensor; 2]; 2], eps: f32) -> T
 }
 
 /// One [`fused_layer_norm`] output row from its `f64` mean and inverse
-/// standard deviation.
+/// standard deviation, 16 columns at a time and then the rest: fixed-size
+/// chunks, which the compiler writes as whole registers of the tier whose
+/// entry point inlines this, where a loop over the row would vectorise only
+/// rows of 32 columns or more.
 #[inline(always)]
 fn layer_norm_row(row: &[f32], g: &[f32], b: &[f32], mean: f64, inv: f64, out: &mut Rows<'_>) {
-    out.extend(
-        row.iter()
-            .zip(g.iter().zip(b))
-            .map(|(&v, (&gk, &bk))| ((v as f64 - mean) * inv) as f32 * gk + bk),
-    )
-}
-
-/// [`fused_layer_norm`] of rows `rows`, whole [`LANES`]-row blocks.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn layer_norm_lanes(
-    rows: std::ops::Range<usize>,
-    xd: &[f32],
-    g: &[f32],
-    b: &[f32],
-    eps: f32,
-    out: &mut Rows<'_>,
-    xt: &mut [Column<f32>],
-) {
-    let m = g.len();
-    for r0 in rows.step_by(LANES) {
-        transpose(&xd[r0 * m..], m, xt);
-        let mean = lane_sum(m, |c| xt[c].map(f64::from)).map(|s| s / m as f64);
-        let var = lane_sum(m, |c| {
-            std::array::from_fn(|l| {
-                let d = xt[c][l] as f64 - mean[l];
-                d * d
-            })
-        });
-        for (l, var) in var.into_iter().enumerate() {
-            let inv = 1.0 / (var / m as f64 + eps as f64).sqrt();
-            layer_norm_row(&xd[(r0 + l) * m..][..m], g, b, mean[l], inv, out);
+    const W: usize = 16;
+    let y = |v: f32, gk: f32, bk: f32| ((v as f64 - mean) * inv) as f32 * gk + bk;
+    let (x, gc, bc) = (row.chunks_exact(W), g.chunks_exact(W), b.chunks_exact(W));
+    let tail = (x.remainder(), gc.remainder(), bc.remainder());
+    for ((x, g), b) in x.zip(gc).zip(bc) {
+        let mut chunk = [0.0; W];
+        for (i, o) in chunk.iter_mut().enumerate() {
+            *o = y(x[i], g[i], b[i]);
         }
+        out.extend_from_slice(&chunk);
     }
+    out.extend(tail.0.iter().zip(tail.1.iter().zip(tail.2)).map(|(&v, (&gk, &bk))| y(v, gk, bk)))
 }
 
 /// The cotangents `(dx, dγ)` of a LayerNorm with input `x` and scale
@@ -421,8 +457,8 @@ fn layer_norm_lanes(
 /// * `dx = ((gx − sum(gx)/m) − xhat·(sum(gx·xhat)/m))·inv`;
 /// * `dγ = Σ_rows g·xhat`, in row order from `+0.0`.
 ///
-/// The four row sums run 8 rows at a time on an AVX2 host (DESIGN.md
-/// §2.2, row-lane sums). Each row's `mean` and `inv` are kept for the
+/// The four row sums run 8 rows at a time on an AVX2 or AVX-512 host
+/// (DESIGN.md §2.2, row-lane sums). Each row's `mean` and `inv` are kept for the
 /// `dγ` pass, which runs on the calling thread after the `dx` rows (split
 /// across threads when large) are done.
 pub fn layer_norm_vjp(x: &Tensor, gamma: &Tensor, g: &Tensor, eps: f32) -> (Tensor, Tensor) {
@@ -440,7 +476,6 @@ fn layer_norm_vjp_on(
     let (rows, m) = (x.rows(), x.cols());
     assert_eq!(gamma.shape(), Shape::new(1, m), "gamma shape");
     assert_eq!(g.shape(), x.shape(), "cotangent shape");
-    let inv_m = 1.0 / m.max(1) as f32;
     let (xd, gd, k) = (x.data(), g.data(), gamma.data());
     let mut dx = crate::pool::with_capacity(x.len());
     let mut stats = crate::pool::with_capacity(2 * rows);
@@ -448,26 +483,10 @@ fn layer_norm_vjp_on(
     par::fill_rows_n([&mut dx, &mut stats], rows, [m, 2], chunks, |rs, [dx, stats]| {
         // Mostly `f32` work in 8-lane registers either way: the AVX-512
         // tier runs the AVX2 lanes here, which it measured no slower than.
-        let tier = if tier == Tier::Avx512 { Tier::Avx2 } else { tier };
-        let lanes = reduce::lane_rows(tier, rs.clone(), m);
-        #[cfg(target_arch = "x86_64")]
-        if !lanes.is_empty() {
-            with_lanes(2 * m, |scratch| {
-                // SAFETY: `lane_rows` covers rows only on a host with AVX2.
-                unsafe { layer_norm_vjp_lanes(lanes.clone(), xd, gd, k, eps, dx, stats, scratch) }
-            });
-        }
-        for r in lanes.end..rs.end {
-            let (xr, gr) = (&xd[r * m..(r + 1) * m], &gd[r * m..(r + 1) * m]);
-            let mean = inv_m * xr.iter().map(|&v| v as f64).sum::<f64>() as f32;
-            let var = xr.iter().map(|&v| ((v - mean) * (v - mean)) as f64).sum::<f64>();
-            let inv = 1.0 / (inv_m * var as f32 + eps).sqrt();
-            let gx = gr.iter().zip(k).map(|(&gv, &kc)| gv * kc);
-            let sum_gx = gx.clone().map(f64::from).sum::<f64>();
-            let gxx = gx.zip(xr).map(|(gx, &v)| (gx * ((v - mean) * inv)) as f64);
-            let sums = [sum_gx, gxx.sum::<f64>()].map(|s| inv_m * s as f32);
-            layer_norm_vjp_row(xr, gr, k, [mean, inv], sums, dx, stats);
-        }
+        let tier = tier.min(Tier::Avx2);
+        with_lanes(2 * m * f32_lanes(tier), |scratch| {
+            run_on(tier, LayerNormVjpRows { rs, xd, gd, k, eps, dx, stats, scratch })
+        })
     });
     let mut dgamma = crate::pool::zeroed(m);
     for (r, st) in stats.chunks_exact(2).enumerate() {
@@ -500,158 +519,76 @@ fn layer_norm_vjp_row(
     stats.extend([mean, inv]);
 }
 
-/// [`layer_norm_vjp`]'s `dx` rows and row statistics for rows `rows`,
-/// whole [`LANES`]-row blocks: the four row sums in lanes over the block's
-/// transposed `x` and `g` (`scratch` holds both).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // internal: one kernel's operands
-fn layer_norm_vjp_lanes(
-    rows: std::ops::Range<usize>,
-    xd: &[f32],
-    gd: &[f32],
-    k: &[f32],
+/// [`layer_norm_vjp`]'s `dx` rows and row statistics for rows `rs`.
+struct LayerNormVjpRows<'a, 'o, 'r> {
+    rs: std::ops::Range<usize>,
+    xd: &'a [f32],
+    gd: &'a [f32],
+    k: &'a [f32],
     eps: f32,
-    dx: &mut Rows<'_>,
-    stats: &mut Rows<'_>,
-    scratch: &mut [Column<f32>],
-) {
-    let m = k.len();
-    let inv_m = 1.0 / m.max(1) as f32;
-    let (xt, gt) = scratch.split_at_mut(m);
-    for r0 in rows.step_by(LANES) {
-        transpose(&xd[r0 * m..], m, xt);
-        transpose(&gd[r0 * m..], m, gt);
-        let mean = lane_sum(m, |c| xt[c].map(f64::from)).map(|s| inv_m * s as f32);
-        let centred = |c: usize| -> Column<f32> { std::array::from_fn(|l| xt[c][l] - mean[l]) };
-        let gx = |c: usize| gt[c].map(|g| g * k[c]);
-        let var = lane_sum(m, |c| centred(c).map(|d| (d * d) as f64));
-        let inv = var.map(|s| 1.0 / (inv_m * s as f32 + eps).sqrt());
-        let sum_gx = lane_sum(m, |c| gx(c).map(f64::from));
-        let sum_gxx = lane_sum(m, |c| {
-            let (gx, d) = (gx(c), centred(c));
-            std::array::from_fn(|l| (gx[l] * (d[l] * inv[l])) as f64)
-        });
-        for l in 0..LANES {
-            let (xr, gr) = (&xd[(r0 + l) * m..][..m], &gd[(r0 + l) * m..][..m]);
-            let sums = [sum_gx[l], sum_gxx[l]].map(|s| inv_m * s as f32);
-            layer_norm_vjp_row(xr, gr, k, [mean[l], inv[l]], sums, dx, stats);
-        }
+    dx: &'o mut Rows<'r>,
+    stats: &'o mut Rows<'r>,
+    /// Column scratch for a block's `x` and `g`.
+    scratch: &'o mut [f32],
+}
+
+impl LanePass for LayerNormVjpRows<'_, '_, '_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<V: Lanes>(mut self) {
+        let rows = self.rs.clone();
+        let done = self.blocks::<V>(rows.clone());
+        self.blocks::<f64>(done..rows.end);
     }
 }
 
-/// The LayerNorm kernels' row-lane blocks on the AVX-512 tier:
-/// [`LANES_AVX512`] rows per block, transposed 8 at a time (the AVX2
-/// [`transpose`]) into two halves, whose `f64` sums run as two chains of
-/// 8 lanes, one `__m512d` each. Every lane takes its row's operations of
-/// the per-row loop in their order, and the output rows are those loops'
-/// element operations 16 columns at a time (a row's last chunk masked), so
-/// every bit is theirs. No FMA is issued.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{Column, Rows, LANES, LANES_AVX512};
-    use crate::kernels::reduce::transpose;
-    use std::arch::x86_64::*;
-    use std::ops::Range;
-
-    /// Both halves of a block's column `c`, as `f64` lanes.
-    #[target_feature(enable = "avx512f")]
-    fn column(xt: &[Column<f32>], m: usize, c: usize) -> [__m512d; 2] {
-        [&xt[c], &xt[m + c]].map(|half| {
-            // SAFETY: `half` is 8 readable `f32`s; `loadu` needs no
-            // alignment.
-            _mm512_cvtps_pd(unsafe { _mm256_loadu_ps(half.as_ptr()) })
-        })
-    }
-
-    /// Rows `r0..r0 + 16` of `xd` (rows `m` long) into `xt`: the first 8
-    /// rows' columns, then the last 8 rows'.
-    #[target_feature(enable = "avx512f")]
-    fn transpose16(xd: &[f32], r0: usize, m: usize, xt: &mut [Column<f32>]) {
-        let (lo, hi) = xt.split_at_mut(m);
-        transpose(&xd[r0 * m..], m, lo);
-        transpose(&xd[(r0 + LANES) * m..], m, hi);
-    }
-
-    /// The lanes of `v`.
-    #[target_feature(enable = "avx512f")]
-    fn lanes(v: [__m512d; 2]) -> [f64; LANES_AVX512] {
-        let mut out = [0.0; LANES_AVX512];
-        // SAFETY: `out` is 16 writable `f64`s; `storeu` needs no alignment.
-        unsafe {
-            _mm512_storeu_pd(out.as_mut_ptr(), v[0]);
-            _mm512_storeu_pd(out.as_mut_ptr().add(LANES), v[1]);
-        }
-        out
-    }
-
-    /// [`super::fused_layer_norm`] of rows `rows` (whole blocks), `xt` a
-    /// scratch of `2·m` block columns.
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn layer_norm(
-        rows: Range<usize>,
-        xd: &[f32],
-        g: &[f32],
-        b: &[f32],
-        eps: f32,
-        out: &mut Rows<'_>,
-        xt: &mut [Column<f32>],
-    ) {
-        let m = g.len();
-        let md = _mm512_set1_pd(m as f64);
-        for r0 in rows.step_by(LANES_AVX512) {
-            transpose16(xd, r0, m, xt);
-            let mut sum = [_mm512_set1_pd(-0.0); 2];
-            for c in 0..m {
-                let x = column(xt, m, c);
-                sum = [0, 1].map(|h| _mm512_add_pd(sum[h], x[h]));
+impl LayerNormVjpRows<'_, '_, '_> {
+    /// The whole [`row_blocks`] of `rows` on `V`'s lanes; returns the first
+    /// row not written. The four row sums run in lanes over the block's
+    /// transposed `x` and `g`, each lane with its row's `f32` steps of the
+    /// per-row loop, in their order.
+    #[inline(always)]
+    fn blocks<V: Lanes>(&mut self, rows: std::ops::Range<usize>) -> usize {
+        let (xd, gd, k, eps) = (self.xd, self.gd, self.k, self.eps);
+        let (m, lanes) = (k.len(), V::F32::N);
+        let inv_m = 1.0 / m.max(1) as f32;
+        let blocks = row_blocks::<V>(rows, m);
+        // `f32` terms of a block column, summed as `f64`.
+        let widened = |t: V::F32| {
+            let mut lane = [0.0; 16];
+            t.store(&mut lane);
+            widen::<V>(&lane)
+        };
+        let (xs, gs) = self.scratch.split_at_mut(m * lanes);
+        for r0 in blocks.clone().step_by(lanes) {
+            let xt = transpose_block::<V>(xd, m, r0, xs);
+            let gt = transpose_block::<V>(gd, m, r0, gs);
+            let sums = lane_sums::<V>(m, |c| widen(&xt[c * lanes..]));
+            let mut mean = [0.0; 16];
+            for (mean, &s) in mean[..lanes].iter_mut().zip(&sums) {
+                *mean = inv_m * s as f32;
             }
-            let mean = sum.map(|s| _mm512_div_pd(s, md));
-            let mut var = [_mm512_set1_pd(-0.0); 2];
-            for c in 0..m {
-                let x = column(xt, m, c);
-                var = [0, 1].map(|h| {
-                    let d = _mm512_sub_pd(x[h], mean[h]);
-                    _mm512_add_pd(var[h], _mm512_mul_pd(d, d))
-                });
-            }
-            let inv = var.map(|v| {
-                let sd =
-                    _mm512_sqrt_pd(_mm512_add_pd(_mm512_div_pd(v, md), _mm512_set1_pd(eps as f64)));
-                _mm512_div_pd(_mm512_set1_pd(1.0), sd)
+            let centred = |c: usize| V::F32::load(&xt[c * lanes..]).sub(V::F32::load(&mean));
+            let gx = |c: usize| V::F32::load(&gt[c * lanes..]).mul(V::F32::splat(k[c]));
+            let var = lane_sums::<V>(m, |c| {
+                let d = centred(c);
+                widened(d.mul(d))
             });
-            let (mean, inv) = (lanes(mean), lanes(inv));
-            for l in 0..LANES_AVX512 {
-                normalise(&xd[(r0 + l) * m..][..m], g, b, mean[l], inv[l], out);
+            let mut inv = [0.0; 16];
+            for (inv, &s) in inv[..lanes].iter_mut().zip(&var) {
+                *inv = 1.0 / (inv_m * s as f32 + eps).sqrt();
+            }
+            let sum_gx = lane_sums::<V>(m, |c| widened(gx(c)));
+            let invs = V::F32::load(&inv);
+            let sum_gxx = lane_sums::<V>(m, |c| widened(gx(c).mul(centred(c).mul(invs))));
+            for l in 0..lanes {
+                let (xr, gr) = (&xd[(r0 + l) * m..][..m], &gd[(r0 + l) * m..][..m]);
+                let sums = [sum_gx[l], sum_gxx[l]].map(|s| inv_m * s as f32);
+                layer_norm_vjp_row(xr, gr, k, [mean[l], inv[l]], sums, self.dx, self.stats);
             }
         }
-    }
-
-    /// One output row, `((v - mean)·inv) as f32 · γ + β` per element (the
-    /// scalar [`super::layer_norm_row`]), 16 columns at a time.
-    #[target_feature(enable = "avx512f")]
-    fn normalise(row: &[f32], g: &[f32], b: &[f32], mean: f64, inv: f64, out: &mut Rows<'_>) {
-        assert!(g.len() == row.len() && b.len() == row.len(), "γ and β as wide as the row");
-        let (mean, inv) = (_mm512_set1_pd(mean), _mm512_set1_pd(inv));
-        for ((x, g), b) in row.chunks(16).zip(g.chunks(16)).zip(b.chunks(16)) {
-            let width = x.len();
-            let mask = ((1u32 << width) - 1) as __mmask16;
-            // SAFETY: each chunk holds a readable `f32` for every lane of
-            // `mask`; masked-off lanes are not read.
-            let [x, g, b] = [x, g, b].map(|v| unsafe { _mm512_maskz_loadu_ps(mask, v.as_ptr()) });
-            let half = |v: __m256| {
-                _mm512_cvtpd_ps(_mm512_mul_pd(_mm512_sub_pd(_mm512_cvtps_pd(v), mean), inv))
-            };
-            let lo = half(_mm512_castps512_ps256(x));
-            let hi = half(_mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x))));
-            let y = _mm512_insertf64x4::<1>(
-                _mm512_castpd256_pd512(_mm256_castps_pd(lo)),
-                _mm256_castps_pd(hi),
-            );
-            let y = _mm512_add_ps(_mm512_mul_ps(_mm512_castpd_ps(y), g), b);
-            // SAFETY: the masked store writes exactly the `width` slots.
-            unsafe { out.extend_raw(width, |p| _mm512_mask_storeu_ps(p, mask, y)) };
-        }
+        blocks.end
     }
 }
 

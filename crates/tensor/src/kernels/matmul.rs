@@ -1,26 +1,25 @@
 //! Dense GEMM and block-diagonal GEMM kernels.
+//!
+//! Every dense product ([`matmul`], [`matmul_at`], [`linear_split`] and the
+//! VJP's products) runs one tile body on the `f32` lanes of
+//! [`crate::kernels::lanes`] (16 on [`Tier::Avx512`], 8 on [`Tier::Avx2`],
+//! 1 on [`Tier::Scalar`]); each tile shape is a lane pass of its own, so
+//! each is its own out-of-line function on each tier.
 
 use crate::kernels::gather::Block;
+use crate::kernels::lanes::{self, run_on, LanePass, Lanes, LanesF32};
 use crate::kernels::Tier;
 use crate::par;
 use crate::shape::{Bcast, Shape};
 use crate::tensor::Tensor;
 use std::ops::Range;
 
-/// Output columns held in registers per tile of [`matmul`].
-const TILE: usize = 16;
+/// Output rows per register tile of [`matmul`].
+const ROWS: usize = 4;
 
-/// Output rows held in registers per tile of [`matmul`]'s blocked kernel.
-const BLOCK: usize = 4;
-
-/// `row += bias` for every row of `out` (rows `bias.len()` wide) on
-/// `tier`, one `f32` add per element.
-fn add_bias(tier: Tier, bias: &[f32], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Avx512 && tier.runs_here() {
-        // SAFETY: the host has AVX-512F, checked just above.
-        return unsafe { avx512::add_bias(bias, out) };
-    }
+/// `row += bias` for every row of `out` (rows `bias.len()` wide), one
+/// `f32` add per element.
+fn add_bias(bias: &[f32], out: &mut [f32]) {
     for row in out.chunks_exact_mut(bias.len()) {
         for (o, &c) in row.iter_mut().zip(bias) {
             *o += c;
@@ -30,25 +29,150 @@ fn add_bias(tier: Tier, bias: &[f32], out: &mut [f32]) {
 
 /// One pass of a product on `tier`: `outs[j] += a @ b_j` for the rows of
 /// the product `a` reads, each output `n` columns wide and `b_j` B's
-/// columns `b.col + j·n..b.col + (j + 1)·n`. [`Tier::Scalar`] and
-/// [`Tier::Avx2`] compile one body; AVX2 holds a 16-column tile row in
-/// two registers instead of four and enables no `fma`. [`Tier::Avx512`]
-/// runs explicit `__m512` register tiles ([`avx512`]).
-fn run<const N: usize>(tier: Tier, a: impl Lhs, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
-    #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Avx512 && tier.runs_here() {
-        // SAFETY: the host has AVX-512F, checked just above.
-        return unsafe { avx512::kernel(a, b, n, outs) };
+/// columns `j·n..(j + 1)·n`.
+///
+/// The outputs' columns are cut into strips of the tier's `f32` lanes (a
+/// short strip masks its lanes off), output by output, and taken up to
+/// [`STRIPS`] at a time (two where a lane is narrower than 16, so that a
+/// tile's accumulators fit the tier's 16 registers): a tile is [`ROWS`]
+/// rows × those strips, which may belong to two outputs, so the two
+/// 16-column halves of a [`linear_split`] at the quick width run as one
+/// 32-column tile on [`Tier::Avx512`]. Whole tiles run first, then the
+/// rows left over one at a time.
+fn run<const N: usize>(tier: Tier, a: impl Lhs, b: Rhs, n: usize, mut outs: [&mut [f32]; N]) {
+    if b.k == 0 {
+        // A pass over no rows of B adds nothing.
+        return;
     }
-    for (j, out) in outs.into_iter().enumerate() {
-        let b = Rhs { col: b.col + j * n, ..b };
-        #[cfg(target_arch = "x86_64")]
-        if tier != Tier::Scalar && tier.runs_here() {
-            // SAFETY: the host has AVX2, checked just above.
-            unsafe { kernel_avx2(a, b, n, out) };
-            continue;
+    let rows = outs[0].len() / n;
+    assert!(outs.iter().all(|o| o.len() == rows * n), "outputs of {rows} rows");
+    let lanes = lanes::f32_lanes(tier);
+    let per_out = n.div_ceil(lanes);
+    let strip = |i: usize| {
+        let (out, col) = (i / per_out, i % per_out * lanes);
+        Strip { out, col, width: (n - col).min(lanes) }
+    };
+    let (count, group) = (N * per_out, if lanes < 16 { 2 } else { STRIPS });
+    let full = n.is_multiple_of(lanes);
+    let mut i = 0;
+    while i < count {
+        let o = &mut outs;
+        match group.min(count - i) {
+            4 => strip_rows(tier, a, b, n, [0, 1, 2, 3].map(|s| strip(i + s)), o, rows, full),
+            3 => strip_rows(tier, a, b, n, [0, 1, 2].map(|s| strip(i + s)), o, rows, full),
+            2 => strip_rows(tier, a, b, n, [0, 1].map(|s| strip(i + s)), o, rows, full),
+            _ => strip_rows(tier, a, b, n, [strip(i)], o, rows, full),
         }
-        kernel(a, b, n, out)
+        i += group.min(count - i);
+    }
+}
+
+/// Most strips per tile of [`run`].
+const STRIPS: usize = 4;
+
+/// Up to one lane width of adjacent columns of one output: the output, its
+/// first column there, and how many columns it has.
+#[derive(Clone, Copy)]
+struct Strip {
+    out: usize,
+    col: usize,
+    width: usize,
+}
+
+/// The `S` strips of all `rows` rows: [`ROWS`]-row tiles, then the rows
+/// left over one at a time, each shape its own pass; B read unmasked where
+/// every strip is `full`.
+#[allow(clippy::too_many_arguments)] // internal: one product's operands
+fn strip_rows<const S: usize, const N: usize>(
+    tier: Tier,
+    a: impl Lhs,
+    b: Rhs,
+    n: usize,
+    strips: [Strip; S],
+    outs: &mut [&mut [f32]; N],
+    rows: usize,
+    full: bool,
+) {
+    let whole = rows / ROWS * ROWS;
+    if full {
+        run_on(tier, Tiles::<_, ROWS, S, N, true> { a, b, n, strips, outs, rows: 0..whole });
+        run_on(tier, Tiles::<_, 1, S, N, true> { a, b, n, strips, outs, rows: whole..rows });
+    } else {
+        run_on(tier, Tiles::<_, ROWS, S, N, false> { a, b, n, strips, outs, rows: 0..whole });
+        run_on(tier, Tiles::<_, 1, S, N, false> { a, b, n, strips, outs, rows: whole..rows });
+    }
+}
+
+/// The `S` strips of output rows `rows` (a multiple of `R` of them), `R`
+/// rows at a time: each lane of a tile is one output element, which starts
+/// from its stored value, adds `a[i,k] * b[k,j]` (a product rounded, then
+/// an add, never a fused multiply-add) in ascending `k`, and is stored
+/// once. That is [`matmul`]'s order. Every strip is `FULL` lanes wide, or
+/// read and written through masks.
+struct Tiles<'o, 'x, L, const R: usize, const S: usize, const N: usize, const FULL: bool> {
+    a: L,
+    b: Rhs<'o>,
+    n: usize,
+    strips: [Strip; S],
+    outs: &'o mut [&'x mut [f32]; N],
+    rows: Range<usize>,
+}
+
+impl<L: Lhs, const R: usize, const S: usize, const N: usize, const FULL: bool> LanePass
+    for Tiles<'_, '_, L, R, S, N, FULL>
+{
+    type Out = ();
+
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let Tiles { a, b, n, strips, outs, rows } = self;
+        // The outputs' slices by value, so that they stay in registers.
+        let outs = outs.each_mut().map(|o| &mut **o);
+        let lanes = V::F32::N;
+        let fits = |st: &Strip| st.col + st.width <= n && st.width <= lanes;
+        assert!(strips.iter().all(fits), "strips of at most {lanes} lanes inside {n} columns");
+        assert!(!FULL || strips.iter().all(|st| st.width == lanes), "full strips");
+        let load = |x: &[f32]| if FULL { V::F32::load(x) } else { V::F32::load_part(x) };
+        // Each strip's columns in a row of B, checked once here.
+        let cols = strips.map(|st| st.out * n + st.col..st.out * n + st.col + st.width);
+        assert!(cols.iter().all(|c| c.start <= c.end && c.end <= b.ld), "strips in B's rows");
+        let b_rows = b.b.chunks_exact(b.ld);
+        for r0 in rows.step_by(R) {
+            let a = a.rows::<R>(r0, b.k);
+            // Arrays are filled by loops, not `array::from_fn`, whose
+            // closures the compiler may leave out of line, where they are
+            // compiled without the tier's instructions.
+            let mut acc = [[V::F32::splat(0.0); S]; R];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                for (acc, st) in acc.iter_mut().zip(&strips) {
+                    *acc = load(&outs[st.out][(r0 + r) * n + st.col..][..st.width]);
+                }
+            }
+            // `enumerate`, not a zip with `0..b.k`, whose length is a
+            // division per tile.
+            for (kk, row) in b_rows.clone().enumerate() {
+                let mut bv = [V::F32::splat(0.0); S];
+                for (bv, cols) in bv.iter_mut().zip(&cols) {
+                    *bv = load(&row[cols.clone()]);
+                }
+                for (acc, ar) in acc.iter_mut().zip(a(kk)) {
+                    let ar = V::F32::splat(ar);
+                    for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                        *acc = acc.add(ar.mul(bv));
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (&acc, st) in acc.iter().zip(&strips) {
+                    let out = &mut outs[st.out][(r0 + r) * n + st.col..][..st.width];
+                    if FULL {
+                        acc.store(out)
+                    } else {
+                        acc.store_part(out)
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -63,13 +187,10 @@ fn run<const N: usize>(tier: Tier, a: impl Lhs, b: Rhs, n: usize, outs: [&mut [f
 /// never `-0.0`; adding `(±0) * b = ±0` for a finite `b` then leaves it
 /// bitwise unchanged (`+0`, a nonzero, `±inf` or NaN alike).
 ///
-/// Tiles of [`BLOCK`] output rows × [`TILE`] columns stay in registers over
-/// `k`; rows left over after the last whole block run one at a time. The
-/// body is one `#[inline(always)]` function, compiled at the target
-/// baseline and again with AVX2, and AVX-512 has register tiles of its own
-/// ([`Tier`]); the host's tier is picked once per call. Rows not
-/// divisible by [`BLOCK`] and columns not divisible by [`TILE`] go through
-/// narrower instances of the same body.
+/// Tiles of [`ROWS`] output rows × two strips of the host tier's `f32`
+/// lanes stay in registers over `k` ([`run`]); rows left over after the
+/// last whole tile run one at a time, and a strip short of the lane width
+/// is masked. The host's tier is picked once per call.
 /// Large products split their rows across threads ([`crate::par`]); a
 /// split may cut a row block, since no element's order depends on the
 /// block it lands in.
@@ -207,7 +328,7 @@ fn gemm(tier: Tier, a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = crate::pool::zeroed(m * b.cols());
     let all = 0..k;
     let plan = Plan { passes: std::slice::from_ref(&all), bias: None, seed: None };
-    let lhs = |rows: Range<usize>, _| RowMajor { a: &ad[rows.start * k..], lda: k };
+    let lhs = |rows: Range<usize>, _| RowMajor { a: &ad[rows.start * k..], lda: k, idx: None };
     product(tier, m, b, &plan, lhs, [&mut out]);
     Tensor::from_vec(Shape::new(m, b.cols()), out)
 }
@@ -254,7 +375,7 @@ fn linear_split_on<const N: usize>(
         let (m, k0, a) = (src.rows(), src.cols(), src.data());
         let mut p: [Vec<f32>; N] = std::array::from_fn(|_| crate::pool::zeroed(m * n));
         let plan = Plan { passes: &passes[..1], bias: None, seed: None };
-        let lhs = |rs: Range<usize>, _| RowMajor { a: &a[rs.start * k0..], lda: k0 };
+        let lhs = |rs: Range<usize>, _| RowMajor { a: &a[rs.start * k0..], lda: k0, idx: None };
         product(tier, m, w, &plan, lhs, p.each_mut().map(|p| &mut p[..]));
         (p, idx)
     });
@@ -346,7 +467,7 @@ struct Plan<'a, const N: usize> {
 /// pass `p` reads for the output rows `rows`. Splits the rows across
 /// threads ([`crate::par`]); each thread's rows run through all passes in
 /// blocks of [`PASS_ROWS`].
-fn product<L: Pass, const N: usize>(
+fn product<L: Lhs, const N: usize>(
     tier: Tier,
     m: usize,
     b: &Tensor,
@@ -377,105 +498,60 @@ fn product<L: Pass, const N: usize>(
                 }
             }
             for (p, ks) in plan.passes.iter().enumerate() {
-                let rhs = Rhs { b: &bd[ks.start * ld..ks.end * ld], ld, col: 0, k: ks.len() };
+                let rhs = Rhs { b: &bd[ks.start * ld..ks.end * ld], ld, k: ks.len() };
                 let outs = outs.each_mut().map(|out| &mut out[local.clone()]);
-                lhs(r0..r1, p).run(tier, rhs, n, outs);
+                run(tier, lhs(r0..r1, p), rhs, n, outs);
             }
             // The epilogue, on rows still in cache.
             for (bias, out) in plan.bias.iter().flat_map(|b| b.chunks_exact(n)).zip(&mut outs) {
-                add_bias(tier, bias, &mut out[local.clone()]);
+                add_bias(bias, &mut out[local.clone()]);
             }
             r0 = r1;
         }
     });
 }
 
-/// The left operand of a product, as [`tile`] reads it: row `i` of the
+/// The left operand of a product, as [`Tiles`] reads it: row `i` of the
 /// product takes row `i` of A.
 trait Lhs: Copy {
     /// Rows `r0..r0 + R` of A (`k` columns), as `kk -> [A[r0 + r, kk]; R]`.
     fn rows<const R: usize>(self, r0: usize, k: usize) -> impl Fn(usize) -> [f32; R] + Copy;
 }
 
-/// One pass of a [`product`]: the left operand it reads.
-trait Pass: Copy {
-    /// `outs[j] += self @ b_j` on `tier` ([`run`]).
-    fn run<const N: usize>(self, tier: Tier, b: Rhs, n: usize, outs: [&mut [f32]; N]);
-}
-
-impl<L: Lhs> Pass for L {
-    fn run<const N: usize>(self, tier: Tier, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
-        run(tier, self, b, n, outs)
-    }
-}
-
-/// The row-major matrix `a` with rows `lda` long.
+/// The row-major matrix `a` with rows `lda` long, read in order or, with
+/// `idx`, its rows `idx[0], idx[1], …`.
 #[derive(Clone, Copy)]
 struct RowMajor<'a> {
     a: &'a [f32],
     lda: usize,
+    idx: Option<&'a [u32]>,
 }
 
 impl Lhs for RowMajor<'_> {
     #[inline(always)]
     fn rows<const R: usize>(self, r0: usize, k: usize) -> impl Fn(usize) -> [f32; R] + Copy {
-        columns(std::array::from_fn(|r| &self.a[(r0 + r) * self.lda..][..k]))
-    }
-}
-
-/// `kk -> [rows[r][kk]; R]` for rows `k` long, with one check of `kk`
-/// per call instead of one per row.
-#[inline(always)]
-fn columns<const R: usize>(rows: [&[f32]; R]) -> impl Fn(usize) -> [f32; R] + Copy {
-    let k = rows.iter().map(|r| r.len()).min().unwrap_or(0);
-    let ptrs = rows.map(<[f32]>::as_ptr);
-    move |kk| {
-        assert!(kk < k, "column past the rows");
-        // SAFETY: every row holds at least `k > kk` elements.
-        std::array::from_fn(|r| unsafe { *ptrs[r].add(kk) })
-    }
-}
-
-/// The rows `idx[0], idx[1], …` of the row-major matrix `a` with rows
-/// `lda` long.
-#[derive(Clone, Copy)]
-struct Gathered<'a> {
-    a: &'a [f32],
-    lda: usize,
-    idx: &'a [u32],
-}
-
-impl Lhs for Gathered<'_> {
-    #[inline(always)]
-    fn rows<const R: usize>(self, r0: usize, k: usize) -> impl Fn(usize) -> [f32; R] + Copy {
-        columns(std::array::from_fn(|r| &self.a[self.idx[r0 + r] as usize * self.lda..][..k]))
-    }
-}
-
-/// A [`Block`] as a left operand, from one of its rows on: a kernel is
-/// compiled for each case.
-#[derive(Clone, Copy)]
-enum BlockRows<'a> {
-    Whole(RowMajor<'a>),
-    Gathered(Gathered<'a>),
-}
-
-impl Pass for BlockRows<'_> {
-    fn run<const N: usize>(self, tier: Tier, b: Rhs, n: usize, outs: [&mut [f32]; N]) {
-        match self {
-            BlockRows::Whole(a) => run(tier, a, b, n, outs),
-            BlockRows::Gathered(a) => run(tier, a, b, n, outs),
+        let mut rows = [&self.a[..0]; R];
+        for (r, row) in rows.iter_mut().enumerate() {
+            let i = self.idx.map_or(r0 + r, |idx| idx[r0 + r] as usize);
+            *row = &self.a[i * self.lda..][..k];
+        }
+        move |kk| {
+            let mut v = [0.0; R];
+            for (v, row) in v.iter_mut().zip(&rows) {
+                *v = row[kk];
+            }
+            v
         }
     }
 }
 
 impl<'a> Block<'a> {
     /// This block as a left operand from its row `r0` on.
-    fn rows_from(self, r0: usize) -> BlockRows<'a> {
+    fn rows_from(self, r0: usize) -> RowMajor<'a> {
         let (a, lda) = (self.src.data(), self.src.cols());
         match self.idx {
-            Some(idx) => BlockRows::Gathered(Gathered { a, lda, idx: &idx[r0..] }),
-            None => BlockRows::Whole(RowMajor { a: &a[(r0 * lda).min(a.len())..], lda }),
+            Some(idx) => RowMajor { a, lda, idx: Some(&idx[r0..]) },
+            None => RowMajor { a: &a[(r0 * lda).min(a.len())..], lda, idx: None },
         }
     }
 }
@@ -494,13 +570,7 @@ impl Lhs for Transposed<'_> {
     fn rows<const R: usize>(self, r0: usize, k: usize) -> impl Fn(usize) -> [f32; R] + Copy {
         let (a, lda) = (&self.a[self.i0 + r0..], self.lda);
         assert!(k == 0 || (k - 1) * lda + R <= a.len(), "{k} rows of A");
-        let a = a.as_ptr();
-        move |kk| {
-            assert!(kk < k, "row past A");
-            // SAFETY: `R` elements from row `kk < k` are in `a` (checked
-            // above).
-            std::array::from_fn(|r| unsafe { *a.add(kk * lda + r) })
-        }
+        move |kk| a[kk * lda..][..R].try_into().expect("R adjacent elements")
     }
 }
 
@@ -521,273 +591,12 @@ impl Lhs for TransposedRows<'_> {
     }
 }
 
-/// The right operand of one pass: the `k` rows of `b`, each `ld` long
-/// and read from column `col` on.
+/// The right operand of one pass: the `k` rows of `b`, each `ld` long.
 #[derive(Clone, Copy)]
 struct Rhs<'a> {
     b: &'a [f32],
     ld: usize,
-    col: usize,
     k: usize,
-}
-
-/// The AVX-512 tier's kernel: register tiles of explicit `__m512`
-/// accumulators, one 16-column strip per register.
-///
-/// The outputs' columns are cut into strips of up to 16 (a short strip
-/// masks its lanes off), output by output, and taken two at a time: a tile
-/// is [`ROWS`](avx512::ROWS) rows × two strips, which may belong to two
-/// outputs, so the two 16-column halves of a [`linear_split`] run as one
-/// 32-column tile. Each lane of a tile is one output element: it starts
-/// from the element's stored value, adds `a[i,k] * b[k,j]` (a `mulps`
-/// rounded, then an `addps`, never an FMA) in ascending `k`, and is stored
-/// once, which is [`matmul`]'s order (every product added). It is
-/// written with intrinsics rather than being the generic [`kernel`]
-/// compiled with `avx512f`, whose wider instances LLVM spills.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{Lhs, Rhs};
-    use std::arch::x86_64::*;
-    use std::ops::Range;
-
-    /// Output rows per register tile.
-    const ROWS: usize = 4;
-
-    /// Columns per strip: the `f32` lanes of one `__m512`.
-    const LANES: usize = 16;
-
-    /// Up to [`LANES`] adjacent columns of one output: the output, its
-    /// first column there, and how many columns it has.
-    #[derive(Clone, Copy)]
-    struct Strip {
-        out: usize,
-        col: usize,
-        width: usize,
-    }
-
-    impl Strip {
-        /// One mask bit per column of the strip.
-        fn mask(self) -> __mmask16 {
-            ((1u32 << self.width) - 1) as __mmask16
-        }
-    }
-
-    /// `outs[j] += a @ b_j` ([`super::run`]): every pair of
-    /// strips (and a last single one) through all rows.
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn kernel<const N: usize>(a: impl Lhs, b: Rhs, n: usize, mut outs: [&mut [f32]; N]) {
-        if b.k == 0 {
-            // A pass over no rows of B adds nothing.
-            return;
-        }
-        let rows = outs[0].len() / n;
-        assert!(outs.iter().all(|o| o.len() == rows * n), "outputs of {rows} rows");
-        let per_out = n.div_ceil(LANES);
-        let strip = |i: usize| {
-            let (out, col) = (i / per_out, i % per_out * LANES);
-            Strip { out, col, width: (n - col).min(LANES) }
-        };
-        let count = N * per_out;
-        for i in (0..count).step_by(2) {
-            if i + 1 < count {
-                strip_rows(a, b, n, [strip(i), strip(i + 1)], &mut outs, rows);
-            } else {
-                strip_rows(a, b, n, [strip(i)], &mut outs, rows);
-            }
-        }
-    }
-
-    /// `row += bias` for every row of `out` ([`super::add_bias`]),
-    /// 16 columns per register.
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn add_bias(bias: &[f32], out: &mut [f32]) {
-        for row in out.chunks_exact_mut(bias.len()) {
-            for (o, c) in row.chunks_mut(LANES).zip(bias.chunks(LANES)) {
-                let mask = ((1u32 << o.len()) - 1) as __mmask16;
-                // SAFETY: `o` and `c` hold an `f32` for every lane of `mask`;
-                // masked-off lanes are neither read nor written.
-                unsafe {
-                    let sum = _mm512_add_ps(
-                        _mm512_maskz_loadu_ps(mask, o.as_ptr()),
-                        _mm512_maskz_loadu_ps(mask, c.as_ptr()),
-                    );
-                    _mm512_mask_storeu_ps(o.as_mut_ptr(), mask, sum);
-                }
-            }
-        }
-    }
-
-    /// The `S` strips of all `rows` rows: [`ROWS`]-row tiles, then the
-    /// rows left over one at a time; B read unmasked where every strip is
-    /// full.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn strip_rows<const S: usize, const N: usize>(
-        a: impl Lhs,
-        b: Rhs,
-        n: usize,
-        strips: [Strip; S],
-        outs: &mut [&mut [f32]; N],
-        rows: usize,
-    ) {
-        let whole = rows / ROWS * ROWS;
-        if n.is_multiple_of(LANES) {
-            tiles::<ROWS, S, N, true>(a, b, n, strips, outs, 0..whole);
-            tiles::<1, S, N, true>(a, b, n, strips, outs, whole..rows);
-        } else {
-            tiles::<ROWS, S, N, false>(a, b, n, strips, outs, 0..whole);
-            tiles::<1, S, N, false>(a, b, n, strips, outs, whole..rows);
-        }
-    }
-
-    /// The `S` strips of output rows `rows` (a multiple of `R` of them),
-    /// `R` rows at a time: each tile in registers over ascending `k` from
-    /// the outputs' stored values, then one store.
-    #[target_feature(enable = "avx512f")]
-    #[inline(never)]
-    fn tiles<const R: usize, const S: usize, const N: usize, const FULL: bool>(
-        a: impl Lhs,
-        b: Rhs,
-        n: usize,
-        strips: [Strip; S],
-        outs: &mut [&mut [f32]; N],
-        rows: Range<usize>,
-    ) {
-        // Every strip lies inside its output's rows of `rows`.
-        let fits = |st: &Strip| st.width <= LANES && st.col + st.width <= n;
-        assert!(strips.iter().all(fits), "strips inside {n} columns");
-        assert!(outs.iter().all(|o| o.len() >= rows.end * n), "outputs of {} rows", rows.end);
-        // Each strip's columns in B's row 0: every row `kk < b.k` holds the
-        // strip's masked columns `kk·ld` further on.
-        let mut b0 = [std::ptr::null(); S];
-        for (b0, st) in b0.iter_mut().zip(&strips) {
-            let first = b.col + st.out * n + st.col;
-            assert!(b.k == 0 || (b.k - 1) * b.ld + first + st.width <= b.b.len(), "B too short");
-            assert!(!FULL || st.width == LANES, "a full strip");
-            *b0 = b.b[first..].as_ptr();
-        }
-        for r0 in rows.step_by(R) {
-            let a = a.rows::<R>(r0, b.k);
-            let mut acc = [[_mm512_setzero_ps(); S]; R];
-            for (r, acc) in acc.iter_mut().enumerate() {
-                for (acc, st) in acc.iter_mut().zip(&strips) {
-                    let out = &outs[st.out][(r0 + r) * n + st.col..];
-                    // SAFETY: `out` starts at the strip's first column and
-                    // holds every column of its mask (the assertions
-                    // above); masked-off lanes are not read.
-                    *acc = unsafe { _mm512_maskz_loadu_ps(st.mask(), out.as_ptr()) };
-                }
-            }
-            let mut row = b0;
-            for kk in 0..b.k {
-                let mut bv = [_mm512_setzero_ps(); S];
-                for ((bv, st), row) in bv.iter_mut().zip(&strips).zip(&mut row) {
-                    // SAFETY: row `kk < b.k` of the strip, in bounds by the
-                    // assertions above; masked-off lanes are not read.
-                    *bv = unsafe {
-                        if FULL {
-                            _mm512_loadu_ps(*row)
-                        } else {
-                            _mm512_maskz_loadu_ps(st.mask(), *row)
-                        }
-                    };
-                    *row = row.wrapping_add(b.ld);
-                }
-                for (acc, ar) in acc.iter_mut().zip(a(kk)) {
-                    let ar = _mm512_set1_ps(ar);
-                    for (acc, &bv) in acc.iter_mut().zip(&bv) {
-                        *acc = _mm512_add_ps(*acc, _mm512_mul_ps(ar, bv));
-                    }
-                }
-            }
-            for (r, acc) in acc.iter().enumerate() {
-                for (&acc, st) in acc.iter().zip(&strips) {
-                    let out = &mut outs[st.out][(r0 + r) * n + st.col..];
-                    // SAFETY: as for the loads; masked-off lanes are not
-                    // written.
-                    unsafe { _mm512_mask_storeu_ps(out.as_mut_ptr(), st.mask(), acc) };
-                }
-            }
-        }
-    }
-}
-
-/// [`kernel`] compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn kernel_avx2(a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
-    kernel(a, b, n, out)
-}
-
-/// The GEMM body the scalar and AVX2 tiers compile: [`BLOCK`]-row
-/// blocks, then the rows left over one at a time.
-#[inline(always)]
-fn kernel(a: impl Lhs, b: Rhs, n: usize, out: &mut [f32]) {
-    let blocked_rows = out.len() / n / BLOCK * BLOCK;
-    let (out_blocks, out_rows) = out.split_at_mut(blocked_rows * n);
-    for (i, out) in out_blocks.chunks_exact_mut(BLOCK * n).enumerate() {
-        row_block::<BLOCK>(a.rows(i * BLOCK, b.k), b, n, out);
-    }
-    for (i, out) in out_rows.chunks_exact_mut(n).enumerate() {
-        row_block::<1>(a.rows(blocked_rows + i, b.k), b, n, out);
-    }
-}
-
-/// `out += a @ b` for `R` rows `n` wide: [`TILE`]-column tiles, then tiles
-/// 8, 4 and 1 wide over the last `n % TILE` columns.
-#[inline(always)]
-fn row_block<const R: usize>(
-    a: impl Fn(usize) -> [f32; R] + Copy,
-    b: Rhs,
-    n: usize,
-    out: &mut [f32],
-) {
-    let mut j = 0;
-    while j + TILE <= n {
-        tile::<R, TILE>(a, b, n, j, out);
-        j += TILE;
-    }
-    if j + 8 <= n {
-        tile::<R, 8>(a, b, n, j, out);
-        j += 8;
-    }
-    if j + 4 <= n {
-        tile::<R, 4>(a, b, n, j, out);
-        j += 4;
-    }
-    while j < n {
-        tile::<R, 1>(a, b, n, j, out);
-        j += 1;
-    }
-}
-
-/// One `R × W` output tile at column `j0`: `acc[r][j] += a(k)[r] *
-/// b[k, j0 + j]` in registers over ascending `k`, from the tile's values
-/// in `out`, then one store.
-#[inline(always)]
-fn tile<const R: usize, const W: usize>(
-    a: impl Fn(usize) -> [f32; R],
-    b: Rhs,
-    n: usize,
-    j0: usize,
-    out: &mut [f32],
-) {
-    let mut acc: [[f32; W]; R] = std::array::from_fn(|r| {
-        out[r * n + j0..r * n + j0 + W].try_into().expect("a W-wide slice")
-    });
-    let j0b = b.col + j0;
-    for (kk, b_row) in (0..b.k).zip(b.b.chunks_exact(b.ld)) {
-        let av = a(kk);
-        let bv: &[f32; W] = b_row[j0b..j0b + W].try_into().expect("a W-wide slice");
-        for (acc_r, &ar) in acc.iter_mut().zip(&av) {
-            for (o, &bj) in acc_r.iter_mut().zip(bv) {
-                *o += ar * bj;
-            }
-        }
-    }
-    for (r, acc_r) in acc.iter().enumerate() {
-        out[r * n + j0..r * n + j0 + W].copy_from_slice(acc_r);
-    }
 }
 
 /// Block-diagonal GEMM used by the batched basis computation (Alg. 2 of the

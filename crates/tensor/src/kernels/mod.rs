@@ -23,21 +23,23 @@ pub mod trig;
 use std::sync::OnceLock;
 
 /// The instruction sets the kernels run on, picked from the CPU alone.
-/// Every tier gives the same bits; only the speed differs (DESIGN.md
-/// §2.2).
+/// Every vector kernel is one lane body on [`lanes`], and a tier is the
+/// width [`lanes::run_on`] gives it. Every tier gives the same bits; only
+/// the speed differs (DESIGN.md §2.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
-    /// The build target's baseline instructions (SSE2 on x86-64): the
-    /// GEMM's generic body, the per-row loops, and the in-tree scalar
+    /// The build target's baseline instructions (SSE2 on x86-64): the lane
+    /// bodies on one `f64` and one `f32` lane (GEMM tiles one column
+    /// wide, the row sums one row at a time), and the in-tree scalar
     /// ports `exp::expf` and `trig::sincosf`.
     Scalar,
-    /// AVX2 and FMA on x86-64: the GEMM's generic body compiled with AVX2
-    /// (no FMA issued), 8-row lane sums, and 4 `f64` lanes
-    /// ([`lanes`]) for the `exp`, `sin` and `cos` ports and the oracle.
+    /// AVX2 and FMA on x86-64: 4 `f64` and 8 `f32` lanes: GEMM strips of
+    /// 8 columns (no FMA issued), 8-row lane sums, and the `exp`, `sin`
+    /// and `cos` ports and the oracle 4 wide.
     Avx2,
-    /// AVX-512F, AVX2 and FMA on x86-64: the GEMM's `zmm` register tiles,
-    /// 16-row LayerNorm lanes, and 8 `f64` lanes ([`lanes`]) for the
-    /// `exp`, `sin` and `cos` ports and the oracle.
+    /// AVX-512F, AVX2 and FMA on x86-64: 8 `f64` and 16 `f32` lanes: GEMM
+    /// strips of 16 columns, 16-row LayerNorm lanes, and the `exp`, `sin`
+    /// and `cos` ports and the oracle 8 wide.
     Avx512,
 }
 

@@ -1,6 +1,8 @@
 //! Reduction kernels (row / column / full sums), and the row-lane `f64`
-//! sums that column sums and the LayerNorm kernels share.
+//! sums that column sums and the LayerNorm kernels share: lane bodies on
+//! [`crate::kernels::lanes`], one row per `f32` lane of the tier.
 
+use crate::kernels::lanes::{f32_lanes, run_on, LanePass, Lanes, LanesF32};
 use crate::kernels::Tier;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -52,160 +54,163 @@ pub fn sum(a: &Tensor, axis: Axis) -> Tensor {
 
 /// `sum(Axis::Cols)` of the row-major `n × m` data `d` on `tier`: each
 /// row's sum in `f64` (column sums feed LayerNorm statistics), rounded
-/// once to `f32`.
+/// once to `f32`, in row lanes ([`row_blocks`]).
 fn sum_cols(tier: Tier, d: &[f32], n: usize, m: usize) -> Vec<f32> {
+    struct SumCols<'a> {
+        d: &'a [f32],
+        m: usize,
+        out: &'a mut [f32],
+        cols: &'a mut [f32],
+    }
+    impl LanePass for SumCols<'_> {
+        type Out = ();
+        #[inline(always)]
+        fn run<V: Lanes>(self) {
+            let SumCols { d, m, out, cols } = self;
+            let rows = 0..out.len();
+            let done = sum_rows::<V>(d, m, rows.clone(), out, cols);
+            sum_rows::<f64>(d, m, done..rows.end, out, cols);
+        }
+    }
     let mut out = crate::pool::zeroed(n);
-    // One sum per row: the AVX-512 tier runs the AVX2 lanes here.
-    let tier = if tier == Tier::Avx512 { Tier::Avx2 } else { tier };
-    let lanes = lane_rows(tier, 0..n, m);
-    #[cfg(target_arch = "x86_64")]
-    if !lanes.is_empty() {
-        // SAFETY: `lane_rows` covers rows only on a host with AVX2.
-        with_lanes(m, |xt| unsafe { sum_cols_lanes(d, m, &mut out[lanes.clone()], xt) });
+    // One sum per row, which the AVX2 lanes run as fast.
+    let tier = tier.min(Tier::Avx2);
+    // The scratch is taken out here: a thread-local's closure would be
+    // compiled without the tier's instructions.
+    with_lanes(m * f32_lanes(tier), |cols| run_on(tier, SumCols { d, m, out: &mut out, cols }));
+    out
+}
+
+/// [`sum_cols`] of the whole [`row_blocks`] of `rows` on `V`'s lanes, into
+/// `out`, with `cols` the block's column scratch; returns the first row
+/// not summed.
+#[inline(always)]
+fn sum_rows<V: Lanes>(
+    d: &[f32],
+    m: usize,
+    rows: Range<usize>,
+    out: &mut [f32],
+    cols: &mut [f32],
+) -> usize {
+    let b = V::F32::N;
+    let blocks = row_blocks::<V>(rows, m);
+    for r0 in blocks.clone().step_by(b) {
+        let cols = transpose_block::<V>(d, m, r0, cols);
+        let s = lane_sums::<V>(m, |c| widen(&cols[c * b..]));
+        for (o, s) in out[r0..r0 + b].iter_mut().zip(s) {
+            *o = s as f32;
+        }
     }
-    let rest = &mut out[lanes.end..];
-    if m == 0 {
-        rest.fill(-0.0); // an empty row's `Iterator::sum`
+    blocks.end
+}
+
+/// Row-lane `f64` sums (DESIGN.md §2.2): the rows of `rows` (each `m`
+/// wide) that run in blocks of `B = V::F32::N` rows, one row per `f32`
+/// lane, whole blocks from `rows.start`; the caller runs the rest on one
+/// lane (`V = f64`, where a block is one row). Rows narrower than
+/// [`LANE_MIN_COLS`] run one at a time on every tier.
+///
+/// A block [`transpose_block`]s its rows so that each column is `B`
+/// adjacent values, and sums each row in its own lane ([`lane_sums`]):
+/// every lane adds its row's terms in the order of the per-row loop
+/// (`Iterator::sum`: ascending column, from `-0.0`), so the sums are
+/// bitwise that loop's, while the block's rows' adds overlap instead of
+/// waiting on one another.
+#[inline(always)]
+pub(crate) fn row_blocks<V: Lanes>(rows: Range<usize>, m: usize) -> Range<usize> {
+    let b = V::F32::N;
+    if b > 1 && m < LANE_MIN_COLS {
+        return rows.start..rows.start;
     }
-    for (o, row) in rest.iter_mut().zip(d[lanes.end * m..].chunks_exact(m.max(1))) {
-        *o = row.iter().map(|&x| x as f64).sum::<f64>() as f32;
+    rows.start..rows.start + rows.len() / b * b
+}
+
+/// Rows narrower than this run one at a time on every tier: their short
+/// sums gain less from overlapping than the transpose costs.
+const LANE_MIN_COLS: usize = 16;
+
+/// The `B = V::F32::N` rows of the row-major `x` (`m` columns) from row
+/// `r0` on, as block columns: `cols[c·B + l] = x[(r0 + l)·m + c]`, eight
+/// rows × eight columns at a time by [`LanesF32::transpose8`], then the
+/// last columns one by one. One row is its own block, read in place.
+#[inline(always)]
+pub(crate) fn transpose_block<'a, V: Lanes>(
+    x: &'a [f32],
+    m: usize,
+    r0: usize,
+    cols: &'a mut [f32],
+) -> &'a [f32] {
+    let b = V::F32::N;
+    let x = &x[r0 * m..][..b * m];
+    if b == 1 {
+        return x;
+    }
+    let cols = &mut cols[..b * m];
+    let whole = m / 8 * 8;
+    for c0 in (0..whole).step_by(8) {
+        for h in (0..b).step_by(8) {
+            V::F32::transpose8(&x[h * m + c0..], m, &mut cols[c0 * b + h..], b);
+        }
+    }
+    for c in whole..m {
+        for (l, o) in cols[c * b..][..b].iter_mut().enumerate() {
+            *o = x[l * m + c];
+        }
+    }
+    cols
+}
+
+/// `f64` chains per block of `V`'s `f32` lanes: two on a vector tier, one
+/// on one lane.
+#[inline(always)]
+pub(crate) fn chains<V: Lanes>() -> usize {
+    let chains = V::F32::N / V::N;
+    assert!((1..=2).contains(&chains), "one or two f64 chains per block");
+    chains
+}
+
+/// The first `V::F32::N` elements of `x` as `f64` chains of `V`.
+#[inline(always)]
+pub(crate) fn widen<V: Lanes>(x: &[f32]) -> [V; 2] {
+    // One check of `x` here leaves none in the loop.
+    let x = &x[..V::F32::N];
+    let mut v = [V::splat(0.0); 2];
+    for (h, v) in v[..chains::<V>()].iter_mut().enumerate() {
+        *v = V::load_f32(&x[h * V::N..]);
+    }
+    v
+}
+
+/// Each lane's sum of `term(c)` (the `f64` chains of column `c`) over
+/// columns `c` in `0..m`, in column order from `-0.0`: `Iterator::sum`'s
+/// order, lane by lane. Lane `l` of the block is entry `l`.
+#[inline(always)]
+pub(crate) fn lane_sums<V: Lanes>(m: usize, term: impl Fn(usize) -> [V; 2]) -> [f64; 16] {
+    let chains = chains::<V>();
+    let mut acc = [V::splat(-0.0); 2];
+    for c in 0..m {
+        for (acc, t) in acc[..chains].iter_mut().zip(term(c)) {
+            *acc = acc.add(t);
+        }
+    }
+    let mut out = [0.0; 16];
+    for (h, acc) in acc[..chains].iter().enumerate() {
+        acc.store(&mut out[h * V::N..]);
     }
     out
 }
 
-/// [`sum_cols`] of the first `out.len()` rows, whole [`LANES`]-row blocks.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sum_cols_lanes(d: &[f32], m: usize, out: &mut [f32], xt: &mut [Column<f32>]) {
-    for (b, out) in out.chunks_exact_mut(LANES).enumerate() {
-        transpose(&d[b * LANES * m..], m, xt);
-        let s = lane_sum(m, |c| xt[c].map(f64::from));
-        out.copy_from_slice(&s.map(|s| s as f32));
-    }
-}
-
-/// Rows per block of the row-lane sums on the AVX2 tier: one `f64` lane
-/// per row, two 4-lane registers per block.
-pub(crate) const LANES: usize = 8;
-
-/// Rows per block of the LayerNorm kernels' row-lane sums on the AVX-512
-/// tier: two 8-lane registers per block, each its own chain of adds.
-pub(crate) const LANES_AVX512: usize = 16;
-
-/// One column of a [`LANES`]-row block: lane `l` holds row `l`'s value.
-pub(crate) type Column<T> = [T; LANES];
-
-/// Rows narrower than this run the per-row loop on every tier: their
-/// short sums gain less from overlapping than the transpose costs.
-const LANE_MIN_COLS: usize = 16;
-
-/// Row-lane `f64` sums (DESIGN.md §2.2): the rows of `rows` (each `m`
-/// wide) that run in blocks on `tier`, whole blocks from `rows.start` when
-/// the host runs the tier and `m` is at least [`LANE_MIN_COLS`], none
-/// otherwise: [`LANES`]-row blocks on [`Tier::Avx2`],
-/// [`LANES_AVX512`]-row blocks on [`Tier::Avx512`], none on
-/// [`Tier::Scalar`]. The rest run the kernel's scalar per-row loop.
-///
-/// A block's body is compiled with its tier's instructions enabled (`fma`
-/// never is). It [`transpose`]s its rows (8 at a time) so that each column
-/// is one [`Column`] value, and sums each row in its own lane: every lane
-/// adds its row's terms in the order of the per-row loop
-/// (`Iterator::sum`: ascending column, from `-0.0`), so the sums are
-/// bitwise that loop's, while the block's rows' adds overlap instead of
-/// waiting on one another. The AVX2 body sums with [`lane_sum`], the
-/// AVX-512 one in two 8-lane `__m512d` chains.
-pub(crate) fn lane_rows(tier: Tier, rows: Range<usize>, m: usize) -> Range<usize> {
-    let block = match tier {
-        Tier::Scalar => 0,
-        Tier::Avx2 => LANES,
-        Tier::Avx512 => LANES_AVX512,
-    };
-    if block == 0 || m < LANE_MIN_COLS || !tier.runs_here() {
-        return rows.start..rows.start;
-    }
-    rows.start..rows.start + rows.len() / block * block
-}
-
-/// Each lane's sum of `term(c)` over columns `c` in `0..m` (one [`Column`]
-/// of `f64` terms per column), in column order from `-0.0`:
-/// `Iterator::sum`'s order, lane by lane.
-#[inline(always)]
-pub(crate) fn lane_sum(m: usize, term: impl Fn(usize) -> Column<f64>) -> Column<f64> {
-    let mut acc = [-0.0; LANES];
-    for c in 0..m {
-        for (a, t) in acc.iter_mut().zip(term(c)) {
-            *a += t;
-        }
-    }
-    acc
-}
-
-/// The [`LANES`] rows of the row-major `x` (`m` columns, at least
-/// [`LANES`] rows) as `m` block columns, `out[c][l] = x[l * m + c]`: eight
-/// columns at a time by register shuffles, then the rest one by one.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub(crate) fn transpose(x: &[f32], m: usize, out: &mut [Column<f32>]) {
-    use std::arch::x86_64::*;
-    let rows: Column<&[f32]> = std::array::from_fn(|l| &x[l * m..(l + 1) * m]);
-    let out = &mut out[..m];
-    let whole = m / 8 * 8;
-    for (c0, cols) in (0..whole).step_by(8).zip(out.chunks_exact_mut(8)) {
-        for h in 0..LANES / 8 {
-            let r: [__m256; 8] = std::array::from_fn(|l| {
-                let row: &[f32; 8] = rows[8 * h + l][c0..c0 + 8].try_into().expect("8 columns");
-                // SAFETY: `row` is 8 readable `f32`s; `loadu` needs no alignment.
-                unsafe { _mm256_loadu_ps(row.as_ptr()) }
-            });
-            // 2×2 blocks of rows 2i, 2i+1, then 4×4 blocks, then the
-            // halves: `q[c]` ends up holding column `c0 + c`.
-            let t: [__m256; 8] = std::array::from_fn(|i| {
-                let (a, b) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
-                if i % 2 == 0 {
-                    _mm256_unpacklo_ps(a, b)
-                } else {
-                    _mm256_unpackhi_ps(a, b)
-                }
-            });
-            let s: [__m256; 8] = std::array::from_fn(|i| {
-                let (a, b) = (t[i / 4 * 4 + i / 2 % 2], t[i / 4 * 4 + i / 2 % 2 + 2]);
-                if i % 2 == 0 {
-                    _mm256_shuffle_ps::<0x44>(a, b)
-                } else {
-                    _mm256_shuffle_ps::<0xee>(a, b)
-                }
-            });
-            let q: [__m256; 8] = std::array::from_fn(|c| {
-                if c < 4 {
-                    _mm256_permute2f128_ps::<0x20>(s[c], s[c + 4])
-                } else {
-                    _mm256_permute2f128_ps::<0x31>(s[c - 4], s[c])
-                }
-            });
-            for (col, v) in cols.iter_mut().zip(q) {
-                let half: &mut [f32; 8] = (&mut col[8 * h..8 * h + 8]).try_into().expect("8 lanes");
-                // SAFETY: `half` is 8 writable `f32`s; `storeu` needs no
-                // alignment.
-                unsafe { _mm256_storeu_ps(half.as_mut_ptr(), v) };
-            }
-        }
-    }
-    for (c, col) in out.iter_mut().enumerate().skip(whole) {
-        *col = std::array::from_fn(|l| rows[l][c]);
-    }
-}
-
 thread_local! {
-    /// Column scratch of the row-lane blocks, per thread (kernel helpers
-    /// included), grown to the widest block seen and reused.
-    static SCRATCH: RefCell<Vec<Column<f32>>> = const { RefCell::new(Vec::new()) };
+    /// Block column scratch of the row-lane sums, per thread (kernel
+    /// helpers included), grown to the widest block seen and reused.
+    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// `f(scratch)` with a scratch of `len` block columns of this thread.
-pub(crate) fn with_lanes<R>(len: usize, f: impl FnOnce(&mut [Column<f32>]) -> R) -> R {
+/// `f(scratch)` with a scratch of `len` `f32`s of this thread.
+pub(crate) fn with_lanes<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     SCRATCH.with_borrow_mut(|s| {
         if s.len() < len {
-            s.resize(len, [0.0; LANES]);
+            s.resize(len, 0.0);
         }
         f(&mut s[..len])
     })
@@ -245,35 +250,58 @@ mod tests {
         assert_eq!(empty, [(-0.0f32).to_bits(); 3]);
     }
 
+    /// On every tier the host runs, [`lane_sums`] adds each lane's terms
+    /// in column order from `-0.0`.
     #[test]
     fn lane_sum_adds_each_lane_in_column_order_from_negative_zero() {
-        assert_eq!(lane_sum(0, |_| [1.0; LANES]).map(f64::to_bits), [(-0.0f64).to_bits(); LANES]);
-        // 1e16 + 1 + 1 rounds each 1 away; the other order keeps 2.
-        let cols: [Column<f64>; 3] =
-            [1e16, 1.0, 1.0].map(|v| std::array::from_fn(|l| v * (l + 1) as f64));
-        let s = lane_sum(3, |c| cols[c]);
-        for (l, s) in s.into_iter().enumerate() {
-            let want: f64 = cols.iter().map(|c| c[l]).sum();
-            assert_eq!(s.to_bits(), want.to_bits(), "lane {l}");
+        struct Check;
+        impl LanePass for Check {
+            type Out = ();
+            #[inline(always)]
+            fn run<V: Lanes>(self) {
+                let b = V::F32::N;
+                let zero = lane_sums::<V>(0, |_| [V::splat(1.0); 2]);
+                assert!(zero[..b].iter().all(|s| s.to_bits() == (-0.0f64).to_bits()), "{b}");
+                // 1e16 + 1 + 1 rounds each 1 away; the other order keeps 2.
+                let col =
+                    |v: f64| -> Vec<f32> { (0..b).map(|l| (v * (l + 1) as f64) as f32).collect() };
+                let cols = [col(1e16), col(1.0), col(1.0)];
+                let s = lane_sums::<V>(3, |c| widen(&cols[c]));
+                for (l, s) in s[..b].iter().enumerate() {
+                    let want: f64 = cols.iter().map(|c| c[l] as f64).sum();
+                    assert_eq!(s.to_bits(), want.to_bits(), "{b} lanes: lane {l}");
+                }
+            }
+        }
+        for tier in Tier::on_host() {
+            run_on(tier, Check);
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// On every tier the host runs, [`transpose_block`] puts row `l` of
+    /// the block in lane `l`.
     #[test]
     fn transpose_puts_row_l_in_lane_l() {
-        if lane_rows(Tier::Avx2, 0..LANES, LANE_MIN_COLS).is_empty() {
-            return; // no AVX2: nothing runs in lanes
-        }
-        for m in [0, 3, 8, 19] {
-            let x: Vec<f32> = (0..LANES * m).map(|i| i as f32).collect();
-            let mut cols = vec![[0.0; LANES]; m];
-            // SAFETY: the host has AVX2 (`lane_rows` covered a block).
-            unsafe { transpose(&x, m, &mut cols) };
-            for (c, col) in cols.iter().enumerate() {
-                for (l, &v) in col.iter().enumerate() {
-                    assert_eq!(v, x[l * m + c], "m {m}, column {c}, lane {l}");
+        struct Check;
+        impl LanePass for Check {
+            type Out = ();
+            #[inline(always)]
+            fn run<V: Lanes>(self) {
+                let b = V::F32::N;
+                for m in [0, 3, 8, 19, 64] {
+                    let x: Vec<f32> = (0..(b + 1) * m).map(|i| i as f32).collect();
+                    let mut scratch = vec![0.0; b * m];
+                    let cols = transpose_block::<V>(&x, m, 1, &mut scratch);
+                    for c in 0..m {
+                        for l in 0..b {
+                            assert_eq!(cols[c * b + l], x[(1 + l) * m + c], "m {m}, {c}, {l}");
+                        }
+                    }
                 }
             }
+        }
+        for tier in Tier::on_host() {
+            run_on(tier, Check);
         }
     }
 

@@ -247,17 +247,6 @@ impl Rows<'_> {
         self.pos += 1;
     }
 
-    /// Append `n` values that `write` stores through the pointer to the
-    /// first of the `n` slots.
-    ///
-    /// # Safety
-    /// `write` writes all `n` slots, and no other memory.
-    #[inline]
-    pub(crate) unsafe fn extend_raw(&mut self, n: usize, write: impl FnOnce(*mut f32)) {
-        write(self.dst[self.pos..self.pos + n].as_mut_ptr().cast());
-        self.pos += n;
-    }
-
     /// Append a copy of `s`.
     #[inline]
     pub(crate) fn extend_from_slice(&mut self, s: &[f32]) {

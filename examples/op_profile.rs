@@ -19,7 +19,8 @@
 //!   lengths.
 //!
 //! Each table gives kernels, MFLOP, MB moved (the cost model's minimum
-//! traffic, `fc_tensor::cost`) and ms per pass by op kind, then the peak
+//! traffic, `fc_tensor::cost`), ms per pass by op kind and GFLOP/s at the
+//! first width, then the peak
 //! live MiB of the tape's buffers over the pass so far (the profiler's
 //! `bytes_peak`). The md-nve64 table is of `Chgnet::forward`, which frees
 //! each intermediate after its last read. Beside it the example prints,
@@ -38,6 +39,12 @@
 //! `par::SPLIT_WORK` is set from: a split's break-even, the median µs of
 //! an add over 1K–256K elements on one thread and split. It also prints
 //! the kernel tier this host runs.
+//!
+//! Last, the md-nve64 forward (both widths) and the rank step (width 1)
+//! again with the model the paper trains, `ModelConfig::default()` (fea 64,
+//! 31 RBF, 15 harmonics, 3 blocks at Decoupled): its GEMMs write four
+//! 16-column strips per output and its LayerNorm rows are 64 wide, shapes
+//! the quick model never runs.
 //!
 //! Run: `cargo run --release --example op_profile`
 
@@ -95,20 +102,7 @@ fn main() {
     let (ac, bc) = (model.cfg.atom_cutoff as f64, model.cfg.bond_cutoff as f64);
     let graph = CrystalGraph::with_cutoffs(structure.clone(), ac, bc);
     let batch = GraphBatch::collate(&[&graph], None);
-    println!(
-        "\nmd-nve64 forward: {} atoms + {} bonds + {} angles, {REPS} timed passes per width",
-        graph.n_atoms(),
-        graph.n_bonds(),
-        graph.n_angles()
-    );
-    let [forward] = profile(&[1, par::width()], || {
-        let tape = Tape::new();
-        model.forward(&tape, &store, &batch);
-        let tables = [(per_op(&tape), peak(&tape))];
-        tape.reset(); // back to this thread's pool, for the next pass
-        tables
-    });
-    print_table(&forward);
+    print_md_forward("md-nve64 forward", &model, &store, &batch);
     let held = [false, true].map(|retaining| {
         let tape = Tape::new();
         if retaining {
@@ -138,19 +132,49 @@ fn main() {
     let rank: Vec<&Sample> = by_size.into_iter().step_by(RANKS).collect();
     let graphs: Vec<&CrystalGraph> = rank.iter().map(|s| &s.graph).collect();
     let labels: Vec<&Labels> = rank.iter().map(|s| &s.labels).collect();
-    let batch = GraphBatch::collate(&graphs, Some(&labels));
+    let rank_batch = GraphBatch::collate(&graphs, Some(&labels));
+    print_rank_step("train-dp4 rank step", &model, &store, &rank_batch);
+
+    // The same passes with the model the paper trains; its cutoffs are the
+    // quick model's, so the graphs are the same.
+    let mut paper_store = ParamStore::new();
+    let paper = Chgnet::new(ModelConfig::default(), &mut paper_store, 7);
+    println!(
+        "\n== paper width: ModelConfig::default() (fea 64, 31 RBF, 15 harmonics, 3 blocks) =="
+    );
+    print_md_forward("paper width md-nve64 forward", &paper, &paper_store, &batch);
+    print_rank_step("paper width train-dp4 rank step", &paper, &paper_store, &rank_batch);
+}
+
+/// Print the per-op table of `model`'s inference forward on the md cell
+/// `batch` at width 1 and at full width, under `title`.
+fn print_md_forward(title: &str, model: &Chgnet, store: &ParamStore, batch: &GraphBatch) {
+    println!(
+        "\n{title}: {} atoms + {} bonds + {} angles, {REPS} timed passes per width",
+        batch.n_atoms, batch.n_bonds, batch.n_angles
+    );
+    let [forward] = profile(&[1, par::width()], || {
+        let tape = Tape::new();
+        model.forward(&tape, store, batch);
+        let tables = [(per_op(&tape), peak(&tape))];
+        tape.reset(); // back to this thread's pool, for the next pass
+        tables
+    });
+    print_table(&forward);
+}
+
+/// Print the per-op tables of one training step of `model` on the rank
+/// batch `batch` at width 1 (forward + composite loss, then
+/// `backward_final`), under `title`.
+fn print_rank_step(title: &str, model: &Chgnet, store: &ParamStore, batch: &GraphBatch) {
     let batch_labels = batch.labels.as_ref().expect("collated with labels");
     println!(
-        "\ntrain-dp4 rank step: {} structures, {} atoms + {} bonds + {} angles, {REPS} timed \
-         steps",
-        rank.len(),
-        batch.n_atoms,
-        batch.n_bonds,
-        batch.n_angles
+        "\n{title}: {} structures, {} atoms + {} bonds + {} angles, {REPS} timed steps",
+        batch.n_graphs, batch.n_atoms, batch.n_bonds, batch.n_angles
     );
     let [forward, backward] = profile(&[1], || {
         let tape = Tape::new();
-        let pred = model.forward_for_backward(&tape, &store, &batch);
+        let pred = model.forward_for_backward(&tape, store, batch);
         let loss = composite_loss(&tape, &pred, batch_labels, &LossWeights::default());
         let forward = (per_op(&tape), peak(&tape));
         tape.backward_final(loss.total);
@@ -220,7 +244,8 @@ fn profile<const P: usize>(
 }
 
 /// Print ms per pass by op kind, slowest first at the first width, with
-/// each later width's speedup over the first, then the peak live MiB.
+/// each later width's speedup over the first and the GFLOP/s at the first
+/// width, then the peak live MiB.
 fn print_table(phases: &[(usize, Phase)]) {
     let tables: Vec<(usize, &Table)> = phases.iter().map(|(w, (t, _))| (*w, t)).collect();
     let ms = |t: &OpTotals| t.nanos as f64 / 1e6 / REPS as f64;
@@ -234,7 +259,7 @@ fn print_table(phases: &[(usize, Phase)]) {
     for (w, _) in &tables[1..] {
         print!(" {:>8}", format!("@{w} gain"));
     }
-    println!();
+    println!(" {:>9}", format!("GF/s @{}", tables[0].0));
     let per_pass = |x: u64| x as f64 / 1e6 / REPS as f64;
     let mut totals = vec![0.0; tables.len()];
     let mut sum = OpTotals::default();
@@ -246,7 +271,7 @@ fn print_table(phases: &[(usize, Phase)]) {
             per_pass(one.flops),
             per_pass(one.bytes)
         );
-        print_times(&times);
+        print_op_times(&times, per_pass(one.flops));
         for (total, t) in totals.iter_mut().zip(&times) {
             *total += t;
         }
@@ -261,7 +286,7 @@ fn print_table(phases: &[(usize, Phase)]) {
         per_pass(sum.flops),
         per_pass(sum.bytes)
     );
-    print_times(&totals);
+    print_op_times(&totals, per_pass(sum.flops));
     print!("{:<48}", "peak live MiB");
     for (_, (_, peak)) in phases {
         print!(" {:>10.1}", *peak as f64 / (1u64 << 20) as f64);
@@ -344,6 +369,7 @@ fn print_graph_stage(structure: &Structure, ac: f64, bc: f64) {
     for (name, times) in ["neighbour list", "angle build", "collate"].iter().zip(&ms) {
         print!("{name:<18}");
         print_times(times);
+        println!();
     }
 }
 
@@ -633,5 +659,11 @@ fn print_times(times: &[f64]) {
     for t in &times[1..] {
         print!(" {:>7.2}x", times[0] / t.max(1e-9));
     }
-    println!();
+}
+
+/// One op row's times and speedups ([`print_times`]), then its `mflop`
+/// over the first time: GFLOP/s, since MFLOP per ms is GFLOP/s.
+fn print_op_times(times: &[f64], mflop: f64) {
+    print_times(times);
+    println!(" {:>9.2}", mflop / times[0].max(1e-9));
 }

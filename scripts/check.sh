@@ -19,6 +19,18 @@ bin="${CARGO_TARGET_DIR:-target}/release"
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+# x86 intrinsics and target features live in the lane type alone: every
+# kernel is a lane body on it, so its entry points and its few intrinsics
+# are the one place that names an instruction set. Fails naming each other
+# file that mentions one.
+echo "== std::arch, core::arch and #[target_feature only in kernels/lanes.rs =="
+allowed='crates/tensor/src/kernels/lanes.rs'
+if arch=$(grep -rlE --include='*.rs' 'std::arch|core::arch|#\[target_feature' crates | grep -vxF "$allowed"); then
+  echo "instruction-set code outside $allowed:"
+  echo "$arch"
+  exit 1
+fi
+
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -q -- -D warnings
 
